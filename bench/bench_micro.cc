@@ -16,6 +16,7 @@
 #include "expr/simplify.h"
 #include "gp/operators.h"
 #include "river/biology.h"
+#include "river/chemistry.h"
 #include "river/network.h"
 #include "river/parameters.h"
 #include "river/simulate.h"
@@ -148,21 +149,47 @@ void BM_GeneticOperators(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneticOperators);
 
+/// One simulated year of a whole process, interpreted (compiled:0) or
+/// through the default compiled backend (compiled:1): the two-species
+/// plankton process under Euler (transport:0), or the five-species
+/// transport process under RK4 (transport:1), whose per-day cost is five
+/// equations x four stages x two substeps.
 void BM_SimulateYear(benchmark::State& state) {
+  const bool transport = state.range(0) != 0;
+  const bool compiled = state.range(1) != 0;
   river::SyntheticConfig config;
   config.years = 2;
   config.train_years = 1;
-  const river::RiverDataset dataset = river::GenerateNakdongLike(config);
-  const auto equations = river::ManualProcess();
-  const auto params = gp::PriorMeans(river::RiverParameterPriors());
-  const bool compiled = state.range(0) != 0;
+  if (!transport) {
+    const river::RiverDataset dataset = river::GenerateNakdongLike(config);
+    const auto equations = river::ManualProcess();
+    const auto params = gp::PriorMeans(river::RiverParameterPriors());
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(river::SimulateBPhy(
+          equations, params, dataset, 0, 365, 5.0, 1.0,
+          river::SimulationConfig{}, compiled));
+    }
+    return;
+  }
+  const river::TransportScenario scenario =
+      river::GenerateTransportScenario(config, 5);
+  const auto equations = river::TransportProcess(scenario.constituents);
+  river::SimulationConfig simulation;
+  simulation.num_species = 5;
+  simulation.method = river::IntegrationMethod::kRk4;
+  const std::vector<double> initial = scenario.constituents.InitialStates();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(river::SimulateBPhy(
-        equations, params, dataset, 0, 365, 5.0, 1.0,
-        river::SimulationConfig{}, compiled));
+    benchmark::DoNotOptimize(river::Simulate(
+        equations, scenario.true_parameters, scenario.dataset, 0, 365,
+        scenario.constituents, initial, simulation, compiled));
   }
 }
-BENCHMARK(BM_SimulateYear)->Arg(0)->Arg(1);
+BENCHMARK(BM_SimulateYear)
+    ->ArgNames({"transport", "compiled"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 /// A structurally plausible but explosive candidate of the kind TAG3P
 /// routinely generates: finite derivatives that pin B_Phy to the ceiling

@@ -1,5 +1,6 @@
 #include "check/oracles.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -188,6 +189,49 @@ OracleResult CheckJitAgrees(const ExprCase& c, const OracleContext& ctx) {
     if (!WithinUlps(got, want, ctx.jit_ulps)) {
       return OracleResult::Fail(
           DescribeDisagreement("jit", c, vars, got, want));
+    }
+  }
+  return OracleResult::Pass();
+}
+
+OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx) {
+  // 2-5 roots compiled together: the case tree, one of its operand
+  // subtrees (pointer-shared with root 0, so the same nodes flatten twice),
+  // and fresh trees drawn from the case seed.
+  Rng rng(CaseSeed(c.seed, 0x5157e3ULL));
+  std::vector<expr::ExprPtr> roots = {c.tree};
+  const int extra = rng.UniformInt(1, 4);
+  for (int i = 0; i < extra; ++i) {
+    roots.push_back(i == 0 && !c.tree->IsLeaf() ? c.tree->children()[0]
+                                                : RandomExpr(*ctx.config, rng));
+  }
+  std::vector<const expr::Expr*> pointers;
+  for (const expr::ExprPtr& root : roots) pointers.push_back(root.get());
+  // Pin the parameter region to the case's vector, padded with zeros when
+  // a fresh root references a slot a shrunk corpus case no longer carries.
+  std::vector<double> parameters = c.parameters;
+  parameters.resize(
+      std::max(parameters.size(), expr::LayoutOf(pointers).num_parameters),
+      0.0);
+  const std::vector<std::vector<double>> contexts = SampleContexts(c, ctx);
+  if (contexts.empty()) return OracleResult::Pass();
+  const expr::CompiledProgram program = expr::Compile(
+      roots, expr::TapeLayout{contexts[0].size(), parameters.size()});
+  std::vector<double> out(roots.size(), 0.0);
+  for (const auto& vars : contexts) {
+    const auto ec = MakeEvalContext(vars, parameters);
+    program.Run(ec, out.data());
+    for (std::size_t r = 0; r < roots.size(); ++r) {
+      const double want = expr::EvalExpr(*roots[r], ec);
+      if (!WithinUlps(out[r], want, 0)) {
+        std::ostringstream detail;
+        detail.precision(17);
+        detail << "system-vm root " << r << " of " << roots.size()
+               << " disagrees on " << expr::ToString(*roots[r]) << ": got "
+               << out[r] << ", interpreter " << want << " (seed " << c.seed
+               << ")";
+        return OracleResult::Fail(detail.str());
+      }
     }
   }
   return OracleResult::Pass();
@@ -582,6 +626,7 @@ struct NamedOracle {
 
 constexpr NamedOracle kExprOracles[] = {
     {"vm", CheckVmAgrees},         {"simplify", CheckSimplifiedVmAgrees},
+    {"system_vm", CheckSystemVmAgrees},
     {"jit", CheckJitAgrees},       {"roundtrip", CheckRoundTrip},
     {"ckpt_roundtrip", CheckCkptRoundTrip},
     {"interval", CheckIntervalSound}, {"gate", CheckGateSound},

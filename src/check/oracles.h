@@ -56,6 +56,13 @@ struct OracleResult {
 /// counts as agreement) on every sampled context.
 OracleResult CheckVmAgrees(const ExprCase& c, const OracleContext& ctx);
 
+/// Equation-system VM vs tree interpreter: 2-5 roots (the case tree, one
+/// of its pointer-shared operand subtrees, and fresh trees from the case
+/// seed) compiled into one register program must agree bitwise (0 ULP;
+/// both-NaN counts as agreement) with EvalExpr root by root on every
+/// sampled context — the shape ProcessRunner runs once per derivative call.
+OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx);
+
 /// Simplify-then-VM vs tree interpreter. Compared bitwise when both sides
 /// are finite; contexts where either side is non-finite are skipped, since
 /// the min/max kernel is not NaN-symmetric and Simplify's commutative
@@ -148,8 +155,8 @@ OracleResult CheckGradcheck(const ExprCase& c, const OracleContext& ctx);
 using ExprOracle = OracleResult (*)(const ExprCase&, const OracleContext&);
 
 /// All registered oracle names, in fixed execution order:
-/// vm, simplify, jit, roundtrip, ckpt_roundtrip, interval, gate, activity,
-/// batch_vm, batch_width, batch_jit, gradcheck.
+/// vm, system_vm, simplify, jit, roundtrip, ckpt_roundtrip, interval, gate,
+/// activity, batch_vm, batch_width, batch_jit, gradcheck.
 std::vector<std::string> ExprOracleNames();
 
 /// Looks an oracle up by name; nullptr when unknown.

@@ -1,7 +1,9 @@
 #ifndef GMR_EXPR_COMPILE_H_
 #define GMR_EXPR_COMPILE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "expr/ast.h"
@@ -9,65 +11,133 @@
 
 namespace gmr::expr {
 
-/// One postfix instruction of the flattened expression tape, shared by the
-/// scalar stack VM below and the stride-N batch VM (batch_vm.h).
+/// The variable and parameter regions a tape is compiled against: the
+/// slot counts the caller binds on every run. Every leaf slot of the source
+/// must fall inside them; Flatten checks that once, so the run loops never
+/// check a slot.
+struct TapeLayout {
+  std::size_t num_variables = 0;
+  std::size_t num_parameters = 0;
+};
+
+/// One register-form instruction: dst = op(a, b), one per operator node of
+/// the source (unary operators ignore b). Operands index the register file
+///
+///   [variables | parameters | constants | temporaries]
+///
+/// so leaves cost no instruction: a variable, parameter or literal operand
+/// is read where it lives. dst is always a temporary distinct from both
+/// operands. Shared by the scalar VM below and the stride-N batch VM
+/// (batch_vm.h).
 struct TapeInstruction {
-  NodeKind op;
-  // kConstant: immediate; kParameter/kVariable: slot index.
-  double immediate = 0.0;
-  std::int32_t slot = -1;
+  NodeKind op = NodeKind::kAdd;
+  std::uint32_t dst = 0;
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
 };
 
-/// A flattened expression: postorder instruction sequence plus the maximum
-/// operand-stack depth it can reach. Pure data — every VM backend executes
-/// the same tape, which is what makes their per-step operation order (and
-/// therefore their floating-point results) bit-identical.
+/// A flattened equation system: the instructions of every root in root
+/// order, the literal values of the constant registers, and one output
+/// register per root. Pure data — every VM backend executes the same tape
+/// and applies each operator once, through the ApplyUnary/ApplyBinary
+/// kernels, to the same operand values as EvalExpr, which is what makes
+/// their results bit-identical to the interpreter's.
 struct Tape {
+  TapeLayout layout;
+  /// Value of constant register constant_base() + i.
+  std::vector<double> constants;
+  std::size_t num_temporaries = 0;
   std::vector<TapeInstruction> ops;
-  std::size_t max_stack = 0;
+  /// Register holding root r's value after the run (a leaf register when
+  /// the root is a bare leaf).
+  std::vector<std::uint32_t> outputs;
 
-  bool empty() const { return ops.empty(); }
+  std::size_t constant_base() const {
+    return layout.num_variables + layout.num_parameters;
+  }
+  std::size_t temporary_base() const {
+    return constant_base() + constants.size();
+  }
+  std::size_t num_registers() const {
+    return temporary_base() + num_temporaries;
+  }
+  /// Number of roots (outputs per run).
+  std::size_t num_outputs() const { return outputs.size(); }
+  /// Number of instructions (operator nodes of the source).
   std::size_t size() const { return ops.size(); }
+  bool empty() const { return outputs.empty(); }
 };
 
-/// Flattens `root` into a postorder tape (children before operators).
-Tape Flatten(const Expr& root);
+/// Smallest layout covering every variable and parameter slot the roots
+/// reference.
+TapeLayout LayoutOf(std::span<const Expr* const> roots);
+
+/// Flattens `roots` into one register tape over `layout` (postorder within
+/// each root, roots in order). Aborts when a leaf slot falls outside the
+/// layout.
+Tape Flatten(std::span<const Expr* const> roots, const TapeLayout& layout);
+Tape Flatten(const std::vector<ExprPtr>& roots, const TapeLayout& layout);
 
 /// Runtime-compilation backend.
 ///
 /// The paper compiles each candidate process to C source with g++ and
 /// dlopen()s the result so that the thousands of per-time-step evaluations
 /// during fitness evaluation run compiled code instead of re-parsing the
-/// tree. This library substitutes an in-process equivalent: the tree is
-/// flattened once into a postfix instruction tape executed by a tight stack
-/// VM with a preallocated stack (no recursion, no virtual dispatch, no
-/// pointer chasing). The measured effect — compiled-form evaluation replacing
-/// repeated tree walking inside the GP loop — is the same mechanism (see
-/// DESIGN.md section 4).
+/// tree. This library substitutes an in-process equivalent: the whole
+/// equation system is flattened once into a register tape (one instruction
+/// per operator, leaves read in place) executed by a tight dispatch loop
+/// over a preallocated register file (no recursion, no virtual dispatch, no
+/// pointer chasing). The measured effect — compiled-form evaluation
+/// replacing repeated tree walking inside the GP loop — is the same
+/// mechanism (see DESIGN.md section 4).
+///
+/// Runs are bit-identical to EvalExpr on each source root (both call the
+/// same ApplyUnary/ApplyBinary kernels on the same operand values).
 class CompiledProgram {
  public:
-  /// Executes the program. Semantics are bit-identical to EvalExpr on the
-  /// source tree (both call the same ApplyUnary/ApplyBinary kernels).
+  CompiledProgram() = default;
+  explicit CompiledProgram(Tape tape);
+
+  /// Rollout form, step 1: copies the parameter region once. Aborts when
+  /// fewer values are given than the layout's parameter region holds. Binding writes
+  /// only the register file (mutable scratch, see below), so it is const
+  /// like Run.
+  void Bind(const double* parameters, std::size_t num_parameters) const;
+
+  /// Rollout form, step 2: evaluates every root against the bound
+  /// parameters and the given variables; writes out[r] for each root r.
+  /// Aborts when fewer values are given than the variable region holds.
+  void Run(const double* variables, std::size_t num_variables,
+           double* out) const;
+
+  /// Binds both regions from `ctx` and evaluates every root into out[r].
+  void Run(const EvalContext& ctx, double* out) const;
+
+  /// Single-root convenience: binds `ctx` and returns root 0's value.
   double Run(const EvalContext& ctx) const;
 
-  /// Number of instructions in the tape.
+  /// Number of instructions in the tape (operator nodes of the source).
   std::size_t size() const { return tape_.size(); }
+  std::size_t num_outputs() const { return tape_.num_outputs(); }
 
-  /// True when Compile has not been run (or the source was empty).
+  /// True when Compile has not been run.
   bool empty() const { return tape_.empty(); }
 
  private:
-  friend CompiledProgram Compile(const Expr& root);
-
   Tape tape_;
-  // Evaluation scratch space, sized once at compile time. Programs are
-  // evaluated thousands of times per fitness case sequence; reusing the
-  // buffer keeps Run() allocation-free. A CompiledProgram is therefore not
-  // safe to Run() from two threads concurrently (clone it instead).
-  mutable std::vector<double> stack_;
+  // The register file, sized and seeded with the constants once at compile
+  // time. Programs are evaluated thousands of times per fitness case
+  // sequence; reusing the buffer keeps Run() allocation-free. A
+  // CompiledProgram is therefore not safe to Run() from two threads
+  // concurrently (clone it instead).
+  mutable std::vector<double> registers_;
 };
 
-/// Flattens `root` into a CompiledProgram (postorder).
+/// Compiles the equation system `roots` into one program over `layout`.
+CompiledProgram Compile(const std::vector<ExprPtr>& roots,
+                        const TapeLayout& layout);
+
+/// Compiles one root over the layout it references (LayoutOf).
 CompiledProgram Compile(const Expr& root);
 
 }  // namespace gmr::expr

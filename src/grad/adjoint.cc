@@ -33,21 +33,41 @@ double ClampStateValue(double raw, const river::SimulationConfig& config) {
   return raw;
 }
 
-/// Observation bindings in RiverEvaluation's order, mirrored through the
-/// public registry API: every constituent with a mapped series, else the
-/// primary state against series 0.
-std::vector<std::pair<std::size_t, int>> Bindings(
-    const river::ConstituentSet& constituents) {
-  std::vector<std::pair<std::size_t, int>> bindings;
-  for (std::size_t i = 0; i < constituents.size(); ++i) {
-    const int series = constituents.at(i).observed_series;
-    if (series >= 0) bindings.emplace_back(i, series);
+/// The forward rollout of both calibration objectives: the compiled
+/// bytecode program, bit-identical to the interpreter (and so to the
+/// reverse sweep's tape replay) and to the fitness evaluator's VM path.
+/// The JIT backends are never used here: their ULP budget would break the
+/// replay's bitwise agreement with the forward states.
+river::SimulationTrajectory ForwardRollout(
+    const std::vector<expr::ExprPtr>& equations,
+    const std::vector<double>& parameters, const river::RiverDataset& dataset,
+    std::size_t t_begin, std::size_t t_end,
+    const river::ConstituentSet& constituents,
+    const std::vector<double>& initial_state, river::SimulationConfig config,
+    river::SimulationReport* report) {
+  config.compiled_backend = river::CompiledBackend::kBytecodeVm;
+  return river::Simulate(equations, parameters, dataset, t_begin, t_end,
+                         constituents, initial_state, config,
+                         /*compiled=*/true, report);
+}
+
+/// RMSE of a trajectory over its days and the bindings, summed in
+/// RiverEvaluation's order (days outer, bindings inner) so it matches the
+/// fitness evaluator bitwise.
+double TrajectoryRmse(const river::SimulationTrajectory& trajectory,
+                      const river::RiverDataset& dataset, std::size_t t_begin,
+                      std::size_t steps,
+                      const std::vector<river::ObservationBinding>& bindings) {
+  if (steps == 0) return 0.0;
+  double sse = 0.0;
+  for (std::size_t d = 0; d < steps; ++d) {
+    for (const river::ObservationBinding& binding : bindings) {
+      const double error = trajectory.series[binding.species][d] -
+                           dataset.ObservedSeries(binding.series)[t_begin + d];
+      sse += error * error;
+    }
   }
-  if (bindings.empty()) {
-    bindings.emplace_back(
-        static_cast<std::size_t>(constituents.PrimaryObserved()), 0);
-  }
-  return bindings;
+  return std::sqrt(sse / static_cast<double>(steps * bindings.size()));
 }
 
 /// Sound pruning env for the rollout: parameters pinned to θ (the tape is
@@ -123,27 +143,14 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
   const std::size_t steps = t_end - t_begin;
   result.gradient.assign(parameters.size(), 0.0);
 
-  // Forward sweep: the ordinary interpreter rollout (bit-identical to the
-  // fitness evaluator's VM path), whose trajectory doubles as the
+  // Forward sweep: the compiled rollout, whose trajectory doubles as the
   // begin-of-day state checkpoints of the reverse sweep.
   const river::SimulationTrajectory trajectory =
-      river::Simulate(equations, parameters, dataset, t_begin, t_end,
-                      constituents, initial_state, config,
-                      /*compiled=*/false, &result.report);
-  const std::vector<std::pair<std::size_t, int>> bindings =
-      Bindings(constituents);
-  double sse = 0.0;
-  for (std::size_t d = 0; d < steps; ++d) {
-    for (const auto& [species, series] : bindings) {
-      const double error = trajectory.series[species][d] -
-                           dataset.ObservedSeries(series)[t_begin + d];
-      sse += error * error;
-    }
-  }
-  result.rmse =
-      steps == 0
-          ? 0.0
-          : std::sqrt(sse / static_cast<double>(steps * bindings.size()));
+      ForwardRollout(equations, parameters, dataset, t_begin, t_end,
+                     constituents, initial_state, config, &result.report);
+  const std::vector<river::ObservationBinding> bindings =
+      river::BindObservations(constituents);
+  result.rmse = TrajectoryRmse(trajectory, dataset, t_begin, steps, bindings);
   if (steps == 0) {
     result.gradient_valid = true;
     return result;
@@ -217,10 +224,11 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
 
   for (std::size_t d = good_days; d-- > 0;) {
     // Seed with this day's residuals: d(SSE)/d(prediction) = 2 * error.
-    for (const auto& [species, series] : bindings) {
-      const double error = trajectory.series[species][d] -
-                           dataset.ObservedSeries(series)[t_begin + d];
-      lambda[species] += 2.0 * error;
+    for (const river::ObservationBinding& binding : bindings) {
+      const double error =
+          trajectory.series[binding.species][d] -
+          dataset.ObservedSeries(binding.series)[t_begin + d];
+      lambda[binding.species] += 2.0 * error;
     }
     // Recompute the day's substeps from the begin-of-day checkpoint,
     // recording every stage context and tape value buffer. This replays
@@ -384,6 +392,7 @@ struct RolloutProblem {
   river::ConstituentSet constituents;
   std::vector<double> initial_state;
   river::SimulationConfig config;
+  std::vector<river::ObservationBinding> bindings;
 };
 
 std::shared_ptr<RolloutProblem> MakeRolloutProblem(
@@ -401,6 +410,7 @@ std::shared_ptr<RolloutProblem> MakeRolloutProblem(
   problem->config = config;
   problem->config.num_species =
       static_cast<int>(problem->constituents.size());
+  problem->bindings = river::BindObservations(problem->constituents);
   return problem;
 }
 
@@ -415,26 +425,13 @@ calibrate::Objective MakeRmseObjective(
                                     t_end, std::move(constituents),
                                     std::move(initial_state), config);
   return [problem](const std::vector<double>& x) {
-    const river::SimulationTrajectory trajectory = river::Simulate(
+    const river::SimulationTrajectory trajectory = ForwardRollout(
         problem->equations, x, *problem->dataset, problem->t_begin,
         problem->t_end, problem->constituents, problem->initial_state,
-        problem->config, /*compiled=*/false);
-    const std::vector<std::pair<std::size_t, int>> bindings =
-        Bindings(problem->constituents);
-    const std::size_t steps = problem->t_end - problem->t_begin;
-    double sse = 0.0;
-    for (std::size_t d = 0; d < steps; ++d) {
-      for (const auto& [species, series] : bindings) {
-        const double error =
-            trajectory.series[species][d] -
-            problem->dataset->ObservedSeries(series)[problem->t_begin + d];
-        sse += error * error;
-      }
-    }
-    return steps == 0
-               ? 0.0
-               : std::sqrt(sse /
-                           static_cast<double>(steps * bindings.size()));
+        problem->config, /*report=*/nullptr);
+    return TrajectoryRmse(trajectory, *problem->dataset, problem->t_begin,
+                          problem->t_end - problem->t_begin,
+                          problem->bindings);
   };
 }
 

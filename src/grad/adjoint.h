@@ -41,8 +41,8 @@ struct GradientResult {
 /// squared error summed over every observed constituent) with respect to
 /// the parameter vector, for an arbitrary ConstituentSet registry.
 ///
-/// Forward sweep: the ordinary rollout, checkpointing each begin-of-day
-/// state. Reverse sweep: days in reverse order, recomputing the day's
+/// Forward sweep: the compiled rollout on the bytecode VM, checkpointing
+/// each begin-of-day state. Reverse sweep: days in reverse order, recomputing the day's
 /// substeps (and RK4 stage evaluations) from the checkpoint, then
 /// propagating the state cotangent λ backwards — through the commit clamp
 /// (cotangent dropped exactly where the clamp pinned the state), each RK4
@@ -98,8 +98,10 @@ class RiverGradientFitness : public gp::GradientFitness {
 };
 
 /// Calibration adapters: value and gradient objectives over the training
-/// RMSE of a fixed equation system, ready for CalibrationProblem. The
-/// value objective is exactly the rollout RMSE; the gradient objective
+/// RMSE of a fixed equation system, ready for CalibrationProblem. Both
+/// roll out on the compiled bytecode VM (bit-identical to the
+/// interpreter); the observation bindings are resolved once per adapter.
+/// The value objective is exactly the rollout RMSE; the gradient objective
 /// reports failures (tape faults, non-finite adjoints) by filling the
 /// gradient with NaN, which the gradient-based calibrators treat as a
 /// signal to degrade to derivative-free search.

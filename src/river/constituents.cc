@@ -25,6 +25,12 @@ const char* ConfigErrorCodeName(ConfigErrorCode code) {
       return "bad_initial_state";
     case ConfigErrorCode::kParameterLaneMismatch:
       return "parameter_lane_mismatch";
+    case ConfigErrorCode::kBadSubsteps:
+      return "bad_substeps";
+    case ConfigErrorCode::kBadStateBounds:
+      return "bad_state_bounds";
+    case ConfigErrorCode::kNegativeWatchdogLimit:
+      return "negative_watchdog_limit";
   }
   return "unknown";
 }

@@ -23,6 +23,9 @@ enum class ConfigErrorCode : int {
   kBadObservedSeries,     ///< observed_series out of the dataset's range.
   kBadInitialState,       ///< Non-finite initial condition.
   kParameterLaneMismatch, ///< Batch lanes disagree on parameter count.
+  kBadSubsteps,           ///< config.substeps < 1.
+  kBadStateBounds,        ///< Non-finite or inverted state_min/state_max.
+  kNegativeWatchdogLimit, ///< A watchdog limit below 0 (0 disables).
 };
 
 const char* ConfigErrorCodeName(ConfigErrorCode code);

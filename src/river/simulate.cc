@@ -2,141 +2,20 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "common/fault_injection.h"
+#include "expr/batch_vm.h"
+#include "expr/compile.h"
 #include "expr/eval.h"
 #include "river/parameters.h"
 #include "river/variables.h"
 
 namespace gmr::river {
-
-ProcessRunner::ProcessRunner(const std::vector<expr::ExprPtr>& equations,
-                             const std::vector<double>* parameters,
-                             bool compiled)
-    : ProcessRunner(equations, parameters, compiled, SimulationConfig{}) {}
-
-ProcessRunner::ProcessRunner(const std::vector<expr::ExprPtr>& equations,
-                             const std::vector<double>* parameters,
-                             bool compiled, const SimulationConfig& config)
-    : equations_(equations), parameters_(parameters), compiled_(compiled) {
-  GMR_CHECK(!equations_.empty());
-  GMR_CHECK(parameters_ != nullptr);
-  if (!compiled_) return;
-  // The bytecode programs are always built: they are the fallback for any
-  // equation whose JIT compile fails.
-  programs_.reserve(equations_.size());
-  for (const auto& eq : equations_) programs_.push_back(expr::Compile(*eq));
-  switch (config.compiled_backend) {
-    case CompiledBackend::kBytecodeVm:
-      return;
-    case CompiledBackend::kBatchVm:
-    case CompiledBackend::kBatchJit: {
-      // Scalar rollouts run the batched backends at width 1 (SoA == AoS at
-      // stride 1), so scalar and batched evaluation share one code path.
-      batch_programs_.reserve(equations_.size());
-      for (const auto& eq : equations_) {
-        batch_programs_.push_back(expr::CompileBatch(*eq));
-      }
-      if (config.compiled_backend != CompiledBackend::kBatchJit) return;
-      expr::BatchJitSession* session =
-          config.batch_jit_session != nullptr
-              ? config.batch_jit_session
-              : expr::BatchJitSession::Default();
-      std::vector<const expr::Expr*> roots;
-      roots.reserve(equations_.size());
-      for (const auto& eq : equations_) roots.push_back(eq.get());
-      // Pure cache hits when the evaluator's PrepareBatch already compiled
-      // this generation; a miss compiles a (small) TU for this individual.
-      batch_fns_ = session->CompileBatch(roots);
-      for (const auto fn : batch_fns_) {
-        if (fn == nullptr) jit_fallback_ = true;
-      }
-      return;
-    }
-    case CompiledBackend::kNativeJit:
-      break;
-  }
-  expr::JitCircuitBreaker* breaker = config.jit_breaker != nullptr
-                                         ? config.jit_breaker
-                                         : expr::JitCircuitBreaker::Default();
-  jit_programs_.resize(equations_.size());
-  for (std::size_t i = 0; i < equations_.size(); ++i) {
-    if (!breaker->allowed()) {
-      jit_fallback_ = true;
-      continue;
-    }
-    std::string error;
-    jit_programs_[i] = expr::JitProgram::Compile(*equations_[i], &error);
-    if (jit_programs_[i] != nullptr) {
-      breaker->RecordSuccess();
-    } else {
-      breaker->RecordFailure(error);
-      jit_fallback_ = true;
-    }
-  }
-}
-
-ProcessRunner::~ProcessRunner() = default;
-
-void ProcessRunner::Derivatives(const double* variables,
-                                std::size_t num_variables,
-                                double* derivatives) const {
-  const std::size_t n = equations_.size();
-  if (FaultInjected(FaultPoint::kDerivativeNan)) {
-    for (std::size_t e = 0; e < n; ++e) {
-      derivatives[e] = std::numeric_limits<double>::quiet_NaN();
-    }
-    return;
-  }
-  if (compiled_ && !batch_programs_.empty()) {
-    // Batched backends at stride 1: lane 0 of the SoA layout is exactly the
-    // scalar layout, so this is bit-identical to the bytecode VM (batch VM)
-    // or within the JIT ULP budget (batch JIT symbols).
-    expr::BatchEvalContext bctx;
-    bctx.variables = variables;
-    bctx.num_variables = num_variables;
-    bctx.parameters = parameters_->data();
-    bctx.num_parameters = parameters_->size();
-    bctx.width = 1;
-    for (std::size_t e = 0; e < n; ++e) {
-      if (!batch_fns_.empty() && batch_fns_[e] != nullptr) {
-        batch_fns_[e](variables, parameters_->data(), &derivatives[e], 1);
-      } else {
-        batch_programs_[e].RunLanes(bctx, &derivatives[e]);
-      }
-    }
-    return;
-  }
-  expr::EvalContext ctx;
-  ctx.variables = variables;
-  ctx.num_variables = num_variables;
-  ctx.parameters = parameters_->data();
-  ctx.num_parameters = parameters_->size();
-  if (compiled_) {
-    for (std::size_t e = 0; e < n; ++e) {
-      derivatives[e] = !jit_programs_.empty() && jit_programs_[e] != nullptr
-                           ? jit_programs_[e]->Run(ctx)
-                           : programs_[e].Run(ctx);
-    }
-  } else {
-    for (std::size_t e = 0; e < n; ++e) {
-      derivatives[e] = expr::EvalExpr(*equations_[e], ctx);
-    }
-  }
-}
-
-void ProcessRunner::Derivatives(const double* variables,
-                                std::size_t num_variables, double* d_bphy,
-                                double* d_bzoo) const {
-  GMR_CHECK_EQ(equations_.size(), 2u);
-  double out[2];
-  Derivatives(variables, num_variables, out);
-  *d_bphy = out[0];
-  *d_bzoo = out[1];
-}
 
 ConfigError ValidateSimulation(const SimulationConfig& config,
                                const ConstituentSet& constituents,
@@ -157,6 +36,30 @@ ConfigError ValidateSimulation(const SimulationConfig& config,
         "phenotype has " + std::to_string(num_equations) +
             " process equations for " + std::to_string(constituents.size()) +
             " constituents");
+  }
+  if (config.substeps < 1) {
+    return ConfigError::Error(
+        ConfigErrorCode::kBadSubsteps,
+        "config.substeps=" + std::to_string(config.substeps) +
+            " but a day needs at least one substep");
+  }
+  if (!std::isfinite(config.state_min) || !std::isfinite(config.state_max) ||
+      !(config.state_min < config.state_max)) {
+    return ConfigError::Error(
+        ConfigErrorCode::kBadStateBounds,
+        "config.state_min=" + std::to_string(config.state_min) +
+            " and config.state_max=" + std::to_string(config.state_max) +
+            " do not bound a finite, non-empty interval");
+  }
+  if (config.max_nonfinite_derivatives < 0 ||
+      config.max_saturated_substeps < 0) {
+    return ConfigError::Error(
+        ConfigErrorCode::kNegativeWatchdogLimit,
+        "watchdog limits must be >= 0 (0 disables): "
+        "max_nonfinite_derivatives=" +
+            std::to_string(config.max_nonfinite_derivatives) +
+            ", max_saturated_substeps=" +
+            std::to_string(config.max_saturated_substeps));
   }
   return ConfigError::Ok();
 }
@@ -191,6 +94,24 @@ ConfigError ValidateBatchLanes(
   return ConfigError::Ok();
 }
 
+std::vector<ObservationBinding> BindObservations(
+    const ConstituentSet& constituents) {
+  std::vector<ObservationBinding> observations;
+  for (std::size_t i = 0; i < constituents.size(); ++i) {
+    const Constituent& c = constituents.at(i);
+    if (c.observed_series >= 0) {
+      observations.push_back(ObservationBinding{i, c.observed_series});
+    }
+  }
+  // A problem with no mapped observation still needs a defined fitness;
+  // fall back to the primary state against the primary series.
+  if (observations.empty()) {
+    observations.push_back(ObservationBinding{
+        static_cast<std::size_t>(constituents.PrimaryObserved()), 0});
+  }
+  return observations;
+}
+
 namespace {
 
 /// Sign-aware clamp: -Inf (and NaN with the sign bit set) pins to the
@@ -213,6 +134,180 @@ double ClampState(double value, const SimulationConfig& config,
   return value;
 }
 
+/// Evaluates every derivative equation for a whole lane block per call
+/// (one lane per parameter vector, SoA layout of batch_vm.h) through one
+/// batch program for the whole system. Equation `e`'s outputs land at
+/// derivatives[e * width + lane]. Under kBatchJit, each equation's
+/// generation-JIT symbol overrides the program's output for that equation;
+/// the program runs only when some equation has no symbol.
+class BatchRunner {
+ public:
+  BatchRunner(const std::vector<expr::ExprPtr>& equations,
+              const expr::TapeLayout& layout, const SimulationConfig& config)
+      : program_(expr::CompileBatch(equations, layout)) {
+    if (config.compiled_backend != CompiledBackend::kBatchJit) return;
+    expr::BatchJitSession* session =
+        config.batch_jit_session != nullptr
+            ? config.batch_jit_session
+            : expr::BatchJitSession::Default();
+    std::vector<const expr::Expr*> roots;
+    roots.reserve(equations.size());
+    for (const auto& eq : equations) roots.push_back(eq.get());
+    // Pure cache hits when the evaluator's PrepareBatch already compiled
+    // this generation; a miss compiles a (small) TU for these equations.
+    fns_ = session->CompileBatch(roots);
+    for (const auto fn : fns_) {
+      if (fn == nullptr) jit_fallback_ = true;
+    }
+  }
+
+  /// Fault-injected entry point of the batched rollout.
+  void Derivatives(const expr::BatchEvalContext& ctx,
+                   double* derivatives) const {
+    if (FaultInjected(FaultPoint::kDerivativeNan)) {
+      const std::size_t n = program_.num_outputs() * ctx.width;
+      for (std::size_t i = 0; i < n; ++i) {
+        derivatives[i] = std::numeric_limits<double>::quiet_NaN();
+      }
+      return;
+    }
+    Evaluate(ctx, derivatives);
+  }
+
+  void Evaluate(const expr::BatchEvalContext& ctx, double* derivatives) const {
+    if (fns_.empty() || jit_fallback_) program_.RunLanes(ctx, derivatives);
+    for (std::size_t e = 0; e < fns_.size(); ++e) {
+      if (fns_[e] == nullptr) continue;
+      fns_[e](ctx.variables, ctx.parameters, derivatives + e * ctx.width,
+              static_cast<long>(ctx.width));
+    }
+  }
+
+  bool jit_fallback() const { return jit_fallback_; }
+
+ private:
+  expr::BatchProgram program_;
+  std::vector<expr::BatchJitSession::BatchFn> fns_;
+  bool jit_fallback_ = false;
+};
+
+/// Evaluates the per-constituent process derivatives (one equation per
+/// state slot) of one scalar rollout through the configured backend:
+/// interpreted tree walking, or "runtime compilation" — one register
+/// program for the whole equation system with its parameter registers bound
+/// once per rollout (kBytecodeVm), the batched backends at width 1
+/// (kBatchVm/kBatchJit), or per-equation native JIT (kNativeJit), whose
+/// equations degrade to the system program on compile failure (recorded in
+/// jit_fallback()).
+class ProcessRunner {
+ public:
+  ProcessRunner(const std::vector<expr::ExprPtr>& equations,
+                const std::vector<double>* parameters,
+                std::size_t num_variables, bool compiled,
+                const SimulationConfig& config)
+      : equations_(equations), parameters_(parameters), compiled_(compiled) {
+    GMR_CHECK(!equations_.empty());
+    GMR_CHECK(parameters_ != nullptr);
+    if (!compiled_) return;
+    const expr::TapeLayout layout{num_variables, parameters_->size()};
+    switch (config.compiled_backend) {
+      case CompiledBackend::kBatchVm:
+      case CompiledBackend::kBatchJit:
+        // Scalar rollouts run the batched backends at width 1 (SoA == AoS
+        // at stride 1), so scalar and batched evaluation share one path.
+        batch_.emplace(equations_, layout, config);
+        jit_fallback_ = batch_->jit_fallback();
+        return;
+      case CompiledBackend::kBytecodeVm:
+      case CompiledBackend::kNativeJit:
+        program_ = expr::Compile(equations_, layout);
+        program_.Bind(parameters_->data(), parameters_->size());
+        break;
+    }
+    if (config.compiled_backend != CompiledBackend::kNativeJit) return;
+    expr::JitCircuitBreaker* breaker = config.jit_breaker != nullptr
+                                           ? config.jit_breaker
+                                           : expr::JitCircuitBreaker::Default();
+    jit_programs_.resize(equations_.size());
+    for (std::size_t i = 0; i < equations_.size(); ++i) {
+      if (!breaker->allowed()) {
+        jit_fallback_ = true;
+        continue;
+      }
+      std::string error;
+      jit_programs_[i] = expr::JitProgram::Compile(*equations_[i], &error);
+      if (jit_programs_[i] != nullptr) {
+        breaker->RecordSuccess();
+      } else {
+        breaker->RecordFailure(error);
+        jit_fallback_ = true;
+      }
+    }
+  }
+
+  /// Computes every constituent derivative for the given variable vector
+  /// (layout of the problem's ConstituentSet, parameters bound at
+  /// construction). `derivatives` has one slot per equation.
+  void Derivatives(const double* variables, std::size_t num_variables,
+                   double* derivatives) const {
+    const std::size_t n = equations_.size();
+    if (FaultInjected(FaultPoint::kDerivativeNan)) {
+      for (std::size_t e = 0; e < n; ++e) {
+        derivatives[e] = std::numeric_limits<double>::quiet_NaN();
+      }
+      return;
+    }
+    expr::EvalContext ctx;
+    ctx.variables = variables;
+    ctx.num_variables = num_variables;
+    ctx.parameters = parameters_->data();
+    ctx.num_parameters = parameters_->size();
+    if (!compiled_) {
+      for (std::size_t e = 0; e < n; ++e) {
+        derivatives[e] = expr::EvalExpr(*equations_[e], ctx);
+      }
+      return;
+    }
+    if (batch_.has_value()) {
+      // Lane 0 of the SoA layout is exactly the scalar layout, so this is
+      // bit-identical to the bytecode VM (batch VM) or within the JIT ULP
+      // budget (batch JIT symbols).
+      expr::BatchEvalContext bctx;
+      bctx.variables = ctx.variables;
+      bctx.num_variables = ctx.num_variables;
+      bctx.parameters = ctx.parameters;
+      bctx.num_parameters = ctx.num_parameters;
+      bctx.width = 1;
+      batch_->Evaluate(bctx, derivatives);
+      return;
+    }
+    if (jit_programs_.empty() || jit_fallback_) {
+      program_.Run(variables, num_variables, derivatives);
+    }
+    for (std::size_t e = 0; e < jit_programs_.size(); ++e) {
+      if (jit_programs_[e] != nullptr) {
+        derivatives[e] = jit_programs_[e]->Run(ctx);
+      }
+    }
+  }
+
+  /// True when any equation degraded from a JIT backend to a VM.
+  bool jit_fallback() const { return jit_fallback_; }
+
+ private:
+  std::vector<expr::ExprPtr> equations_;
+  const std::vector<double>* parameters_;
+  bool compiled_;
+  /// The system program of kBytecodeVm, and the fallback of kNativeJit.
+  expr::CompiledProgram program_;
+  /// Parallel to equations_ under kNativeJit; a null entry means that
+  /// equation's value comes from program_.
+  std::vector<std::unique_ptr<expr::JitProgram>> jit_programs_;
+  /// kBatchVm and kBatchJit.
+  std::optional<BatchRunner> batch_;
+  bool jit_fallback_ = false;
+};
+
 /// Shared integration state for Simulate and RiverEvaluation over an
 /// arbitrary constituent registry, including the divergence watchdogs.
 /// Once a watchdog aborts the rollout, every remaining day predicts
@@ -232,7 +327,10 @@ class Integrator {
              const RiverDataset* dataset,
              const std::vector<double>& initial_state,
              const SimulationConfig& config)
-      : runner_(equations, parameters, compiled, config),
+      : runner_(equations, parameters,
+                initial_state.size() +
+                    static_cast<std::size_t>(kNumDriverVariables),
+                compiled, config),
         dataset_(dataset),
         config_(config),
         num_species_(initial_state.size()),
@@ -406,67 +504,6 @@ class Integrator {
   std::size_t consecutive_saturated_ = 0;
 };
 
-/// Evaluates every derivative equation for a whole lane block per call
-/// (one lane per parameter vector, SoA layout of batch_vm.h). Equation
-/// `e`'s outputs land at derivatives[e * width + lane].
-class BatchRunner {
- public:
-  BatchRunner(const std::vector<expr::ExprPtr>& equations,
-              const SimulationConfig& config)
-      : num_equations_(equations.size()) {
-    GMR_CHECK(!equations.empty());
-    programs_.reserve(equations.size());
-    for (const auto& eq : equations) {
-      programs_.push_back(expr::CompileBatch(*eq));
-    }
-    if (config.compiled_backend != CompiledBackend::kBatchJit) return;
-    expr::BatchJitSession* session =
-        config.batch_jit_session != nullptr
-            ? config.batch_jit_session
-            : expr::BatchJitSession::Default();
-    std::vector<const expr::Expr*> roots;
-    roots.reserve(equations.size());
-    for (const auto& eq : equations) roots.push_back(eq.get());
-    fns_ = session->CompileBatch(roots);
-    for (const auto fn : fns_) {
-      if (fn == nullptr) jit_fallback_ = true;
-    }
-  }
-
-  void Derivatives(const double* variables, std::size_t num_variables,
-                   const double* parameters, std::size_t num_parameters,
-                   std::size_t width, double* derivatives) const {
-    if (FaultInjected(FaultPoint::kDerivativeNan)) {
-      for (std::size_t i = 0; i < num_equations_ * width; ++i) {
-        derivatives[i] = std::numeric_limits<double>::quiet_NaN();
-      }
-      return;
-    }
-    expr::BatchEvalContext ctx;
-    ctx.variables = variables;
-    ctx.num_variables = num_variables;
-    ctx.parameters = parameters;
-    ctx.num_parameters = num_parameters;
-    ctx.width = width;
-    for (std::size_t e = 0; e < num_equations_; ++e) {
-      double* out = derivatives + e * width;
-      if (!fns_.empty() && fns_[e] != nullptr) {
-        fns_[e](variables, parameters, out, static_cast<long>(width));
-      } else {
-        programs_[e].RunLanes(ctx, out);
-      }
-    }
-  }
-
-  bool jit_fallback() const { return jit_fallback_; }
-
- private:
-  std::size_t num_equations_;
-  std::vector<expr::BatchProgram> programs_;
-  std::vector<expr::BatchJitSession::BatchFn> fns_;
-  bool jit_fallback_ = false;
-};
-
 /// Lane-parallel mirror of Integrator: the same watchdog state machine,
 /// replicated per lane over SoA buffers whose lane blocks span
 /// species x lanes (the MassBalanceStore layout). Every lane's trajectory,
@@ -483,7 +520,12 @@ class BatchIntegrator {
                   const RiverDataset* dataset,
                   const std::vector<double>& initial_state, int primary,
                   const SimulationConfig& config)
-      : runner_(equations, config),
+      : runner_(equations,
+                expr::TapeLayout{
+                    initial_state.size() +
+                        static_cast<std::size_t>(kNumDriverVariables),
+                    parameter_lanes.front().size()},
+                config),
         dataset_(dataset),
         config_(config),
         width_(parameter_lanes.size()),
@@ -596,6 +638,17 @@ class BatchIntegrator {
     std::size_t consecutive_saturated = 0;
   };
 
+  /// One batched derivative call over the current variable block.
+  void Derive(double* k) const {
+    expr::BatchEvalContext ctx;
+    ctx.variables = vars_.data();
+    ctx.num_variables = num_variables_;
+    ctx.parameters = params_.data();
+    ctx.num_parameters = num_parameters_;
+    ctx.width = width_;
+    runner_.Derivatives(ctx, k);
+  }
+
   double* StageBlock(int stage) {
     return &k_[static_cast<std::size_t>(stage) * num_species_ * width_];
   }
@@ -647,8 +700,7 @@ class BatchIntegrator {
       for (std::size_t l = 0; l < width_; ++l) row[l] = state_row[l];
     }
     double* k = StageBlock(0);
-    runner_.Derivatives(vars_.data(), num_variables_, params_.data(),
-                        num_parameters_, width_, k);
+    Derive(k);
     for (std::size_t l = 0; l < width_; ++l) {
       Lane& lane = lanes_[l];
       if (lane.aborted) continue;
@@ -682,8 +734,7 @@ class BatchIntegrator {
                                 : state_row[l] + o * dt * k_prev_row[l];
         }
       }
-      runner_.Derivatives(vars_.data(), num_variables_, params_.data(),
-                          num_parameters_, width_, k);
+      Derive(k);
       for (std::size_t l = 0; l < width_; ++l) {
         if (stage_live_[l] == 0) continue;
         NoteDerivatives(lanes_[l], l, k);
@@ -728,13 +779,6 @@ class BatchIntegrator {
   /// Per-lane raw-state scratch for CommitState.
   std::vector<double> raw_lane_;
   std::vector<char> stage_live_;
-};
-
-/// One observation binding of a fitness problem: constituent state index ->
-/// dataset observed-series index.
-struct ObservationBinding {
-  std::size_t species = 0;
-  int series = 0;
 };
 
 class RiverEvaluation : public gp::SequentialEvaluation {
@@ -792,24 +836,6 @@ class RiverEvaluation : public gp::SequentialEvaluation {
   double sse_ = 0.0;
   std::size_t steps_ = 0;
 };
-
-std::vector<ObservationBinding> BindObservations(
-    const ConstituentSet& constituents) {
-  std::vector<ObservationBinding> observations;
-  for (std::size_t i = 0; i < constituents.size(); ++i) {
-    const Constituent& c = constituents.at(i);
-    if (c.observed_series >= 0) {
-      observations.push_back(ObservationBinding{i, c.observed_series});
-    }
-  }
-  // A problem with no mapped observation still needs a defined fitness;
-  // fall back to the primary state against the primary series.
-  if (observations.empty()) {
-    observations.push_back(ObservationBinding{
-        static_cast<std::size_t>(constituents.PrimaryObserved()), 0});
-  }
-  return observations;
-}
 
 }  // namespace
 

@@ -8,8 +8,6 @@
 #include "common/status.h"
 #include "expr/ast.h"
 #include "expr/batch_jit.h"
-#include "expr/batch_vm.h"
-#include "expr/compile.h"
 #include "expr/jit.h"
 #include "gp/fitness.h"
 #include "river/constituents.h"
@@ -87,9 +85,13 @@ struct SimulationConfig {
   std::size_t substep_budget = 0;
 };
 
-/// Validates that the config's species count agrees with the constituent
-/// registry and the phenotype's equation count. Every simulation/fitness
-/// entry point calls this before touching state.
+/// Validates the config against the constituent registry and the
+/// phenotype's equation count: the species counts must agree
+/// (kSpeciesCountMismatch), substeps must be >= 1 (kBadSubsteps), the state
+/// clamp must be a finite interval with state_min < state_max
+/// (kBadStateBounds), and the watchdog limits must be >= 0
+/// (kNegativeWatchdogLimit). Every simulation/fitness entry point calls
+/// this before touching state.
 ConfigError ValidateSimulation(const SimulationConfig& config,
                                const ConstituentSet& constituents,
                                std::size_t num_equations);
@@ -103,6 +105,20 @@ ConfigError ValidateObservations(const ConstituentSet& constituents,
 /// (kParameterLaneMismatch otherwise — never silently truncated).
 ConfigError ValidateBatchLanes(
     const std::vector<std::vector<double>>& parameter_lanes);
+
+/// One observation binding of a fitness problem: constituent state index ->
+/// dataset observed-series index.
+struct ObservationBinding {
+  std::size_t species = 0;
+  int series = 0;
+};
+
+/// The observations a rollout is scored against, in registry order: every
+/// constituent with a mapped series, or — when none is mapped — the primary
+/// state against series 0. The fitness evaluator and the adjoint's RMSE
+/// both score through this one rule.
+std::vector<ObservationBinding> BindObservations(
+    const ConstituentSet& constituents);
 
 /// What happened inside one simulation rollout (all counters are totals for
 /// the rollout).
@@ -121,56 +137,6 @@ struct SimulationReport {
   std::size_t nonfinite_derivatives = 0;
   /// Substeps that left a state pinned at state_max.
   std::size_t clamp_saturations = 0;
-};
-
-/// Evaluates the per-constituent process derivatives (one equation per
-/// state slot) through the configured backend: interpreted tree walking,
-/// compiled bytecode, or native JIT ("runtime compilation").
-class ProcessRunner {
- public:
-  ProcessRunner(const std::vector<expr::ExprPtr>& equations,
-                const std::vector<double>* parameters, bool compiled);
-
-  /// Backend-aware constructor: when `compiled` and the config selects
-  /// kNativeJit, each equation is JIT-compiled (subject to the circuit
-  /// breaker); equations whose JIT compile fails fall back to bytecode,
-  /// recorded in jit_fallback().
-  ProcessRunner(const std::vector<expr::ExprPtr>& equations,
-                const std::vector<double>* parameters, bool compiled,
-                const SimulationConfig& config);
-
-  ~ProcessRunner();
-
-  /// Computes every constituent derivative for the given variable vector
-  /// (layout of the problem's ConstituentSet, parameters bound at
-  /// construction). `derivatives` has one slot per equation.
-  void Derivatives(const double* variables, std::size_t num_variables,
-                   double* derivatives) const;
-
-  /// Deprecated two-species signature; forwards to the generic overload.
-  void Derivatives(const double* variables, std::size_t num_variables,
-                   double* d_bphy, double* d_bzoo) const;
-
-  std::size_t num_equations() const { return equations_.size(); }
-
-  /// True when any equation degraded from a JIT backend to a VM.
-  bool jit_fallback() const { return jit_fallback_; }
-
- private:
-  std::vector<expr::ExprPtr> equations_;
-  const std::vector<double>* parameters_;
-  bool compiled_;
-  std::vector<expr::CompiledProgram> programs_;
-  /// Parallel to equations_ when the JIT backend is active; a null entry
-  /// means that equation runs on the bytecode program instead.
-  std::vector<std::unique_ptr<expr::JitProgram>> jit_programs_;
-  /// Parallel to equations_ under kBatchVm (always populated) and kBatchJit
-  /// (fallback for equations whose batch symbol is unavailable).
-  std::vector<expr::BatchProgram> batch_programs_;
-  /// Parallel to equations_ under kBatchJit; null entries degrade to
-  /// batch_programs_.
-  std::vector<expr::BatchJitSession::BatchFn> batch_fns_;
-  bool jit_fallback_ = false;
 };
 
 /// Full multi-constituent rollout trajectory: series[species][day] is the

@@ -120,9 +120,8 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
 
   // Candidate processes run in every cell at once: cells are the lanes of
   // the batched expression backend, vars_[slot * width + cell].
-  std::vector<expr::BatchProgram> programs;
-  programs.reserve(equations.size());
-  for (const auto& eq : equations) programs.push_back(expr::CompileBatch(*eq));
+  const expr::BatchProgram program = expr::CompileBatch(
+      equations, expr::TapeLayout{num_variables, parameters.size()});
   std::vector<double> params(parameters.size() * width);
   for (std::size_t s = 0; s < parameters.size(); ++s) {
     for (std::size_t l = 0; l < width; ++l) {
@@ -176,9 +175,7 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
         ctx.parameters = params.data();
         ctx.num_parameters = parameters.size();
         ctx.width = width;
-        for (std::size_t e = 0; e < programs.size(); ++e) {
-          programs[e].RunLanes(ctx, &reaction[e * width]);
-        }
+        program.RunLanes(ctx, reaction.data());
       }
       bool all_finite = true;
       for (const double r : reaction) {

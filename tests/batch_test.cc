@@ -132,6 +132,60 @@ TEST(BatchVmTest, WidthOneMatchesBytecodeVmBitwise) {
   }
 }
 
+TEST(BatchVmTest, SystemProgramMatchesInterpreterPerEquationAndLane) {
+  // One program for three equations (one a bare leaf, two sharing a
+  // subtree): equation e's lanes land at out[e * width + lane].
+  const e::ExprPtr shared = TestExpr();
+  const std::vector<e::ExprPtr> roots = {
+      e::Sub(shared, e::Variable(1, "y")), e::Parameter(1, "p1"),
+      e::Mul(shared, e::Exp(e::Neg(shared)))};
+  const e::BatchProgram source =
+      e::CompileBatch(roots, e::TapeLayout{2, 2});
+  const std::size_t width = 5;
+  Rng rng(23);
+  std::vector<double> vars(2 * width);
+  std::vector<double> params(2 * width);
+  for (double& v : vars) v = rng.Uniform(-3.0, 3.0);
+  for (double& p : params) p = rng.Uniform(-2.0, 2.0);
+  e::BatchEvalContext ctx;
+  ctx.variables = vars.data();
+  ctx.num_variables = 2;
+  ctx.parameters = params.data();
+  ctx.num_parameters = 2;
+  ctx.width = width;
+  std::vector<double> scratch(roots.size() * width, 0.0);
+  source.RunLanes(ctx, scratch.data());
+  // A copy owns its scratch: running it must not depend on the source's.
+  const e::BatchProgram program = source;
+  std::vector<double> out(roots.size() * width, 0.0);
+  program.RunLanes(ctx, out.data());
+
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    const double lane_vars[2] = {vars[lane], vars[width + lane]};
+    const double lane_params[2] = {params[lane], params[width + lane]};
+    e::EvalContext ec;
+    ec.variables = lane_vars;
+    ec.num_variables = 2;
+    ec.parameters = lane_params;
+    ec.num_parameters = 2;
+    e::BatchEvalContext narrow;
+    narrow.variables = lane_vars;
+    narrow.num_variables = 2;
+    narrow.parameters = lane_params;
+    narrow.num_parameters = 2;
+    narrow.width = 1;
+    std::vector<double> single(roots.size(), 0.0);
+    program.RunLanes(narrow, single.data());
+    for (std::size_t eq = 0; eq < roots.size(); ++eq) {
+      const double want = e::EvalExpr(*roots[eq], ec);
+      EXPECT_TRUE(BitwiseEqual(out[eq * width + lane], want))
+          << "equation " << eq << ", lane " << lane;
+      EXPECT_TRUE(BitwiseEqual(single[eq], want))
+          << "width 1, equation " << eq << ", lane " << lane;
+    }
+  }
+}
+
 TEST(BatchVmTest, LaneDivergenceDoesNotPerturbNeighbors) {
   // gmr_plog(0) = 0 and division guards keep most lanes finite; inject a
   // non-finite value into one lane's variable slot and check neighbors.

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "expr/ast.h"
@@ -169,7 +172,9 @@ TEST_P(CompileEquivalenceTest, VmMatchesInterpreter) {
     if (std::isnan(interpreted)) {
       EXPECT_TRUE(std::isnan(compiled));
     } else {
-      EXPECT_DOUBLE_EQ(interpreted, compiled);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(interpreted),
+                std::bit_cast<std::uint64_t>(compiled))
+          << interpreted << " vs " << compiled;
     }
   }
 }
@@ -177,9 +182,86 @@ TEST_P(CompileEquivalenceTest, VmMatchesInterpreter) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CompileEquivalenceTest,
                          ::testing::Range(0, 40));
 
-TEST(CompileTest, ProgramSizeEqualsNodeCount) {
+/// Operator nodes of a tree, counting a shared subtree once per occurrence.
+std::size_t OperatorCount(const Expr& node) {
+  std::size_t count = node.IsLeaf() ? 0 : 1;
+  for (const ExprPtr& child : node.children()) count += OperatorCount(*child);
+  return count;
+}
+
+TEST(CompileTest, ProgramSizeEqualsOperatorCount) {
+  // Leaves are registers, not instructions: one instruction per operator.
   const ExprPtr e = Add(Mul(Variable(0, ""), Constant(2.0)), Constant(1.0));
-  EXPECT_EQ(Compile(*e).size(), e->NodeCount());
+  EXPECT_EQ(Compile(*e).size(), 2u);
+  EXPECT_EQ(Compile(*e).size(), OperatorCount(*e));
+  const ExprPtr unary = Neg(Log(Variable(1, "")));
+  EXPECT_EQ(Compile(*unary).size(), 2u);
+  EXPECT_EQ(Compile(*Parameter(0, "")).size(), 0u);
+}
+
+TEST(CompileTest, SystemMatchesInterpreterPerEquationInOrder) {
+  // A subtree shared by two equations and twice within a third, an
+  // equation that is a bare leaf of each kind, and the outputs must come
+  // back in equation order.
+  const ExprPtr shared = Mul(Parameter(0, ""), Exp(Variable(1, "")));
+  const std::vector<ExprPtr> roots = {
+      Sub(shared, Variable(0, "")),
+      Variable(2, ""),
+      Add(shared, Div(shared, Min(Variable(0, ""), Parameter(1, "")))),
+      Constant(-3.5),
+      Parameter(1, ""),
+      Max(Neg(Variable(2, "")), Log(shared)),
+  };
+  const CompiledProgram program = Compile(roots, TapeLayout{3, 2});
+  ASSERT_EQ(program.num_outputs(), roots.size());
+  std::size_t operators = 0;
+  for (const ExprPtr& root : roots) operators += OperatorCount(*root);
+  EXPECT_EQ(program.size(), operators);
+
+  Rng rng(17);
+  std::vector<double> params = {rng.Uniform(-2, 2), rng.Uniform(-2, 2)};
+  program.Bind(params.data(), params.size());
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<double> vars = {rng.Uniform(-5, 5), rng.Uniform(-5, 5),
+                                rng.Uniform(-5, 5)};
+    // Rollout form: parameters stay bound across runs.
+    std::vector<double> out(roots.size(), 0.0);
+    program.Run(vars.data(), vars.size(), out.data());
+    const auto ctx = MakeContext(vars, params);
+    for (std::size_t e = 0; e < roots.size(); ++e) {
+      const double want = EvalExpr(*roots[e], ctx);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(want),
+                std::bit_cast<std::uint64_t>(out[e]))
+          << "equation " << e << ", trial " << trial;
+    }
+  }
+  // The context form rebinds the parameters on every call.
+  const std::vector<double> vars = {0.5, -1.0, 2.0};
+  const std::vector<double> other = {3.0, 0.25};
+  std::vector<double> out(roots.size(), 0.0);
+  program.Run(MakeContext(vars, other), out.data());
+  EXPECT_EQ(out[4], 0.25);
+  EXPECT_EQ(out[2], EvalExpr(*roots[2], MakeContext(vars, other)));
+}
+
+TEST(CompileDeathTest, SlotOutsideTheLayoutIsRejected) {
+  // Slots are checked once: against the layout at compile time, and the
+  // caller's region sizes against the layout once per call.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<ExprPtr> variable = {Add(Variable(3, ""), Constant(1.0))};
+  EXPECT_DEATH(Compile(variable, TapeLayout{3, 0}), "GMR_CHECK failed");
+  const std::vector<ExprPtr> parameter = {Parameter(2, "")};
+  EXPECT_DEATH(Compile(parameter, TapeLayout{0, 2}), "GMR_CHECK failed");
+
+  const CompiledProgram program =
+      Compile(*Add(Variable(2, ""), Parameter(1, "")));
+  const std::vector<double> values = {1.0, 2.0, 3.0};
+  double out = 0.0;
+  EXPECT_DEATH(program.Run(values.data(), 2, &out), "GMR_CHECK failed");
+  EXPECT_DEATH(program.Bind(values.data(), 1), "GMR_CHECK failed");
+  program.Bind(values.data(), 2);
+  program.Run(values.data(), 3, &out);
+  EXPECT_EQ(out, 3.0 + 2.0);
 }
 
 // ------------------------------------------------------------ simplify ----

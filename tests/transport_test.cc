@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,75 @@ TEST(ConstituentSetTest, SpeciesCountMismatchIsTyped) {
   // Equation count disagreeing with the registry is the same typed error.
   EXPECT_EQ(ValidateSimulation(config, set, 2).code,
             ConfigErrorCode::kSpeciesCountMismatch);
+}
+
+// ------------------------------------------ numeric config validation ----
+
+TEST(SimulationConfigTest, SubstepsBelowOneAreTyped) {
+  const ConstituentSet set = ConstituentSet::Transport(5);
+  SimulationConfig config;
+  config.num_species = 5;
+  for (const int substeps : {0, -1}) {
+    config.substeps = substeps;
+    const ConfigError err = ValidateSimulation(config, set, 5);
+    EXPECT_EQ(err.code, ConfigErrorCode::kBadSubsteps) << substeps;
+    EXPECT_NE(err.message.find("substeps"), std::string::npos);
+  }
+  config.substeps = 1;
+  EXPECT_TRUE(ValidateSimulation(config, set, 5).ok());
+}
+
+TEST(SimulationConfigTest, NonFiniteOrInvertedStateBoundsAreTyped) {
+  const ConstituentSet set = ConstituentSet::Transport(5);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bounds[][2] = {
+      {std::nan(""), 1e4}, {0.01, inf}, {-inf, 1e4}, {5.0, 1.0}, {2.0, 2.0}};
+  for (const auto& b : bounds) {
+    SimulationConfig config;
+    config.num_species = 5;
+    config.state_min = b[0];
+    config.state_max = b[1];
+    EXPECT_EQ(ValidateSimulation(config, set, 5).code,
+              ConfigErrorCode::kBadStateBounds)
+        << b[0] << ", " << b[1];
+  }
+  SimulationConfig config;
+  config.num_species = 5;
+  config.state_min = -1.0;
+  config.state_max = 1.0;
+  EXPECT_TRUE(ValidateSimulation(config, set, 5).ok());
+}
+
+TEST(SimulationConfigTest, NegativeWatchdogLimitsAreTyped) {
+  const ConstituentSet set = ConstituentSet::Transport(5);
+  SimulationConfig config;
+  config.num_species = 5;
+  config.max_nonfinite_derivatives = -1;
+  EXPECT_EQ(ValidateSimulation(config, set, 5).code,
+            ConfigErrorCode::kNegativeWatchdogLimit);
+  config.max_nonfinite_derivatives = 0;  // 0 disables; not an error.
+  config.max_saturated_substeps = -3;
+  EXPECT_EQ(ValidateSimulation(config, set, 5).code,
+            ConfigErrorCode::kNegativeWatchdogLimit);
+  config.max_saturated_substeps = 0;
+  EXPECT_TRUE(ValidateSimulation(config, set, 5).ok());
+}
+
+TEST(SimulationConfigDeathTest, SimulateRefusesZeroSubsteps) {
+  // Before validation, substeps = 0 integrated nothing: a flat trajectory
+  // with substeps_used 0 and no abort.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const TransportScenario scenario = SmallScenario(5);
+  const auto equations = TransportProcess(scenario.constituents);
+  SimulationConfig config;
+  config.num_species = 5;
+  config.method = IntegrationMethod::kRk4;
+  config.substeps = 0;
+  EXPECT_DEATH(Simulate(equations, scenario.true_parameters,
+                        scenario.dataset, 0, 10, scenario.constituents,
+                        scenario.constituents.InitialStates(), config,
+                        /*compiled=*/true),
+               "bad|substeps");
 }
 
 TEST(ConstituentSetTest, ObservationAndLaneValidation) {
@@ -277,6 +347,62 @@ TEST(TransportSimulateTest, BatchMatchesScalarAtFiveSpecies) {
                        scalar.series[static_cast<std::size_t>(primary)],
                        "transport lane");
   }
+}
+
+void ExpectSameReport(const SimulationReport& a, const SimulationReport& b,
+                      const char* what) {
+  EXPECT_EQ(a.outcome, b.outcome) << what;
+  EXPECT_EQ(a.aborted, b.aborted) << what;
+  EXPECT_EQ(a.jit_fallback, b.jit_fallback) << what;
+  EXPECT_EQ(a.substeps_used, b.substeps_used) << what;
+  EXPECT_EQ(a.days_simulated, b.days_simulated) << what;
+  EXPECT_EQ(a.days_before_abort, b.days_before_abort) << what;
+  EXPECT_EQ(a.nonfinite_derivatives, b.nonfinite_derivatives) << what;
+  EXPECT_EQ(a.clamp_saturations, b.clamp_saturations) << what;
+}
+
+TEST(TransportSimulateTest, CompiledMatchesInterpreterBitwiseUnderRk4) {
+  // The 5-species RK4 registry, once with the expert process and once with
+  // a candidate whose nitrate process saturates the clamp until the
+  // watchdog aborts: every compiled backend must reproduce the
+  // interpreter's trajectory bits and its SimulationReport exactly.
+  const TransportScenario scenario = SmallScenario(5);
+  std::vector<e::ExprPtr> expert = TransportProcess(scenario.constituents);
+  std::vector<e::ExprPtr> divergent = expert;
+  divergent[0] = e::Mul(e::Constant(1e6), e::Variable(0, "M_NO3"));
+  SimulationConfig config;
+  config.num_species = 5;
+  config.method = IntegrationMethod::kRk4;
+  const std::vector<double> initial = scenario.constituents.InitialStates();
+
+  bool saw_abort = false;
+  for (const std::vector<e::ExprPtr>* equations : {&expert, &divergent}) {
+    SimulationReport want_report;
+    const SimulationTrajectory want = Simulate(
+        *equations, scenario.true_parameters, scenario.dataset, 0,
+        scenario.dataset.train_end, scenario.constituents, initial, config,
+        /*compiled=*/false, &want_report);
+    saw_abort = saw_abort || want_report.aborted;
+    for (const CompiledBackend backend :
+         {CompiledBackend::kBytecodeVm, CompiledBackend::kBatchVm}) {
+      SimulationConfig compiled_config = config;
+      compiled_config.compiled_backend = backend;
+      SimulationReport got_report;
+      const SimulationTrajectory got = Simulate(
+          *equations, scenario.true_parameters, scenario.dataset, 0,
+          scenario.dataset.train_end, scenario.constituents, initial,
+          compiled_config, /*compiled=*/true, &got_report);
+      const char* what = backend == CompiledBackend::kBytecodeVm
+                             ? "bytecode-vm"
+                             : "batch-vm";
+      ASSERT_EQ(got.series.size(), want.series.size()) << what;
+      for (std::size_t s = 0; s < want.series.size(); ++s) {
+        ExpectBitIdentical(want.series[s], got.series[s], what);
+      }
+      ExpectSameReport(want_report, got_report, what);
+    }
+  }
+  EXPECT_TRUE(saw_abort) << "the divergent candidate must trip a watchdog";
 }
 
 TEST(TransportSimulateTest, TruthParametersTrackNoisyObservations) {
