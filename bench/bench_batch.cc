@@ -1,7 +1,7 @@
 // Batch-compiled population evaluation benchmark: (1) compiler-invocation
 // amortization of the generation JIT (one TU per generation vs one TU per
 // model, structure-hash compile cache), and (2) SoA rollout throughput at
-// lane widths 1/4/8/16 through BatchSimulateBPhy.
+// lane widths 1/4/8/16 through BatchSimulate.
 //
 // Emits BENCH_batch.json (schema_version 2); batched rows carry the
 // `batch_width` and `compile_cache_hit_rate` stats fields.
@@ -16,7 +16,6 @@
 #include "common/timer.h"
 #include "expr/ast.h"
 #include "expr/batch_jit.h"
-#include "expr/jit.h"
 #include "river/simulate.h"
 #include "river/synthetic.h"
 #include "river/variables.h"
@@ -24,7 +23,6 @@
 namespace {
 
 namespace e = gmr::expr;
-using gmr::river::CompiledBackend;
 using gmr::river::RiverDataset;
 using gmr::river::SimulationConfig;
 
@@ -95,17 +93,20 @@ int main(int argc, char** argv) {
 
   if (expr::JitAvailable()) {
     // Per-model path: one compiler invocation per individual equation,
-    // exactly what the paper's Section III-D mechanism costs. A small
-    // sample extrapolates the full-generation cost so "quick" scale stays
-    // quick on the 1-CPU container.
+    // exactly what the paper's Section III-D mechanism costs — a fresh
+    // session per equation, so no cache or shared TU amortizes anything.
+    // A small sample extrapolates the full-generation cost so "quick"
+    // scale stays quick on the 1-CPU container.
+    expr::JitCircuitBreaker per_model_breaker;
     const int sample = std::min(population, 8);
     Timer per_model_timer;
     int per_model_invocations = 0;
     for (int i = 0; i < sample; ++i) {
       for (const e::ExprPtr& equation : generation[static_cast<size_t>(i)]) {
-        std::string error;
-        auto program = expr::JitProgram::Compile(*equation, &error);
-        if (program != nullptr) ++per_model_invocations;
+        expr::BatchJitSession single(&per_model_breaker);
+        if (single.CompileBatch({equation.get()})[0] != nullptr) {
+          ++per_model_invocations;
+        }
       }
     }
     const double per_model_seconds = per_model_timer.ElapsedSeconds();
@@ -165,7 +166,7 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------------- lane-width sweep
-  // Rollout throughput (lane-days/sec) of BatchSimulateBPhy at widths
+  // Rollout throughput (lane-days/sec) of BatchSimulate at widths
   // 1/4/8/16 on the synthetic dataset. The batch VM needs no compiler, so
   // this half always runs; width 1 is the scalar baseline (SoA == AoS at
   // stride 1). On the 1-CPU container the gain is pure locality/dispatch
@@ -174,8 +175,10 @@ int main(int argc, char** argv) {
   const std::size_t days = dataset.train_end;
   const auto equations = MakeGeneration(1, 1)[0];
 
-  SimulationConfig sim_config;
-  sim_config.compiled_backend = CompiledBackend::kBatchVm;
+  const SimulationConfig sim_config;
+  const river::ConstituentSet plankton = river::ConstituentSet::LegacyPlankton(
+      dataset.initial_bphy, dataset.initial_bzoo, dataset.test_initial_bphy,
+      dataset.test_initial_bzoo);
 
   std::printf("[bench_batch] SoA rollout throughput by lane width\n");
   std::printf("%zu training days, batch VM backend\n\n", days);
@@ -196,9 +199,9 @@ int main(int argc, char** argv) {
     for (int trial = 0; trial < trials; ++trial) {
       Timer timer;
       for (std::size_t r = 0; r < repeats; ++r) {
-        const auto result = river::BatchSimulateBPhy(
-            equations, lanes, dataset, 0, days, dataset.initial_bphy,
-            dataset.initial_bzoo, sim_config);
+        const auto result = river::BatchSimulate(
+            equations, lanes, dataset, 0, days, plankton,
+            {dataset.initial_bphy, dataset.initial_bzoo}, sim_config);
         if (result.width != width) return 1;
       }
       const double seconds = timer.ElapsedSeconds();

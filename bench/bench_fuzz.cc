@@ -69,14 +69,14 @@ int main(int argc, char** argv) {
                 row.stats.back().second);
   }
 
-  // Per-oracle throughput over the shared population (jit is subsampled:
-  // each case forks the system C compiler).
+  // Per-oracle throughput over the shared population (batch_jit is
+  // subsampled: each case forks the system C compiler).
   check::OracleContext oracle_ctx;
   oracle_ctx.config = &config;
   Rng param_rng(check::CaseSeed(kSeed, 0xbe7cu));
   for (const std::string& name : check::ExprOracleNames()) {
     const check::ExprOracle oracle = check::FindExprOracle(name);
-    const std::size_t count = name == "jit"
+    const std::size_t count = name == "batch_jit"
                                   ? static_cast<std::size_t>(kJitCount)
                                   : kOracleCount;
     std::size_t failures = 0;

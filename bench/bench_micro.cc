@@ -10,9 +10,9 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/river_grammar.h"
+#include "expr/batch_jit.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
-#include "expr/jit.h"
 #include "expr/simplify.h"
 #include "gp/operators.h"
 #include "river/biology.h"
@@ -73,27 +73,26 @@ BENCHMARK(BM_EvalCompiled);
 
 void BM_EvalJit(benchmark::State& state) {
   // True runtime compilation (cc + dlopen), the paper's actual RC
-  // mechanism. Skipped when no compiler is on the system.
+  // mechanism: a batch-JIT symbol called at width 1, as the scalar
+  // rollouts call it. Skipped when no compiler is on the system.
   if (!expr::JitAvailable()) {
     state.SkipWithError("no C compiler");
     return;
   }
   const auto equation = river::PhytoplanktonDerivative();
-  std::string error;
-  const auto program = expr::JitProgram::Compile(*equation, &error);
-  if (program == nullptr) {
-    state.SkipWithError(error.c_str());
+  expr::JitCircuitBreaker breaker;
+  expr::BatchJitSession session(&breaker);
+  const auto fn = session.CompileBatch({equation.get()})[0];
+  if (fn == nullptr) {
+    state.SkipWithError("batch JIT compile failed");
     return;
   }
   const auto params = gp::PriorMeans(river::RiverParameterPriors());
   const auto vars = BenchVariables();
-  expr::EvalContext ctx;
-  ctx.variables = vars.data();
-  ctx.num_variables = vars.size();
-  ctx.parameters = params.data();
-  ctx.num_parameters = params.size();
+  double out = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(program->Run(ctx));
+    fn(vars.data(), params.data(), &out, 1);
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_EvalJit);
@@ -164,9 +163,11 @@ void BM_SimulateYear(benchmark::State& state) {
     const river::RiverDataset dataset = river::GenerateNakdongLike(config);
     const auto equations = river::ManualProcess();
     const auto params = gp::PriorMeans(river::RiverParameterPriors());
+    const river::ConstituentSet plankton =
+        river::ConstituentSet::LegacyPlankton();
     for (auto _ : state) {
-      benchmark::DoNotOptimize(river::SimulateBPhy(
-          equations, params, dataset, 0, 365, 5.0, 1.0,
+      benchmark::DoNotOptimize(river::Simulate(
+          equations, params, dataset, 0, 365, plankton, {5.0, 1.0},
           river::SimulationConfig{}, compiled));
     }
     return;
@@ -219,9 +220,12 @@ void BM_SimulateDivergent(benchmark::State& state) {
   const auto equations = DivergentProcess();
   const auto params = gp::PriorMeans(river::RiverParameterPriors());
   const river::SimulationConfig config = WatchdogConfig(state.range(0) != 0);
+  const river::ConstituentSet plankton =
+      river::ConstituentSet::LegacyPlankton();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(river::SimulateBPhy(
-        equations, params, dataset, 0, 365, 5.0, 1.0, config, true));
+    benchmark::DoNotOptimize(river::Simulate(equations, params, dataset, 0,
+                                             365, plankton, {5.0, 1.0},
+                                             config, true));
   }
 }
 BENCHMARK(BM_SimulateDivergent)->Arg(0)->Arg(1);
@@ -267,6 +271,8 @@ void WriteFaultBench() {
   const auto equations = DivergentProcess();
   const auto params = gp::PriorMeans(river::RiverParameterPriors());
 
+  const river::ConstituentSet plankton =
+      river::ConstituentSet::LegacyPlankton();
   std::vector<bench::BenchRow> rows;
   for (const bool watchdogs_on : {false, true}) {
     const river::SimulationConfig config = WatchdogConfig(watchdogs_on);
@@ -274,8 +280,8 @@ void WriteFaultBench() {
     constexpr int kRepeats = 50;
     Timer timer;
     for (int r = 0; r < kRepeats; ++r) {
-      river::SimulateBPhy(equations, params, dataset, 0, 365, 5.0, 1.0,
-                          config, true, &report);
+      river::Simulate(equations, params, dataset, 0, 365, plankton,
+                      {5.0, 1.0}, config, true, &report);
     }
     const double seconds = timer.ElapsedSeconds() / kRepeats;
     bench::BenchRow row(watchdogs_on ? "watchdogs_on" : "watchdogs_off",

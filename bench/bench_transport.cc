@@ -97,12 +97,12 @@ int main(int argc, char** argv) {
     }
 
     for (const CompiledBackend backend :
-         {CompiledBackend::kBatchVm, CompiledBackend::kBatchJit}) {
+         {CompiledBackend::kBytecodeVm, CompiledBackend::kBatchJit}) {
       SimulationConfig config;
       config.num_species = num_species;
       config.compiled_backend = backend;
       const char* backend_name =
-          backend == CompiledBackend::kBatchVm ? "batch-vm" : "batch-jit";
+          backend == CompiledBackend::kBytecodeVm ? "batch-vm" : "batch-jit";
 
       const std::size_t repeats = lane_volume / width;
       const double seconds = BestSeconds(trials, [&] {

@@ -139,10 +139,15 @@ int main(int argc, char** argv) {
   }
 
   // --- Export -------------------------------------------------------------
-  const std::vector<double> forecast = river::SimulateBPhy(
-      best.best_equations, best.best.parameters, dataset, 0,
-      dataset.num_days, dataset.initial_bphy, dataset.initial_bzoo,
-      river::SimulationConfig{}, /*compiled=*/true);
+  const std::vector<double> forecast =
+      river::Simulate(best.best_equations, best.best.parameters, dataset, 0,
+                      dataset.num_days,
+                      river::ConstituentSet::LegacyPlankton(
+                          dataset.initial_bphy, dataset.initial_bzoo,
+                          dataset.test_initial_bphy, dataset.test_initial_bzoo),
+                      {dataset.initial_bphy, dataset.initial_bzoo},
+                      river::SimulationConfig{}, /*compiled=*/true)
+          .series[0];
   CsvTable table = dataset.ToCsv();
   table.column_names.push_back("chla_forecast");
   for (std::size_t t = 0; t < table.rows.size(); ++t) {

@@ -60,10 +60,9 @@ FuzzReport RunFuzz(const FuzzOptions& options, const GenConfig& config) {
         c.tree = RandomExpr(config, rng);
         c.parameters = RandomParameters(config, rng);
         for (PropertyState& property : properties) {
-          // Compiler-invoking oracles are throttled: jit compiles one TU
-          // per case, batch_jit one TU per case through its own session.
-          const bool is_jit =
-              property.name == "jit" || property.name == "batch_jit";
+          // The compiler-invoking oracle is throttled: batch_jit compiles
+          // one TU per case through its own session.
+          const bool is_jit = property.name == "batch_jit";
           if (is_jit && i % static_cast<std::size_t>(jit_every) != 0) {
             continue;
           }

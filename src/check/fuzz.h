@@ -27,9 +27,9 @@ struct FuzzOptions {
 
   int contexts_per_case = 8;
 
-  /// The compiler-invoking oracles (jit, batch_jit) fork the system C
-  /// compiler (~100 ms per case), so they run on every jit_every-th case
-  /// only; the cheap oracles run on all.
+  /// The compiler-invoking oracle (batch_jit) forks the system C compiler
+  /// (~100 ms per case), so it runs on every jit_every-th case only; the
+  /// cheap oracles run on all.
   int jit_every = 256;
 
   /// The derivation-determinism oracle generates whole populations, so it

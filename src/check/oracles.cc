@@ -12,7 +12,6 @@
 #include "expr/batch_vm.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
-#include "expr/jit.h"
 #include "expr/parser.h"
 #include "expr/print.h"
 #include "expr/simplify.h"
@@ -169,26 +168,6 @@ OracleResult CheckSimplifiedVmAgrees(const ExprCase& c,
     if (!WithinUlps(got, want, 0)) {
       return OracleResult::Fail(
           DescribeDisagreement("simplified-vm", c, vars, got, want));
-    }
-  }
-  return OracleResult::Pass();
-}
-
-OracleResult CheckJitAgrees(const ExprCase& c, const OracleContext& ctx) {
-  if (!expr::JitAvailable()) return OracleResult::Pass();
-  std::string error;
-  const auto program = expr::JitProgram::Compile(*c.tree, &error);
-  if (program == nullptr) {
-    return OracleResult::Fail("jit compile failed on " +
-                              expr::ToString(*c.tree) + ": " + error);
-  }
-  for (const auto& vars : SampleContexts(c, ctx)) {
-    const auto ec = MakeEvalContext(vars, c.parameters);
-    const double want = expr::EvalExpr(*c.tree, ec);
-    const double got = program->Run(ec);
-    if (!WithinUlps(got, want, ctx.jit_ulps)) {
-      return OracleResult::Fail(
-          DescribeDisagreement("jit", c, vars, got, want));
     }
   }
   return OracleResult::Pass();
@@ -627,7 +606,7 @@ struct NamedOracle {
 constexpr NamedOracle kExprOracles[] = {
     {"vm", CheckVmAgrees},         {"simplify", CheckSimplifiedVmAgrees},
     {"system_vm", CheckSystemVmAgrees},
-    {"jit", CheckJitAgrees},       {"roundtrip", CheckRoundTrip},
+    {"roundtrip", CheckRoundTrip},
     {"ckpt_roundtrip", CheckCkptRoundTrip},
     {"interval", CheckIntervalSound}, {"gate", CheckGateSound},
     {"activity", CheckActivitySound},

@@ -30,9 +30,9 @@ struct OracleContext {
   /// Evaluation contexts sampled per case (variables from config domains).
   int contexts_per_case = 8;
 
-  /// ULP budget of the native-JIT oracle (the C compiler may contract
+  /// ULP budget of the batch-JIT oracle (the C compiler may contract
   /// floating point slightly differently; 0 would be flaky across
-  /// toolchains, matching the EXPECT_DOUBLE_EQ precedent in jit_test).
+  /// toolchains).
   std::uint64_t jit_ulps = 4;
 
   /// Saturation rate handed to the static gate under test. Finite so the
@@ -69,11 +69,6 @@ OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx);
 /// canonicalization may legitimately flip which NaN propagates.
 OracleResult CheckSimplifiedVmAgrees(const ExprCase& c,
                                      const OracleContext& ctx);
-
-/// Native cc+dlopen JIT vs tree interpreter, within ctx.jit_ulps. Passes
-/// vacuously when no C compiler is available; a compile failure is an
-/// oracle failure (the generator only emits well-formed trees).
-OracleResult CheckJitAgrees(const ExprCase& c, const OracleContext& ctx);
 
 /// Batched VM vs tree interpreter, lane by lane: a full-width RunLanes call
 /// over a SoA lane block (lane l = sampled variable context l paired with
@@ -155,7 +150,7 @@ OracleResult CheckGradcheck(const ExprCase& c, const OracleContext& ctx);
 using ExprOracle = OracleResult (*)(const ExprCase&, const OracleContext&);
 
 /// All registered oracle names, in fixed execution order:
-/// vm, system_vm, simplify, jit, roundtrip, ckpt_roundtrip, interval, gate,
+/// vm, simplify, system_vm, roundtrip, ckpt_roundtrip, interval, gate,
 /// activity, batch_vm, batch_width, batch_jit, gradcheck.
 std::vector<std::string> ExprOracleNames();
 

@@ -47,9 +47,7 @@ void ResetArmsLocked() {
 }
 
 bool ParsePoint(const std::string& name, FaultPoint* point) {
-  if (name == "jit_compile") {
-    *point = FaultPoint::kJitCompile;
-  } else if (name == "derivative_nan") {
+  if (name == "derivative_nan") {
     *point = FaultPoint::kDerivativeNan;
   } else if (name == "pool_task") {
     *point = FaultPoint::kPoolTask;
@@ -174,8 +172,6 @@ void EnsureInitialized() {
 
 const char* FaultPointName(FaultPoint point) {
   switch (point) {
-    case FaultPoint::kJitCompile:
-      return "jit_compile";
     case FaultPoint::kDerivativeNan:
       return "derivative_nan";
     case FaultPoint::kPoolTask:

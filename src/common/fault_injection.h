@@ -11,14 +11,13 @@
 /// environment variable or programmatically from tests via `SetFaultSpec`.
 /// The spec grammar is a comma-separated list of `point:mode` entries:
 ///
-///   GMR_FAULT=jit_compile:always
+///   GMR_FAULT=batch_compile:always
 ///   GMR_FAULT=derivative_nan:first:4,pool_task:prob:0.25:42
 ///
-/// Points: `jit_compile` (JitProgram::Compile reports failure),
-/// `derivative_nan` (ProcessRunner::Derivatives returns NaN),
+/// Points: `derivative_nan` (ProcessRunner::Derivatives returns NaN),
 /// `pool_task` (a ThreadPool task throws std::runtime_error),
 /// `batch_compile` (BatchJitSession::CompileBatch reports a failed
-/// generation TU; every affected equation degrades to the batched VM),
+/// generation TU; every affected equation degrades to the VM program),
 /// `ckpt_write` (snapshot temp-file open/write fails),
 /// `ckpt_fsync` (snapshot fsync fails; the write is treated as not
 /// durable and retried/skipped),
@@ -48,8 +47,7 @@
 namespace gmr {
 
 enum class FaultPoint : int {
-  kJitCompile = 0,
-  kDerivativeNan,
+  kDerivativeNan = 0,
   kPoolTask,
   kBatchCompile,
   kCkptWrite,
@@ -60,7 +58,7 @@ enum class FaultPoint : int {
   kAdjointNan,
 };
 
-inline constexpr std::size_t kNumFaultPoints = 10;
+inline constexpr std::size_t kNumFaultPoints = 9;
 
 const char* FaultPointName(FaultPoint point);
 

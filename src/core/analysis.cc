@@ -20,13 +20,20 @@ bool ReferencesSlot(const std::vector<expr::ExprPtr>& equations, int slot) {
   return false;
 }
 
+/// The B_Phy series of the model's training-window rollout under the
+/// legacy plankton preset.
 std::vector<double> SimulateTraining(
     const CandidateModel& model, const river::RiverDataset& dataset,
-    const river::SimulationConfig& simulation) {
-  return river::SimulateBPhy(model.equations, model.parameters, dataset, 0,
-                             dataset.train_end, dataset.initial_bphy,
-                             dataset.initial_bzoo, simulation,
-                             /*compiled=*/true);
+    river::SimulationConfig simulation) {
+  simulation.num_species = 2;
+  const river::ConstituentSet plankton = river::ConstituentSet::LegacyPlankton(
+      dataset.initial_bphy, dataset.initial_bzoo, dataset.test_initial_bphy,
+      dataset.test_initial_bzoo);
+  return river::Simulate(model.equations, model.parameters, dataset, 0,
+                         dataset.train_end, plankton,
+                         {dataset.initial_bphy, dataset.initial_bzoo},
+                         simulation, /*compiled=*/true)
+      .series[0];
 }
 
 }  // namespace

@@ -26,10 +26,10 @@ std::string GenerateBatchCSource(
   out << JitKernelPreamble();
   for (const auto& [hash, root] : entries) {
     // One exported symbol per unique structure. The lane loop is the
-    // elementwise shape the autovectorizer targets; per lane the emitted
-    // expression is exactly the scalar GenerateCSource body, so a symbol
-    // called at width 1 computes the same operation sequence as the
-    // per-model JIT (modulo contraction, which -ffp-contract=off pins).
+    // elementwise shape the autovectorizer targets; every lane evaluates
+    // the same expression, so a symbol called at width 1 (the scalar
+    // rollouts) computes the same operation sequence as at width N (lane
+    // blocks), with contraction pinned off by -ffp-contract=off.
     out << "void " << BatchSymbolName(hash)
         << "(const double* v, const double* p, double* out, long w) {\n"
         << "  long i;\n  for (i = 0; i < w; ++i) {\n    out[i] = "

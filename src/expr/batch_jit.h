@@ -27,8 +27,8 @@ namespace gmr::expr {
 ///
 /// The emitted symbols use the SoA batch calling convention of
 /// batch_vm.h — `fn(v, p, out, width)` with `v[slot*width+lane]` — so one
-/// compiled equation evaluates a whole lane block per call; scalar rollout
-/// paths simply call with width 1 (SoA == AoS at stride 1). The TU is
+/// compiled equation evaluates a whole lane block per call; scalar rollouts
+/// call the same symbol with width 1 (SoA == AoS at stride 1). The TU is
 /// compiled with -ffp-contract=off, which keeps every lane's result
 /// bit-identical across widths (vector body and scalar epilogue perform
 /// the same IEEE operations).
@@ -48,7 +48,7 @@ class BatchJitSession {
 
   /// Compiles every root not already cached into ONE translation unit and
   /// returns the per-root entry points in input order. A null entry means
-  /// that root must run on the batched VM instead (compile failure, open
+  /// that root must run on the VM program instead (compile failure, open
   /// circuit breaker, no compiler, or `batch_compile` fault injection) —
   /// the degradation is per-call-site, so healthy lanes are never
   /// poisoned. Coordinator-only: call from the batch barrier, not from

@@ -1,6 +1,5 @@
 #include "expr/jit.h"
 
-#include <dlfcn.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -10,13 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <system_error>
 #include <vector>
-
-#include "common/check.h"
-#include "common/fault_injection.h"
 
 namespace gmr::expr {
 namespace {
@@ -40,8 +35,7 @@ static double gmr_min(double a, double b) { return a < b ? a : b; }
 static double gmr_max(double a, double b) { return a > b ? a : b; }
 )";
 
-void EmitNode(const Expr& node, std::ostringstream& out,
-              bool strided) {
+void EmitNode(const Expr& node, std::ostringstream& out) {
   switch (node.kind()) {
     case NodeKind::kConstant: {
       const double v = node.value();
@@ -61,50 +55,50 @@ void EmitNode(const Expr& node, std::ostringstream& out,
       return;
     }
     case NodeKind::kParameter:
-      out << "p[" << node.slot() << (strided ? "*w+i]" : "]");
+      out << "p[" << node.slot() << "*w+i]";
       return;
     case NodeKind::kVariable:
-      out << "v[" << node.slot() << (strided ? "*w+i]" : "]");
+      out << "v[" << node.slot() << "*w+i]";
       return;
     case NodeKind::kAdd:
     case NodeKind::kSub:
     case NodeKind::kMul:
       out << '(';
-      EmitNode(*node.children()[0], out, strided);
+      EmitNode(*node.children()[0], out);
       out << ' ' << KindName(node.kind()) << ' ';
-      EmitNode(*node.children()[1], out, strided);
+      EmitNode(*node.children()[1], out);
       out << ')';
       return;
     case NodeKind::kDiv:
       out << "gmr_pdiv(";
-      EmitNode(*node.children()[0], out, strided);
+      EmitNode(*node.children()[0], out);
       out << ", ";
-      EmitNode(*node.children()[1], out, strided);
+      EmitNode(*node.children()[1], out);
       out << ')';
       return;
     case NodeKind::kMin:
     case NodeKind::kMax:
       out << (node.kind() == NodeKind::kMin ? "gmr_min(" : "gmr_max(");
-      EmitNode(*node.children()[0], out, strided);
+      EmitNode(*node.children()[0], out);
       out << ", ";
-      EmitNode(*node.children()[1], out, strided);
+      EmitNode(*node.children()[1], out);
       out << ')';
       return;
     case NodeKind::kNeg:
       // The space keeps "-" from fusing with a negative constant literal
       // into the C decrement operator ("--1" does not compile).
       out << "(- ";
-      EmitNode(*node.children()[0], out, strided);
+      EmitNode(*node.children()[0], out);
       out << ')';
       return;
     case NodeKind::kLog:
       out << "gmr_plog(";
-      EmitNode(*node.children()[0], out, strided);
+      EmitNode(*node.children()[0], out);
       out << ')';
       return;
     case NodeKind::kExp:
       out << "gmr_pexp(";
-      EmitNode(*node.children()[0], out, strided);
+      EmitNode(*node.children()[0], out);
       out << ')';
       return;
   }
@@ -208,26 +202,11 @@ std::string JitScratchStem() {
   return stem.str();
 }
 
-std::string GenerateCSource(const Expr& root) {
-  std::ostringstream out;
-  out << kPreamble;
-  out << "double gmr_eval(const double* v, const double* p) {\n  return ";
-  EmitNode(root, out, /*strided=*/false);
-  out << ";\n}\n";
-  return out.str();
-}
-
 const char* JitKernelPreamble() { return kPreamble; }
-
-std::string RenderCExpression(const Expr& root) {
-  std::ostringstream out;
-  EmitNode(root, out, /*strided=*/false);
-  return out.str();
-}
 
 std::string RenderCExpressionStrided(const Expr& root) {
   std::ostringstream out;
-  EmitNode(root, out, /*strided=*/true);
+  EmitNode(root, out);
   return out.str();
 }
 
@@ -252,65 +231,6 @@ void JitCircuitBreaker::RecordFailure(const std::string& reason) {
 JitCircuitBreaker* JitCircuitBreaker::Default() {
   static JitCircuitBreaker* const breaker = new JitCircuitBreaker();
   return breaker;
-}
-
-std::unique_ptr<JitProgram> JitProgram::Compile(const Expr& root,
-                                                std::string* error) {
-  if (FaultInjected(FaultPoint::kJitCompile)) {
-    if (error != nullptr) *error = "fault injection: jit_compile";
-    return nullptr;
-  }
-  if (!JitAvailable()) {
-    if (error != nullptr) *error = "no C compiler found on this system";
-    return nullptr;
-  }
-  const std::string stem = JitScratchStem();
-  const std::string source_path = stem + ".c";
-  const std::string library_path = stem + ".so";
-
-  std::unique_ptr<JitProgram> program(new JitProgram());
-  program->source_ = GenerateCSource(root);
-  {
-    std::ofstream out(source_path);
-    if (!out) {
-      if (error != nullptr) *error = "cannot write " + source_path;
-      return nullptr;
-    }
-    out << program->source_;
-  }
-
-  const std::string command = JitCompilerCommand() +
-                              " -O2 -shared -fPIC -o " + library_path + " " +
-                              source_path + " -lm > /dev/null 2>&1";
-  const int status = std::system(command.c_str());
-  std::remove(source_path.c_str());
-  if (status != 0) {
-    if (error != nullptr) *error = "compiler failed: " + command;
-    return nullptr;
-  }
-
-  program->handle_ = dlopen(library_path.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (program->handle_ == nullptr) {
-    if (error != nullptr) *error = std::string("dlopen: ") + dlerror();
-    std::remove(library_path.c_str());
-    return nullptr;
-  }
-  program->fn_ = reinterpret_cast<Fn>(dlsym(program->handle_, "gmr_eval"));
-  if (program->fn_ == nullptr) {
-    if (error != nullptr) *error = "dlsym failed for gmr_eval";
-    dlclose(program->handle_);
-    std::remove(library_path.c_str());
-    return nullptr;
-  }
-  // Unlink eagerly: the mapping stays valid until dlclose, and no .so is
-  // ever stranded by a circuit-breaker trip or an aborted run.
-  std::remove(library_path.c_str());
-  program->library_path_ = library_path;
-  return program;
-}
-
-JitProgram::~JitProgram() {
-  if (handle_ != nullptr) dlclose(handle_);
 }
 
 }  // namespace gmr::expr

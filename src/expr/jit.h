@@ -2,71 +2,33 @@
 #define GMR_EXPR_JIT_H_
 
 #include <atomic>
-#include <cstdint>
-#include <memory>
 #include <string>
 
 #include "expr/ast.h"
-#include "expr/eval.h"
 
 namespace gmr::expr {
 
-/// True runtime compilation — the paper's actual mechanism: "a program
-/// encoded in the tree is converted into the corresponding source code,
-/// compiled at runtime, and dynamically loaded" (Section III-D), relying on
-/// "the G++ compiler suite" (Extensibility section).
-///
-/// JitProgram emits C source for the expression (with the same protected
-/// operator semantics as eval.h), invokes the system C compiler to build a
-/// shared object in a temporary directory, and dlopen()s it. Compilation
-/// costs ~100 ms per expression, so this backend pays off only when an
-/// expression is evaluated many thousands of times (long series, many
-/// runs); the in-process bytecode backend (compile.h) is the default RC
-/// implementation inside the GP loop. See DESIGN.md §4.
-class JitProgram {
- public:
-  /// Compiles `root`. Returns nullptr (with a diagnostic in *error) when no
-  /// compiler is available or compilation fails.
-  static std::unique_ptr<JitProgram> Compile(const Expr& root,
-                                             std::string* error);
-
-  ~JitProgram();
-
-  JitProgram(const JitProgram&) = delete;
-  JitProgram& operator=(const JitProgram&) = delete;
-
-  /// Evaluates the compiled function; bit-compatible with EvalExpr except
-  /// where the C compiler re-associates floating point (it is invoked
-  /// without -ffast-math, so results match exactly in practice).
-  double Run(const EvalContext& ctx) const {
-    return fn_(ctx.variables, ctx.parameters);
-  }
-
-  /// The generated C source (for inspection/testing).
-  const std::string& source() const { return source_; }
-
- private:
-  JitProgram() = default;
-
-  using Fn = double (*)(const double*, const double*);
-  Fn fn_ = nullptr;
-  void* handle_ = nullptr;
-  std::string library_path_;
-  std::string source_;
-};
+/// Shared machinery of runtime compilation — the paper's actual mechanism:
+/// "a program encoded in the tree is converted into the corresponding
+/// source code, compiled at runtime, and dynamically loaded" (Section
+/// III-D), relying on "the G++ compiler suite" (Extensibility section).
+/// The generation batch JIT (batch_jit.h) is the one client: it renders
+/// candidate equations as C with the same protected operator semantics as
+/// eval.h, compiles them with the probed system compiler in the scratch
+/// directory below, and guards the compiler with a JitCircuitBreaker.
 
 /// True when a working C compiler was found on this system (checked once).
 bool JitAvailable();
 
 /// The probed compiler command ("cc", "gcc", or "clang"); empty when none
-/// works. Shared by the per-model JIT and the generation batch JIT.
+/// works.
 const std::string& JitCompilerCommand();
 
 /// One mkdtemp()-created scratch directory per process, shared by every
-/// JIT compilation (per-model and batch): sources and shared objects are
-/// unlinked eagerly (the .so right after dlopen), and the directory itself
-/// is removed by RAII at process exit — so circuit-breaker trips and
-/// aborted runs no longer strand gmr_jit_* temp files in TMPDIR.
+/// JIT compilation: sources and shared objects are unlinked eagerly (the
+/// .so right after dlopen), and the directory itself is removed by RAII at
+/// process exit — so circuit-breaker trips and aborted runs no longer
+/// strand gmr_jit_* temp files in TMPDIR.
 /// The directory name embeds the owning PID (gmr_jit_p<pid>_XXXXXX);
 /// creation first sweeps siblings whose owner is dead, so a SIGKILLed run
 /// (which never reaches the RAII teardown) is cleaned up by the next
@@ -81,7 +43,7 @@ std::string JitScratchStem();
 
 /// Circuit breaker guarding JIT compilation: after `threshold` consecutive
 /// compile failures the breaker opens and JIT stays disabled for the rest
-/// of the run (evaluation degrades to the bytecode VM, which is
+/// of the run (evaluation degrades to the VM programs, which are
 /// bit-compatible). Opening is logged to stderr exactly once.
 ///
 /// Thread-safe: evaluator lanes share one breaker per run. A success
@@ -135,21 +97,14 @@ class JitCircuitBreaker {
   std::atomic<int> disable_logs_{0};
 };
 
-/// Generates the C source for `root` without compiling (exposed for tests).
-std::string GenerateCSource(const Expr& root);
-
 /// The shared protected-operator kernel preamble (one copy per translation
 /// unit; the generation batch JIT prepends it to its multi-symbol TUs).
 const char* JitKernelPreamble();
 
-/// Renders `root` as a C expression over `v`/`p` (the body GenerateCSource
-/// wraps in gmr_eval), for callers that compose their own translation unit.
-std::string RenderCExpression(const Expr& root);
-
-/// Same, but leaves index with the SoA stride of the batch calling
-/// convention: slot s of lane i reads `v[s*w+i]` / `p[s*w+i]` (the
-/// generation batch JIT wraps this body in a `for (i = 0; i < w; ++i)`
-/// lane loop).
+/// Renders `root` as a C expression over `v`/`p` with the SoA stride of
+/// the batch calling convention: slot s of lane i reads `v[s*w+i]` /
+/// `p[s*w+i]` (the generation batch JIT wraps this body in a
+/// `for (i = 0; i < w; ++i)` lane loop).
 std::string RenderCExpressionStrided(const Expr& root);
 
 }  // namespace gmr::expr

@@ -101,7 +101,14 @@ class Parser {
 
  private:
   const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Next() { return tokens_[pos_++]; }
+  /// Consumes one token. The cursor never moves past the end token, so a
+  /// truncated input keeps reading kEnd (and reports the input's length as
+  /// its error position) instead of indexing past the vector.
+  const Token& Next() {
+    const Token& token = tokens_[pos_];
+    if (token.kind != Token::kEnd) ++pos_;
+    return token;
+  }
 
   void Fail(const std::string& message) {
     if (error_.empty()) {

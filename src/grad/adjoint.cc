@@ -16,27 +16,10 @@ namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
-/// True when simulate.cc's ClampState passes `raw` through unchanged — the
-/// only case with a nonzero (unit) clamp derivative. Pinned or non-finite
-/// raw states are locally constant, so their cotangent is dropped exactly.
-bool ClampPassesThrough(double raw, const river::SimulationConfig& config) {
-  return std::isfinite(raw) && raw >= config.state_min &&
-         raw <= config.state_max;
-}
-
-double ClampStateValue(double raw, const river::SimulationConfig& config) {
-  if (!std::isfinite(raw)) {
-    return std::signbit(raw) ? config.state_min : config.state_max;
-  }
-  if (raw < config.state_min) return config.state_min;
-  if (raw > config.state_max) return config.state_max;
-  return raw;
-}
-
 /// The forward rollout of both calibration objectives: the compiled
 /// bytecode program, bit-identical to the interpreter (and so to the
 /// reverse sweep's tape replay) and to the fitness evaluator's VM path.
-/// The JIT backends are never used here: their ULP budget would break the
+/// The batch JIT is never used here: its ULP budget would break the
 /// replay's bitwise agreement with the forward states.
 river::SimulationTrajectory ForwardRollout(
     const std::vector<expr::ExprPtr>& equations,
@@ -235,7 +218,7 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
     // the integrator's exact arithmetic (same kernels, same operation
     // order), so the committed states match the forward sweep bitwise.
     for (std::size_t s = 0; s < num_species; ++s) {
-      state[s] = d == 0 ? ClampStateValue(initial_state[s], config)
+      state[s] = d == 0 ? river::ClampState(initial_state[s], config)
                         : trajectory.series[s][d - 1];
     }
     for (int step = 0; step < substeps; ++step) {
@@ -278,7 +261,7 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
         }
       }
       for (std::size_t s = 0; s < num_species; ++s) {
-        state[s] = ClampStateValue(record.raw[s], config);
+        state[s] = river::ClampState(record.raw[s], config);
       }
     }
     // Reverse the substeps: through the commit clamp, the RK4 stage
@@ -287,7 +270,7 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
       const SubstepRecord& record = records[static_cast<std::size_t>(step)];
       for (std::size_t s = 0; s < num_species; ++s) {
         lambda_raw[s] =
-            ClampPassesThrough(record.raw[s], config) ? lambda[s] : 0.0;
+            river::ClampPassesThrough(record.raw[s], config) ? lambda[s] : 0.0;
         lambda_next[s] = lambda_raw[s];  // raw = state + ... (identity term)
       }
       if (rk4) {

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -114,37 +113,16 @@ std::vector<ObservationBinding> BindObservations(
 
 namespace {
 
-/// Sign-aware clamp: -Inf (and NaN with the sign bit set) pins to the
-/// biological floor, +Inf/NaN to the ceiling — a huge negative update means
-/// the population crashed, not exploded. Pinning at the ceiling sets
-/// *saturated_high (when non-null); the floor is ordinary die-off and is
-/// never reported.
-double ClampState(double value, const SimulationConfig& config,
-                  bool* saturated_high = nullptr) {
-  if (!std::isfinite(value)) {
-    if (std::signbit(value)) return config.state_min;
-    if (saturated_high != nullptr) *saturated_high = true;
-    return config.state_max;
-  }
-  if (value < config.state_min) return config.state_min;
-  if (value > config.state_max) {
-    if (saturated_high != nullptr) *saturated_high = true;
-    return config.state_max;
-  }
-  return value;
-}
-
-/// Evaluates every derivative equation for a whole lane block per call
-/// (one lane per parameter vector, SoA layout of batch_vm.h) through one
-/// batch program for the whole system. Equation `e`'s outputs land at
-/// derivatives[e * width + lane]. Under kBatchJit, each equation's
-/// generation-JIT symbol overrides the program's output for that equation;
-/// the program runs only when some equation has no symbol.
-class BatchRunner {
+/// Under kBatchJit, the generation-JIT symbols of an equation system, one
+/// per equation (empty under kBytecodeVm). Pure cache hits when the
+/// evaluator's PrepareBatch already compiled this generation; a miss
+/// compiles a (small) TU for these equations. A null symbol (compile
+/// failure, open breaker) leaves its equation to the VM program.
+class JitSymbols {
  public:
-  BatchRunner(const std::vector<expr::ExprPtr>& equations,
-              const expr::TapeLayout& layout, const SimulationConfig& config)
-      : program_(expr::CompileBatch(equations, layout)) {
+  JitSymbols() = default;
+  JitSymbols(const std::vector<expr::ExprPtr>& equations,
+             const SimulationConfig& config) {
     if (config.compiled_backend != CompiledBackend::kBatchJit) return;
     expr::BatchJitSession* session =
         config.batch_jit_session != nullptr
@@ -153,13 +131,44 @@ class BatchRunner {
     std::vector<const expr::Expr*> roots;
     roots.reserve(equations.size());
     for (const auto& eq : equations) roots.push_back(eq.get());
-    // Pure cache hits when the evaluator's PrepareBatch already compiled
-    // this generation; a miss compiles a (small) TU for these equations.
     fns_ = session->CompileBatch(roots);
     for (const auto fn : fns_) {
-      if (fn == nullptr) jit_fallback_ = true;
+      if (fn == nullptr) fallback_ = true;
     }
   }
+
+  /// True when the VM program must run: no symbols, or some equation fell
+  /// back to it.
+  bool NeedsProgram() const { return fns_.empty() || fallback_; }
+
+  /// Overwrites each compiled equation's outputs, out[e * width + lane].
+  void Override(const double* variables, const double* parameters,
+                double* out, std::size_t width) const {
+    for (std::size_t e = 0; e < fns_.size(); ++e) {
+      if (fns_[e] == nullptr) continue;
+      fns_[e](variables, parameters, out + e * width,
+              static_cast<long>(width));
+    }
+  }
+
+  /// True when any equation degraded from its symbol to the VM program.
+  bool fallback() const { return fallback_; }
+
+ private:
+  std::vector<expr::BatchJitSession::BatchFn> fns_;
+  bool fallback_ = false;
+};
+
+/// Evaluates every derivative equation for a whole lane block per call
+/// (one lane per parameter vector, SoA layout of batch_vm.h) through one
+/// batch program for the whole system. Equation `e`'s outputs land at
+/// derivatives[e * width + lane].
+class BatchRunner {
+ public:
+  BatchRunner(const std::vector<expr::ExprPtr>& equations,
+              const expr::TapeLayout& layout, const SimulationConfig& config)
+      : program_(expr::CompileBatch(equations, layout)),
+        jit_(equations, config) {}
 
   /// Fault-injected entry point of the batched rollout.
   void Derivatives(const expr::BatchEvalContext& ctx,
@@ -171,34 +180,22 @@ class BatchRunner {
       }
       return;
     }
-    Evaluate(ctx, derivatives);
+    if (jit_.NeedsProgram()) program_.RunLanes(ctx, derivatives);
+    jit_.Override(ctx.variables, ctx.parameters, derivatives, ctx.width);
   }
 
-  void Evaluate(const expr::BatchEvalContext& ctx, double* derivatives) const {
-    if (fns_.empty() || jit_fallback_) program_.RunLanes(ctx, derivatives);
-    for (std::size_t e = 0; e < fns_.size(); ++e) {
-      if (fns_[e] == nullptr) continue;
-      fns_[e](ctx.variables, ctx.parameters, derivatives + e * ctx.width,
-              static_cast<long>(ctx.width));
-    }
-  }
-
-  bool jit_fallback() const { return jit_fallback_; }
+  bool jit_fallback() const { return jit_.fallback(); }
 
  private:
   expr::BatchProgram program_;
-  std::vector<expr::BatchJitSession::BatchFn> fns_;
-  bool jit_fallback_ = false;
+  JitSymbols jit_;
 };
 
 /// Evaluates the per-constituent process derivatives (one equation per
-/// state slot) of one scalar rollout through the configured backend:
-/// interpreted tree walking, or "runtime compilation" — one register
-/// program for the whole equation system with its parameter registers bound
-/// once per rollout (kBytecodeVm), the batched backends at width 1
-/// (kBatchVm/kBatchJit), or per-equation native JIT (kNativeJit), whose
-/// equations degrade to the system program on compile failure (recorded in
-/// jit_fallback()).
+/// state slot) of one scalar rollout: interpreted tree walking, or
+/// "runtime compilation" — one register program for the whole equation
+/// system with its parameter registers bound once per rollout, whose
+/// outputs the batch-JIT symbols override at width 1 under kBatchJit.
 class ProcessRunner {
  public:
   ProcessRunner(const std::vector<expr::ExprPtr>& equations,
@@ -209,40 +206,10 @@ class ProcessRunner {
     GMR_CHECK(!equations_.empty());
     GMR_CHECK(parameters_ != nullptr);
     if (!compiled_) return;
-    const expr::TapeLayout layout{num_variables, parameters_->size()};
-    switch (config.compiled_backend) {
-      case CompiledBackend::kBatchVm:
-      case CompiledBackend::kBatchJit:
-        // Scalar rollouts run the batched backends at width 1 (SoA == AoS
-        // at stride 1), so scalar and batched evaluation share one path.
-        batch_.emplace(equations_, layout, config);
-        jit_fallback_ = batch_->jit_fallback();
-        return;
-      case CompiledBackend::kBytecodeVm:
-      case CompiledBackend::kNativeJit:
-        program_ = expr::Compile(equations_, layout);
-        program_.Bind(parameters_->data(), parameters_->size());
-        break;
-    }
-    if (config.compiled_backend != CompiledBackend::kNativeJit) return;
-    expr::JitCircuitBreaker* breaker = config.jit_breaker != nullptr
-                                           ? config.jit_breaker
-                                           : expr::JitCircuitBreaker::Default();
-    jit_programs_.resize(equations_.size());
-    for (std::size_t i = 0; i < equations_.size(); ++i) {
-      if (!breaker->allowed()) {
-        jit_fallback_ = true;
-        continue;
-      }
-      std::string error;
-      jit_programs_[i] = expr::JitProgram::Compile(*equations_[i], &error);
-      if (jit_programs_[i] != nullptr) {
-        breaker->RecordSuccess();
-      } else {
-        breaker->RecordFailure(error);
-        jit_fallback_ = true;
-      }
-    }
+    program_ = expr::Compile(
+        equations_, expr::TapeLayout{num_variables, parameters_->size()});
+    program_.Bind(parameters_->data(), parameters_->size());
+    jit_ = JitSymbols(equations_, config);
   }
 
   /// Computes every constituent derivative for the given variable vector
@@ -257,55 +224,33 @@ class ProcessRunner {
       }
       return;
     }
-    expr::EvalContext ctx;
-    ctx.variables = variables;
-    ctx.num_variables = num_variables;
-    ctx.parameters = parameters_->data();
-    ctx.num_parameters = parameters_->size();
     if (!compiled_) {
+      expr::EvalContext ctx;
+      ctx.variables = variables;
+      ctx.num_variables = num_variables;
+      ctx.parameters = parameters_->data();
+      ctx.num_parameters = parameters_->size();
       for (std::size_t e = 0; e < n; ++e) {
         derivatives[e] = expr::EvalExpr(*equations_[e], ctx);
       }
       return;
     }
-    if (batch_.has_value()) {
-      // Lane 0 of the SoA layout is exactly the scalar layout, so this is
-      // bit-identical to the bytecode VM (batch VM) or within the JIT ULP
-      // budget (batch JIT symbols).
-      expr::BatchEvalContext bctx;
-      bctx.variables = ctx.variables;
-      bctx.num_variables = ctx.num_variables;
-      bctx.parameters = ctx.parameters;
-      bctx.num_parameters = ctx.num_parameters;
-      bctx.width = 1;
-      batch_->Evaluate(bctx, derivatives);
-      return;
-    }
-    if (jit_programs_.empty() || jit_fallback_) {
+    if (jit_.NeedsProgram()) {
       program_.Run(variables, num_variables, derivatives);
     }
-    for (std::size_t e = 0; e < jit_programs_.size(); ++e) {
-      if (jit_programs_[e] != nullptr) {
-        derivatives[e] = jit_programs_[e]->Run(ctx);
-      }
-    }
+    // Lane 0 of the SoA layout is exactly the scalar layout.
+    jit_.Override(variables, parameters_->data(), derivatives, 1);
   }
 
-  /// True when any equation degraded from a JIT backend to a VM.
-  bool jit_fallback() const { return jit_fallback_; }
+  /// True when any equation degraded from a JIT symbol to the VM program.
+  bool jit_fallback() const { return jit_.fallback(); }
 
  private:
   std::vector<expr::ExprPtr> equations_;
   const std::vector<double>* parameters_;
   bool compiled_;
-  /// The system program of kBytecodeVm, and the fallback of kNativeJit.
   expr::CompiledProgram program_;
-  /// Parallel to equations_ under kNativeJit; a null entry means that
-  /// equation's value comes from program_.
-  std::vector<std::unique_ptr<expr::JitProgram>> jit_programs_;
-  /// kBatchVm and kBatchJit.
-  std::optional<BatchRunner> batch_;
-  bool jit_fallback_ = false;
+  JitSymbols jit_;
 };
 
 /// Shared integration state for Simulate and RiverEvaluation over an
@@ -905,37 +850,6 @@ BatchSimulationResult BatchSimulate(
   return result;
 }
 
-std::vector<double> SimulateBPhy(const std::vector<expr::ExprPtr>& equations,
-                                 const std::vector<double>& parameters,
-                                 const RiverDataset& dataset,
-                                 std::size_t t_begin, std::size_t t_end,
-                                 double initial_bphy, double initial_bzoo,
-                                 const SimulationConfig& config,
-                                 bool compiled, SimulationReport* report) {
-  const ConstituentSet constituents = ConstituentSet::LegacyPlankton(
-      initial_bphy, initial_bzoo, initial_bphy, initial_bzoo);
-  SimulationConfig cfg = config;
-  cfg.num_species = 2;
-  SimulationTrajectory trajectory =
-      Simulate(equations, parameters, dataset, t_begin, t_end, constituents,
-               {initial_bphy, initial_bzoo}, cfg, compiled, report);
-  return std::move(trajectory.series[0]);
-}
-
-BatchSimulationResult BatchSimulateBPhy(
-    const std::vector<expr::ExprPtr>& equations,
-    const std::vector<std::vector<double>>& parameter_lanes,
-    const RiverDataset& dataset, std::size_t t_begin, std::size_t t_end,
-    double initial_bphy, double initial_bzoo,
-    const SimulationConfig& config) {
-  const ConstituentSet constituents = ConstituentSet::LegacyPlankton(
-      initial_bphy, initial_bzoo, initial_bphy, initial_bzoo);
-  SimulationConfig cfg = config;
-  cfg.num_species = 2;
-  return BatchSimulate(equations, parameter_lanes, dataset, t_begin, t_end,
-                       constituents, {initial_bphy, initial_bzoo}, cfg);
-}
-
 RiverFitness::RiverFitness(const RiverDataset* dataset, std::size_t t_begin,
                            std::size_t t_end, ConstituentSet constituents,
                            std::vector<double> initial_state,
@@ -957,29 +871,24 @@ RiverFitness::RiverFitness(const RiverDataset* dataset, std::size_t t_begin,
   GMR_CHECK_EQ(initial_state_.size(), constituents_.size());
 }
 
-RiverFitness::RiverFitness(const RiverDataset* dataset, std::size_t t_begin,
-                           std::size_t t_end, double initial_bphy,
-                           double initial_bzoo, SimulationConfig config)
-    : RiverFitness(dataset, t_begin, t_end,
-                   ConstituentSet::LegacyPlankton(initial_bphy, initial_bzoo,
-                                                  initial_bphy, initial_bzoo),
-                   {initial_bphy, initial_bzoo},
-                   [&config] {
-                     config.num_species = 2;
-                     return config;
-                   }()) {}
-
 RiverFitness RiverFitness::ForTraining(const RiverDataset* dataset,
                                        SimulationConfig config) {
-  return RiverFitness(dataset, 0, dataset->train_end, dataset->initial_bphy,
-                      dataset->initial_bzoo, config);
+  const double bphy = dataset->initial_bphy;
+  const double bzoo = dataset->initial_bzoo;
+  config.num_species = 2;
+  return RiverFitness(dataset, 0, dataset->train_end,
+                      ConstituentSet::LegacyPlankton(bphy, bzoo, bphy, bzoo),
+                      {bphy, bzoo}, config);
 }
 
 RiverFitness RiverFitness::ForTest(const RiverDataset* dataset,
                                    SimulationConfig config) {
+  const double bphy = dataset->test_initial_bphy;
+  const double bzoo = dataset->test_initial_bzoo;
+  config.num_species = 2;
   return RiverFitness(dataset, dataset->train_end, dataset->num_days,
-                      dataset->test_initial_bphy, dataset->test_initial_bzoo,
-                      config);
+                      ConstituentSet::LegacyPlankton(bphy, bzoo, bphy, bzoo),
+                      {bphy, bzoo}, config);
 }
 
 RiverFitness RiverFitness::ForTrainingWith(const RiverDataset* dataset,

@@ -1,6 +1,7 @@
 #ifndef GMR_RIVER_SIMULATE_H_
 #define GMR_RIVER_SIMULATE_H_
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -8,7 +9,6 @@
 #include "common/status.h"
 #include "expr/ast.h"
 #include "expr/batch_jit.h"
-#include "expr/jit.h"
 #include "gp/fitness.h"
 #include "river/constituents.h"
 #include "river/dataset.h"
@@ -23,20 +23,19 @@ enum class IntegrationMethod {
 };
 
 /// Which "runtime compilation" backend evaluates candidate equations when
-/// the RC speedup is on.
+/// the RC speedup is on. Lane width, not this value, picks the VM: scalar
+/// rollouts (Simulate, RiverFitness) run one register program for the
+/// equation system (expr/compile.h), lane blocks (BatchSimulate, the
+/// channel) run the same tape over lane rows (expr/batch_vm.h).
 enum class CompiledBackend {
-  kBytecodeVm = 0,  ///< In-process bytecode (expr/compile.h); the default.
-  kNativeJit,       ///< cc + dlopen (expr/jit.h); degrades to the VM
-                    ///< per-equation on compile failure, and run-wide once
-                    ///< the circuit breaker opens.
-  kBatchVm,         ///< Stride-N batch VM (expr/batch_vm.h) at width 1 in
-                    ///< scalar rollouts; bit-identical to kBytecodeVm lane
-                    ///< by lane, and the fallback for every batched path.
+  kBytecodeVm = 0,  ///< The VM programs alone; the default.
   kBatchJit,        ///< Generation-batched cc + dlopen (expr/batch_jit.h):
                     ///< one translation unit per compile batch, one symbol
                     ///< per unique equation, structure-hash compile cache.
-                    ///< Degrades per-equation to the batch VM on compile
-                    ///< failure, and run-wide once the breaker opens.
+                    ///< Each symbol overrides its equation's VM output, at
+                    ///< width 1 in scalar rollouts; an equation whose
+                    ///< compile fails (or once the breaker opens) keeps the
+                    ///< VM output.
 };
 
 /// Numerical integration settings for the constituent processes.
@@ -59,9 +58,6 @@ struct SimulationConfig {
 
   /// Backend used when the evaluator requests compiled evaluation.
   CompiledBackend compiled_backend = CompiledBackend::kBytecodeVm;
-  /// Circuit breaker consulted by the kNativeJit backend; null uses the
-  /// process-wide expr::JitCircuitBreaker::Default().
-  expr::JitCircuitBreaker* jit_breaker = nullptr;
   /// Compile cache + TU batcher consulted by the kBatchJit backend; null
   /// uses the process-wide expr::BatchJitSession::Default(). Not owned.
   expr::BatchJitSession* batch_jit_session = nullptr;
@@ -84,6 +80,35 @@ struct SimulationConfig {
   /// adaptive substepping or as a hard safety net.
   std::size_t substep_budget = 0;
 };
+
+/// The commit clamp of every integrator (station, lane block, channel, and
+/// the adjoint's replay). Sign-aware: -Inf (and NaN with the sign bit set)
+/// pins to the biological floor, +Inf/NaN to the ceiling — a huge negative
+/// update means the population crashed, not exploded. Pinning at the
+/// ceiling sets *saturated_high (when non-null); the floor is ordinary
+/// die-off and is never reported.
+inline double ClampState(double value, const SimulationConfig& config,
+                         bool* saturated_high = nullptr) {
+  if (!std::isfinite(value)) {
+    if (std::signbit(value)) return config.state_min;
+    if (saturated_high != nullptr) *saturated_high = true;
+    return config.state_max;
+  }
+  if (value < config.state_min) return config.state_min;
+  if (value > config.state_max) {
+    if (saturated_high != nullptr) *saturated_high = true;
+    return config.state_max;
+  }
+  return value;
+}
+
+/// True when ClampState passes `raw` through unchanged — the only case
+/// with a nonzero (unit) clamp derivative. Pinned or non-finite raw states
+/// are locally constant, so the adjoint drops their cotangent exactly.
+inline bool ClampPassesThrough(double raw, const SimulationConfig& config) {
+  return std::isfinite(raw) && raw >= config.state_min &&
+         raw <= config.state_max;
+}
 
 /// Validates the config against the constituent registry and the
 /// phenotype's equation count: the species counts must agree
@@ -126,8 +151,8 @@ struct SimulationReport {
   EvalOutcome outcome = EvalOutcome::kOk;
   /// True when a watchdog aborted the rollout early.
   bool aborted = false;
-  /// True when at least one equation requested kNativeJit but ran on the
-  /// bytecode VM (compile failure or open circuit breaker).
+  /// True when at least one equation requested kBatchJit but ran on the
+  /// VM program (compile failure or open circuit breaker).
   bool jit_fallback = false;
   std::size_t substeps_used = 0;
   std::size_t days_simulated = 0;
@@ -167,7 +192,7 @@ struct BatchSimulationResult {
   std::size_t num_species = 0;
   /// predicted[lane][day]: the primary observed constituent's trajectory,
   /// bit-identical to the scalar Simulate of that lane's parameter vector
-  /// (under an equivalent backend).
+  /// under the same config.
   std::vector<std::vector<double>> predicted;
   /// Per-lane containment telemetry; a diverging lane is masked out of
   /// further derivative evaluations without perturbing its neighbors.
@@ -177,9 +202,9 @@ struct BatchSimulationResult {
 /// Simulates the constituent processes for `parameter_lanes.size()`
 /// parameter vectors at once in structure-of-arrays layout (lane blocks
 /// span species x lanes): each compiled equation call advances a whole
-/// lane block. Equations are evaluated through the batched VM, or through
-/// generation-JIT symbols when the config selects kBatchJit (degrading
-/// per-equation to the batched VM). Every lane's watchdog semantics match
+/// lane block. Equations are evaluated through one batch program for the
+/// system, overridden per equation by generation-JIT symbols when the
+/// config selects kBatchJit. Every lane's watchdog semantics match
 /// the scalar rollout exactly: a lane that trips a watchdog is masked out
 /// (its remaining days predict state_max) while the surviving lanes keep
 /// integrating.
@@ -190,26 +215,6 @@ BatchSimulationResult BatchSimulate(
     const ConstituentSet& constituents,
     const std::vector<double>& initial_state,
     const SimulationConfig& config);
-
-/// Deprecated two-species entry point: thin wrapper over Simulate with the
-/// legacy plankton preset, returning the B_Phy series. New callers should
-/// build a ConstituentSet and call Simulate.
-std::vector<double> SimulateBPhy(const std::vector<expr::ExprPtr>& equations,
-                                 const std::vector<double>& parameters,
-                                 const RiverDataset& dataset,
-                                 std::size_t t_begin, std::size_t t_end,
-                                 double initial_bphy, double initial_bzoo,
-                                 const SimulationConfig& config,
-                                 bool compiled,
-                                 SimulationReport* report = nullptr);
-
-/// Deprecated two-species batch entry point: thin wrapper over
-/// BatchSimulate with the legacy plankton preset.
-BatchSimulationResult BatchSimulateBPhy(
-    const std::vector<expr::ExprPtr>& equations,
-    const std::vector<std::vector<double>>& parameter_lanes,
-    const RiverDataset& dataset, std::size_t t_begin, std::size_t t_end,
-    double initial_bphy, double initial_bzoo, const SimulationConfig& config);
 
 /// The river fitness problem: one fitness case per day; fitness is the
 /// running RMSE between the simulated and observed series of every
@@ -223,11 +228,6 @@ class RiverFitness : public gp::SequentialFitness {
   RiverFitness(const RiverDataset* dataset, std::size_t t_begin,
                std::size_t t_end, ConstituentSet constituents,
                std::vector<double> initial_state,
-               SimulationConfig config = SimulationConfig{});
-
-  /// Deprecated two-species constructor (legacy plankton preset).
-  RiverFitness(const RiverDataset* dataset, std::size_t t_begin,
-               std::size_t t_end, double initial_bphy, double initial_bzoo,
                SimulationConfig config = SimulationConfig{});
 
   /// Convenience: the training-period fitness of `dataset` under the

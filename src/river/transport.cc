@@ -47,21 +47,6 @@ ConfigError ValidateChannel(const ChannelConfig& channel,
 
 namespace {
 
-double ClampCell(double value, const SimulationConfig& config,
-                 bool* saturated_high) {
-  if (!std::isfinite(value)) {
-    if (std::signbit(value)) return config.state_min;
-    *saturated_high = true;
-    return config.state_max;
-  }
-  if (value < config.state_min) return config.state_min;
-  if (value > config.state_max) {
-    *saturated_high = true;
-    return config.state_max;
-  }
-  return value;
-}
-
 /// Advective flux through interface `i` (between cell i-1 and cell i;
 /// i == 0 is the inlet face, i == n is the outlet face) for a non-negative
 /// velocity. `c_in` is the upstream Dirichlet concentration.
@@ -189,7 +174,10 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
           abort_with(EvalOutcome::kNonFiniteDerivative);
           break;
         }
-        continue;  // Skip the commit, like the station integrator.
+        // Skip the commit. The station integrator commits the clamped
+        // state here, but a NaN raw state would make clamp_correction NaN
+        // and break the mass-budget identity.
+        continue;
       }
       bool saturated = false;
       for (std::size_t s = 0; s < num_species; ++s) {
@@ -218,7 +206,7 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
                             k_row[i];
           result.budgets[s].reaction += dt * k_row[i] * channel.dx;
           const double raw = c[i] + dt * dc;
-          const double clamped = ClampCell(raw, config, &saturated);
+          const double clamped = ClampState(raw, config, &saturated);
           result.budgets[s].clamp_correction += (clamped - raw) * channel.dx;
           c[i] = clamped;
         }

@@ -33,11 +33,12 @@ namespace gmr {
 namespace {
 
 namespace e = gmr::expr;
-using river::BatchSimulateBPhy;
+using river::BatchSimulate;
 using river::CompiledBackend;
+using river::ConstituentSet;
 using river::IntegrationMethod;
 using river::RiverDataset;
-using river::SimulateBPhy;
+using river::Simulate;
 using river::SimulationConfig;
 using river::SimulationReport;
 
@@ -341,14 +342,16 @@ void ExpectLaneMatchesScalar(const std::vector<e::ExprPtr>& equations,
                              const SimulationConfig& config,
                              std::size_t days) {
   const RiverDataset dataset = TinyDataset(days);
-  const auto batch = BatchSimulateBPhy(equations, lanes, dataset, 0, days,
-                                       5.0, 1.0, config);
+  const ConstituentSet plankton = ConstituentSet::LegacyPlankton();
+  const auto batch = BatchSimulate(equations, lanes, dataset, 0, days,
+                                   plankton, {5.0, 1.0}, config);
   ASSERT_EQ(batch.width, lanes.size());
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     SimulationReport scalar_report;
-    const auto scalar = SimulateBPhy(equations, lanes[l], dataset, 0, days,
-                                     5.0, 1.0, config, /*compiled=*/true,
-                                     &scalar_report);
+    const auto scalar =
+        Simulate(equations, lanes[l], dataset, 0, days, plankton, {5.0, 1.0},
+                 config, /*compiled=*/true, &scalar_report)
+            .series[0];
     ASSERT_EQ(batch.predicted[l].size(), scalar.size()) << "lane " << l;
     for (std::size_t t = 0; t < scalar.size(); ++t) {
       EXPECT_TRUE(BitwiseEqual(batch.predicted[l][t], scalar[t]))
@@ -368,7 +371,6 @@ void ExpectLaneMatchesScalar(const std::vector<e::ExprPtr>& equations,
 
 TEST(BatchRolloutTest, EulerMatchesScalarLaneByLaneBitwise) {
   SimulationConfig config;
-  config.compiled_backend = CompiledBackend::kBatchVm;
   config.max_saturated_substeps = 8;  // the divergent lane must abort
   ExpectLaneMatchesScalar(ParameterizedEquations(), MixedLanes(8), config,
                           40);
@@ -376,7 +378,6 @@ TEST(BatchRolloutTest, EulerMatchesScalarLaneByLaneBitwise) {
 
 TEST(BatchRolloutTest, Rk4MatchesScalarLaneByLaneBitwise) {
   SimulationConfig config;
-  config.compiled_backend = CompiledBackend::kBatchVm;
   config.method = IntegrationMethod::kRk4;
   config.max_saturated_substeps = 8;
   ExpectLaneMatchesScalar(ParameterizedEquations(), MixedLanes(6), config,
@@ -385,7 +386,6 @@ TEST(BatchRolloutTest, Rk4MatchesScalarLaneByLaneBitwise) {
 
 TEST(BatchRolloutTest, SubstepBudgetAbortsPerLane) {
   SimulationConfig config;
-  config.compiled_backend = CompiledBackend::kBatchVm;
   config.substep_budget = 20;  // 2 substeps/day -> aborts on day 11
   ExpectLaneMatchesScalar(ParameterizedEquations(), MixedLanes(4), config,
                           30);
@@ -393,13 +393,13 @@ TEST(BatchRolloutTest, SubstepBudgetAbortsPerLane) {
 
 TEST(BatchRolloutTest, MaskedLaneIsIsolated) {
   SimulationConfig config;
-  config.compiled_backend = CompiledBackend::kBatchVm;
   config.max_saturated_substeps = 8;
   const std::size_t days = 40;
   const RiverDataset dataset = TinyDataset(days);
   const auto lanes = MixedLanes(8);
-  const auto batch = BatchSimulateBPhy(ParameterizedEquations(), lanes,
-                                       dataset, 0, days, 5.0, 1.0, config);
+  const auto batch =
+      BatchSimulate(ParameterizedEquations(), lanes, dataset, 0, days,
+                    ConstituentSet::LegacyPlankton(), {5.0, 1.0}, config);
   // The divergent lane aborted with the saturation watchdog...
   const SimulationReport& divergent = batch.reports.back();
   EXPECT_TRUE(divergent.aborted);
@@ -420,8 +420,7 @@ TEST(BatchRolloutTest, BatchJitLanesMatchVmLanes) {
   if (!e::JitAvailable()) GTEST_SKIP() << "no C compiler";
   e::JitCircuitBreaker breaker;
   e::BatchJitSession session(&breaker);
-  SimulationConfig vm_config;
-  vm_config.compiled_backend = CompiledBackend::kBatchVm;
+  const SimulationConfig vm_config;
   SimulationConfig jit_config = vm_config;
   jit_config.compiled_backend = CompiledBackend::kBatchJit;
   jit_config.batch_jit_session = &session;
@@ -429,18 +428,31 @@ TEST(BatchRolloutTest, BatchJitLanesMatchVmLanes) {
   const RiverDataset dataset = TinyDataset(days);
   const auto equations = ParameterizedEquations();
   const auto lanes = MixedLanes(4);
-  const auto vm = BatchSimulateBPhy(equations, lanes, dataset, 0, days, 5.0,
-                                    1.0, vm_config);
-  const auto jit = BatchSimulateBPhy(equations, lanes, dataset, 0, days, 5.0,
-                                     1.0, jit_config);
+  const ConstituentSet plankton = ConstituentSet::LegacyPlankton();
+  const auto vm = BatchSimulate(equations, lanes, dataset, 0, days, plankton,
+                                {5.0, 1.0}, vm_config);
+  const auto jit = BatchSimulate(equations, lanes, dataset, 0, days, plankton,
+                                 {5.0, 1.0}, jit_config);
   EXPECT_GE(session.stats().tu_compiles, 1u);
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     EXPECT_FALSE(jit.reports[l].jit_fallback);
+    // A scalar rollout calls the same symbols at width 1 over the system
+    // program's outputs; the symbols are width-invariant, so it matches
+    // the lane bitwise.
+    SimulationReport scalar_report;
+    const auto scalar =
+        Simulate(equations, lanes[l], dataset, 0, days, plankton, {5.0, 1.0},
+                 jit_config, /*compiled=*/true, &scalar_report)
+            .series[0];
+    EXPECT_FALSE(scalar_report.jit_fallback);
+    EXPECT_EQ(scalar_report.outcome, jit.reports[l].outcome);
     for (std::size_t t = 0; t < days; ++t) {
-      // The batch JIT has the per-model JIT's ULP budget against the VM;
-      // on this toolchain (-ffp-contract=off) they match to full precision.
+      // The batch JIT has a ULP budget against the VM; with
+      // -ffp-contract=off they match to full precision in practice.
       EXPECT_NEAR(jit.predicted[l][t], vm.predicted[l][t],
                   1e-9 * std::abs(vm.predicted[l][t]) + 1e-12)
+          << "lane " << l << " day " << t;
+      EXPECT_TRUE(BitwiseEqual(scalar[t], jit.predicted[l][t]))
           << "lane " << l << " day " << t;
     }
   }
@@ -465,16 +477,17 @@ TEST(BatchFaultTest, CompileFaultFallsBackToVmWithoutPoisoningLanes) {
   jit_config.batch_jit_session = &session;
   jit_config.max_saturated_substeps = 8;
   SimulationConfig vm_config = jit_config;
-  vm_config.compiled_backend = CompiledBackend::kBatchVm;
+  vm_config.compiled_backend = CompiledBackend::kBytecodeVm;
 
   const std::size_t days = 30;
   const RiverDataset dataset = TinyDataset(days);
   const auto equations = ParameterizedEquations();
   const auto lanes = MixedLanes(4);
-  const auto faulty = BatchSimulateBPhy(equations, lanes, dataset, 0, days,
-                                        5.0, 1.0, jit_config);
-  const auto vm = BatchSimulateBPhy(equations, lanes, dataset, 0, days, 5.0,
-                                    1.0, vm_config);
+  const ConstituentSet plankton = ConstituentSet::LegacyPlankton();
+  const auto faulty = BatchSimulate(equations, lanes, dataset, 0, days,
+                                    plankton, {5.0, 1.0}, jit_config);
+  const auto vm = BatchSimulate(equations, lanes, dataset, 0, days, plankton,
+                                {5.0, 1.0}, vm_config);
   EXPECT_EQ(session.stats().tu_compiles, 0u);
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     // The degradation is reported, exact, and per-lane bitwise identical
@@ -522,28 +535,32 @@ TEST(BatchFaultTest, OnceFaultRecoversOnNextBatch) {
 // --------------------------------------------- fitness-level equivalence --
 
 TEST(BatchFitnessTest, BatchVmFitnessMatchesBytecodeBitwise) {
+  // The scalar fitness (the system register program) and the RMSE of the
+  // same parameter vector's lane in a batched rollout (the batch program
+  // over lane rows) agree bitwise: both VMs run one tape.
   const RiverDataset dataset = TinyDataset(40);
-  SimulationConfig vm_config;
-  vm_config.compiled_backend = CompiledBackend::kBytecodeVm;
-  SimulationConfig batch_config;
-  batch_config.compiled_backend = CompiledBackend::kBatchVm;
-  const river::RiverFitness vm_fitness =
-      river::RiverFitness::ForTraining(&dataset, vm_config);
-  const river::RiverFitness batch_fitness =
-      river::RiverFitness::ForTraining(&dataset, batch_config);
+  const river::RiverFitness fitness =
+      river::RiverFitness::ForTraining(&dataset);
   const auto equations = ParameterizedEquations();
-  for (const auto& params : MixedLanes(4)) {
-    auto a = vm_fitness.Begin(equations, params, true);
-    auto b = batch_fitness.Begin(equations, params, true);
-    bool more = true;
-    while (more) {
-      const bool more_a = a->Step();
-      const bool more_b = b->Step();
-      EXPECT_EQ(more_a, more_b);
-      more = more_a && more_b;
+  const auto lanes = MixedLanes(4);
+  const std::size_t days = dataset.train_end;
+  const auto batch =
+      BatchSimulate(equations, lanes, dataset, 0, days,
+                    ConstituentSet::LegacyPlankton(), {5.0, 1.0},
+                    SimulationConfig{});
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    auto eval = fitness.Begin(equations, lanes[l], true);
+    while (eval->Step()) {
     }
-    EXPECT_TRUE(BitwiseEqual(a->CurrentFitness(), b->CurrentFitness()));
-    EXPECT_EQ(a->outcome(), b->outcome());
+    double sse = 0.0;
+    for (std::size_t t = 0; t < days; ++t) {
+      const double error = batch.predicted[l][t] - dataset.observed_bphy[t];
+      sse += error * error;
+    }
+    EXPECT_TRUE(BitwiseEqual(eval->CurrentFitness(),
+                             std::sqrt(sse / static_cast<double>(days))))
+        << "lane " << l;
+    EXPECT_EQ(eval->outcome(), batch.reports[l].outcome) << "lane " << l;
   }
 }
 
@@ -606,7 +623,6 @@ TEST(BatchFitnessTest, RunGmrOnBatchJitEmitsCacheEvent) {
   config.simulation.compiled_backend = CompiledBackend::kBatchJit;
   expr::JitCircuitBreaker breaker;
   expr::BatchJitSession session(&breaker);
-  config.simulation.jit_breaker = &breaker;
   config.simulation.batch_jit_session = &session;
 
   double first_fitness = 0.0;

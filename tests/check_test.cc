@@ -151,7 +151,7 @@ TEST(ShrinkTest, DerivationShrinksToRootWhenAnythingFails) {
 
 TEST(OracleTest, RegistryKnowsEveryOracle) {
   const auto names = ExprOracleNames();
-  EXPECT_EQ(names.size(), 13u);
+  EXPECT_EQ(names.size(), 12u);
   for (const std::string& name : names) {
     EXPECT_NE(FindExprOracle(name), nullptr) << name;
   }
@@ -167,9 +167,9 @@ TEST(OracleTest, ExpertEquationPassesEveryExprOracle) {
   c.tree = river::PhytoplanktonDerivative();
   c.parameters = gp::PriorMeans(river::RiverParameterPriors());
   for (const std::string& name : ExprOracleNames()) {
-    // The compiler-invoking oracles cost ~100 ms each; covered by
-    // jit_test and batch_test.
-    if (name == "jit" || name == "batch_jit") continue;
+    // The compiler-invoking oracle costs ~100 ms; covered by jit_test and
+    // batch_test.
+    if (name == "batch_jit") continue;
     const OracleResult verdict = FindExprOracle(name)(c, ctx);
     EXPECT_TRUE(verdict.ok) << name << ": " << verdict.detail;
   }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -445,6 +446,21 @@ TEST(ParserTest, ErrorsAreReported) {
   EXPECT_FALSE(Parse("x @ y", TestSymbols()).ok());
   EXPECT_FALSE(Parse("(x + 1", TestSymbols()).ok());
   EXPECT_FALSE(Parse("x 1", TestSymbols()).ok());
+}
+
+TEST(ParserTest, TruncatedInputErrorsAtItsLength) {
+  // Each input ends where the grammar still expects a token. The cursor
+  // stops at the end token (it used to step past it and read beyond the
+  // token vector), so the error names the end of the input.
+  for (const std::string text : {"x +", "(x + 1", "min(x,"}) {
+    const ParseResult result = Parse(text, TestSymbols());
+    EXPECT_FALSE(result.ok()) << text;
+    const std::string suffix = " at position " + std::to_string(text.size());
+    ASSERT_GE(result.error.size(), suffix.size()) << text;
+    EXPECT_EQ(result.error.substr(result.error.size() - suffix.size()),
+              suffix)
+        << text << ": " << result.error;
+  }
 }
 
 TEST(ParserTest, MalformedNumberIsAnErrorNotAHang) {

@@ -1,5 +1,5 @@
 // Fault-containment tests: the GMR_FAULT injection harness, divergence
-// watchdogs in the river simulator, the JIT circuit breaker, exception-safe
+// watchdogs in the river simulator, batch-JIT degradation, exception-safe
 // thread-pool batches, and the structured EvalOutcome taxonomy threaded
 // through the evaluator. Labeled `fault` and `tsan` in ctest.
 
@@ -19,8 +19,8 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/river_grammar.h"
+#include "expr/batch_jit.h"
 #include "expr/eval.h"
-#include "expr/jit.h"
 #include "gp/evaluator.h"
 #include "gp/tag3p.h"
 #include "river/parameters.h"
@@ -48,7 +48,7 @@ struct ScopedFault {
 // ------------------------------------------------------------ spec layer ----
 
 TEST(FaultInjectionTest, PointNamesRoundTrip) {
-  EXPECT_STREQ(FaultPointName(FaultPoint::kJitCompile), "jit_compile");
+  EXPECT_STREQ(FaultPointName(FaultPoint::kBatchCompile), "batch_compile");
   EXPECT_STREQ(FaultPointName(FaultPoint::kDerivativeNan), "derivative_nan");
   EXPECT_STREQ(FaultPointName(FaultPoint::kPoolTask), "pool_task");
 }
@@ -57,11 +57,14 @@ TEST(FaultInjectionTest, MalformedSpecsAreRejected) {
   std::string error;
   EXPECT_FALSE(SetFaultSpec("bogus_point:always", &error));
   EXPECT_NE(error.find("bogus_point"), std::string::npos);
-  EXPECT_FALSE(SetFaultSpec("jit_compile:maybe", &error));
-  EXPECT_FALSE(SetFaultSpec("jit_compile", &error));
-  EXPECT_FALSE(SetFaultSpec("jit_compile:prob:1.5", &error));
-  EXPECT_FALSE(SetFaultSpec("jit_compile:prob:0.5:notanumber", &error));
-  EXPECT_FALSE(SetFaultSpec("jit_compile:first:xyz", &error));
+  // jit_compile is not a fault point; the batch JIT's site is batch_compile.
+  EXPECT_FALSE(SetFaultSpec("jit_compile:always", &error));
+  EXPECT_NE(error.find("jit_compile"), std::string::npos);
+  EXPECT_FALSE(SetFaultSpec("batch_compile:maybe", &error));
+  EXPECT_FALSE(SetFaultSpec("batch_compile", &error));
+  EXPECT_FALSE(SetFaultSpec("batch_compile:prob:1.5", &error));
+  EXPECT_FALSE(SetFaultSpec("batch_compile:prob:0.5:notanumber", &error));
+  EXPECT_FALSE(SetFaultSpec("batch_compile:first:xyz", &error));
   // A rejected spec leaves everything disarmed.
   EXPECT_FALSE(AnyFaultArmed());
   ClearFaults();
@@ -74,13 +77,13 @@ TEST(FaultInjectionTest, AlwaysNeverOnceModes) {
     EXPECT_TRUE(FaultInjected(FaultPoint::kDerivativeNan));
     EXPECT_TRUE(FaultInjected(FaultPoint::kDerivativeNan));
     EXPECT_FALSE(FaultInjected(FaultPoint::kPoolTask));
-    EXPECT_FALSE(FaultInjected(FaultPoint::kJitCompile));
+    EXPECT_FALSE(FaultInjected(FaultPoint::kBatchCompile));
   }
   EXPECT_FALSE(AnyFaultArmed());
   {
-    ScopedFault fault("jit_compile:once");
-    EXPECT_TRUE(FaultInjected(FaultPoint::kJitCompile));
-    EXPECT_FALSE(FaultInjected(FaultPoint::kJitCompile));
+    ScopedFault fault("batch_compile:once");
+    EXPECT_TRUE(FaultInjected(FaultPoint::kBatchCompile));
+    EXPECT_FALSE(FaultInjected(FaultPoint::kBatchCompile));
   }
 }
 
@@ -230,13 +233,26 @@ std::vector<double> ZeroParams() {
   return std::vector<double>(river::kNumParameters, 0.0);
 }
 
+/// B_Phy series of a compiled two-species rollout over days [0, days) from
+/// (5.0, 1.0) with zero parameters, under the legacy plankton preset.
+std::vector<double> SimulatePlankton(
+    const std::vector<e::ExprPtr>& equations,
+    const river::RiverDataset& dataset, std::size_t days,
+    const river::SimulationConfig& config,
+    river::SimulationReport* report = nullptr) {
+  return river::Simulate(equations, ZeroParams(), dataset, 0, days,
+                         river::ConstituentSet::LegacyPlankton(), {5.0, 1.0},
+                         config, /*compiled=*/true, report)
+      .series[0];
+}
+
 TEST(SimulatorFaultTest, BenignRunReportsOk) {
   const river::RiverDataset dataset = TinyDataset(20);
   const std::vector<e::ExprPtr> equations{e::Constant(0.1), e::Constant(0.0)};
   river::SimulationReport report;
   const auto predicted =
-      river::SimulateBPhy(equations, ZeroParams(), dataset, 0, 20, 5.0, 1.0,
-                          river::SimulationConfig{}, true, &report);
+      SimulatePlankton(equations, dataset, 20, river::SimulationConfig{},
+                       &report);
   ASSERT_EQ(predicted.size(), 20u);
   EXPECT_EQ(report.outcome, EvalOutcome::kOk);
   EXPECT_FALSE(report.aborted);
@@ -258,8 +274,7 @@ TEST(SimulatorFaultTest, ClampIsSignAware) {
       e::Mul(e::Constant(-1e308), e::Variable(river::kBPhy, "B")),
       e::Constant(0.0)};
   river::SimulationReport report;
-  const auto predicted = river::SimulateBPhy(
-      crash, ZeroParams(), dataset, 0, 10, 5.0, 1.0, config, true, &report);
+  const auto predicted = SimulatePlankton(crash, dataset, 10, config, &report);
   EXPECT_DOUBLE_EQ(predicted.front(), config.state_min);
   // Floor-pinning is die-off, not divergence: no saturation events.
   EXPECT_EQ(report.clamp_saturations, 0u);
@@ -273,8 +288,7 @@ TEST(SimulatorFaultTest, NonFiniteDerivativeWatchdogAborts) {
       e::Constant(0.0)};
   river::SimulationReport report;
   const auto predicted =
-      river::SimulateBPhy(divergent, ZeroParams(), dataset, 0, 40, 5.0, 1.0,
-                          config, true, &report);
+      SimulatePlankton(divergent, dataset, 40, config, &report);
   EXPECT_EQ(report.outcome, EvalOutcome::kNonFiniteDerivative);
   EXPECT_TRUE(report.aborted);
   EXPECT_EQ(report.nonfinite_derivatives, 8u);
@@ -298,8 +312,7 @@ TEST(SimulatorFaultTest, ClampSaturationWatchdogAborts) {
       e::Constant(0.0)};
   river::SimulationReport report;
   const auto predicted =
-      river::SimulateBPhy(explosive, ZeroParams(), dataset, 0, 40, 5.0, 1.0,
-                          config, true, &report);
+      SimulatePlankton(explosive, dataset, 40, config, &report);
   EXPECT_EQ(report.outcome, EvalOutcome::kClampSaturated);
   EXPECT_TRUE(report.aborted);
   EXPECT_EQ(report.clamp_saturations, 64u);
@@ -315,9 +328,7 @@ TEST(SimulatorFaultTest, SubstepBudgetAborts) {
   config.substep_budget = 10;  // 5 days at 2 substeps/day
   const std::vector<e::ExprPtr> benign{e::Constant(0.0), e::Constant(0.0)};
   river::SimulationReport report;
-  const auto predicted =
-      river::SimulateBPhy(benign, ZeroParams(), dataset, 0, 20, 5.0, 1.0,
-                          config, true, &report);
+  const auto predicted = SimulatePlankton(benign, dataset, 20, config, &report);
   EXPECT_EQ(report.outcome, EvalOutcome::kBudgetExceeded);
   EXPECT_TRUE(report.aborted);
   EXPECT_EQ(report.substeps_used, 10u);
@@ -339,8 +350,7 @@ TEST(SimulatorFaultTest, WatchdogsCanBeDisabled) {
       e::Mul(e::Constant(1e308), e::Variable(river::kBPhy, "B")),
       e::Constant(0.0)};
   river::SimulationReport report;
-  river::SimulateBPhy(divergent, ZeroParams(), dataset, 0, 40, 5.0, 1.0,
-                      config, true, &report);
+  SimulatePlankton(divergent, dataset, 40, config, &report);
   EXPECT_FALSE(report.aborted);
   EXPECT_EQ(report.outcome, EvalOutcome::kOk);
   EXPECT_EQ(report.substeps_used, 80u);  // full 40 days x 2
@@ -352,8 +362,7 @@ TEST(SimulatorFaultTest, DerivativeNanInjectionTripsWatchdog) {
   const river::RiverDataset dataset = TinyDataset(20);
   const std::vector<e::ExprPtr> benign{e::Constant(0.0), e::Constant(0.0)};
   river::SimulationReport report;
-  river::SimulateBPhy(benign, ZeroParams(), dataset, 0, 20, 5.0, 1.0,
-                      river::SimulationConfig{}, true, &report);
+  SimulatePlankton(benign, dataset, 20, river::SimulationConfig{}, &report);
   EXPECT_EQ(report.outcome, EvalOutcome::kNonFiniteDerivative);
   EXPECT_TRUE(report.aborted);
   EXPECT_EQ(report.nonfinite_derivatives, 8u);
@@ -537,18 +546,18 @@ TEST(EvalStatsFaultTest, MergeAddsOutcomeCounters) {
 // -------------------------------------------------------- JIT degradation ----
 
 TEST(JitDegradationTest, Tag3pRunBitIdenticalUnderCompileFaults) {
-  // The acceptance scenario: a full (small) TAG3P river run with every JIT
-  // compile failing must silently degrade to the bytecode VM, trip the
-  // circuit breaker exactly once, and produce a search history that is
-  // bit-identical to a VM-backend run.
+  // The acceptance scenario: a full (small) TAG3P river run on the batch
+  // JIT with every generation compile failing must silently degrade to the
+  // VM program, trip the circuit breaker exactly once, and produce a search
+  // history that is bit-identical to a VM-backend run.
   core::RiverPriorKnowledge knowledge = core::BuildRiverPriorKnowledge();
   const river::RiverDataset dataset = TinyDataset(40);
 
   const auto run = [&](river::CompiledBackend backend,
-                       expr::JitCircuitBreaker* breaker) {
+                       expr::BatchJitSession* session) {
     river::SimulationConfig sim;
     sim.compiled_backend = backend;
-    sim.jit_breaker = breaker;
+    sim.batch_jit_session = session;
     const river::RiverFitness fitness =
         river::RiverFitness::ForTraining(&dataset, sim);
     gp::Tag3pConfig config;
@@ -570,12 +579,13 @@ TEST(JitDegradationTest, Tag3pRunBitIdenticalUnderCompileFaults) {
   const gp::Tag3pResult vm = run(river::CompiledBackend::kBytecodeVm, nullptr);
 
   expr::JitCircuitBreaker breaker;
-  ScopedFault fault("jit_compile:always");
-  const gp::Tag3pResult jit =
-      run(river::CompiledBackend::kNativeJit, &breaker);
+  expr::BatchJitSession session(&breaker);
+  ScopedFault fault("batch_compile:always");
+  const gp::Tag3pResult jit = run(river::CompiledBackend::kBatchJit, &session);
 
   EXPECT_TRUE(breaker.open());
   EXPECT_EQ(breaker.disable_log_count(), 1);
+  EXPECT_EQ(session.stats().tu_compiles, 0u);
   EXPECT_EQ(vm.best.fitness, jit.best.fitness);
   ASSERT_EQ(vm.history.size(), jit.history.size());
   for (std::size_t g = 0; g < vm.history.size(); ++g) {
@@ -587,22 +597,22 @@ TEST(JitDegradationTest, Tag3pRunBitIdenticalUnderCompileFaults) {
 }
 
 TEST(JitDegradationTest, SimulationReportsFallback) {
-  ScopedFault fault("jit_compile:always");
+  ScopedFault fault("batch_compile:always");
   expr::JitCircuitBreaker breaker;
+  expr::BatchJitSession session(&breaker);
   const river::RiverDataset dataset = TinyDataset(10);
   river::SimulationConfig sim;
-  sim.compiled_backend = river::CompiledBackend::kNativeJit;
-  sim.jit_breaker = &breaker;
+  sim.compiled_backend = river::CompiledBackend::kBatchJit;
+  sim.batch_jit_session = &session;
   const std::vector<e::ExprPtr> benign{e::Constant(0.1), e::Constant(0.0)};
   river::SimulationReport report;
-  const auto with_fallback = river::SimulateBPhy(
-      benign, ZeroParams(), dataset, 0, 10, 5.0, 1.0, sim, true, &report);
+  const auto with_fallback =
+      SimulatePlankton(benign, dataset, 10, sim, &report);
   EXPECT_TRUE(report.jit_fallback);
   EXPECT_EQ(report.outcome, EvalOutcome::kJitCompileFailed);
   // The VM fallback is bit-compatible with the plain VM backend.
-  const auto vm = river::SimulateBPhy(benign, ZeroParams(), dataset, 0, 10,
-                                      5.0, 1.0, river::SimulationConfig{},
-                                      true);
+  const auto vm =
+      SimulatePlankton(benign, dataset, 10, river::SimulationConfig{});
   ASSERT_EQ(with_fallback.size(), vm.size());
   for (std::size_t i = 0; i < vm.size(); ++i) {
     EXPECT_EQ(with_fallback[i], vm[i]);

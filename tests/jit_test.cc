@@ -8,8 +8,8 @@
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "expr/batch_jit.h"
 #include "expr/eval.h"
-#include "expr/jit.h"
 #include "river/biology.h"
 #include "river/parameters.h"
 #include "river/simulate.h"
@@ -39,23 +39,32 @@ ExprPtr RandomTree(Rng& rng, int depth, int num_vars, int num_params) {
                     RandomTree(rng, depth - 1, num_vars, num_params));
 }
 
+/// Evaluates a batch-JIT symbol at width 1, the calling convention of the
+/// scalar rollouts (SoA == AoS at stride 1).
+double RunAtWidthOne(BatchJitSession::BatchFn fn, const EvalContext& ctx) {
+  double out = 0.0;
+  fn(ctx.variables, ctx.parameters, &out, 1);
+  return out;
+}
+
 TEST(JitTest, SourceGenerationMentionsSlotsAndKernels) {
   const ExprPtr e =
       Div(Add(Variable(2, ""), Parameter(1, "")), Log(Constant(3.0)));
-  const std::string source = GenerateCSource(*e);
-  EXPECT_NE(source.find("v[2]"), std::string::npos);
-  EXPECT_NE(source.find("p[1]"), std::string::npos);
+  const std::string source = GenerateBatchCSource({{7, e.get()}});
+  EXPECT_NE(source.find("v[2*w+i]"), std::string::npos);
+  EXPECT_NE(source.find("p[1*w+i]"), std::string::npos);
   EXPECT_NE(source.find("gmr_pdiv"), std::string::npos);
   EXPECT_NE(source.find("gmr_plog"), std::string::npos);
-  EXPECT_NE(source.find("double gmr_eval"), std::string::npos);
+  EXPECT_NE(source.find("void " + BatchSymbolName(7)), std::string::npos);
 }
 
 TEST(JitTest, MatchesInterpreterOnRiverEquation) {
   if (!JitAvailable()) GTEST_SKIP() << "no C compiler on this system";
-  std::string error;
   const auto equation = river::PhytoplanktonDerivative();
-  const auto program = JitProgram::Compile(*equation, &error);
-  ASSERT_NE(program, nullptr) << error;
+  JitCircuitBreaker breaker;
+  BatchJitSession session(&breaker);
+  const auto fn = session.CompileBatch({equation.get()})[0];
+  ASSERT_NE(fn, nullptr);
 
   const auto params = gp::PriorMeans(river::RiverParameterPriors());
   Rng rng(5);
@@ -64,7 +73,7 @@ TEST(JitTest, MatchesInterpreterOnRiverEquation) {
     for (double& v : vars) v = rng.Uniform(0.01, 30.0);
     EvalContext ctx{vars.data(), vars.size(), params.data(), params.size()};
     const double interpreted = EvalExpr(*equation, ctx);
-    const double jitted = program->Run(ctx);
+    const double jitted = RunAtWidthOne(fn, ctx);
     EXPECT_TRUE(WithinUlps(jitted, interpreted, 4))
         << jitted << " vs " << interpreted << " (ulps "
         << UlpDistance(jitted, interpreted) << ")";
@@ -74,19 +83,25 @@ TEST(JitTest, MatchesInterpreterOnRiverEquation) {
 TEST(JitTest, MatchesInterpreterOnRandomTrees) {
   if (!JitAvailable()) GTEST_SKIP() << "no C compiler on this system";
   Rng rng(11);
+  std::vector<ExprPtr> trees;
+  std::vector<const Expr*> roots;
   for (int i = 0; i < 5; ++i) {
-    const ExprPtr tree = RandomTree(rng, 5, 3, 2);
-    std::string error;
-    const auto program = JitProgram::Compile(*tree, &error);
-    ASSERT_NE(program, nullptr) << error;
+    trees.push_back(RandomTree(rng, 5, 3, 2));
+    roots.push_back(trees.back().get());
+  }
+  JitCircuitBreaker breaker;
+  BatchJitSession session(&breaker);
+  const auto fns = session.CompileBatch(roots);
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    ASSERT_NE(fns[i], nullptr) << "tree " << i;
     for (int trial = 0; trial < 20; ++trial) {
       std::vector<double> vars(3), params(2);
       for (double& v : vars) v = rng.Uniform(-10, 10);
       for (double& p : params) p = rng.Uniform(-10, 10);
       EvalContext ctx{vars.data(), vars.size(), params.data(),
                       params.size()};
-      const double interpreted = EvalExpr(*tree, ctx);
-      const double jitted = program->Run(ctx);
+      const double interpreted = EvalExpr(*trees[i], ctx);
+      const double jitted = RunAtWidthOne(fns[i], ctx);
       EXPECT_TRUE(WithinUlps(jitted, interpreted, 4))
           << jitted << " vs " << interpreted << " (ulps "
           << UlpDistance(jitted, interpreted) << ")";
@@ -98,44 +113,51 @@ TEST(JitTest, NegationOfNegativeConstantDoesNotFuseIntoDecrement) {
   // Found by gmr_fuzz: Neg(Constant(-1)) used to emit "(--1)", which C
   // parses as a decrement of an rvalue and rejects.
   const ExprPtr tree = Neg(Constant(-1.0));
-  const std::string source = GenerateCSource(*tree);
+  const std::string source = GenerateBatchCSource({{1, tree.get()}});
   EXPECT_EQ(source.find("--"), std::string::npos) << source;
   if (!JitAvailable()) GTEST_SKIP() << "no C compiler on this system";
-  std::string error;
-  const auto program = JitProgram::Compile(*tree, &error);
-  ASSERT_NE(program, nullptr) << error;
+  JitCircuitBreaker breaker;
+  BatchJitSession session(&breaker);
+  const auto fn = session.CompileBatch({tree.get()})[0];
+  ASSERT_NE(fn, nullptr);
   EvalContext ctx{nullptr, 0, nullptr, 0};
-  EXPECT_EQ(program->Run(ctx), 1.0);
+  EXPECT_EQ(RunAtWidthOne(fn, ctx), 1.0);
 }
 
 TEST(JitTest, NonFiniteConstantsCompileToMathHSpellings) {
   // inf/nan are not C literals; the generator must spell them via math.h.
   const double inf = std::numeric_limits<double>::infinity();
-  const std::string source = GenerateCSource(
-      *Add(Constant(inf), Add(Constant(-inf),
-                              Constant(std::numeric_limits<double>::quiet_NaN()))));
+  const ExprPtr literals = Add(
+      Constant(inf),
+      Add(Constant(-inf), Constant(std::numeric_limits<double>::quiet_NaN())));
+  const std::string source = GenerateBatchCSource({{1, literals.get()}});
   EXPECT_EQ(source.find("inf"), std::string::npos) << source;
   EXPECT_EQ(source.find("nan"), std::string::npos) << source;
   if (!JitAvailable()) GTEST_SKIP() << "no C compiler on this system";
-  std::string error;
-  const auto program = JitProgram::Compile(*Exp(Constant(inf)), &error);
-  ASSERT_NE(program, nullptr) << error;
+  const ExprPtr tree = Exp(Constant(inf));
+  JitCircuitBreaker breaker;
+  BatchJitSession session(&breaker);
+  const auto fn = session.CompileBatch({tree.get()})[0];
+  ASSERT_NE(fn, nullptr);
   EvalContext ctx{nullptr, 0, nullptr, 0};
   // Protected exp clamps the argument to 80 on both backends.
-  EXPECT_EQ(program->Run(ctx), EvalExpr(*Exp(Constant(inf)), ctx));
+  EXPECT_EQ(RunAtWidthOne(fn, ctx), EvalExpr(*tree, ctx));
 }
 
 TEST(JitTest, InjectedCompileFaultFailsCleanly) {
-  // The jit_compile injection point fires before any compiler is invoked,
-  // so this works even on systems without a C compiler.
+  // The batch_compile injection point fires before any compiler is
+  // invoked, so this works even on systems without a C compiler.
   std::string spec_error;
-  ASSERT_TRUE(SetFaultSpec("jit_compile:always", &spec_error)) << spec_error;
-  std::string error;
-  const auto program = JitProgram::Compile(*Constant(1.0), &error);
-  EXPECT_EQ(program, nullptr);
-  EXPECT_NE(error.find("fault injection: jit_compile"), std::string::npos)
-      << error;
+  ASSERT_TRUE(SetFaultSpec("batch_compile:always", &spec_error))
+      << spec_error;
+  JitCircuitBreaker breaker;
+  BatchJitSession session(&breaker);
+  const ExprPtr tree = Constant(1.0);
+  EXPECT_EQ(session.CompileBatch({tree.get()})[0], nullptr);
   ClearFaults();
+  EXPECT_EQ(session.stats().compile_failures, 1u);
+  EXPECT_EQ(session.stats().tu_compiles, 0u);
+  EXPECT_EQ(breaker.consecutive_failures(), 1);
 }
 
 TEST(JitCircuitBreakerTest, OpensAtThresholdAndLogsOnce) {
@@ -176,7 +198,7 @@ TEST(JitCircuitBreakerTest, ResetClosesTheBreaker) {
 }
 
 TEST(JitFallbackTest, VmBackendFitnessIsBitIdenticalUnderCompileFaults) {
-  // A RiverFitness evaluation that asks for the native JIT but hits compile
+  // A RiverFitness evaluation that asks for the batch JIT but hits compile
   // failures must produce exactly the fitness of the bytecode-VM backend.
   river::RiverDataset dataset;
   dataset.num_days = 20;
@@ -203,11 +225,12 @@ TEST(JitFallbackTest, VmBackendFitnessIsBitIdenticalUnderCompileFaults) {
   const double vm_fitness = evaluate(river::SimulationConfig{});
 
   std::string spec_error;
-  ASSERT_TRUE(SetFaultSpec("jit_compile:always", &spec_error)) << spec_error;
+  ASSERT_TRUE(SetFaultSpec("batch_compile:always", &spec_error)) << spec_error;
   JitCircuitBreaker breaker;
+  BatchJitSession session(&breaker);
   river::SimulationConfig jit_config;
-  jit_config.compiled_backend = river::CompiledBackend::kNativeJit;
-  jit_config.jit_breaker = &breaker;
+  jit_config.compiled_backend = river::CompiledBackend::kBatchJit;
+  jit_config.batch_jit_session = &session;
   const double fallback_fitness = evaluate(jit_config);
   ClearFaults();
 
@@ -217,14 +240,15 @@ TEST(JitFallbackTest, VmBackendFitnessIsBitIdenticalUnderCompileFaults) {
 
 TEST(JitTest, ProtectedSemanticsSurviveCompilation) {
   if (!JitAvailable()) GTEST_SKIP() << "no C compiler on this system";
-  std::string error;
   // x / y with y == 0 must hit the protected kernel, not IEEE inf.
-  const auto program =
-      JitProgram::Compile(*Div(Variable(0, ""), Variable(1, "")), &error);
-  ASSERT_NE(program, nullptr) << error;
+  const ExprPtr tree = Div(Variable(0, ""), Variable(1, ""));
+  JitCircuitBreaker breaker;
+  BatchJitSession session(&breaker);
+  const auto fn = session.CompileBatch({tree.get()})[0];
+  ASSERT_NE(fn, nullptr);
   const double vars[] = {5.0, 0.0};
   EvalContext ctx{vars, 2, nullptr, 0};
-  EXPECT_DOUBLE_EQ(program->Run(ctx), 1.0);
+  EXPECT_DOUBLE_EQ(RunAtWidthOne(fn, ctx), 1.0);
 }
 
 }  // namespace

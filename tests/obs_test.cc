@@ -19,7 +19,7 @@
 #include "gp/evaluator.h"
 #include "gp/tag3p.h"
 #include "obs/manifest.h"
-#include "obs/registry.h"
+#include "obs/histogram.h"
 #include "obs/run_context.h"
 #include "obs/telemetry.h"
 #include "obs/trace_reader.h"
@@ -168,50 +168,21 @@ TEST(ReadTraceTest, ReportsMissingFileAndBadLines) {
       << status.message;
 }
 
-// ------------------------------------------------------------ registry ----
+// ----------------------------------------------------------- histogram ----
 
-TEST(RegistryTest, CountersTimersHistograms) {
-  MetricRegistry registry;
-  Counter* counter = registry.counter("evals");
-  counter->Increment();
-  counter->Increment(4);
-  EXPECT_EQ(counter->value(), 5u);
-  EXPECT_EQ(registry.counter("evals"), counter);  // stable on re-lookup
-
-  TimerStat* timer = registry.timer("batch");
-  timer->Record(1.0);
-  timer->Record(3.0);
-  EXPECT_EQ(timer->count(), 2u);
-  EXPECT_DOUBLE_EQ(timer->total_seconds(), 4.0);
-  EXPECT_DOUBLE_EQ(timer->max_seconds(), 3.0);
-  EXPECT_DOUBLE_EQ(timer->mean_seconds(), 2.0);
-
-  Histogram* hist = registry.histogram("size", 1.0, 2.0, 8);
-  for (double v : {0.5, 1.5, 3.0, 100.0, 1e9}) hist->Record(v);
-  EXPECT_EQ(hist->total_count(), 5u);
-  EXPECT_LE(hist->Quantile(0.5), hist->Quantile(0.99));
-  EXPECT_TRUE(std::isinf(hist->Quantile(1.0)) || hist->Quantile(1.0) > 0);
-}
-
-TEST(RegistryTest, EmitsSnapshotInNameOrder) {
-  MetricRegistry registry;
-  registry.counter("zeta")->Increment(2);
-  registry.counter("alpha")->Increment(1);
-  registry.timer("batch")->Record(0.25);
-  registry.histogram("size", 1.0, 2.0, 4)->Record(3.0);
-
-  VectorSink sink;
-  registry.EmitTo(&sink, "metrics");
-  ASSERT_EQ(sink.events().size(), 1u);
-  const TraceEvent& event = sink.events()[0];
-  EXPECT_EQ(event.type, "metrics");
-
-  std::vector<std::string> keys;
-  for (const auto& [key, value] : event.fields) keys.push_back(key);
-  // std::map iteration: counters first, alphabetical.
-  ASSERT_GE(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "counter.alpha");
-  EXPECT_EQ(keys[1], "counter.zeta");
+TEST(HistogramTest, BucketsAndQuantiles) {
+  Histogram hist(1.0, 2.0, 8);
+  for (double v : {0.5, 1.5, 3.0, 100.0, 1e9}) hist.Record(v);
+  EXPECT_EQ(hist.total_count(), 5u);
+  EXPECT_EQ(hist.num_buckets(), 9u);
+  EXPECT_EQ(hist.bucket_count(0), 1u);  // 0.5 <= 1
+  EXPECT_EQ(hist.bucket_count(1), 1u);  // 1.5 in (1, 2]
+  EXPECT_EQ(hist.bucket_count(2), 1u);  // 3.0 in (2, 4]
+  EXPECT_EQ(hist.bucket_count(7), 1u);  // 100 in (64, 128]
+  EXPECT_EQ(hist.bucket_count(8), 1u);  // 1e9 overflows
+  EXPECT_TRUE(std::isinf(hist.bucket_bound(8)));
+  EXPECT_LE(hist.Quantile(0.5), hist.Quantile(0.99));
+  EXPECT_TRUE(std::isinf(hist.Quantile(1.0)) || hist.Quantile(1.0) > 0);
 }
 
 // ------------------------------------------------------------ manifest ----

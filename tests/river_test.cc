@@ -298,8 +298,11 @@ TEST(SimulateTest, ZeroDerivativeKeepsStateConstant) {
   const std::vector<e::ExprPtr> equations{e::Constant(0.0),
                                           e::Constant(0.0)};
   const std::vector<double> params(kNumParameters, 0.0);
-  const auto predicted = SimulateBPhy(equations, params, dataset, 0, 20,
-                                      5.0, 1.0, SimulationConfig{}, true);
+  const auto predicted =
+      Simulate(equations, params, dataset, 0, 20,
+               ConstituentSet::LegacyPlankton(), {5.0, 1.0},
+               SimulationConfig{}, true)
+          .series[0];
   ASSERT_EQ(predicted.size(), 20u);
   for (double p : predicted) EXPECT_DOUBLE_EQ(p, 5.0);
 }
@@ -313,7 +316,9 @@ TEST(SimulateTest, ConstantGrowthMatchesAnalyticEuler) {
   SimulationConfig config;
   config.substeps = 2;
   const auto predicted =
-      SimulateBPhy(equations, params, dataset, 0, 10, 5.0, 1.0, config, true);
+      Simulate(equations, params, dataset, 0, 10,
+               ConstituentSet::LegacyPlankton(), {5.0, 1.0}, config, true)
+          .series[0];
   for (std::size_t t = 0; t < predicted.size(); ++t) {
     EXPECT_NEAR(predicted[t], 5.0 + static_cast<double>(t + 1), 1e-9);
   }
@@ -326,8 +331,10 @@ TEST(SimulateTest, StateIsClampedOnDivergence) {
       e::Mul(e::Variable(kBPhy, "B"), e::Constant(10.0)), e::Constant(0.0)};
   const std::vector<double> params(kNumParameters, 0.0);
   SimulationConfig config;
-  const auto predicted = SimulateBPhy(equations, params, dataset, 0, 15, 5.0,
-                                      1.0, config, true);
+  const auto predicted =
+      Simulate(equations, params, dataset, 0, 15,
+               ConstituentSet::LegacyPlankton(), {5.0, 1.0}, config, true)
+          .series[0];
   for (double p : predicted) {
     EXPECT_TRUE(std::isfinite(p));
     EXPECT_LE(p, config.state_max);
@@ -349,10 +356,13 @@ TEST(SimulateTest, Rk4MatchesExponentialDecayClosely) {
   SimulationConfig rk4;
   rk4.method = IntegrationMethod::kRk4;
   rk4.substeps = 1;
-  const auto pe = SimulateBPhy(equations, params, dataset, 0, 30, 5.0, 1.0,
-                               euler, true);
-  const auto pr = SimulateBPhy(equations, params, dataset, 0, 30, 5.0, 1.0,
-                               rk4, true);
+  const ConstituentSet plankton = ConstituentSet::LegacyPlankton();
+  const auto pe = Simulate(equations, params, dataset, 0, 30, plankton,
+                           {5.0, 1.0}, euler, true)
+                      .series[0];
+  const auto pr = Simulate(equations, params, dataset, 0, 30, plankton,
+                           {5.0, 1.0}, rk4, true)
+                      .series[0];
   double euler_err = 0.0;
   double rk4_err = 0.0;
   for (std::size_t t = 0; t < 30; ++t) {
@@ -374,10 +384,13 @@ TEST(SimulateTest, Rk4AgreesWithEulerOnLinearDynamics) {
   SimulationConfig euler;
   SimulationConfig rk4;
   rk4.method = IntegrationMethod::kRk4;
-  const auto a = SimulateBPhy(equations, params, dataset, 0, 10, 5.0, 1.0,
-                              euler, true);
-  const auto b = SimulateBPhy(equations, params, dataset, 0, 10, 5.0, 1.0,
-                              rk4, true);
+  const ConstituentSet plankton = ConstituentSet::LegacyPlankton();
+  const auto a = Simulate(equations, params, dataset, 0, 10, plankton,
+                          {5.0, 1.0}, euler, true)
+                     .series[0];
+  const auto b = Simulate(equations, params, dataset, 0, 10, plankton,
+                          {5.0, 1.0}, rk4, true)
+                     .series[0];
   for (std::size_t t = 0; t < 10; ++t) EXPECT_NEAR(a[t], b[t], 1e-12);
 }
 
@@ -385,10 +398,13 @@ TEST(SimulateTest, InterpretedAndCompiledBackendsAgree) {
   const RiverDataset dataset = TinyDataset(30);
   const auto equations = ManualProcess();
   const auto params = gp::PriorMeans(RiverParameterPriors());
-  const auto a = SimulateBPhy(equations, params, dataset, 0, 30, 5.0, 1.0,
-                              SimulationConfig{}, true);
-  const auto b = SimulateBPhy(equations, params, dataset, 0, 30, 5.0, 1.0,
-                              SimulationConfig{}, false);
+  const ConstituentSet plankton = ConstituentSet::LegacyPlankton();
+  const auto a = Simulate(equations, params, dataset, 0, 30, plankton,
+                          {5.0, 1.0}, SimulationConfig{}, true)
+                     .series[0];
+  const auto b = Simulate(equations, params, dataset, 0, 30, plankton,
+                          {5.0, 1.0}, SimulationConfig{}, false)
+                     .series[0];
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t t = 0; t < a.size(); ++t) EXPECT_DOUBLE_EQ(a[t], b[t]);
 }
@@ -405,8 +421,10 @@ TEST(RiverFitnessTest, RunningRmseMatchesBatchSimulation) {
   EXPECT_EQ(eval->steps_taken(), dataset.train_end);
 
   const auto predicted =
-      SimulateBPhy(equations, params, dataset, 0, dataset.train_end, 5.0,
-                   1.0, SimulationConfig{}, true);
+      Simulate(equations, params, dataset, 0, dataset.train_end,
+               ConstituentSet::LegacyPlankton(), {5.0, 1.0},
+               SimulationConfig{}, true)
+          .series[0];
   const std::vector<double> observed(
       dataset.observed_bphy.begin(),
       dataset.observed_bphy.begin() +

@@ -1,8 +1,9 @@
 // Multi-constituent transport tests (ctest labels `transport` + `prop`):
 // the constituent registry's typed validation, the legacy two-species
-// preset's 0-ULP differential oracle against the deprecated B_Phy entry
-// points (interpreter / VM / batch backends), batch-vs-scalar agreement at
-// five species, channel mass conservation under both advection schemes
+// preset's 0-ULP differential oracle (training fitness vs rollout, batch
+// lanes vs scalar rollouts), batch-vs-scalar agreement at five species,
+// compiled-vs-interpreted RK4 trajectories, channel mass conservation
+// under both advection schemes
 // (including watchdog aborts), and a small end-to-end GMR revision of the
 // five-species scenario with a checkpoint/resume round trip.
 
@@ -235,7 +236,10 @@ TEST(ConstituentSetTest, LegacyPlanktonPinsHistoricalLayout) {
 
 // ----------------------------------- legacy 0-ULP differential oracle ----
 
-TEST(LegacyPresetTest, SimulateMatchesDeprecatedBPhyEntryPoint) {
+TEST(LegacyPresetTest, TrainingFitnessMatchesSimulateBitwise) {
+  // RiverFitness::ForTraining builds the legacy preset from the dataset's
+  // initial states; its running RMSE must be the RMSE of the generic
+  // rollout's B_Phy series, bit for bit, on both evaluation paths.
   const RiverDataset dataset = SmallDataset();
   const auto equations = ManualProcess();
   const auto parameters = gp::PriorMeans(RiverParameterPriors());
@@ -244,32 +248,27 @@ TEST(LegacyPresetTest, SimulateMatchesDeprecatedBPhyEntryPoint) {
       dataset.test_initial_bzoo);
   const std::vector<double> initial = {dataset.initial_bphy,
                                        dataset.initial_bzoo};
-
-  struct Backend {
-    const char* name;
-    bool compiled;
-    CompiledBackend backend;
-  };
-  const Backend backends[] = {
-      {"interpreter", false, CompiledBackend::kBytecodeVm},
-      {"bytecode-vm", true, CompiledBackend::kBytecodeVm},
-      {"batch-vm", true, CompiledBackend::kBatchVm},
-  };
-  for (const Backend& b : backends) {
-    SimulationConfig config;
-    config.compiled_backend = b.backend;
-    const std::vector<double> deprecated = SimulateBPhy(
-        equations, parameters, dataset, 0, dataset.train_end,
-        dataset.initial_bphy, dataset.initial_bzoo, config, b.compiled);
-    const SimulationTrajectory generic =
+  const RiverFitness fitness = RiverFitness::ForTraining(&dataset);
+  for (const bool compiled : {false, true}) {
+    const SimulationTrajectory rollout =
         Simulate(equations, parameters, dataset, 0, dataset.train_end, legacy,
-                 initial, config, b.compiled);
-    ASSERT_EQ(generic.series.size(), 2u);
-    ExpectBitIdentical(deprecated, generic.series[0], b.name);
+                 initial, SimulationConfig{}, compiled);
+    ASSERT_EQ(rollout.series.size(), 2u);
+    double sse = 0.0;
+    for (std::size_t t = 0; t < dataset.train_end; ++t) {
+      const double error = rollout.series[0][t] - dataset.observed_bphy[t];
+      sse += error * error;
+    }
+    auto eval = fitness.Begin(equations, parameters, compiled);
+    while (eval->Step()) {
+    }
+    EXPECT_EQ(Bits(eval->CurrentFitness()),
+              Bits(std::sqrt(sse / static_cast<double>(dataset.train_end))))
+        << (compiled ? "compiled" : "interpreted");
   }
 }
 
-TEST(LegacyPresetTest, BatchSimulateMatchesDeprecatedBPhyEntryPoint) {
+TEST(LegacyPresetTest, BatchSimulateMatchesScalarLaneByLane) {
   const RiverDataset dataset = SmallDataset();
   const auto equations = ManualProcess();
   const auto means = gp::PriorMeans(RiverParameterPriors());
@@ -280,19 +279,19 @@ TEST(LegacyPresetTest, BatchSimulateMatchesDeprecatedBPhyEntryPoint) {
   const ConstituentSet legacy = ConstituentSet::LegacyPlankton(
       dataset.initial_bphy, dataset.initial_bzoo, dataset.test_initial_bphy,
       dataset.test_initial_bzoo);
-  SimulationConfig config;
-  config.compiled_backend = CompiledBackend::kBatchVm;
-  const BatchSimulationResult deprecated =
-      BatchSimulateBPhy(equations, lanes, dataset, 0, dataset.train_end,
-                        dataset.initial_bphy, dataset.initial_bzoo, config);
-  const BatchSimulationResult generic = BatchSimulate(
-      equations, lanes, dataset, 0, dataset.train_end, legacy,
-      {dataset.initial_bphy, dataset.initial_bzoo}, config);
-  EXPECT_EQ(deprecated.num_species, 2u);
-  EXPECT_EQ(generic.num_species, 2u);
-  ASSERT_EQ(deprecated.predicted.size(), generic.predicted.size());
+  const std::vector<double> initial = {dataset.initial_bphy,
+                                       dataset.initial_bzoo};
+  const SimulationConfig config;
+  const BatchSimulationResult batch =
+      BatchSimulate(equations, lanes, dataset, 0, dataset.train_end, legacy,
+                    initial, config);
+  EXPECT_EQ(batch.num_species, 2u);
+  ASSERT_EQ(batch.predicted.size(), lanes.size());
   for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-    ExpectBitIdentical(deprecated.predicted[lane], generic.predicted[lane],
+    const SimulationTrajectory scalar =
+        Simulate(equations, lanes[lane], dataset, 0, dataset.train_end,
+                 legacy, initial, config, /*compiled=*/true);
+    ExpectBitIdentical(batch.predicted[lane], scalar.series[0],
                        "batch lane");
   }
 }
@@ -329,7 +328,6 @@ TEST(TransportSimulateTest, BatchMatchesScalarAtFiveSpecies) {
 
   SimulationConfig config;
   config.num_species = 5;
-  config.compiled_backend = CompiledBackend::kBatchVm;
   const std::vector<double> initial = scenario.constituents.InitialStates();
   const BatchSimulationResult batch = BatchSimulate(
       equations, lanes, scenario.dataset, 0, scenario.dataset.train_end,
@@ -364,7 +362,8 @@ void ExpectSameReport(const SimulationReport& a, const SimulationReport& b,
 TEST(TransportSimulateTest, CompiledMatchesInterpreterBitwiseUnderRk4) {
   // The 5-species RK4 registry, once with the expert process and once with
   // a candidate whose nitrate process saturates the clamp until the
-  // watchdog aborts: every compiled backend must reproduce the
+  // watchdog aborts: both VMs — the scalar rollout's system program and a
+  // one-lane batched rollout's batch program — must reproduce the
   // interpreter's trajectory bits and its SimulationReport exactly.
   const TransportScenario scenario = SmallScenario(5);
   std::vector<e::ExprPtr> expert = TransportProcess(scenario.constituents);
@@ -374,6 +373,8 @@ TEST(TransportSimulateTest, CompiledMatchesInterpreterBitwiseUnderRk4) {
   config.num_species = 5;
   config.method = IntegrationMethod::kRk4;
   const std::vector<double> initial = scenario.constituents.InitialStates();
+  const std::size_t primary =
+      static_cast<std::size_t>(scenario.constituents.PrimaryObserved());
 
   bool saw_abort = false;
   for (const std::vector<e::ExprPtr>* equations : {&expert, &divergent}) {
@@ -383,24 +384,23 @@ TEST(TransportSimulateTest, CompiledMatchesInterpreterBitwiseUnderRk4) {
         scenario.dataset.train_end, scenario.constituents, initial, config,
         /*compiled=*/false, &want_report);
     saw_abort = saw_abort || want_report.aborted;
-    for (const CompiledBackend backend :
-         {CompiledBackend::kBytecodeVm, CompiledBackend::kBatchVm}) {
-      SimulationConfig compiled_config = config;
-      compiled_config.compiled_backend = backend;
-      SimulationReport got_report;
-      const SimulationTrajectory got = Simulate(
-          *equations, scenario.true_parameters, scenario.dataset, 0,
-          scenario.dataset.train_end, scenario.constituents, initial,
-          compiled_config, /*compiled=*/true, &got_report);
-      const char* what = backend == CompiledBackend::kBytecodeVm
-                             ? "bytecode-vm"
-                             : "batch-vm";
-      ASSERT_EQ(got.series.size(), want.series.size()) << what;
-      for (std::size_t s = 0; s < want.series.size(); ++s) {
-        ExpectBitIdentical(want.series[s], got.series[s], what);
-      }
-      ExpectSameReport(want_report, got_report, what);
+
+    SimulationReport got_report;
+    const SimulationTrajectory got = Simulate(
+        *equations, scenario.true_parameters, scenario.dataset, 0,
+        scenario.dataset.train_end, scenario.constituents, initial, config,
+        /*compiled=*/true, &got_report);
+    ASSERT_EQ(got.series.size(), want.series.size());
+    for (std::size_t s = 0; s < want.series.size(); ++s) {
+      ExpectBitIdentical(want.series[s], got.series[s], "bytecode-vm");
     }
+    ExpectSameReport(want_report, got_report, "bytecode-vm");
+
+    const BatchSimulationResult lane = BatchSimulate(
+        *equations, {scenario.true_parameters}, scenario.dataset, 0,
+        scenario.dataset.train_end, scenario.constituents, initial, config);
+    ExpectBitIdentical(want.series[primary], lane.predicted[0], "batch-vm");
+    ExpectSameReport(want_report, lane.reports[0], "batch-vm");
   }
   EXPECT_TRUE(saw_abort) << "the divergent candidate must trip a watchdog";
 }
