@@ -60,7 +60,8 @@ OracleResult CheckVmAgrees(const ExprCase& c, const OracleContext& ctx);
 /// of its pointer-shared operand subtrees, and fresh trees from the case
 /// seed) compiled into one register program must agree bitwise (0 ULP;
 /// both-NaN counts as agreement) with EvalExpr root by root on every
-/// sampled context — the shape ProcessRunner runs once per derivative call.
+/// sampled context — the shape the width-1 DerivativeRunner runs once per
+/// derivative call.
 OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx);
 
 /// Simplify-then-VM vs tree interpreter. Compared bitwise when both sides

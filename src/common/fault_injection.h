@@ -14,7 +14,7 @@
 ///   GMR_FAULT=batch_compile:always
 ///   GMR_FAULT=derivative_nan:first:4,pool_task:prob:0.25:42
 ///
-/// Points: `derivative_nan` (ProcessRunner::Derivatives returns NaN),
+/// Points: `derivative_nan` (DerivativeRunner::Derivatives returns NaN),
 /// `pool_task` (a ThreadPool task throws std::runtime_error),
 /// `batch_compile` (BatchJitSession::CompileBatch reports a failed
 /// generation TU; every affected equation degrades to the VM program),

@@ -1,5 +1,6 @@
 #include "grad/adjoint.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -9,6 +10,7 @@
 #include "common/check.h"
 #include "expr/eval.h"
 #include "grad/tape.h"
+#include "river/stepper.h"
 #include "river/variables.h"
 
 namespace gmr::grad {
@@ -94,19 +96,12 @@ analysis::DomainEnv RolloutEnv(const std::vector<double>& parameters,
   return env;
 }
 
-/// Per-stage forward record of one substep: the variable vector the
-/// equations saw, every tape's value buffer (concatenated at per-equation
-/// offsets), and the resulting slopes.
-struct StageRecord {
-  std::vector<double> vars;
-  std::vector<double> values;
-  std::vector<double> k;
-};
-
+/// Forward record of one replayed substep: the raw (pre-clamp) end state,
+/// and per stage every tape's value buffer, concatenated at per-equation
+/// offsets.
 struct SubstepRecord {
-  std::vector<double> begin_state;
   std::vector<double> raw;
-  std::vector<StageRecord> stages;
+  std::vector<std::vector<double>> stage_values;
 };
 
 }  // namespace
@@ -178,22 +173,22 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
     return result;
   }
 
+  // The replay steps through the rollout's own lane stepper, with the
+  // tapes as derivative source. The forward watchdogs never tripped on the
+  // replayed days, so the replay runs with them disabled.
+  river::SimulationConfig replay_config = config;
+  replay_config.max_nonfinite_derivatives = 0;
+  replay_config.max_saturated_substeps = 0;
+  replay_config.substep_budget = 0;
+  river::LaneStepper<1> replay(initial_state, /*width=*/1, replay_config);
+  const std::size_t num_stages = replay.NumStages();
   const int substeps = config.substeps;
-  const double dt = 1.0 / static_cast<double>(substeps);
-  const bool rk4 = config.method == river::IntegrationMethod::kRk4;
-  const std::size_t num_stages = rk4 ? 4 : 1;
-  const double stage_offsets[4] = {0.0, 0.5, 0.5, 1.0};
 
   std::vector<SubstepRecord> records(static_cast<std::size_t>(substeps));
   for (SubstepRecord& record : records) {
-    record.begin_state.assign(num_species, 0.0);
     record.raw.assign(num_species, 0.0);
-    record.stages.resize(num_stages);
-    for (StageRecord& stage : record.stages) {
-      stage.vars.assign(num_variables, 0.0);
-      stage.values.assign(total_nodes, 0.0);
-      stage.k.assign(num_species, 0.0);
-    }
+    record.stage_values.assign(num_stages,
+                               std::vector<double>(total_nodes, 0.0));
   }
 
   std::vector<double> lambda(num_species, 0.0);   // dSSE/d(end-of-day state)
@@ -201,10 +196,13 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
   std::vector<double> lambda_raw(num_species, 0.0);
   std::vector<double> lambda_next(num_species, 0.0);
   std::vector<double> stage_adjoint(num_species, 0.0);
-  std::vector<double> gk(4 * num_species, 0.0);
+  std::vector<double> gk(num_stages * num_species, 0.0);
   std::vector<double> cotangents(max_tape, 0.0);
-  std::vector<double> state(num_species, 0.0);
 
+  expr::EvalContext ctx;
+  ctx.num_variables = num_variables;
+  ctx.parameters = parameters.data();
+  ctx.num_parameters = parameters.size();
   for (std::size_t d = good_days; d-- > 0;) {
     // Seed with this day's residuals: d(SSE)/d(prediction) = 2 * error.
     for (const river::ObservationBinding& binding : bindings) {
@@ -214,58 +212,25 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
       lambda[binding.species] += 2.0 * error;
     }
     // Recompute the day's substeps from the begin-of-day checkpoint,
-    // recording every stage context and tape value buffer. This replays
-    // the integrator's exact arithmetic (same kernels, same operation
-    // order), so the committed states match the forward sweep bitwise.
+    // recording every stage's tape values and every raw state.
     for (std::size_t s = 0; s < num_species; ++s) {
-      state[s] = d == 0 ? river::ClampState(initial_state[s], config)
-                        : trajectory.series[s][d - 1];
+      replay.state(s, 0) = d == 0 ? river::ClampState(initial_state[s], config)
+                                  : trajectory.series[s][d - 1];
     }
-    for (int step = 0; step < substeps; ++step) {
-      SubstepRecord& record = records[static_cast<std::size_t>(step)];
-      record.begin_state = state;
-      for (std::size_t stage = 0; stage < num_stages; ++stage) {
-        StageRecord& sr = record.stages[stage];
-        const double o = rk4 ? stage_offsets[stage] : 0.0;
-        const std::vector<double>& k_prev =
-            stage == 0 ? sr.k : record.stages[stage - 1].k;
-        for (std::size_t s = 0; s < num_species; ++s) {
-          sr.vars[s] = o == 0.0 ? state[s] : state[s] + o * dt * k_prev[s];
-        }
-        for (int k = 0; k < river::kNumDriverVariables; ++k) {
-          sr.vars[num_species + static_cast<std::size_t>(k)] =
-              dataset.drivers[static_cast<std::size_t>(river::kVlgt + k)]
-                             [t_begin + d];
-        }
-        expr::EvalContext ctx;
-        ctx.variables = sr.vars.data();
-        ctx.num_variables = num_variables;
-        ctx.parameters = parameters.data();
-        ctx.num_parameters = parameters.size();
-        for (std::size_t e = 0; e < tapes.size(); ++e) {
-          sr.k[e] = tapes[e].Forward(ctx, sr.values.data() + offsets[e]);
-        }
-      }
-      if (rk4) {
-        for (std::size_t s = 0; s < num_species; ++s) {
-          record.raw[s] =
-              state[s] + dt / 6.0 *
-                             (record.stages[0].k[s] +
-                              2.0 * record.stages[1].k[s] +
-                              2.0 * record.stages[2].k[s] +
-                              record.stages[3].k[s]);
-        }
-      } else {
-        for (std::size_t s = 0; s < num_species; ++s) {
-          record.raw[s] = state[s] + dt * record.stages[0].k[s];
-        }
-      }
-      for (std::size_t s = 0; s < num_species; ++s) {
-        state[s] = river::ClampState(record.raw[s], config);
-      }
+    replay.LoadDrivers(dataset, t_begin + d);
+    for (SubstepRecord& record : records) {
+      replay.Substep(
+          [&](std::size_t stage, const double* variables, double* slopes) {
+            ctx.variables = variables;
+            double* values = record.stage_values[stage].data();
+            for (std::size_t e = 0; e < tapes.size(); ++e) {
+              slopes[e] = tapes[e].Forward(ctx, values + offsets[e]);
+            }
+          },
+          [&](std::size_t species, double raw) { record.raw[species] = raw; });
     }
-    // Reverse the substeps: through the commit clamp, the RK4 stage
-    // chain, and each equation's tape.
+    // Reverse the substeps: through the commit clamp, the stage chain, and
+    // each equation's tape.
     for (int step = substeps; step-- > 0;) {
       const SubstepRecord& record = records[static_cast<std::size_t>(step)];
       for (std::size_t s = 0; s < num_species; ++s) {
@@ -273,38 +238,32 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
             river::ClampPassesThrough(record.raw[s], config) ? lambda[s] : 0.0;
         lambda_next[s] = lambda_raw[s];  // raw = state + ... (identity term)
       }
-      if (rk4) {
+      for (std::size_t stage = 0; stage < num_stages; ++stage) {
+        const double weight = replay.StageWeight(stage);
         for (std::size_t s = 0; s < num_species; ++s) {
-          gk[0 * num_species + s] = lambda_raw[s] * (dt / 6.0);
-          gk[1 * num_species + s] = lambda_raw[s] * (dt / 3.0);
-          gk[2 * num_species + s] = lambda_raw[s] * (dt / 3.0);
-          gk[3 * num_species + s] = lambda_raw[s] * (dt / 6.0);
-        }
-      } else {
-        for (std::size_t s = 0; s < num_species; ++s) {
-          gk[s] = lambda_raw[s] * dt;
+          gk[stage * num_species + s] = lambda_raw[s] * weight;
         }
       }
       for (std::size_t stage = num_stages; stage-- > 0;) {
-        const StageRecord& sr = record.stages[stage];
+        const std::vector<double>& values = record.stage_values[stage];
         std::fill(stage_adjoint.begin(), stage_adjoint.end(), 0.0);
         for (std::size_t e = 0; e < tapes.size(); ++e) {
           const double seed = gk[stage * num_species + e];
           if (seed == 0.0) continue;
-          tapes[e].Reverse(sr.values.data() + offsets[e], seed,
+          tapes[e].Reverse(values.data() + offsets[e], seed,
                            param_adjoint.data(), stage_adjoint.data(),
                            cotangents.data());
         }
-        // Stage input x = state + o * dt * k_prev: the identity part feeds
-        // the substep's state cotangent, the k_prev part the previous
+        // Stage input x = state + StageShift * k_prev: the identity part
+        // feeds the substep's state cotangent, the k_prev part the previous
         // stage's slope cotangent.
         for (std::size_t s = 0; s < num_species; ++s) {
           lambda_next[s] += stage_adjoint[s];
         }
         if (stage > 0) {
-          const double o = stage_offsets[stage];
+          const double shift = replay.StageShift(stage);
           for (std::size_t s = 0; s < num_species; ++s) {
-            gk[(stage - 1) * num_species + s] += o * dt * stage_adjoint[s];
+            gk[(stage - 1) * num_species + s] += shift * stage_adjoint[s];
           }
         }
       }

@@ -12,7 +12,7 @@
 #include "river/simulate.h"
 
 /// Discrete adjoint of the river rollout: exact ∂RMSE/∂θ through the Euler
-/// and RK4 integrators of river/simulate.cc, differentiating the code that
+/// and RK4 stepper of river/stepper.h, differentiating the code that
 /// actually runs — state clamps, watchdog aborts, protected kernels — not
 /// the idealized ODE. See DESIGN.md §4l.
 namespace gmr::grad {
@@ -42,8 +42,9 @@ struct GradientResult {
 /// the parameter vector, for an arbitrary ConstituentSet registry.
 ///
 /// Forward sweep: the compiled rollout on the bytecode VM, checkpointing
-/// each begin-of-day state. Reverse sweep: days in reverse order, recomputing the day's
-/// substeps (and RK4 stage evaluations) from the checkpoint, then
+/// each begin-of-day state. Reverse sweep: days in reverse order,
+/// recomputing the day's substeps from the checkpoint with the rollout's
+/// own stepper (river/stepper.h) over the tapes, then
 /// propagating the state cotangent λ backwards — through the commit clamp
 /// (cotangent dropped exactly where the clamp pinned the state), each RK4
 /// stage in reverse, and each equation's tape. Watchdog-aware: days at or

@@ -31,6 +31,8 @@ const char* ConfigErrorCodeName(ConfigErrorCode code) {
       return "bad_state_bounds";
     case ConfigErrorCode::kNegativeWatchdogLimit:
       return "negative_watchdog_limit";
+    case ConfigErrorCode::kBadChannelConfig:
+      return "bad_channel_config";
   }
   return "unknown";
 }

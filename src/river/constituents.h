@@ -26,6 +26,8 @@ enum class ConfigErrorCode : int {
   kBadSubsteps,           ///< config.substeps < 1.
   kBadStateBounds,        ///< Non-finite or inverted state_min/state_max.
   kNegativeWatchdogLimit, ///< A watchdog limit below 0 (0 disables).
+  kBadChannelConfig,      ///< Channel geometry out of range, or a method
+                          ///< the channel cannot step (RK4).
 };
 
 const char* ConfigErrorCodeName(ConfigErrorCode code);

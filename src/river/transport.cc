@@ -1,12 +1,11 @@
 #include "river/transport.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "common/check.h"
-#include "common/fault_injection.h"
-#include "expr/batch_vm.h"
+#include "river/stepper.h"
 #include "river/variables.h"
 
 namespace gmr::river {
@@ -22,17 +21,25 @@ const char* AdvectionSchemeName(AdvectionScheme scheme) {
 }
 
 ConfigError ValidateChannel(const ChannelConfig& channel,
-                            const ConstituentSet& constituents) {
+                            const ConstituentSet& constituents,
+                            const SimulationConfig& config) {
   if (channel.num_cells < 1) {
-    return ConfigError::Error(ConfigErrorCode::kSpeciesCountMismatch,
+    return ConfigError::Error(ConfigErrorCode::kBadChannelConfig,
                               "channel needs at least one cell");
   }
-  if (!(channel.dx > 0.0) || !(channel.velocity >= 0.0) ||
-      !(channel.dispersion >= 0.0)) {
+  if (!(channel.dx > 0.0) || !std::isfinite(channel.dx) ||
+      !(channel.velocity >= 0.0) || !std::isfinite(channel.velocity) ||
+      !(channel.dispersion >= 0.0) || !std::isfinite(channel.dispersion)) {
     return ConfigError::Error(
-        ConfigErrorCode::kBadInitialState,
-        "channel geometry must satisfy dx > 0, velocity >= 0, "
+        ConfigErrorCode::kBadChannelConfig,
+        "channel geometry must be finite with dx > 0, velocity >= 0, "
         "dispersion >= 0");
+  }
+  if (config.method != IntegrationMethod::kEuler) {
+    return ConfigError::Error(
+        ConfigErrorCode::kBadChannelConfig,
+        "the channel steps forward Euler only: its mass budget telescopes "
+        "per Euler substep");
   }
   if (!channel.inflow.empty() &&
       channel.inflow.size() != constituents.size()) {
@@ -41,6 +48,12 @@ ConfigError ValidateChannel(const ChannelConfig& channel,
         "channel inflow declares " + std::to_string(channel.inflow.size()) +
             " species but constituent set '" + constituents.preset() +
             "' declares " + std::to_string(constituents.size()));
+  }
+  for (const double c : channel.inflow) {
+    if (!std::isfinite(c)) {
+      return ConfigError::Error(ConfigErrorCode::kBadInitialState,
+                                "channel inflow must be finite");
+    }
   }
   return ConfigError::Ok();
 }
@@ -76,7 +89,7 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
   GMR_CHECK_LE(t_begin, t_end);
   ConfigError err = ValidateSimulation(config, constituents, equations.size());
   GMR_CHECK_MSG(err.ok(), err.message.c_str());
-  err = ValidateChannel(channel, constituents);
+  err = ValidateChannel(channel, constituents, config);
   GMR_CHECK_MSG(err.ok(), err.message.c_str());
 
   const std::size_t num_species = constituents.size();
@@ -104,81 +117,43 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
   }
 
   // Candidate processes run in every cell at once: cells are the lanes of
-  // the batched expression backend, vars_[slot * width + cell].
-  const expr::BatchProgram program = expr::CompileBatch(
-      equations, expr::TapeLayout{num_variables, parameters.size()});
+  // the derivative runner, vars[slot * width + cell].
   std::vector<double> params(parameters.size() * width);
   for (std::size_t s = 0; s < parameters.size(); ++s) {
-    for (std::size_t l = 0; l < width; ++l) {
-      params[s * width + l] = parameters[s];
-    }
+    std::fill_n(&params[s * width], width, parameters[s]);
   }
+  const DerivativeRunner<kDynamicWidth> runner(
+      equations, params.data(), parameters.size(), num_variables, width,
+      /*compiled=*/true, config);
   std::vector<double> vars(num_variables * width, 0.0);
   std::vector<double> reaction(num_species * width, 0.0);
   std::vector<double> flux(static_cast<std::size_t>(n) + 1, 0.0);
 
-  SimulationReport& report = result.report;
-  bool aborted = false;
-  std::size_t consecutive_saturated = 0;
+  // The reach is one watchdog lane: it aborts as a unit.
+  LaneWatchdog watchdog;
   const double dt = 1.0 / static_cast<double>(config.substeps);
   const double u = channel.velocity;
   const double diff = channel.dispersion;
 
-  auto abort_with = [&](EvalOutcome outcome) {
-    aborted = true;
-    report.aborted = true;
-    report.outcome = outcome;
-    report.days_before_abort = report.days_simulated - 1;
-  };
-
-  for (std::size_t t = t_begin; t < t_end && !aborted; ++t) {
-    ++report.days_simulated;
-    for (int k = 0; k < kNumDriverVariables; ++k) {
-      const double v = dataset.drivers[static_cast<std::size_t>(kVlgt + k)][t];
-      double* row = &vars[(num_species + static_cast<std::size_t>(k)) * width];
-      for (std::size_t l = 0; l < width; ++l) row[l] = v;
+  for (std::size_t t = t_begin; t < t_end; ++t) {
+    watchdog.BeginDay();
+    if (!watchdog.aborted()) {
+      BroadcastDrivers(dataset, t, num_species, width, vars.data());
     }
-    for (int step = 0; step < config.substeps && !aborted; ++step) {
-      if (config.substep_budget > 0 &&
-          report.substeps_used >= config.substep_budget) {
-        abort_with(EvalOutcome::kBudgetExceeded);
-        break;
-      }
-      ++report.substeps_used;
+    for (int step = 0; step < config.substeps; ++step) {
+      if (watchdog.aborted() || !watchdog.ChargeSubstep(config)) break;
       // Reaction: evaluate every process in every cell.
-      for (std::size_t s = 0; s < num_species; ++s) {
-        double* row = &vars[s * width];
-        const double* state = cells.row(s);
-        for (std::size_t l = 0; l < width; ++l) row[l] = state[l];
-      }
-      if (FaultInjected(FaultPoint::kDerivativeNan)) {
-        for (double& r : reaction) r = std::numeric_limits<double>::quiet_NaN();
-      } else {
-        expr::BatchEvalContext ctx;
-        ctx.variables = vars.data();
-        ctx.num_variables = num_variables;
-        ctx.parameters = params.data();
-        ctx.num_parameters = parameters.size();
-        ctx.width = width;
-        program.RunLanes(ctx, reaction.data());
-      }
+      std::copy_n(cells.row(0), num_species * width, vars.data());
+      runner.Derivatives(vars.data(), reaction.data());
       bool all_finite = true;
       for (const double r : reaction) {
         all_finite = all_finite && std::isfinite(r);
       }
-      if (!all_finite) {
-        ++report.nonfinite_derivatives;
-        if (config.max_nonfinite_derivatives > 0 &&
-            report.nonfinite_derivatives >=
-                static_cast<std::size_t>(config.max_nonfinite_derivatives)) {
-          abort_with(EvalOutcome::kNonFiniteDerivative);
-          break;
-        }
-        // Skip the commit. The station integrator commits the clamped
-        // state here, but a NaN raw state would make clamp_correction NaN
-        // and break the mass-budget identity.
-        continue;
-      }
+      watchdog.NoteDerivatives(all_finite, config);
+      // Skip the commit. The station stepper commits the clamped state
+      // here, but a NaN raw state would make clamp_correction NaN and break
+      // the mass-budget identity.
+      if (!all_finite) continue;
       bool saturated = false;
       for (std::size_t s = 0; s < num_species; ++s) {
         double* c = cells.row(s);
@@ -211,30 +186,18 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
           c[i] = clamped;
         }
       }
-      if (saturated) {
-        ++report.clamp_saturations;
-        ++consecutive_saturated;
-        if (config.max_saturated_substeps > 0 &&
-            consecutive_saturated >=
-                static_cast<std::size_t>(config.max_saturated_substeps)) {
-          abort_with(EvalOutcome::kClampSaturated);
-        }
-      } else {
-        consecutive_saturated = 0;
-      }
+      watchdog.NoteCommit(saturated, config);
     }
-    if (aborted) break;
+    // Outlet samples after an abort predict the penalty value, the same
+    // containment contract as the station rollouts.
     for (std::size_t s = 0; s < num_species; ++s) {
-      result.outlet[s].push_back(cells.at(s, width - 1));
+      result.outlet[s].push_back(watchdog.aborted()
+                                     ? config.state_max
+                                     : cells.at(s, width - 1));
     }
   }
-  if (!aborted) report.days_before_abort = report.days_simulated;
-  // Remaining outlet samples after an abort predict the penalty value, the
-  // same containment contract as the station rollouts.
+  watchdog.FillReport(runner.jit_fallback(), &result.report);
   for (std::size_t s = 0; s < num_species; ++s) {
-    while (result.outlet[s].size() < t_end - t_begin) {
-      result.outlet[s].push_back(config.state_max);
-    }
     double total = 0.0;
     const double* c = cells.row(s);
     for (std::size_t l = 0; l < width; ++l) total += c[l] * channel.dx;

@@ -86,18 +86,21 @@ struct ChannelResult {
   /// substep — state and budget move in lockstep, so the identity stays
   /// exact even when a watchdog aborts the reach mid-day.
   std::vector<ChannelMassBudget> budgets;
-  /// Whole-channel containment telemetry (the reach aborts as a unit).
+  /// Whole-channel containment telemetry (the reach aborts as a unit;
+  /// days_simulated counts every day of the window, as for the station
+  /// rollouts).
   SimulationReport report;
 };
 
-/// Integrates the reach over dataset days [t_begin, t_end): per substep an
-/// explicit flux-form advection-diffusion update plus the candidate
-/// source/sink processes evaluated in every cell (cells are lanes of the
-/// batched expression backends — the SoA blocks span species x cells).
-/// Divergence containment matches the station rollouts: the existing
-/// watchdogs (non-finite derivatives, clamp saturation, substep budget)
-/// abort the reach and every remaining outlet sample predicts
-/// config.state_max.
+/// Integrates the reach over dataset days [t_begin, t_end): per forward
+/// Euler substep an explicit flux-form advection-diffusion update plus the
+/// candidate source/sink processes evaluated in every cell (cells are the
+/// lanes of the station rollouts' derivative runner — the SoA blocks span
+/// species x cells — including the kBatchJit symbol override).
+/// Divergence containment matches the station rollouts: the reach is one
+/// lane of the shared watchdog (non-finite derivatives, clamp saturation,
+/// substep budget), and once it aborts every remaining outlet sample
+/// predicts config.state_max.
 ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
                               const std::vector<double>& parameters,
                               const RiverDataset& dataset,
@@ -106,10 +109,15 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
                               const SimulationConfig& config,
                               const ChannelConfig& channel);
 
-/// Validates the channel geometry (cell count, non-negative velocity,
-/// inflow vector length) against the constituent registry.
+/// Validates the channel against the constituent registry and the
+/// simulation config: at least one cell, finite geometry with dx > 0,
+/// velocity >= 0 and dispersion >= 0, and the Euler method (the mass
+/// budget telescopes per Euler substep) — kBadChannelConfig otherwise; an
+/// inflow vector of the registry's length (kSpeciesCountMismatch) with
+/// finite entries (kBadInitialState).
 ConfigError ValidateChannel(const ChannelConfig& channel,
-                            const ConstituentSet& constituents);
+                            const ConstituentSet& constituents,
+                            const SimulationConfig& config);
 
 }  // namespace gmr::river
 

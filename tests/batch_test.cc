@@ -391,6 +391,33 @@ TEST(BatchRolloutTest, SubstepBudgetAbortsPerLane) {
                           30);
 }
 
+TEST(BatchRolloutTest, NonFiniteDerivativeAbortsPerLane) {
+  // p0 = 1e307 on lane 1: the stage-0 slope 5e307 is finite, but the next
+  // evaluation overflows to +inf — under RK4 at stage 1 of the first
+  // substep (input 5 + 0.25 * 5e307), so the lane aborts mid-substep and
+  // must skip the later stages' bookkeeping and the commit; under Euler
+  // one substep later, from the clamped ceiling.
+  auto lanes = MixedLanes(4);
+  lanes[1][0] = 1e307;
+  const std::size_t days = 30;
+  for (const IntegrationMethod method :
+       {IntegrationMethod::kEuler, IntegrationMethod::kRk4}) {
+    SimulationConfig config;
+    config.method = method;
+    config.max_nonfinite_derivatives = 1;
+    config.max_saturated_substeps = 8;
+    ExpectLaneMatchesScalar(ParameterizedEquations(), lanes, config, days);
+    SimulationReport report;
+    Simulate(ParameterizedEquations(), lanes[1], TinyDataset(days), 0, days,
+             ConstituentSet::LegacyPlankton(), {5.0, 1.0}, config,
+             /*compiled=*/true, &report);
+    EXPECT_EQ(report.outcome, EvalOutcome::kNonFiniteDerivative);
+    EXPECT_EQ(report.nonfinite_derivatives, 1u);
+    EXPECT_EQ(report.substeps_used,
+              method == IntegrationMethod::kRk4 ? 1u : 2u);
+  }
+}
+
 TEST(BatchRolloutTest, MaskedLaneIsIsolated) {
   SimulationConfig config;
   config.max_saturated_substeps = 8;

@@ -22,6 +22,8 @@
 #include "core/gmr.h"
 #include "core/transport_grammar.h"
 #include "expr/ast.h"
+#include "expr/batch_jit.h"
+#include "expr/jit.h"
 #include "expr/print.h"
 #include "gp/parameter_prior.h"
 #include "obs/run_context.h"
@@ -451,7 +453,7 @@ TEST(ChannelConservationTest, BothSchemesConserveMass) {
     ChannelConfig channel;
     channel.scheme = scheme;
     channel.num_cells = 6;
-    ASSERT_TRUE(ValidateChannel(channel, scenario.constituents).ok());
+    ASSERT_TRUE(ValidateChannel(channel, scenario.constituents, config).ok());
     // Explicit stepping must be inside the stability region.
     ASSERT_LT(channel.Courant(config.substeps), 1.0);
 
@@ -494,6 +496,10 @@ TEST(ChannelConservationTest, BudgetStaysExactAcrossWatchdogAbort) {
         scenario.constituents, config, channel);
     EXPECT_TRUE(result.report.aborted) << AdvectionSchemeName(scheme);
     EXPECT_EQ(result.report.outcome, EvalOutcome::kClampSaturated);
+    // The station report rule: every day of the window counts, the abort
+    // day is recorded separately.
+    EXPECT_EQ(result.report.days_simulated, 60u);
+    EXPECT_LT(result.report.days_before_abort, 60u);
     ASSERT_EQ(result.budgets.size(), 1u);
     ExpectConserved(result.budgets[0], AdvectionSchemeName(scheme));
     // Post-abort outlet samples deterministically predict the penalty.
@@ -504,18 +510,96 @@ TEST(ChannelConservationTest, BudgetStaysExactAcrossWatchdogAbort) {
 
 TEST(ChannelConservationTest, GeometryValidationIsTyped) {
   const ConstituentSet set = ConstituentSet::Transport(2);
+  const SimulationConfig config;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* what;
+    ChannelConfig channel;
+    ConfigErrorCode code;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](const char* what, ConfigErrorCode code, auto mutate) {
+    Case c{what, ChannelConfig{}, code};
+    mutate(c.channel);
+    cases.push_back(c);
+  };
+  add("default", ConfigErrorCode::kNone, [](ChannelConfig&) {});
+  add("no cells", ConfigErrorCode::kBadChannelConfig,
+      [](ChannelConfig& c) { c.num_cells = 0; });
+  add("zero dx", ConfigErrorCode::kBadChannelConfig,
+      [](ChannelConfig& c) { c.dx = 0.0; });
+  add("infinite dx", ConfigErrorCode::kBadChannelConfig,
+      [&](ChannelConfig& c) { c.dx = inf; });
+  add("NaN dx", ConfigErrorCode::kBadChannelConfig,
+      [&](ChannelConfig& c) { c.dx = nan; });
+  add("negative velocity", ConfigErrorCode::kBadChannelConfig,
+      [](ChannelConfig& c) { c.velocity = -1.0; });
+  add("infinite velocity", ConfigErrorCode::kBadChannelConfig,
+      [&](ChannelConfig& c) { c.velocity = inf; });
+  add("negative dispersion", ConfigErrorCode::kBadChannelConfig,
+      [](ChannelConfig& c) { c.dispersion = -1.0; });
+  add("infinite dispersion", ConfigErrorCode::kBadChannelConfig,
+      [&](ChannelConfig& c) { c.dispersion = inf; });
+  add("short inflow", ConfigErrorCode::kSpeciesCountMismatch,
+      [](ChannelConfig& c) { c.inflow = {1.0}; });
+  add("NaN inflow", ConfigErrorCode::kBadInitialState,
+      [&](ChannelConfig& c) { c.inflow = {1.0, nan}; });
+  add("infinite inflow", ConfigErrorCode::kBadInitialState,
+      [&](ChannelConfig& c) { c.inflow = {inf, 0.5}; });
+  add("finite inflow", ConfigErrorCode::kNone,
+      [](ChannelConfig& c) { c.inflow = {1.0, 0.5}; });
+  for (const Case& c : cases) {
+    EXPECT_EQ(ValidateChannel(c.channel, set, config).code, c.code) << c.what;
+  }
+  EXPECT_STREQ(ConfigErrorCodeName(ConfigErrorCode::kBadChannelConfig),
+               "bad_channel_config");
+}
+
+TEST(ChannelConservationTest, Rk4IsRejectedWithATypedCode) {
+  // The mass budget telescopes per forward Euler substep; the channel
+  // refuses RK4 rather than silently stepping Euler.
+  SimulationConfig config;
+  config.method = IntegrationMethod::kRk4;
+  EXPECT_EQ(ValidateChannel(ChannelConfig{}, ConstituentSet::Transport(2),
+                            config)
+                .code,
+            ConfigErrorCode::kBadChannelConfig);
+}
+
+TEST(ChannelConservationTest, BatchJitChannelMatchesVm) {
+  if (!e::JitAvailable()) GTEST_SKIP() << "no C compiler";
+  const TransportScenario scenario = SmallScenario(2);
+  const auto equations = TransportProcess(scenario.constituents);
+  e::JitCircuitBreaker breaker;
+  e::BatchJitSession session(&breaker);
+  SimulationConfig vm_config;
+  vm_config.num_species = 2;
+  SimulationConfig jit_config = vm_config;
+  jit_config.compiled_backend = CompiledBackend::kBatchJit;
+  jit_config.batch_jit_session = &session;
   ChannelConfig channel;
-  channel.num_cells = 0;
-  EXPECT_FALSE(ValidateChannel(channel, set).ok());
-  channel.num_cells = 4;
-  channel.velocity = -1.0;
-  EXPECT_FALSE(ValidateChannel(channel, set).ok());
-  channel.velocity = 100.0;
-  channel.inflow = {1.0};  // Wrong length for a two-species registry.
-  EXPECT_EQ(ValidateChannel(channel, set).code,
-            ConfigErrorCode::kSpeciesCountMismatch);
-  channel.inflow = {1.0, 0.5};
-  EXPECT_TRUE(ValidateChannel(channel, set).ok());
+  channel.num_cells = 5;
+
+  const ChannelResult vm =
+      SimulateChannel(equations, scenario.true_parameters, scenario.dataset,
+                      0, 60, scenario.constituents, vm_config, channel);
+  const ChannelResult jit =
+      SimulateChannel(equations, scenario.true_parameters, scenario.dataset,
+                      0, 60, scenario.constituents, jit_config, channel);
+  EXPECT_GE(session.stats().tu_compiles, 1u);
+  EXPECT_FALSE(jit.report.jit_fallback);
+  EXPECT_EQ(jit.report.outcome, vm.report.outcome);
+  ASSERT_EQ(jit.outlet.size(), vm.outlet.size());
+  for (std::size_t s = 0; s < vm.outlet.size(); ++s) {
+    ASSERT_EQ(jit.outlet[s].size(), vm.outlet[s].size());
+    for (std::size_t t = 0; t < vm.outlet[s].size(); ++t) {
+      // The batch JIT has a ULP budget against the VM (as for lanes).
+      EXPECT_NEAR(jit.outlet[s][t], vm.outlet[s][t],
+                  1e-9 * std::abs(vm.outlet[s][t]) + 1e-12)
+          << "species " << s << " day " << t;
+    }
+  }
 }
 
 // ------------------------------------------------------- fitness widths ----
