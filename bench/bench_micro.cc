@@ -17,6 +17,7 @@
 #include "gp/operators.h"
 #include "river/biology.h"
 #include "river/chemistry.h"
+#include "river/constituents.h"
 #include "river/network.h"
 #include "river/parameters.h"
 #include "river/simulate.h"
@@ -153,6 +154,33 @@ BENCHMARK(BM_GeneticOperators);
 /// plankton process under Euler (transport:0), or the five-species
 /// transport process under RK4 (transport:1), whose per-day cost is five
 /// equations x four stages x two substeps.
+/// Deterministic kernel operation counts of a station rollout's system
+/// program, from the tape segments under the width-1 runner's layout
+/// (states, then the ten drivers): instructions run once per rollout
+/// (bind), once per day (hold) and once per derivative call (run), and the
+/// instructions a live day executes. The interpreter runs no tape, so only
+/// compiled runs report them.
+void ReportTapeOps(benchmark::State& state,
+                   const std::vector<expr::ExprPtr>& equations,
+                   std::size_t num_parameters,
+                   const river::SimulationConfig& config) {
+  const std::size_t num_states = equations.size();
+  const expr::Tape tape = expr::Flatten(
+      equations,
+      expr::TapeLayout{
+          num_states + static_cast<std::size_t>(river::kNumDriverVariables),
+          num_parameters, num_states});
+  const std::size_t hold = tape.run_begin - tape.hold_begin;
+  const std::size_t run = tape.size() - tape.run_begin;
+  const std::size_t stages =
+      config.method == river::IntegrationMethod::kRk4 ? 4 : 1;
+  state.counters["ops_bind"] = static_cast<double>(tape.hold_begin);
+  state.counters["ops_hold"] = static_cast<double>(hold);
+  state.counters["ops_run"] = static_cast<double>(run);
+  state.counters["ops_per_day"] = static_cast<double>(
+      hold + static_cast<std::size_t>(config.substeps) * stages * run);
+}
+
 void BM_SimulateYear(benchmark::State& state) {
   const bool transport = state.range(0) != 0;
   const bool compiled = state.range(1) != 0;
@@ -165,11 +193,13 @@ void BM_SimulateYear(benchmark::State& state) {
     const auto params = gp::PriorMeans(river::RiverParameterPriors());
     const river::ConstituentSet plankton =
         river::ConstituentSet::LegacyPlankton();
+    const river::SimulationConfig simulation;
     for (auto _ : state) {
-      benchmark::DoNotOptimize(river::Simulate(
-          equations, params, dataset, 0, 365, plankton, {5.0, 1.0},
-          river::SimulationConfig{}, compiled));
+      benchmark::DoNotOptimize(river::Simulate(equations, params, dataset, 0,
+                                               365, plankton, {5.0, 1.0},
+                                               simulation, compiled));
     }
+    if (compiled) ReportTapeOps(state, equations, params.size(), simulation);
     return;
   }
   const river::TransportScenario scenario =
@@ -183,6 +213,10 @@ void BM_SimulateYear(benchmark::State& state) {
     benchmark::DoNotOptimize(river::Simulate(
         equations, scenario.true_parameters, scenario.dataset, 0, 365,
         scenario.constituents, initial, simulation, compiled));
+  }
+  if (compiled) {
+    ReportTapeOps(state, equations, scenario.true_parameters.size(),
+                  simulation);
   }
 }
 BENCHMARK(BM_SimulateYear)

@@ -9,6 +9,7 @@
 #include "baselines/arimax.h"
 #include "baselines/lstm.h"
 #include "calibrate/methods.h"
+#include "common/cli.h"
 #include "gggp/gggp.h"
 #include "river/biology.h"
 #include "river/parameters.h"
@@ -19,14 +20,14 @@ namespace gmr::bench {
 
 BenchOptions BenchOptions::Parse(int argc, char** argv) {
   BenchOptions options;
+  const char* tool = argc > 0 ? argv[0] : "bench";
   if (const char* env = std::getenv("GMR_BENCH_THREADS")) {
-    const int value = std::atoi(env);
-    if (value > 0) options.threads = value;
+    options.threads = ParseUnsignedOrExit(tool, "GMR_BENCH_THREADS", env, 1);
   }
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const int value = std::atoi(argv[++i]);
-      if (value > 0) options.threads = value;
+    if (std::strcmp(argv[i], "--threads") == 0) {
+      const char* value = i + 1 < argc ? argv[++i] : nullptr;
+      options.threads = ParseUnsignedOrExit(tool, "--threads", value, 1);
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       options.trace_path = argv[++i];
     }

@@ -16,7 +16,8 @@ namespace gmr::bench {
 /// Command-line options shared by the bench binaries.
 struct BenchOptions {
   /// Evaluation threads (PE). From `--threads N`, else the
-  /// GMR_BENCH_THREADS environment variable, else 1.
+  /// GMR_BENCH_THREADS environment variable, else 1. A value that is not a
+  /// positive integer exits with status 2.
   int threads = 1;
 
   /// Optional JSONL trace path (`--trace PATH`): benches that drive full

@@ -21,6 +21,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "common/csv.h"
+#include "common/cli.h"
 #include "core/gmr.h"
 #include "core/model_io.h"
 #include "core/revision_report.h"
@@ -48,13 +49,21 @@ int main(int argc, char** argv) {
     }
     ++arg;
   }
-  const int years = argc > arg ? std::atoi(argv[arg]) : 4;
-  const int population = argc > arg + 1 ? std::atoi(argv[arg + 1]) : 200;
-  const int generations = argc > arg + 2 ? std::atoi(argv[arg + 2]) : 100;
-  const int runs = argc > arg + 3 ? std::atoi(argv[arg + 3]) : 3;
-  const std::uint64_t seed =
-      argc > arg + 4 ? static_cast<std::uint64_t>(std::atoll(argv[arg + 4]))
-                     : 7;
+  // Positional count `index` after the flags, or `fallback` when absent;
+  // a value that is not a positive integer exits 2.
+  const auto count = [&](int index, const char* name, int fallback) {
+    return argc > arg + index ? ParseUnsignedOrExit("river_forecast", name,
+                                                    argv[arg + index], 1)
+                              : fallback;
+  };
+  const int years = count(0, "years", 4);
+  const int population = count(1, "population", 200);
+  const int generations = count(2, "generations", 100);
+  const int runs = count(3, "runs", 3);
+  const std::uint64_t seed = argc > arg + 4
+                                 ? ParseUnsignedOrExit<std::uint64_t>(
+                                       "river_forecast", "seed", argv[arg + 4])
+                                 : 7;
   if (resume && ckpt_dir.empty()) {
     std::fprintf(stderr, "--resume requires --ckpt DIR\n");
     return 2;

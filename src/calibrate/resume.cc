@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "ckpt/serialize.h"
+#include "common/parse.h"
 
 namespace gmr::calibrate {
 namespace {
@@ -11,13 +12,6 @@ namespace {
 constexpr char kFingerprintSection[] = "fingerprint";
 constexpr char kRngSection[] = "rng";
 constexpr char kBudgetSection[] = "budget";
-
-bool ParseCount(const std::string& token, std::size_t* value) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  *value = static_cast<std::size_t>(std::strtoull(token.c_str(), &end, 10));
-  return end == token.c_str() + token.size();
-}
 
 }  // namespace
 
@@ -106,10 +100,10 @@ bool RestoreCalibrateCommon(const ckpt::Snapshot& snapshot, Rng* rng,
   bool have_best = false;
   for (const std::string& line : budget->lines) {
     if (line.compare(0, 5, "used ") == 0) {
-      if (!ParseCount(line.substr(5), &used)) return false;
+      if (!ParseUnsigned(line.substr(5), &used)) return false;
       have_used = true;
     } else if (line.compare(0, 14, "task_failures ") == 0) {
-      if (!ParseCount(line.substr(14), &task_failures)) return false;
+      if (!ParseUnsigned(line.substr(14), &task_failures)) return false;
       have_failures = true;
     } else if (line.compare(0, 7, "best_f ") == 0) {
       if (!ckpt::ParseHexDouble(line.substr(7), &best_f)) return false;

@@ -14,7 +14,8 @@
 //   --contexts N          evaluation contexts sampled per case (default 8)
 //   --threads N           worker threads (default 1; GMR_BENCH_THREADS honored)
 //
-// Exit codes: 0 all properties green, 1 failures, 2 usage errors.
+// Exit codes: 0 all properties green, 1 failures, 2 usage errors (a bad
+// numeric flag or environment value is named on stderr).
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 
 #include "check/corpus.h"
 #include "check/fuzz.h"
+#include "common/cli.h"
 #include "common/thread_pool.h"
 
 namespace {
@@ -34,38 +36,35 @@ struct Options {
   int threads = 1;
 };
 
-bool ParseUint64(const char* text, std::uint64_t* value) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *value = static_cast<std::uint64_t>(v);
-  return true;
-}
+constexpr char kTool[] = "gmr_fuzz";
+/// Upper bound of the int-valued knobs.
+constexpr int kMaxIntKnob = 1 << 20;
 
-bool ParseInt(const char* text, int* value) {
-  std::uint64_t v = 0;
-  if (!ParseUint64(text, &v) || v > 1u << 20) return false;
-  *value = static_cast<int>(v);
-  return true;
+/// Parses an int-valued flag or environment value; exits 2 naming it when
+/// the value is missing or bad.
+int ParseIntKnob(const char* name, const char* text) {
+  return gmr::ParseUnsignedOrExit(kTool, name, text, 0, kMaxIntKnob);
 }
 
 bool ParseArgs(int argc, char** argv, Options* options) {
   // Env defaults first; flags override.
   if (const char* env = std::getenv("GMR_FUZZ_ITERS")) {
-    ParseUint64(env, &options->fuzz.iterations);
+    options->fuzz.iterations =
+        gmr::ParseUnsignedOrExit<std::uint64_t>(kTool, "GMR_FUZZ_ITERS", env);
   }
   if (const char* env = std::getenv("GMR_BENCH_THREADS")) {
-    ParseInt(env, &options->threads);
+    options->threads = ParseIntKnob("GMR_BENCH_THREADS", env);
   }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
     if (std::strcmp(arg, "--seed") == 0) {
-      if (!ParseUint64(value, &options->fuzz.seed)) return false;
+      options->fuzz.seed =
+          gmr::ParseUnsignedOrExit<std::uint64_t>(kTool, arg, value);
       ++i;
     } else if (std::strcmp(arg, "--iters") == 0) {
-      if (!ParseUint64(value, &options->fuzz.iterations)) return false;
+      options->fuzz.iterations =
+          gmr::ParseUnsignedOrExit<std::uint64_t>(kTool, arg, value);
       ++i;
     } else if (std::strcmp(arg, "--filter") == 0) {
       if (value == nullptr) return false;
@@ -80,16 +79,16 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       options->replay_dir = value;
       ++i;
     } else if (std::strcmp(arg, "--jit-every") == 0) {
-      if (!ParseInt(value, &options->fuzz.jit_every)) return false;
+      options->fuzz.jit_every = ParseIntKnob(arg, value);
       ++i;
     } else if (std::strcmp(arg, "--derivation-every") == 0) {
-      if (!ParseInt(value, &options->fuzz.derivation_every)) return false;
+      options->fuzz.derivation_every = ParseIntKnob(arg, value);
       ++i;
     } else if (std::strcmp(arg, "--contexts") == 0) {
-      if (!ParseInt(value, &options->fuzz.contexts_per_case)) return false;
+      options->fuzz.contexts_per_case = ParseIntKnob(arg, value);
       ++i;
     } else if (std::strcmp(arg, "--threads") == 0) {
-      if (!ParseInt(value, &options->threads)) return false;
+      options->threads = ParseIntKnob(arg, value);
       ++i;
     } else {
       std::fprintf(stderr, "gmr_fuzz: unknown option %s\n", arg);

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string_view>
 
 #include "analysis/activity.h"
 #include "analysis/static_gate.h"
 #include "ckpt/serialize.h"
 #include "common/metrics.h"
+#include "common/parse.h"
 #include "expr/batch_jit.h"
 #include "expr/batch_vm.h"
 #include "expr/compile.h"
@@ -43,6 +45,29 @@ expr::EvalContext MakeEvalContext(const std::vector<double>& vars,
   ec.parameters = params.data();
   ec.num_parameters = params.size();
   return ec;
+}
+
+/// Lengths of the proper prefixes a parser oracle truncates a printed form
+/// of `size` characters to: every one when there are at most 64, otherwise
+/// 64 evenly spaced cut points.
+std::vector<std::size_t> PrefixCuts(std::size_t size) {
+  constexpr std::size_t kMaxCuts = 64;
+  const std::size_t cuts = std::min(size, kMaxCuts);
+  std::vector<std::size_t> lengths;
+  lengths.reserve(cuts);
+  for (std::size_t i = 0; i < cuts; ++i) lengths.push_back(i * size / cuts);
+  return lengths;
+}
+
+/// True when a Parse error ends "at position N" with N <= `length`.
+bool ErrorPositionWithin(const std::string& error, std::size_t length) {
+  constexpr std::string_view kMarker = " at position ";
+  const std::size_t at = error.rfind(kMarker);
+  std::size_t position = 0;
+  return at != std::string::npos &&
+         ParseUnsigned(std::string_view(error).substr(at + kMarker.size()),
+                       &position) &&
+         position <= length;
 }
 
 std::string DescribeDisagreement(const char* backend, const ExprCase& c,
@@ -176,7 +201,10 @@ OracleResult CheckSimplifiedVmAgrees(const ExprCase& c,
 OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx) {
   // 2-5 roots compiled together: the case tree, one of its operand
   // subtrees (pointer-shared with root 0, so the same nodes flatten twice),
-  // and fresh trees drawn from the case seed.
+  // and fresh trees drawn from the case seed. The variable slots past a
+  // drawn state count are held: the program runs in rollout form, one Bind,
+  // two Hold calls, and two or more Runs per Hold that change only the
+  // states.
   Rng rng(CaseSeed(c.seed, 0x5157e3ULL));
   std::vector<expr::ExprPtr> roots = {c.tree};
   const int extra = rng.UniformInt(1, 4);
@@ -194,22 +222,37 @@ OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx) {
       0.0);
   const std::vector<std::vector<double>> contexts = SampleContexts(c, ctx);
   if (contexts.empty()) return OracleResult::Pass();
+  const std::size_t num_variables = contexts[0].size();
+  const auto num_states = static_cast<std::size_t>(
+      rng.UniformInt(0, static_cast<int>(num_variables)));
   const expr::CompiledProgram program = expr::Compile(
-      roots, expr::TapeLayout{contexts[0].size(), parameters.size()});
+      roots,
+      expr::TapeLayout{num_variables, parameters.size(), num_states});
+  program.Bind(parameters.data(), parameters.size());
   std::vector<double> out(roots.size(), 0.0);
-  for (const auto& vars : contexts) {
-    const auto ec = MakeEvalContext(vars, parameters);
-    program.Run(ec, out.data());
-    for (std::size_t r = 0; r < roots.size(); ++r) {
-      const double want = expr::EvalExpr(*roots[r], ec);
-      if (!WithinUlps(out[r], want, 0)) {
-        std::ostringstream detail;
-        detail.precision(17);
-        detail << "system-vm root " << r << " of " << roots.size()
-               << " disagrees on " << expr::ToString(*roots[r]) << ": got "
-               << out[r] << ", interpreter " << want << " (seed " << c.seed
-               << ")";
-        return OracleResult::Fail(detail.str());
+  const std::size_t runs_per_hold =
+      std::max<std::size_t>(2, contexts.size() / 2);
+  for (std::size_t hold = 0; hold < 2; ++hold) {
+    std::vector<double> vars = contexts[hold % contexts.size()];
+    program.Hold(vars.data(), vars.size());
+    for (std::size_t run = 0; run < runs_per_hold; ++run) {
+      const std::vector<double>& states =
+          contexts[(hold * runs_per_hold + run + 1) % contexts.size()];
+      std::copy_n(states.begin(), num_states, vars.begin());
+      program.Run(vars.data(), vars.size(), out.data());
+      const auto ec = MakeEvalContext(vars, parameters);
+      for (std::size_t r = 0; r < roots.size(); ++r) {
+        const double want = expr::EvalExpr(*roots[r], ec);
+        if (!WithinUlps(out[r], want, 0)) {
+          std::ostringstream detail;
+          detail.precision(17);
+          detail << "system-vm root " << r << " of " << roots.size()
+                 << " disagrees on " << expr::ToString(*roots[r])
+                 << " with " << num_states << " of " << num_variables
+                 << " variables as states: got " << out[r]
+                 << ", interpreter " << want << " (seed " << c.seed << ")";
+          return OracleResult::Fail(detail.str());
+        }
       }
     }
   }
@@ -311,6 +354,16 @@ OracleResult CheckRoundTrip(const ExprCase& c, const OracleContext& ctx) {
     return OracleResult::Fail("print is not a parser fixpoint: '" + once +
                               "' reprints as '" + twice + "'");
   }
+  // A truncated form parses or fails with a position inside the prefix.
+  for (const std::size_t length : PrefixCuts(once.size())) {
+    const std::string prefix = once.substr(0, length);
+    const expr::ParseResult partial = expr::Parse(prefix, symbols);
+    if (!partial.ok() && !ErrorPositionWithin(partial.error, length)) {
+      return OracleResult::Fail("prefix '" + prefix + "' of '" + once +
+                                "' fails without a position inside it: '" +
+                                partial.error + "'");
+    }
+  }
   for (const auto& vars : SampleContexts(c, ctx)) {
     const auto ec = MakeEvalContext(vars, c.parameters);
     const double want = expr::EvalExpr(*c.tree, ec);
@@ -335,6 +388,16 @@ OracleResult CheckCkptRoundTrip(const ExprCase& c, const OracleContext& ctx) {
   if (twice != once) {
     return OracleResult::Fail("ckpt codec is not an exact fixpoint: '" +
                               once + "' re-serializes as '" + twice + "'");
+  }
+  // A truncated line parses or fails with an error.
+  for (const std::size_t length : PrefixCuts(once.size())) {
+    const std::string prefix = once.substr(0, length);
+    std::string partial_error;
+    if (ckpt::ParseExprLine(prefix, &partial_error) == nullptr &&
+        partial_error.empty()) {
+      return OracleResult::Fail("prefix '" + prefix + "' of '" + once +
+                                "' fails without an error");
+    }
   }
   for (const auto& vars : SampleContexts(c, ctx)) {
     const auto ec = MakeEvalContext(vars, c.parameters);

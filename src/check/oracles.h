@@ -58,10 +58,12 @@ OracleResult CheckVmAgrees(const ExprCase& c, const OracleContext& ctx);
 
 /// Equation-system VM vs tree interpreter: 2-5 roots (the case tree, one
 /// of its pointer-shared operand subtrees, and fresh trees from the case
-/// seed) compiled into one register program must agree bitwise (0 ULP;
-/// both-NaN counts as agreement) with EvalExpr root by root on every
-/// sampled context — the shape the width-1 DerivativeRunner runs once per
-/// derivative call.
+/// seed) compiled into one register program, with a drawn number of the
+/// variable slots as states and the rest held, must agree bitwise (0 ULP;
+/// both-NaN counts as agreement) with EvalExpr root by root. The program
+/// runs in rollout form, as the width-1 DerivativeRunner does: one Bind,
+/// two Hold calls with different held values, and after each at least two
+/// Runs that change only the states.
 OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx);
 
 /// Simplify-then-VM vs tree interpreter. Compared bitwise when both sides
@@ -97,7 +99,9 @@ OracleResult CheckBatchJitAgrees(const ExprCase& c, const OracleContext& ctx);
 /// printer -> parser -> printer: the printed form must reparse and print to
 /// identical text, and the reparsed tree must evaluate bitwise-identically
 /// on every sampled context. (Structural identity is NOT required: -1.5
-/// reparses as Neg(1.5).)
+/// reparses as Neg(1.5).) Every proper prefix of the form (64 evenly spaced
+/// ones past 64 characters) must parse or fail with an error ending
+/// "at position N", N no larger than the prefix.
 OracleResult CheckRoundTrip(const ExprCase& c, const OracleContext& ctx);
 
 /// Checkpoint codec round trip (ckpt/serialize.h): SerializeExpr →
@@ -107,7 +111,8 @@ OracleResult CheckRoundTrip(const ExprCase& c, const OracleContext& ctx);
 /// survives SerializeDoubles → ParseDoubles with its exact bit patterns.
 /// Stricter than `roundtrip`: the pretty printer may be structurally lossy,
 /// the checkpoint codec may not (resume determinism needs NodeCount-exact
-/// trees).
+/// trees). Every proper prefix of the line (cut as in `roundtrip`) must
+/// parse or fail with a non-empty error.
 OracleResult CheckCkptRoundTrip(const ExprCase& c, const OracleContext& ctx);
 
 /// Interval soundness: EvaluateInterval over the config's variable domains

@@ -44,6 +44,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/serialize.h"
+#include "common/cli.h"
 #include "common/rng.h"
 #include "expr/ast.h"
 #include "expr/eval.h"
@@ -294,6 +295,9 @@ bool RunChildSegment(const DrillOptions& options, const std::string& trace,
   return true;
 }
 
+/// Prefix of the drill's error messages.
+constexpr char kTool[] = "crashdrill";
+
 bool ParseFlag(int argc, char** argv, int* i, const char* name,
                std::string* value) {
   if (std::strcmp(argv[*i], name) != 0) return false;
@@ -312,15 +316,17 @@ int DrillMain(int argc, char** argv) {
     if (ParseFlag(argc, argv, &i, "--dir", &value)) {
       options.dir = value;
     } else if (ParseFlag(argc, argv, &i, "--kills", &value)) {
-      options.kills = std::atoi(value.c_str());
+      options.kills = ParseUnsignedOrExit(kTool, "--kills", value.c_str(), 0);
     } else if (ParseFlag(argc, argv, &i, "--drill-seed", &value)) {
-      options.drill_seed = std::strtoull(value.c_str(), nullptr, 10);
+      options.drill_seed = ParseUnsignedOrExit<std::uint64_t>(
+          kTool, "--drill-seed", value.c_str());
     } else if (ParseFlag(argc, argv, &i, "--threads", &value)) {
-      options.threads = std::atoi(value.c_str());
+      options.threads =
+          ParseUnsignedOrExit(kTool, "--threads", value.c_str(), 1);
     } else if (ParseFlag(argc, argv, &i, "--gens", &value)) {
-      options.gens = std::atoi(value.c_str());
+      options.gens = ParseUnsignedOrExit(kTool, "--gens", value.c_str(), 0);
     } else if (ParseFlag(argc, argv, &i, "--pop", &value)) {
-      options.pop = std::atoi(value.c_str());
+      options.pop = ParseUnsignedOrExit(kTool, "--pop", value.c_str(), 1);
     } else if (ParseFlag(argc, argv, &i, "--cache", &value)) {
       options.cache = value != "0";
     } else if (std::strcmp(argv[i], "--keep") == 0) {

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/parse.h"
+
 namespace gmr::ckpt {
 namespace {
 
@@ -34,15 +36,6 @@ struct Cursor {
   }
 };
 
-bool ParseInt(const std::string& token, int* value) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  const long v = std::strtol(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size()) return false;
-  *value = static_cast<int>(v);
-  return true;
-}
-
 expr::ExprPtr ParseExprNode(Cursor* cur, std::string* error);
 
 expr::ExprPtr Fail(std::string* error, const std::string& message) {
@@ -63,7 +56,7 @@ expr::ExprPtr ParseExprNode(Cursor* cur, std::string* error) {
     result = expr::Constant(value);
   } else if (head == "p" || head == "v") {
     int slot;
-    if (cur->Done() || !ParseInt(cur->Next(), &slot)) {
+    if (cur->Done() || !ParseUnsigned(cur->Next(), &slot)) {
       return Fail(error, "bad slot");
     }
     if (cur->Done()) return Fail(error, "missing name");
@@ -186,7 +179,7 @@ tag::DerivationPtr ParseDerivationNode(Cursor* cur, std::string* error) {
   };
   if (!cur->Eat("(") || !cur->Eat("d")) return fail("expected '(d'");
   auto node = std::make_unique<tag::DerivationNode>();
-  if (cur->Done() || !ParseInt(cur->Next(), &node->tree_index)) {
+  if (cur->Done() || !ParseUnsigned(cur->Next(), &node->tree_index)) {
     return fail("bad tree index");
   }
   if (!cur->Eat("(")) return fail("expected lexeme list");
@@ -200,7 +193,7 @@ tag::DerivationPtr ParseDerivationNode(Cursor* cur, std::string* error) {
   while (!cur->Done() && cur->Peek() != ")") {
     if (!cur->Eat("(")) return fail("expected '(' in child list");
     tag::DerivationNode::AdjunctionChild child;
-    if (cur->Done() || !ParseInt(cur->Next(), &child.address_index)) {
+    if (cur->Done() || !ParseUnsigned(cur->Next(), &child.address_index)) {
       return fail("bad adjunction address");
     }
     child.node = ParseDerivationNode(cur, error);
@@ -356,10 +349,8 @@ std::string SerializeDoubles(const std::vector<double>& values) {
 bool ParseDoubles(const std::string& line, std::vector<double>* values) {
   const std::vector<std::string> tokens = TokenizeSExpr(line);
   if (tokens.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(tokens[0].c_str(), &end, 10);
-  if (end != tokens[0].c_str() + tokens[0].size()) return false;
-  if (tokens.size() != n + 1) return false;
+  std::size_t n = 0;
+  if (!ParseUnsigned(tokens[0], &n) || tokens.size() - 1 != n) return false;
   values->clear();
   values->reserve(n);
   for (std::size_t i = 1; i < tokens.size(); ++i) {

@@ -9,6 +9,7 @@
 #include <filesystem>
 
 #include "common/fault_injection.h"
+#include "common/parse.h"
 
 namespace gmr::ckpt {
 namespace {
@@ -32,13 +33,6 @@ bool ParseHex32(const std::string& token, std::uint32_t* value) {
   if (end != token.c_str() + token.size()) return false;
   *value = static_cast<std::uint32_t>(v);
   return true;
-}
-
-bool ParseU64(const std::string& token, std::uint64_t* value) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  *value = std::strtoull(token.c_str(), &end, 10);
-  return end == token.c_str() + token.size();
 }
 
 std::vector<std::string> SplitLines(const std::string& text) {
@@ -175,7 +169,7 @@ Status DecodeSnapshot(const std::string& bytes, Snapshot* snapshot) {
   parsed.driver = lines[i].substr(7);
   ++i;
   if (i >= lines.size() || lines[i].compare(0, 5, "step ") != 0 ||
-      !ParseU64(lines[i].substr(5), &parsed.step)) {
+      !ParseUnsigned(lines[i].substr(5), &parsed.step)) {
     return Status::Error("missing step line");
   }
   ++i;
@@ -183,7 +177,7 @@ Status DecodeSnapshot(const std::string& bytes, Snapshot* snapshot) {
     const std::vector<std::string> fields = SplitFields(lines[i]);
     std::uint64_t count;
     if (fields.size() != 3 || fields[0] != "section" ||
-        !ParseU64(fields[2], &count)) {
+        !ParseUnsigned(fields[2], &count)) {
       return Status::Error("bad section header at line " + std::to_string(i));
     }
     ++i;
@@ -228,7 +222,8 @@ SnapshotStore::SnapshotStore(std::string dir, int retain)
     const std::vector<std::string> fields = SplitFields(lines[i]);
     Entry entry;
     if (fields.size() != 6 || fields[0] != "snap" ||
-        !ParseU64(fields[1], &entry.seq) || !ParseU64(fields[2], &entry.step) ||
+        !ParseUnsigned(fields[1], &entry.seq) ||
+        !ParseUnsigned(fields[2], &entry.step) ||
         !ParseHex32(fields[4], &entry.file_crc) ||
         !ParseHex32(fields[5], &entry.chain)) {
       break;

@@ -7,6 +7,8 @@
 #include <mutex>
 #include <vector>
 
+#include "common/parse.h"
+
 namespace gmr {
 namespace {
 
@@ -86,13 +88,6 @@ std::vector<std::string> Split(const std::string& text, char sep) {
   return parts;
 }
 
-bool ParseUint(const std::string& text, std::uint64_t* value) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *value = std::strtoull(text.c_str(), &end, 10);
-  return end == text.c_str() + text.size();
-}
-
 /// Parses one `point:mode[...]` entry into the global table. Caller holds
 /// g_mu. Returns false with *error set on malformed input.
 bool ParseEntryLocked(const std::string& entry, std::string* error) {
@@ -112,7 +107,7 @@ bool ParseEntryLocked(const std::string& entry, std::string* error) {
     arm.mode = Mode::kFirst;
     arm.n = 1;
   } else if ((mode == "first" || mode == "after") && parts.size() == 3 &&
-             ParseUint(parts[2], &arm.n)) {
+             ParseUnsigned(parts[2], &arm.n)) {
     arm.mode = mode == "first" ? Mode::kFirst : Mode::kAfter;
   } else if (mode == "prob" && (parts.size() == 3 || parts.size() == 4)) {
     char* end = nullptr;
@@ -123,7 +118,7 @@ bool ParseEntryLocked(const std::string& entry, std::string* error) {
       return false;
     }
     arm.seed = 0;
-    if (parts.size() == 4 && !ParseUint(parts[3], &arm.seed)) {
+    if (parts.size() == 4 && !ParseUnsigned(parts[3], &arm.seed)) {
       if (error != nullptr) *error = "bad seed in '" + entry + "'";
       return false;
     }

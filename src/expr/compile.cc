@@ -8,24 +8,18 @@
 namespace gmr::expr {
 namespace {
 
-// While flattening, constant and temporary operands carry a tag bit and
-// their index within their region: the region bases are known only once
-// every root has been walked. The tags are resolved in one pass at the end.
-constexpr std::uint32_t kConstantTag = 1u << 31;
-constexpr std::uint32_t kTemporaryTag = 1u << 30;
-constexpr std::uint32_t kIndexMask = kTemporaryTag - 1;
-
-std::uint32_t Resolve(std::uint32_t operand, const Tape& tape) {
-  if ((operand & kConstantTag) != 0) {
-    return static_cast<std::uint32_t>(tape.constant_base() +
-                                      (operand & kIndexMask));
-  }
-  if ((operand & kTemporaryTag) != 0) {
-    return static_cast<std::uint32_t>(tape.temporary_base() +
-                                      (operand & kIndexMask));
-  }
-  return operand;
-}
+// While flattening, constant, temporary, bind and hold operands carry a
+// tag in their top bits and their index within their region below it: the
+// region bases are known only once every root has been walked. Variable and
+// parameter operands carry no tag (their registers are final). The tags are
+// resolved in one pass at the end, by table lookup rather than a branch per
+// operand.
+constexpr int kTagShift = 28;
+constexpr std::uint32_t kHoldTag = 1u << kTagShift;
+constexpr std::uint32_t kBindTag = 2u << kTagShift;
+constexpr std::uint32_t kTemporaryTag = 4u << kTagShift;
+constexpr std::uint32_t kConstantTag = 8u << kTagShift;
+constexpr std::uint32_t kIndexMask = kHoldTag - 1;
 
 void GrowLayout(const Expr& n, TapeLayout* layout) {
   const std::size_t used = static_cast<std::size_t>(n.slot()) + 1;
@@ -37,76 +31,176 @@ void GrowLayout(const Expr& n, TapeLayout* layout) {
   for (const ExprPtr& child : n.children()) GrowLayout(*child, layout);
 }
 
-/// Postorder emitter. A leaf returns its own register and emits nothing;
-/// an operator evaluated at `depth` writes temporary `depth` after its
-/// operands were evaluated at depth + 1 and depth + 2. A subtree at depth d
+/// The tape segment of a value, ordered from least to most varying.
+enum class Segment : std::uint8_t { kBind, kHold, kRun };
+
+/// A register operand and the segment of the value it holds.
+struct Operand {
+  std::uint32_t reg;
+  Segment segment;
+};
+
+/// Postorder emitter. A leaf returns its own register and emits nothing.
+/// An operator belongs to the segment of its most-varying operand. A run
+/// operator evaluated at `depth` writes temporary `depth` after its
+/// operands were evaluated at depth + 1 and depth + 2; a subtree at depth d
 /// only writes temporaries >= d, so the first operand survives the second
-/// one's evaluation, and dst never aliases an operand.
+/// one's evaluation, and dst never aliases an operand. A bind or hold
+/// operator writes its own register, numbered in postorder within its
+/// segment, so its value survives the later segments' runs. The dst tag
+/// records the segment until Flatten sorts the instructions.
 class Emitter {
  public:
-  Emitter(const TapeLayout& layout, Tape* tape)
-      : layout_(layout), tape_(tape) {}
+  Emitter(const TapeLayout& layout, Tape* tape,
+          std::vector<TapeInstruction>* postorder)
+      : layout_(layout), tape_(tape), postorder_(postorder) {}
 
-  std::uint32_t Emit(const Expr& n, std::uint32_t depth) {
+  Operand Emit(const Expr& n, std::uint32_t depth) {
     switch (n.kind()) {
       case NodeKind::kConstant:
         tape_->constants.push_back(n.value());
-        return kConstantTag |
-               static_cast<std::uint32_t>(tape_->constants.size() - 1);
-      case NodeKind::kVariable:
-        GMR_CHECK_LT(static_cast<std::size_t>(n.slot()),
-                     layout_.num_variables);
-        return static_cast<std::uint32_t>(n.slot());
+        return {kConstantTag |
+                    static_cast<std::uint32_t>(tape_->constants.size() - 1),
+                Segment::kBind};
+      case NodeKind::kVariable: {
+        const auto slot = static_cast<std::size_t>(n.slot());
+        GMR_CHECK_LT(slot, layout_.num_variables);
+        return {static_cast<std::uint32_t>(slot),
+                slot < layout_.num_states ? Segment::kRun : Segment::kHold};
+      }
       case NodeKind::kParameter:
         GMR_CHECK_LT(static_cast<std::size_t>(n.slot()),
                      layout_.num_parameters);
-        return static_cast<std::uint32_t>(layout_.num_variables + n.slot());
+        return {static_cast<std::uint32_t>(layout_.num_variables + n.slot()),
+                Segment::kBind};
       default:
         break;
     }
-    TapeInstruction ins;
-    ins.op = n.kind();
-    ins.a = Emit(*n.children()[0], depth + 1);
-    ins.b = Arity(n.kind()) == 2 ? Emit(*n.children()[1], depth + 2) : ins.a;
-    ins.dst = kTemporaryTag | depth;
+    const Operand a = Emit(*n.children()[0], depth + 1);
+    const Operand b =
+        Arity(n.kind()) == 2 ? Emit(*n.children()[1], depth + 2) : a;
+    const Segment segment = std::max(a.segment, b.segment);
+    const std::uint32_t count = counts_[static_cast<int>(segment)]++;
+    const bool run = segment == Segment::kRun;
+    const std::uint32_t dst =
+        kSegmentTag[static_cast<int>(segment)] | (run ? depth : count);
     tape_->num_temporaries =
-        std::max<std::size_t>(tape_->num_temporaries, depth + 1);
-    tape_->ops.push_back(ins);
-    return ins.dst;
+        std::max<std::size_t>(tape_->num_temporaries, run ? depth + 1 : 0);
+    postorder_->push_back({n.kind(), dst, a.reg, b.reg});
+    return {dst, segment};
   }
 
+  std::uint32_t num_bind() const { return counts_[0]; }
+  std::uint32_t num_hold() const { return counts_[1]; }
+
  private:
+  static constexpr std::uint32_t kSegmentTag[] = {kBindTag, kHoldTag,
+                                                  kTemporaryTag};
+
   const TapeLayout& layout_;
   Tape* tape_;
+  std::vector<TapeInstruction>* postorder_;
+  /// Operators emitted per segment.
+  std::uint32_t counts_[3] = {0, 0, 0};
 };
+
+/// The dispatch loop of every segment: runs ops [begin, end) over the
+/// register file `r`. Each case applies the operator's scalar kernel with
+/// the kind fixed at compile time, so the kernel switch constant-folds
+/// away. Leaves never appear: they are registers, not instructions. Inlined
+/// into each segment runner, so the run segment pays no call.
+[[gnu::always_inline]] inline void Execute(const TapeInstruction* begin,
+                                           const TapeInstruction* end,
+                                           double* r) {
+  for (const TapeInstruction* ins = begin; ins != end; ++ins) {
+    const double a = r[ins->a];
+    switch (ins->op) {
+      case NodeKind::kAdd:
+        r[ins->dst] = a + r[ins->b];
+        break;
+      case NodeKind::kSub:
+        r[ins->dst] = a - r[ins->b];
+        break;
+      case NodeKind::kMul:
+        r[ins->dst] = a * r[ins->b];
+        break;
+      case NodeKind::kDiv:
+        r[ins->dst] = ApplyBinary(NodeKind::kDiv, a, r[ins->b]);
+        break;
+      case NodeKind::kMin:
+        r[ins->dst] = ApplyBinary(NodeKind::kMin, a, r[ins->b]);
+        break;
+      case NodeKind::kMax:
+        r[ins->dst] = ApplyBinary(NodeKind::kMax, a, r[ins->b]);
+        break;
+      case NodeKind::kNeg:
+        r[ins->dst] = -a;
+        break;
+      case NodeKind::kLog:
+        r[ins->dst] = ApplyUnary(NodeKind::kLog, a);
+        break;
+      case NodeKind::kExp:
+        r[ins->dst] = ApplyUnary(NodeKind::kExp, a);
+        break;
+      case NodeKind::kConstant:
+      case NodeKind::kParameter:
+      case NodeKind::kVariable:
+        break;
+    }
+  }
+}
 
 }  // namespace
 
 TapeLayout LayoutOf(std::span<const Expr* const> roots) {
   TapeLayout layout;
   for (const Expr* root : roots) GrowLayout(*root, &layout);
+  layout.num_states = layout.num_variables;
   return layout;
 }
 
 Tape Flatten(std::span<const Expr* const> roots, const TapeLayout& layout) {
+  GMR_CHECK_LE(layout.num_states, layout.num_variables);
   Tape tape;
   tape.layout = layout;
   tape.outputs.reserve(roots.size());
-  Emitter emitter(layout, &tape);
-  // Root r's value lands in temporary r, which later roots (evaluated at
-  // depths > r) never write, so every output survives until the run
+  // The instructions in postorder, before they are sorted into segments.
+  // Reused across calls, so a compile allocates the tape's instruction
+  // vector once, at its final size.
+  thread_local std::vector<TapeInstruction> postorder;
+  postorder.clear();
+  Emitter emitter(layout, &tape, &postorder);
+  // A run root r's value lands in temporary r, which later roots (evaluated
+  // at depths > r) never write, so every output survives until the run
   // copies it out.
   for (std::size_t r = 0; r < roots.size(); ++r) {
     tape.outputs.push_back(
-        emitter.Emit(*roots[r], static_cast<std::uint32_t>(r)));
+        emitter.Emit(*roots[r], static_cast<std::uint32_t>(r)).reg);
   }
+  tape.hold_begin = emitter.num_bind();
+  tape.run_begin = tape.hold_begin + emitter.num_hold();
+  // Register base of each tag, and the next instruction slot of its
+  // segment, by operand >> kTagShift. Untagged operands index 0 (base 0).
+  std::size_t base[16] = {};
+  base[kConstantTag >> kTagShift] = tape.constant_base();
+  base[kTemporaryTag >> kTagShift] = tape.temporary_base();
+  base[kBindTag >> kTagShift] = tape.temporary_base() + tape.num_temporaries;
+  base[kHoldTag >> kTagShift] = base[kBindTag >> kTagShift] + tape.hold_begin;
+  tape.num_temporaries += tape.run_begin;
   GMR_CHECK_LT(tape.num_registers(), static_cast<std::size_t>(kIndexMask));
-  for (TapeInstruction& ins : tape.ops) {
-    ins.dst = Resolve(ins.dst, tape);
-    ins.a = Resolve(ins.a, tape);
-    ins.b = Resolve(ins.b, tape);
+  const auto resolve = [&base](std::uint32_t operand) {
+    return static_cast<std::uint32_t>(base[operand >> kTagShift] +
+                                      (operand & kIndexMask));
+  };
+  std::size_t next[16] = {};
+  next[kHoldTag >> kTagShift] = tape.hold_begin;
+  next[kTemporaryTag >> kTagShift] = tape.run_begin;
+  tape.ops.resize(postorder.size());
+  for (const TapeInstruction& ins : postorder) {
+    tape.ops[next[ins.dst >> kTagShift]++] = {
+        ins.op, resolve(ins.dst), resolve(ins.a), resolve(ins.b)};
   }
-  for (std::uint32_t& out : tape.outputs) out = Resolve(out, tape);
+  for (std::uint32_t& out : tape.outputs) out = resolve(out);
   return tape;
 }
 
@@ -137,8 +231,25 @@ CompiledProgram Compile(const Expr& root) {
 void CompiledProgram::Bind(const double* parameters,
                            std::size_t num_parameters) const {
   GMR_CHECK_GE(num_parameters, tape_.layout.num_parameters);
+  double* r = registers_.data();
   std::copy_n(parameters, tape_.layout.num_parameters,
-              registers_.data() + tape_.layout.num_variables);
+              r + tape_.layout.num_variables);
+  const TapeInstruction* ops = tape_.ops.data();
+  Execute(ops, ops + tape_.hold_begin, r);
+}
+
+void CompiledProgram::Hold(const double* variables,
+                           std::size_t num_variables) const {
+  GMR_CHECK_GE(num_variables, tape_.layout.num_variables);
+  double* r = registers_.data();
+  // Loops, not std::copy: at a handful of slots the memmove call costs
+  // more than the copy.
+  for (std::size_t s = tape_.layout.num_states; s < tape_.layout.num_variables;
+       ++s) {
+    r[s] = variables[s];
+  }
+  const TapeInstruction* ops = tape_.ops.data();
+  Execute(ops + tape_.hold_begin, ops + tape_.run_begin, r);
 }
 
 void CompiledProgram::Run(const double* variables, std::size_t num_variables,
@@ -146,46 +257,11 @@ void CompiledProgram::Run(const double* variables, std::size_t num_variables,
   GMR_CHECK(!tape_.empty());
   GMR_CHECK_GE(num_variables, tape_.layout.num_variables);
   double* r = registers_.data();
-  std::copy_n(variables, tape_.layout.num_variables, r);
-  // Each case applies the operator's scalar kernel with the kind fixed at
-  // compile time, so the kernel switch constant-folds away. Leaves never
-  // appear: they are registers, not instructions.
-  for (const TapeInstruction& ins : tape_.ops) {
-    const double a = r[ins.a];
-    switch (ins.op) {
-      case NodeKind::kAdd:
-        r[ins.dst] = a + r[ins.b];
-        break;
-      case NodeKind::kSub:
-        r[ins.dst] = a - r[ins.b];
-        break;
-      case NodeKind::kMul:
-        r[ins.dst] = a * r[ins.b];
-        break;
-      case NodeKind::kDiv:
-        r[ins.dst] = ApplyBinary(NodeKind::kDiv, a, r[ins.b]);
-        break;
-      case NodeKind::kMin:
-        r[ins.dst] = ApplyBinary(NodeKind::kMin, a, r[ins.b]);
-        break;
-      case NodeKind::kMax:
-        r[ins.dst] = ApplyBinary(NodeKind::kMax, a, r[ins.b]);
-        break;
-      case NodeKind::kNeg:
-        r[ins.dst] = -a;
-        break;
-      case NodeKind::kLog:
-        r[ins.dst] = ApplyUnary(NodeKind::kLog, a);
-        break;
-      case NodeKind::kExp:
-        r[ins.dst] = ApplyUnary(NodeKind::kExp, a);
-        break;
-      case NodeKind::kConstant:
-      case NodeKind::kParameter:
-      case NodeKind::kVariable:
-        break;
-    }
+  for (std::size_t s = 0; s < tape_.layout.num_states; ++s) {
+    r[s] = variables[s];
   }
+  const TapeInstruction* ops = tape_.ops.data();
+  Execute(ops + tape_.run_begin, ops + tape_.ops.size(), r);
   for (std::size_t i = 0; i < tape_.outputs.size(); ++i) {
     out[i] = r[tape_.outputs[i]];
   }
@@ -193,6 +269,7 @@ void CompiledProgram::Run(const double* variables, std::size_t num_variables,
 
 void CompiledProgram::Run(const EvalContext& ctx, double* out) const {
   Bind(ctx.parameters, ctx.num_parameters);
+  Hold(ctx.variables, ctx.num_variables);
   Run(ctx.variables, ctx.num_variables, out);
 }
 

@@ -12,12 +12,17 @@
 namespace gmr::expr {
 
 /// The variable and parameter regions a tape is compiled against: the
-/// slot counts the caller binds on every run. Every leaf slot of the source
-/// must fall inside them; Flatten checks that once, so the run loops never
-/// check a slot.
+/// slot counts the caller binds. Every leaf slot of the source must fall
+/// inside them; Flatten checks that once, so the run loops never check a
+/// slot.
+///
+/// Variable slots [0, num_states) are states, rewritten before every run;
+/// slots [num_states, num_variables) are held, rewritten only now and then
+/// (the drivers of a simulated day). Unless set, every variable is a state.
 struct TapeLayout {
   std::size_t num_variables = 0;
   std::size_t num_parameters = 0;
+  std::size_t num_states = num_variables;
 };
 
 /// One register-form instruction: dst = op(a, b), one per operator node of
@@ -36,18 +41,30 @@ struct TapeInstruction {
   std::uint32_t b = 0;
 };
 
-/// A flattened equation system: the instructions of every root in root
-/// order, the literal values of the constant registers, and one output
-/// register per root. Pure data — every VM backend executes the same tape
-/// and applies each operator once, through the ApplyUnary/ApplyBinary
-/// kernels, to the same operand values as EvalExpr, which is what makes
-/// their results bit-identical to the interpreter's.
+/// A flattened equation system: the instructions of every root, the
+/// literal values of the constant registers, and one output register per
+/// root. Pure data — every VM backend executes the same tape and applies
+/// each operator once, through the ApplyUnary/ApplyBinary kernels, to the
+/// same operand values as EvalExpr, which is what makes their results
+/// bit-identical to the interpreter's.
+///
+/// The instructions form three contiguous segments, by the most-varying
+/// register each one reads: bind [0, hold_begin) reads only constants and
+/// parameters, hold [hold_begin, run_begin) also reads held variables, and
+/// run [run_begin, size()) reads a state. Each segment keeps the postorder
+/// of the roots in root order, and every bind or hold result has its own
+/// register, so the segments in order are one valid evaluation order and
+/// each can rerun on its own once its inputs change.
 struct Tape {
   TapeLayout layout;
   /// Value of constant register constant_base() + i.
   std::vector<double> constants;
+  /// The depth-allocated temporaries of the run segment, then one register
+  /// per bind or hold instruction.
   std::size_t num_temporaries = 0;
   std::vector<TapeInstruction> ops;
+  std::size_t hold_begin = 0;
+  std::size_t run_begin = 0;
   /// Register holding root r's value after the run (a leaf register when
   /// the root is a bare leaf).
   std::vector<std::uint32_t> outputs;
@@ -69,12 +86,11 @@ struct Tape {
 };
 
 /// Smallest layout covering every variable and parameter slot the roots
-/// reference.
+/// reference, with every variable a state.
 TapeLayout LayoutOf(std::span<const Expr* const> roots);
 
-/// Flattens `roots` into one register tape over `layout` (postorder within
-/// each root, roots in order). Aborts when a leaf slot falls outside the
-/// layout.
+/// Flattens `roots` into one register tape over `layout` (segmented as
+/// described at Tape). Aborts when a leaf slot falls outside the layout.
 Tape Flatten(std::span<const Expr* const> roots, const TapeLayout& layout);
 Tape Flatten(const std::vector<ExprPtr>& roots, const TapeLayout& layout);
 
@@ -93,24 +109,37 @@ Tape Flatten(const std::vector<ExprPtr>& roots, const TapeLayout& layout);
 ///
 /// Runs are bit-identical to EvalExpr on each source root (both call the
 /// same ApplyUnary/ApplyBinary kernels on the same operand values).
+///
+/// A rollout runs each tape segment only as often as its inputs change:
+/// Bind once per parameter vector, Hold once per set of held values (a
+/// day's drivers), Run once per derivative call.
 class CompiledProgram {
  public:
   CompiledProgram() = default;
   explicit CompiledProgram(Tape tape);
 
-  /// Rollout form, step 1: copies the parameter region once. Aborts when
-  /// fewer values are given than the layout's parameter region holds. Binding writes
-  /// only the register file (mutable scratch, see below), so it is const
-  /// like Run.
+  /// Rollout form, step 1: copies the parameter region and runs the bind
+  /// segment. Aborts when fewer values are given than the layout's
+  /// parameter region holds. Binding writes only the register file
+  /// (mutable scratch, see below), so it is const like Run. Rerun Hold
+  /// after it: the hold segment reads bind results.
   void Bind(const double* parameters, std::size_t num_parameters) const;
 
-  /// Rollout form, step 2: evaluates every root against the bound
-  /// parameters and the given variables; writes out[r] for each root r.
+  /// Rollout form, step 2: copies the held slots
+  /// [num_states, num_variables) of `variables` and runs the hold segment.
   /// Aborts when fewer values are given than the variable region holds.
+  void Hold(const double* variables, std::size_t num_variables) const;
+
+  /// Rollout form, step 3: copies the state slots [0, num_states) of
+  /// `variables`, runs the run segment and writes out[r] for each root r.
+  /// The held slots of `variables` are not read: callers must rerun Hold
+  /// whenever a held slot changes. Aborts when fewer values are given than
+  /// the variable region holds.
   void Run(const double* variables, std::size_t num_variables,
            double* out) const;
 
-  /// Binds both regions from `ctx` and evaluates every root into out[r].
+  /// Binds both regions from `ctx` and evaluates every root into out[r]
+  /// (all three segments).
   void Run(const EvalContext& ctx, double* out) const;
 
   /// Single-root convenience: binds `ctx` and returns root 0's value.

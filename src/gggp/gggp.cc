@@ -10,6 +10,7 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/serialize.h"
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "obs/manifest.h"
@@ -213,19 +214,15 @@ bool RestoreGggpCheckpoint(const ckpt::Snapshot& snapshot,
     const std::vector<std::string> head =
         ckpt::TokenizeSExpr(pop_section->lines[i]);
     GggpIndividual individual;
-    char* end = nullptr;
+    std::size_t num_equations = 0;
     if (head.size() != 3 || head[0] != "i" ||
-        !ckpt::ParseHexDouble(head[1], &individual.fitness)) {
-      return false;
-    }
-    const unsigned long long num_equations =
-        std::strtoull(head[2].c_str(), &end, 10);
-    if (end != head[2].c_str() + head[2].size() ||
-        i + 1 + num_equations + 1 > pop_section->lines.size()) {
+        !ckpt::ParseHexDouble(head[1], &individual.fitness) ||
+        !ParseUnsigned(head[2], &num_equations) ||
+        num_equations >= pop_section->lines.size() - i - 1) {
       return false;
     }
     ++i;
-    for (unsigned long long eq = 0; eq < num_equations; ++eq, ++i) {
+    for (std::size_t eq = 0; eq < num_equations; ++eq, ++i) {
       std::string error;
       expr::ExprPtr equation =
           ckpt::ParseExprLine(pop_section->lines[i], &error);
@@ -252,11 +249,10 @@ bool RestoreGggpCheckpoint(const ckpt::Snapshot& snapshot,
   }
   {
     const std::string& line = ev_section->lines[1];
-    char* end = nullptr;
-    if (line.compare(0, 12, "evaluations ") != 0) return false;
-    evaluations = static_cast<std::size_t>(
-        std::strtoull(line.c_str() + 12, &end, 10));
-    if (end != line.c_str() + line.size()) return false;
+    if (line.compare(0, 12, "evaluations ") != 0 ||
+        !ParseUnsigned(std::string_view(line).substr(12), &evaluations)) {
+      return false;
+    }
   }
 
   const ckpt::Section* history_section = snapshot.FindSection("history");

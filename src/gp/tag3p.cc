@@ -7,6 +7,7 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/serialize.h"
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/timer.h"
 #include "obs/manifest.h"
 
@@ -40,44 +41,38 @@ std::string EncodeEvalStats(const EvalStats& stats) {
   return out;
 }
 
-bool ParseCount(const std::string& token, std::size_t* value) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  *value = static_cast<std::size_t>(std::strtoull(token.c_str(), &end, 10));
-  return end == token.c_str() + token.size();
-}
-
 bool DecodeEvalStats(const std::string& line, EvalStats* stats) {
   const std::vector<std::string> t = ckpt::TokenizeSExpr(line);
   if (t.size() != 10 + kNumEvalOutcomes + 2 + analysis::kNumGateRules + 3) {
     return false;
   }
   EvalStats s;
-  if (!ParseCount(t[0], &s.individuals_evaluated) ||
-      !ParseCount(t[1], &s.cache_hits) || !ParseCount(t[2], &s.cache_lookups) ||
-      !ParseCount(t[3], &s.full_evaluations) ||
-      !ParseCount(t[4], &s.short_circuited) ||
-      !ParseCount(t[5], &s.static_rejects) ||
-      !ParseCount(t[6], &s.time_steps_evaluated) ||
+  if (!ParseUnsigned(t[0], &s.individuals_evaluated) ||
+      !ParseUnsigned(t[1], &s.cache_hits) ||
+      !ParseUnsigned(t[2], &s.cache_lookups) ||
+      !ParseUnsigned(t[3], &s.full_evaluations) ||
+      !ParseUnsigned(t[4], &s.short_circuited) ||
+      !ParseUnsigned(t[5], &s.static_rejects) ||
+      !ParseUnsigned(t[6], &s.time_steps_evaluated) ||
       !ckpt::ParseHexDouble(t[7], &s.wall_seconds) ||
       !ckpt::ParseHexDouble(t[8], &s.cpu_seconds) ||
       !ckpt::ParseHexDouble(t[9], &s.compile_seconds)) {
     return false;
   }
   for (std::size_t i = 0; i < kNumEvalOutcomes; ++i) {
-    if (!ParseCount(t[10 + i], &s.outcomes[i])) return false;
+    if (!ParseUnsigned(t[10 + i], &s.outcomes[i])) return false;
   }
   std::size_t at = 10 + kNumEvalOutcomes;
-  if (!ParseCount(t[at++], &s.verdict_cache_lookups) ||
-      !ParseCount(t[at++], &s.verdict_cache_hits)) {
+  if (!ParseUnsigned(t[at++], &s.verdict_cache_lookups) ||
+      !ParseUnsigned(t[at++], &s.verdict_cache_hits)) {
     return false;
   }
   for (std::size_t i = 0; i < analysis::kNumGateRules; ++i) {
-    if (!ParseCount(t[at++], &s.gate_rule_rejects[i])) return false;
+    if (!ParseUnsigned(t[at++], &s.gate_rule_rejects[i])) return false;
   }
-  if (!ParseCount(t[at++], &s.gradient_evaluations) ||
-      !ParseCount(t[at++], &s.tape_nodes) ||
-      !ParseCount(t[at++], &s.linesearch_steps)) {
+  if (!ParseUnsigned(t[at++], &s.gradient_evaluations) ||
+      !ParseUnsigned(t[at++], &s.tape_nodes) ||
+      !ParseUnsigned(t[at++], &s.linesearch_steps)) {
     return false;
   }
   *stats = s;
@@ -96,7 +91,7 @@ bool DecodeGenStats(const std::string& line, GenerationStats* stats) {
   const std::vector<std::string> t = ckpt::TokenizeSExpr(line);
   std::size_t generation;
   GenerationStats g;
-  if (t.size() != 5 || !ParseCount(t[0], &generation) ||
+  if (t.size() != 5 || !ParseUnsigned(t[0], &generation) ||
       !ckpt::ParseHexDouble(t[1], &g.best_fitness) ||
       !ckpt::ParseHexDouble(t[2], &g.mean_fitness) ||
       !ckpt::ParseHexDouble(t[3], &g.best_size) ||
@@ -110,7 +105,7 @@ bool DecodeGenStats(const std::string& line, GenerationStats* stats) {
 
 bool ParseOutcome(const std::string& token, EvalOutcome* outcome) {
   std::size_t value;
-  if (!ParseCount(token, &value) || value >= kNumEvalOutcomes) return false;
+  if (!ParseUnsigned(token, &value) || value >= kNumEvalOutcomes) return false;
   *outcome = static_cast<EvalOutcome>(value);
   return true;
 }

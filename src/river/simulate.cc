@@ -147,11 +147,7 @@ class Rollout {
   /// Integrates day `t` for every lane; read the end-of-day states through
   /// StateOrPenalty.
   void AdvanceDay(std::size_t t) {
-    stepper_.AdvanceDay(*dataset_, t,
-                        [this](std::size_t, const double* variables,
-                               double* derivatives) {
-                          runner_.Derivatives(variables, derivatives);
-                        });
+    stepper_.AdvanceDay(*dataset_, t, runner_);
   }
 
   double StateOrPenalty(std::size_t species, std::size_t lane) const {

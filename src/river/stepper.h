@@ -169,10 +169,11 @@ class JitSymbols {
 /// `e`'s lanes land at out[e * width + lane] (the SoA layout of
 /// batch_vm.h; width 1 is the scalar layout). Lane width picks the VM:
 /// width 1 runs the tree interpreter, or one register program for the
-/// system with its parameters bound once per rollout; wider blocks run the
-/// system's batch program. Under kBatchJit the generation-JIT symbols
-/// override either one per equation. Hosts the `derivative_nan` fault
-/// point.
+/// system that runs its parameter-only instructions once per rollout and
+/// its driver-only ones once per day (Hold); wider blocks run the system's
+/// whole batch program per call. Under kBatchJit the generation-JIT
+/// symbols override either one per equation. Hosts the `derivative_nan`
+/// fault point.
 template <std::size_t kWidth>
 class DerivativeRunner {
  public:
@@ -200,7 +201,9 @@ class DerivativeRunner {
       equations_ = equations;
       return;
     }
-    const expr::TapeLayout layout{num_variables_, num_parameters_};
+    // The variable slots past the species are the day's drivers.
+    const expr::TapeLayout layout{num_variables_, num_parameters_,
+                                  num_equations_};
     if constexpr (kWidth == 1) {
       program_ = expr::Compile(equations, layout);
       program_.Bind(parameters_, num_parameters_);
@@ -215,6 +218,19 @@ class DerivativeRunner {
       return width_;
     } else {
       return kWidth;
+    }
+  }
+
+  /// Loads the held slots (the drivers) of `variables` into the width-1
+  /// program and runs its driver-only instructions; rerun whenever a
+  /// driver changes, before the next Derivatives call. A no-op for the
+  /// interpreter, for wider blocks (the batch program reads every slot per
+  /// call), and when the JIT symbols cover every equation.
+  void Hold(const double* variables) const {
+    if constexpr (kWidth == 1) {
+      if (compiled_ && jit_.NeedsProgram()) {
+        program_.Hold(variables, num_variables_);
+      }
     }
   }
 
@@ -339,17 +355,16 @@ class LaneStepper {
 
   /// Integrates day `t` (drivers held constant within the day) for every
   /// live lane: config.substeps substeps, each charged against every live
-  /// lane's budget. `derive(stage, variables, slopes)` fills one slope per
-  /// equation and lane from the variable block.
-  template <class Derive>
+  /// lane's budget, with `runner` filling one slope per equation and lane
+  /// from the variable block.
   void AdvanceDay(const RiverDataset& dataset, std::size_t t,
-                  const Derive& derive) {
+                  const DerivativeRunner<kWidth>& runner) {
     bool any_live = false;
     for (LaneWatchdog& watchdog : watchdogs_) {
       watchdog.BeginDay();
       any_live = any_live || !watchdog.aborted();
     }
-    if (any_live) StepDay(dataset, t, derive);
+    if (any_live) StepDay(dataset, t, runner);
   }
 
   void LoadDrivers(const RiverDataset& dataset, std::size_t t) {
@@ -417,11 +432,16 @@ class LaneStepper {
   static constexpr double kRk4Offsets[4] = {0.0, 0.5, 0.5, 1.0};
 
   /// The substeps of a day with at least one live lane. Kept out of
-  /// AdvanceDay so its penalty-day exit stays a few instructions.
-  template <class Derive>
+  /// AdvanceDay so its penalty-day exit stays a few instructions, which
+  /// also skips the runner's per-day Hold on penalty days.
   void StepDay(const RiverDataset& dataset, std::size_t t,
-               const Derive& derive) {
+               const DerivativeRunner<kWidth>& runner) {
     LoadDrivers(dataset, t);
+    runner.Hold(vars_.data());
+    const auto derive = [&runner](std::size_t, const double* variables,
+                                  double* slopes) {
+      runner.Derivatives(variables, slopes);
+    };
     for (int step = 0; step < config_.substeps; ++step) {
       bool any_charged = false;
       for (LaneWatchdog& watchdog : watchdogs_) {

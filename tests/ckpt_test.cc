@@ -176,6 +176,29 @@ TEST(SerializeTest, ParseExprLineRejectsMalformedInput) {
   EXPECT_EQ(ParseExprLine(good + " (c 0000000000000000)", &error), nullptr);
 }
 
+TEST(SerializeTest, ParseExprLineRejectsBadSlots) {
+  // A negative slot used to abort in expr::Variable, and one past the int
+  // range used to wrap to a small slot.
+  for (const char* line : {"(v -1 x)", "(v 4294967297 x)", "(p -1 k)",
+                           "(p 2147483648 k)", "(v +1 x)", "(v 1x x)"}) {
+    std::string error;
+    EXPECT_EQ(ParseExprLine(line, &error), nullptr) << line;
+    EXPECT_EQ(error, "bad slot") << line;
+  }
+  std::string error;
+  const e::ExprPtr widest = ParseExprLine("(v 2147483647 x)", &error);
+  ASSERT_NE(widest, nullptr) << error;
+  EXPECT_EQ(widest->slot(), 2147483647);
+}
+
+TEST(SerializeTest, ParseDoublesRejectsASignedCount) {
+  std::vector<double> parsed;
+  EXPECT_FALSE(ParseDoubles("-1", &parsed));
+  EXPECT_FALSE(ParseDoubles("+1 3ff0000000000000", &parsed));
+  EXPECT_TRUE(ParseDoubles("1 3ff0000000000000", &parsed));
+  EXPECT_EQ(parsed, std::vector<double>{1.0});
+}
+
 TEST(SerializeTest, RngStateRoundTripContinuesStreamExactly) {
   Rng rng(1234);
   for (int i = 0; i < 17; ++i) rng.NextUint64();

@@ -8,6 +8,8 @@
 #include "common/csv.h"
 #include "common/matrix.h"
 #include "common/metrics.h"
+#include "common/cli.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
 
@@ -462,6 +464,55 @@ TEST(CsvTest, ReadTrimsCarriageReturns) {
   EXPECT_EQ(table.column_names, (std::vector<std::string>{"a", "b"}));
   ASSERT_EQ(table.rows.size(), 2u);
   EXPECT_DOUBLE_EQ(table.rows[1][1], 4.0);
+}
+
+TEST(ParseUnsignedTest, AcceptsOnlyDigitsWithinTheBound) {
+  std::uint64_t value = 99;
+  EXPECT_TRUE(ParseUnsigned("0", 10, &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(ParseUnsigned("007", 10, &value));
+  EXPECT_EQ(value, 7u);
+  EXPECT_TRUE(ParseUnsigned("10", 10, &value));
+  EXPECT_EQ(value, 10u);
+  EXPECT_TRUE(ParseUnsigned("18446744073709551615",
+                            std::numeric_limits<std::uint64_t>::max(),
+                            &value));
+  EXPECT_EQ(value, std::numeric_limits<std::uint64_t>::max());
+  value = 99;
+  for (const char* bad :
+       {"", "-1", "-0", "+1", " 1", "1 ", "\t1", "5x", "0x10", "1.0", "1e3",
+        "abc", "18446744073709551616", "11"}) {
+    EXPECT_FALSE(ParseUnsigned(bad, 10, &value)) << "'" << bad << "'";
+    EXPECT_EQ(value, 99u) << "a rejected parse must not write the value";
+  }
+}
+
+TEST(ParseUnsignedTest, TypedFormIsBoundedByTheType) {
+  int slot = -5;
+  EXPECT_TRUE(ParseUnsigned("2147483647", &slot));
+  EXPECT_EQ(slot, std::numeric_limits<int>::max());
+  EXPECT_FALSE(ParseUnsigned("2147483648", &slot));
+  EXPECT_FALSE(ParseUnsigned("4294967297", &slot));
+  EXPECT_FALSE(ParseUnsigned("-1", &slot));
+  std::size_t count = 0;
+  EXPECT_TRUE(ParseUnsigned("4294967297", &count));
+  EXPECT_EQ(count, 4294967297u);
+}
+
+TEST(ParseUnsignedDeathTest, CommandLineFormNamesTheValueAndExitsTwo) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EQ(ParseUnsignedOrExit("tool", "--threads", "3", 1), 3);
+  EXPECT_EXIT(ParseUnsignedOrExit("tool", "--threads", "abc", 1),
+              ::testing::ExitedWithCode(2),
+              "tool: bad value 'abc' for --threads");
+  EXPECT_EXIT(ParseUnsignedOrExit("tool", "--threads", "0", 1),
+              ::testing::ExitedWithCode(2), "--threads");
+  EXPECT_EXIT(ParseUnsignedOrExit("tool", "--gens", "5x"),
+              ::testing::ExitedWithCode(2), "--gens");
+  EXPECT_EXIT(ParseUnsignedOrExit<std::uint64_t>("tool", "SEED", "-1"),
+              ::testing::ExitedWithCode(2), "SEED");
+  EXPECT_EXIT(ParseUnsignedOrExit("tool", "--pop", nullptr),
+              ::testing::ExitedWithCode(2), "tool: --pop needs a value");
 }
 
 }  // namespace

@@ -14,6 +14,9 @@
 #include "expr/parser.h"
 #include "expr/print.h"
 #include "expr/simplify.h"
+#include "river/biology.h"
+#include "river/chemistry.h"
+#include "river/constituents.h"
 
 namespace gmr::expr {
 namespace {
@@ -243,6 +246,100 @@ TEST(CompileTest, SystemMatchesInterpreterPerEquationInOrder) {
   program.Run(MakeContext(vars, other), out.data());
   EXPECT_EQ(out[4], 0.25);
   EXPECT_EQ(out[2], EvalExpr(*roots[2], MakeContext(vars, other)));
+}
+
+/// Flattens `roots` with `num_states` state slots followed by the ten
+/// driver slots, the layout the width-1 rollouts compile with.
+Tape FlattenWithStates(const std::vector<ExprPtr>& roots,
+                       std::size_t num_states) {
+  std::vector<const Expr*> pointers;
+  for (const ExprPtr& root : roots) pointers.push_back(root.get());
+  TapeLayout layout = LayoutOf(pointers);
+  layout.num_variables =
+      num_states + static_cast<std::size_t>(river::kNumDriverVariables);
+  layout.num_states = num_states;
+  return Flatten(pointers, layout);
+}
+
+TEST(CompileTest, ExpertProcessSegmentSizes) {
+  // Plankton MANUAL: nothing reads only parameters, 22 instructions read
+  // only drivers (and parameters), 39 read a state.
+  const Tape plankton = FlattenWithStates(river::ManualProcess(), 2);
+  EXPECT_EQ(plankton.size(), 61u);
+  EXPECT_EQ(plankton.hold_begin, 0u);
+  EXPECT_EQ(plankton.run_begin - plankton.hold_begin, 22u);
+  EXPECT_EQ(plankton.size() - plankton.run_begin, 39u);
+  // The five-species transport registry: 24 = 3 bind + 5 hold + 16 run.
+  const Tape transport = FlattenWithStates(
+      river::TransportProcess(river::ConstituentSet::Transport(5)), 5);
+  EXPECT_EQ(transport.size(), 24u);
+  EXPECT_EQ(transport.hold_begin, 3u);
+  EXPECT_EQ(transport.run_begin - transport.hold_begin, 5u);
+  EXPECT_EQ(transport.size() - transport.run_begin, 16u);
+}
+
+TEST(CompileTest, StagedRunsFollowEveryInputChange) {
+  // Variable 0 is a state, variable 1 is held. Roots: a parameter-only
+  // root and a held-only root (both hoisted whole), bare leaves of the
+  // held and parameter regions, and a run root reading hoisted values.
+  const std::vector<ExprPtr> roots = {
+      Mul(Parameter(0, ""), Parameter(1, "")),
+      Exp(Variable(1, "")),
+      Variable(1, ""),
+      Parameter(0, ""),
+      Add(Variable(0, ""), Mul(Parameter(1, ""), Exp(Variable(1, "")))),
+  };
+  const TapeLayout layout{2, 2, 1};
+  const Tape tape = Flatten(roots, layout);
+  EXPECT_EQ(tape.hold_begin, 1u);
+  EXPECT_EQ(tape.run_begin, 4u);
+  EXPECT_EQ(tape.size(), 5u);
+
+  const CompiledProgram program{Tape(tape)};
+  const std::vector<double> params = {1.5, -0.75};
+  program.Bind(params.data(), params.size());
+  std::vector<double> out(roots.size(), 0.0);
+  std::vector<double> previous;
+  const auto expect_interpreted = [&](const std::vector<double>& vars) {
+    const auto ctx = MakeContext(vars, params);
+    for (std::size_t r = 0; r < roots.size(); ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(EvalExpr(*roots[r], ctx)),
+                std::bit_cast<std::uint64_t>(out[r]))
+          << "root " << r << ", vars " << vars[0] << ", " << vars[1];
+    }
+  };
+  for (const double held : {0.5, -2.0}) {
+    std::vector<double> vars = {3.0, held};
+    program.Hold(vars.data(), vars.size());
+    program.Run(vars.data(), vars.size(), out.data());
+    expect_interpreted(vars);
+    // A second hold call with different held values changes the output.
+    if (!previous.empty()) {
+      EXPECT_NE(out[1], previous[1]);
+    }
+    previous = out;
+    // States change between runs without a hold call.
+    vars[0] = -4.0;
+    program.Run(vars.data(), vars.size(), out.data());
+    expect_interpreted(vars);
+  }
+}
+
+TEST(CompileTest, LayoutOfHoistsNoVariableRead) {
+  // LayoutOf makes every variable a state: only parameter- and
+  // constant-only instructions are hoisted, into the bind segment.
+  Rng rng(29);
+  for (int trial = 0; trial < 40; ++trial) {
+    const ExprPtr tree = RandomTree(rng, 6, 4, 3);
+    const Expr* roots[] = {tree.get()};
+    const Tape tape = Flatten(roots, LayoutOf(roots));
+    EXPECT_EQ(tape.layout.num_states, tape.layout.num_variables);
+    EXPECT_EQ(tape.run_begin, tape.hold_begin) << "trial " << trial;
+    for (std::size_t i = 0; i < tape.hold_begin; ++i) {
+      EXPECT_GE(tape.ops[i].a, tape.layout.num_variables) << "trial " << trial;
+      EXPECT_GE(tape.ops[i].b, tape.layout.num_variables) << "trial " << trial;
+    }
+  }
 }
 
 TEST(CompileDeathTest, SlotOutsideTheLayoutIsRejected) {

@@ -362,13 +362,23 @@ void ExpectSameReport(const SimulationReport& a, const SimulationReport& b,
 }
 
 TEST(TransportSimulateTest, CompiledMatchesInterpreterBitwiseUnderRk4) {
-  // The 5-species RK4 registry, once with the expert process and once with
-  // a candidate whose nitrate process saturates the clamp until the
-  // watchdog aborts: both VMs — the scalar rollout's system program and a
-  // one-lane batched rollout's batch program — must reproduce the
-  // interpreter's trajectory bits and its SimulationReport exactly.
+  // The 5-species RK4 registry, once with the expert process, once with a
+  // revised candidate whose added terms read only drivers and constants
+  // (the scalar program runs them once per day), and once with a candidate
+  // whose nitrate process saturates the clamp until the watchdog aborts:
+  // both VMs — the scalar rollout's system program and a one-lane batched
+  // rollout's batch program — must reproduce the interpreter's trajectory
+  // bits and its SimulationReport exactly.
   const TransportScenario scenario = SmallScenario(5);
   std::vector<e::ExprPtr> expert = TransportProcess(scenario.constituents);
+  const e::ExprPtr v_tmp =
+      e::Variable(scenario.constituents.driver_slot(kVtmp - kVlgt), "V_tmp");
+  std::vector<e::ExprPtr> revised = expert;
+  revised[0] =
+      e::Add(expert[0], e::Exp(e::Mul(v_tmp, e::Constant(0.03))));
+  revised[1] = e::Sub(TransportGain(scenario.constituents, 1),
+                      e::Mul(e::Mul(v_tmp, e::Constant(0.05)),
+                             TransportLoss(scenario.constituents, 1)));
   std::vector<e::ExprPtr> divergent = expert;
   divergent[0] = e::Mul(e::Constant(1e6), e::Variable(0, "M_NO3"));
   SimulationConfig config;
@@ -379,7 +389,8 @@ TEST(TransportSimulateTest, CompiledMatchesInterpreterBitwiseUnderRk4) {
       static_cast<std::size_t>(scenario.constituents.PrimaryObserved());
 
   bool saw_abort = false;
-  for (const std::vector<e::ExprPtr>* equations : {&expert, &divergent}) {
+  for (const std::vector<e::ExprPtr>* equations :
+       {&expert, &revised, &divergent}) {
     SimulationReport want_report;
     const SimulationTrajectory want = Simulate(
         *equations, scenario.true_parameters, scenario.dataset, 0,
