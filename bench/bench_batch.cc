@@ -1,10 +1,9 @@
-// Batch-compiled population evaluation benchmark: (1) compiler-invocation
+// Batch-compiled population evaluation benchmark: compiler-invocation
 // amortization of the generation JIT (one TU per generation vs one TU per
-// model, structure-hash compile cache), and (2) SoA rollout throughput at
-// lane widths 1/4/8/16 through BatchSimulate.
+// model, structure-hash compile cache).
 //
-// Emits BENCH_batch.json (schema_version 2); batched rows carry the
-// `batch_width` and `compile_cache_hit_rate` stats fields.
+// Emits BENCH_batch.json (schema_version 2); the generation row carries
+// the `compile_cache_hit_rate` stats field.
 
 #include <algorithm>
 #include <cstdio>
@@ -16,15 +15,11 @@
 #include "common/timer.h"
 #include "expr/ast.h"
 #include "expr/batch_jit.h"
-#include "river/simulate.h"
-#include "river/synthetic.h"
 #include "river/variables.h"
 
 namespace {
 
 namespace e = gmr::expr;
-using gmr::river::RiverDataset;
-using gmr::river::SimulationConfig;
 
 /// A synthetic "generation": `population` candidate ODE pairs in which only
 /// `unique_structures` distinct tree shapes occur — the shape distribution
@@ -57,16 +52,6 @@ std::vector<std::vector<e::ExprPtr>> MakeGeneration(int population,
   return generation;
 }
 
-std::vector<std::vector<double>> MakeLanes(std::size_t width) {
-  std::vector<std::vector<double>> lanes;
-  lanes.reserve(width);
-  for (std::size_t l = 0; l < width; ++l) {
-    lanes.push_back({0.01 * static_cast<double>(l + 1), 0.005,
-                     0.002 * static_cast<double>(l + 1)});
-  }
-  return lanes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -76,7 +61,6 @@ int main(int argc, char** argv) {
 
   bench::ConfigHasher hasher;
   hasher.Add("population", scale.population);
-  hasher.Add("data_years", scale.data_years);
   const std::uint64_t config_hash = hasher.hash();
   std::vector<bench::BenchRow> rows;
 
@@ -165,63 +149,7 @@ int main(int argc, char** argv) {
     std::printf("(no C compiler available; skipping the JIT comparison)\n\n");
   }
 
-  // ---------------------------------------------------- lane-width sweep
-  // Rollout throughput (lane-days/sec) of BatchSimulate at widths
-  // 1/4/8/16 on the synthetic dataset. The batch VM needs no compiler, so
-  // this half always runs; width 1 is the scalar baseline (SoA == AoS at
-  // stride 1). On the 1-CPU container the gain is pure locality/dispatch
-  // amortization — one bytecode walk per lane block instead of per lane.
-  const river::RiverDataset dataset = bench::MakeDataset(scale);
-  const std::size_t days = dataset.train_end;
-  const auto equations = MakeGeneration(1, 1)[0];
-
-  const SimulationConfig sim_config;
-  const river::ConstituentSet plankton = river::ConstituentSet::LegacyPlankton(
-      dataset.initial_bphy, dataset.initial_bzoo, dataset.test_initial_bphy,
-      dataset.test_initial_bzoo);
-
-  std::printf("[bench_batch] SoA rollout throughput by lane width\n");
-  std::printf("%zu training days, batch VM backend\n\n", days);
-  std::printf("%-12s %16s %14s\n", "batch_width", "lane-days/sec",
-              "vs width 1");
-
-  // Repeat small widths so every row integrates the same lane-day volume,
-  // and keep the best of a few trials per width (the usual best-of-N
-  // defense against scheduler noise on the 1-CPU container).
-  const std::size_t widths[] = {1, 4, 8, 16};
-  const std::size_t lane_volume = 256;
-  const int trials = 3;
-  double width1_rate = 0.0;
-  for (const std::size_t width : widths) {
-    const auto lanes = MakeLanes(width);
-    const std::size_t repeats = lane_volume / width;
-    double best_seconds = 0.0;
-    for (int trial = 0; trial < trials; ++trial) {
-      Timer timer;
-      for (std::size_t r = 0; r < repeats; ++r) {
-        const auto result = river::BatchSimulate(
-            equations, lanes, dataset, 0, days, plankton,
-            {dataset.initial_bphy, dataset.initial_bzoo}, sim_config);
-        if (result.width != width) return 1;
-      }
-      const double seconds = timer.ElapsedSeconds();
-      if (trial == 0 || seconds < best_seconds) best_seconds = seconds;
-    }
-    const double lane_days =
-        static_cast<double>(lane_volume) * static_cast<double>(days);
-    const double rate = lane_days / best_seconds;
-    if (width == 1) width1_rate = rate;
-    std::printf("%-12zu %16.0f %13.2fx\n", width, rate, rate / width1_rate);
-
-    bench::BenchRow row("rollout_w" + std::to_string(width), 3, config_hash);
-    row.Add("batch_width", static_cast<double>(width));
-    row.Add("lane_days_per_sec", rate);
-    row.Add("days", static_cast<double>(days));
-    row.Add("throughput_vs_width1", rate / width1_rate);
-    rows.push_back(std::move(row));
-  }
-
   bench::WriteBenchJson("BENCH_batch.json", "batch", options.threads, rows);
-  std::printf("\nwrote BENCH_batch.json\n");
+  std::printf("wrote BENCH_batch.json\n");
   return 0;
 }

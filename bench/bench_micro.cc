@@ -74,7 +74,7 @@ BENCHMARK(BM_EvalCompiled);
 
 void BM_EvalJit(benchmark::State& state) {
   // True runtime compilation (cc + dlopen), the paper's actual RC
-  // mechanism: a batch-JIT symbol called at width 1, as the scalar
+  // mechanism: a batch-JIT symbol called once per derivative, as the
   // rollouts call it. Skipped when no compiler is on the system.
   if (!expr::JitAvailable()) {
     state.SkipWithError("no C compiler");
@@ -90,10 +90,8 @@ void BM_EvalJit(benchmark::State& state) {
   }
   const auto params = gp::PriorMeans(river::RiverParameterPriors());
   const auto vars = BenchVariables();
-  double out = 0.0;
   for (auto _ : state) {
-    fn(vars.data(), params.data(), &out, 1);
-    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(fn(vars.data(), params.data()));
   }
 }
 BENCHMARK(BM_EvalJit);
@@ -155,7 +153,7 @@ BENCHMARK(BM_GeneticOperators);
 /// transport process under RK4 (transport:1), whose per-day cost is five
 /// equations x four stages x two substeps.
 /// Deterministic kernel operation counts of a station rollout's system
-/// program, from the tape segments under the width-1 runner's layout
+/// program, from the tape segments under the runner's layout
 /// (states, then the ten drivers): instructions run once per rollout
 /// (bind), once per day (hold) and once per derivative call (run), and the
 /// instructions a live day executes. The interpreter runs no tape, so only

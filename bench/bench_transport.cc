@@ -1,12 +1,11 @@
-// Multi-constituent transport throughput: how the batched rollout backends
-// scale with the state-vector width (1/2/5 species) and how the two
-// advection schemes (upwind/QUICK) price the 1D channel. Station rollouts
-// run BatchSimulate at a fixed lane width; channel rollouts run
-// SimulateChannel, whose cells are the lanes.
+// Multi-constituent transport throughput: how the compiled backends scale
+// with the state-vector width (1/2/5 species) and how the two advection
+// schemes (upwind/QUICK) price the 1D channel. Station rollouts run
+// Simulate once per parameter vector; channel rollouts run SimulateChannel,
+// which evaluates its cells one at a time.
 //
 // Emits BENCH_transport.json (shared bench schema v2); every row carries a
-// `num_species` stat so the state-vector-width sweep is joinable against
-// BENCH_batch.json's lane-width sweep offline.
+// `num_species` stat.
 
 #include <cmath>
 #include <cstdio>
@@ -68,17 +67,15 @@ int main(int argc, char** argv) {
   std::vector<bench::BenchRow> rows;
 
   // ------------------------------------- station rollouts vs species count
-  // Fixed lane width, growing state vector: the SoA lane blocks span
-  // species x lanes, so the per-substep work grows linearly with the
-  // species count while the dispatch overhead stays per-equation.
-  const std::size_t width = 8;
-  const std::size_t lane_volume = 64;
+  // A growing state vector: the per-substep work grows with the species
+  // count, one derivative call per stage either way.
+  const std::size_t num_vectors = 8;
   const int trials = 3;
 
-  std::printf("[bench_transport] station batch rollouts, width %zu\n\n",
-              width);
-  std::printf("%-10s %-10s %16s %18s\n", "species", "backend",
-              "lane-days/sec", "eq-lane-days/sec");
+  std::printf("[bench_transport] station rollouts, %zu parameter vectors\n\n",
+              num_vectors);
+  std::printf("%-10s %-10s %16s %18s\n", "species", "backend", "days/sec",
+              "eq-days/sec");
 
   for (const int num_species : kSpeciesCounts) {
     const TransportScenario scenario =
@@ -88,11 +85,11 @@ int main(int argc, char** argv) {
         scenario.constituents.InitialStates();
     const std::size_t days = scenario.dataset.train_end;
 
-    std::vector<std::vector<double>> lanes;
-    for (std::size_t l = 0; l < width; ++l) {
-      lanes.push_back(scenario.true_parameters);
-      for (double& p : lanes.back()) {
-        p *= 1.0 + 0.02 * static_cast<double>(l);
+    std::vector<std::vector<double>> vectors;
+    for (std::size_t v = 0; v < num_vectors; ++v) {
+      vectors.push_back(scenario.true_parameters);
+      for (double& p : vectors.back()) {
+        p *= 1.0 + 0.02 * static_cast<double>(v);
       }
     }
 
@@ -102,23 +99,22 @@ int main(int argc, char** argv) {
       config.num_species = num_species;
       config.compiled_backend = backend;
       const char* backend_name =
-          backend == CompiledBackend::kBytecodeVm ? "batch-vm" : "batch-jit";
+          backend == CompiledBackend::kBytecodeVm ? "vm" : "jit";
 
-      const std::size_t repeats = lane_volume / width;
       const double seconds = BestSeconds(trials, [&] {
-        for (std::size_t r = 0; r < repeats; ++r) {
-          const auto result = river::BatchSimulate(
-              equations, lanes, scenario.dataset, 0, days,
-              scenario.constituents, initial, config);
-          if (result.num_species !=
+        for (const std::vector<double>& parameters : vectors) {
+          const auto trajectory = river::Simulate(
+              equations, parameters, scenario.dataset, 0, days,
+              scenario.constituents, initial, config, /*compiled=*/true);
+          if (trajectory.series.size() !=
               static_cast<std::size_t>(num_species)) {
             std::abort();
           }
         }
       });
-      const double lane_days =
-          static_cast<double>(lane_volume) * static_cast<double>(days);
-      const double rate = lane_days / seconds;
+      const double rollout_days =
+          static_cast<double>(num_vectors) * static_cast<double>(days);
+      const double rate = rollout_days / seconds;
       std::printf("%-10d %-10s %16.0f %18.0f\n", num_species, backend_name,
                   rate, rate * num_species);
 
@@ -127,18 +123,17 @@ int main(int argc, char** argv) {
               std::to_string(num_species),
           3, config_hash);
       row.Add("num_species", static_cast<double>(num_species));
-      row.Add("batch_width", static_cast<double>(width));
       row.Add("days", static_cast<double>(days));
-      row.Add("lane_days_per_sec", rate);
-      row.Add("equation_lane_days_per_sec", rate * num_species);
+      row.Add("days_per_sec", rate);
+      row.Add("equation_days_per_sec", rate * num_species);
       rows.push_back(std::move(row));
     }
   }
 
   // --------------------------------------- channel rollouts scheme sweep
   // The reach prices an extra flux evaluation per interface; QUICK's wider
-  // stencil costs a little more per interface than upwind. Cells are the
-  // lanes of the batched backend, so throughput reports cell-days/sec.
+  // stencil costs a little more per interface than upwind. Throughput
+  // reports cell-days/sec.
   const int num_cells = 16;
   std::printf("\n[bench_transport] channel rollouts, %d cells\n\n",
               num_cells);

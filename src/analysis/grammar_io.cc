@@ -1,10 +1,11 @@
 #include "analysis/grammar_io.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
+
+#include "common/parse.h"
 
 namespace gmr::analysis {
 namespace {
@@ -77,8 +78,9 @@ bool ParseGrammarSpec(std::istream& in, const expr::SymbolTable& symbols,
         return Fail(error, line_number, "bad slot line: " + line);
       }
       tag::SlotSpec spec;
-      spec.lo = std::strtod(lo_text.c_str(), nullptr);
-      spec.hi = std::strtod(hi_text.c_str(), nullptr);
+      if (!ParseDouble(lo_text, &spec.lo) || !ParseDouble(hi_text, &spec.hi)) {
+        return Fail(error, line_number, "bad slot bound: " + line);
+      }
       // Grammar::SetSlotSpec aborts on lo > hi or NaN; turn that into a
       // load error here. Non-finite bounds pass through for LintGrammar.
       if (!(spec.lo <= spec.hi)) {

@@ -11,7 +11,6 @@
 #include "common/metrics.h"
 #include "common/parse.h"
 #include "expr/batch_jit.h"
-#include "expr/batch_vm.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "expr/parser.h"
@@ -83,71 +82,6 @@ std::string DescribeDisagreement(const char* backend, const ExprCase& c,
   }
   out << "], seed " << c.seed;
   return out.str();
-}
-
-/// SoA lane block for the batch oracles: lane l pairs sampled variable
-/// context l with an independently sampled parameter vector (lane 0 keeps
-/// the case's own parameters, so shrunk corpus cases stay meaningful),
-/// exercising both stride axes the batched rollouts use.
-struct LaneBlock {
-  std::size_t width = 0;
-  std::size_t num_variables = 0;
-  std::size_t num_parameters = 0;
-  /// Strided layouts: [slot * width + lane].
-  std::vector<double> vars;
-  std::vector<double> params;
-  /// Per-lane AoS copies (== the width-1 strided layout of that lane).
-  std::vector<std::vector<double>> lane_vars;
-  std::vector<std::vector<double>> lane_params;
-
-  expr::BatchEvalContext Context() const {
-    expr::BatchEvalContext bc;
-    bc.variables = vars.data();
-    bc.num_variables = num_variables;
-    bc.parameters = params.data();
-    bc.num_parameters = num_parameters;
-    bc.width = width;
-    return bc;
-  }
-
-  expr::BatchEvalContext LaneContext(std::size_t lane) const {
-    expr::BatchEvalContext bc;
-    bc.variables = lane_vars[lane].data();
-    bc.num_variables = num_variables;
-    bc.parameters = lane_params[lane].data();
-    bc.num_parameters = num_parameters;
-    bc.width = 1;
-    return bc;
-  }
-};
-
-LaneBlock MakeLaneBlock(const ExprCase& c, const OracleContext& ctx) {
-  LaneBlock block;
-  block.lane_vars = SampleContexts(c, ctx);
-  block.width = block.lane_vars.size();
-  Rng rng(CaseSeed(c.seed, 0xba7c41a9e5ULL));
-  block.lane_params.reserve(block.width);
-  for (std::size_t lane = 0; lane < block.width; ++lane) {
-    std::vector<double> params =
-        lane == 0 ? c.parameters : RandomParameters(*ctx.config, rng);
-    // Shrunk corpus cases may carry a different parameter count than the
-    // config generates; pin every lane to the case's own count.
-    params.resize(c.parameters.size(), 0.0);
-    block.lane_params.push_back(std::move(params));
-  }
-  block.num_variables = block.width == 0 ? 0 : block.lane_vars[0].size();
-  block.num_parameters = c.parameters.size();
-  block.vars.resize(block.num_variables * block.width);
-  block.params.resize(block.num_parameters * block.width);
-  for (std::size_t lane = 0; lane < block.width; ++lane) {
-    for (std::size_t s = 0; s < block.num_variables; ++s) {
-      block.vars[s * block.width + lane] = block.lane_vars[lane][s];
-    }
-    for (std::size_t s = 0; s < block.num_parameters; ++s) {
-      block.params[s * block.width + lane] = block.lane_params[lane][s];
-    }
-  }
-  return block;
 }
 
 /// The analysis environment of a case: config variable domains, parameters
@@ -259,45 +193,6 @@ OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx) {
   return OracleResult::Pass();
 }
 
-OracleResult CheckBatchVmAgrees(const ExprCase& c, const OracleContext& ctx) {
-  const expr::BatchProgram program = expr::CompileBatch(*c.tree);
-  const LaneBlock block = MakeLaneBlock(c, ctx);
-  if (block.width == 0) return OracleResult::Pass();
-  std::vector<double> out(block.width, 0.0);
-  program.RunLanes(block.Context(), out.data());
-  for (std::size_t lane = 0; lane < block.width; ++lane) {
-    const auto ec =
-        MakeEvalContext(block.lane_vars[lane], block.lane_params[lane]);
-    const double want = expr::EvalExpr(*c.tree, ec);
-    if (!WithinUlps(out[lane], want, 0)) {
-      return OracleResult::Fail(DescribeDisagreement(
-          "batch-vm", c, block.lane_vars[lane], out[lane], want));
-    }
-  }
-  return OracleResult::Pass();
-}
-
-OracleResult CheckBatchWidthInvariant(const ExprCase& c,
-                                      const OracleContext& ctx) {
-  const expr::BatchProgram program = expr::CompileBatch(*c.tree);
-  const LaneBlock block = MakeLaneBlock(c, ctx);
-  std::vector<double> full(block.width, 0.0);
-  if (block.width > 0) program.RunLanes(block.Context(), full.data());
-  for (std::size_t lane = 0; lane < block.width; ++lane) {
-    double narrow = 0.0;
-    program.RunLanes(block.LaneContext(lane), &narrow);
-    if (!WithinUlps(narrow, full[lane], 0)) {
-      std::ostringstream out;
-      out.precision(17);
-      out << "batch-vm width-1 result " << narrow << " differs from lane "
-          << lane << " of the width-" << block.width << " run " << full[lane]
-          << " on " << expr::ToString(*c.tree) << " (seed " << c.seed << ")";
-      return OracleResult::Fail(out.str());
-    }
-  }
-  return OracleResult::Pass();
-}
-
 OracleResult CheckBatchJitAgrees(const ExprCase& c, const OracleContext& ctx) {
   if (!expr::JitAvailable()) return OracleResult::Pass();
   // Private session + breaker: fuzz-volume compiles must never trip the
@@ -309,33 +204,13 @@ OracleResult CheckBatchJitAgrees(const ExprCase& c, const OracleContext& ctx) {
     return OracleResult::Fail("batch jit compile failed on " +
                               expr::ToString(*c.tree));
   }
-  const LaneBlock block = MakeLaneBlock(c, ctx);
-  std::vector<double> full(block.width, 0.0);
-  if (block.width > 0) {
-    fns[0](block.vars.data(), block.params.data(), full.data(),
-           static_cast<long>(block.width));
-  }
-  for (std::size_t lane = 0; lane < block.width; ++lane) {
-    const auto ec =
-        MakeEvalContext(block.lane_vars[lane], block.lane_params[lane]);
-    const double want = expr::EvalExpr(*c.tree, ec);
-    if (!WithinUlps(full[lane], want, ctx.jit_ulps)) {
-      return OracleResult::Fail(DescribeDisagreement(
-          "batch-jit", c, block.lane_vars[lane], full[lane], want));
-    }
-    // Width invariance of the compiled symbol itself must be exact: the TU
-    // is built with -ffp-contract=off so the vectorized body and the
-    // scalar epilogue perform identical IEEE operations per lane.
-    double narrow = 0.0;
-    fns[0](block.lane_vars[lane].data(), block.lane_params[lane].data(),
-           &narrow, 1);
-    if (!WithinUlps(narrow, full[lane], 0)) {
-      std::ostringstream out;
-      out.precision(17);
-      out << "batch-jit width-1 result " << narrow << " differs from lane "
-          << lane << " of the width-" << block.width << " run " << full[lane]
-          << " on " << expr::ToString(*c.tree) << " (seed " << c.seed << ")";
-      return OracleResult::Fail(out.str());
+  for (const auto& vars : SampleContexts(c, ctx)) {
+    const double want =
+        expr::EvalExpr(*c.tree, MakeEvalContext(vars, c.parameters));
+    const double got = fns[0](vars.data(), c.parameters.data());
+    if (!WithinUlps(got, want, ctx.jit_ulps)) {
+      return OracleResult::Fail(
+          DescribeDisagreement("batch-jit", c, vars, got, want));
     }
   }
   return OracleResult::Pass();
@@ -673,8 +548,6 @@ constexpr NamedOracle kExprOracles[] = {
     {"ckpt_roundtrip", CheckCkptRoundTrip},
     {"interval", CheckIntervalSound}, {"gate", CheckGateSound},
     {"activity", CheckActivitySound},
-    {"batch_vm", CheckBatchVmAgrees},
-    {"batch_width", CheckBatchWidthInvariant},
     {"batch_jit", CheckBatchJitAgrees},
     {"gradcheck", CheckGradcheck},
 };

@@ -61,9 +61,9 @@ OracleResult CheckVmAgrees(const ExprCase& c, const OracleContext& ctx);
 /// seed) compiled into one register program, with a drawn number of the
 /// variable slots as states and the rest held, must agree bitwise (0 ULP;
 /// both-NaN counts as agreement) with EvalExpr root by root. The program
-/// runs in rollout form, as the width-1 DerivativeRunner does: one Bind,
-/// two Hold calls with different held values, and after each at least two
-/// Runs that change only the states.
+/// runs in rollout form, as the DerivativeRunner does: one Bind, two Hold
+/// calls with different held values, and after each at least two Runs that
+/// change only the states.
 OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx);
 
 /// Simplify-then-VM vs tree interpreter. Compared bitwise when both sides
@@ -73,27 +73,11 @@ OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx);
 OracleResult CheckSimplifiedVmAgrees(const ExprCase& c,
                                      const OracleContext& ctx);
 
-/// Batched VM vs tree interpreter, lane by lane: a full-width RunLanes call
-/// over a SoA lane block (lane l = sampled variable context l paired with
-/// an independently sampled parameter vector; lane 0 keeps the case's own
-/// parameters) must agree bitwise (0 ULP) with the interpreter on every
-/// lane. Divergence in one lane (NaN/Inf) must not perturb its neighbors.
-OracleResult CheckBatchVmAgrees(const ExprCase& c, const OracleContext& ctx);
-
-/// Batch-width invariance of the batched VM: evaluating the same lane
-/// block at full width and lane-at-a-time (width 1) must produce bitwise
-/// identical results — lanes are independent elementwise IEEE streams.
-OracleResult CheckBatchWidthInvariant(const ExprCase& c,
-                                      const OracleContext& ctx);
-
-/// Generation-batched JIT vs tree interpreter, lane by lane within
-/// ctx.jit_ulps, plus bitwise batch-width invariance of the compiled
-/// symbol itself (full width vs width 1: the TU is built with
-/// -ffp-contract=off precisely so the vector body and scalar epilogue
-/// perform identical IEEE operations). Passes vacuously without a C
-/// compiler; a compile failure is an oracle failure. Uses a private
-/// session and circuit breaker so fuzz volume never poisons run-wide
-/// JIT state.
+/// Generation-batched JIT vs tree interpreter: the compiled symbol must
+/// agree with EvalExpr within ctx.jit_ulps on every sampled context.
+/// Passes vacuously without a C compiler; a compile failure is an oracle
+/// failure. Uses a private session and circuit breaker so fuzz volume never
+/// poisons run-wide JIT state.
 OracleResult CheckBatchJitAgrees(const ExprCase& c, const OracleContext& ctx);
 
 /// printer -> parser -> printer: the printed form must reparse and print to
@@ -157,7 +141,7 @@ using ExprOracle = OracleResult (*)(const ExprCase&, const OracleContext&);
 
 /// All registered oracle names, in fixed execution order:
 /// vm, simplify, system_vm, roundtrip, ckpt_roundtrip, interval, gate,
-/// activity, batch_vm, batch_width, batch_jit, gradcheck.
+/// activity, batch_jit, gradcheck.
 std::vector<std::string> ExprOracleNames();
 
 /// Looks an oracle up by name; nullptr when unknown.

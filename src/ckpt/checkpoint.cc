@@ -1,22 +1,16 @@
 #include "ckpt/checkpoint.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <string_view>
 #include <utility>
+
+#include "common/parse.h"
 
 namespace gmr::ckpt {
 namespace {
 
 constexpr char kTraceSection[] = "trace";
 constexpr char kFingerprintSection[] = "fingerprint";
-
-bool ParseU64Token(const std::string& text, std::size_t begin,
-                   std::uint64_t* value) {
-  if (begin >= text.size()) return false;
-  char* end = nullptr;
-  *value = std::strtoull(text.c_str() + begin, &end, 10);
-  return end != text.c_str() + begin;
-}
 
 }  // namespace
 
@@ -42,17 +36,29 @@ const Snapshot* Checkpointer::Load() {
                     static_cast<double>(fallbacks));
   }
   if (!status.ok()) return nullptr;
-  load_succeeded_ = true;
-  // Trace continuation offsets: "bytes <n>" and "seq <n>" lines.
+  // Trace continuation offsets: "bytes <n>" and "seq <n>" lines. A
+  // malformed offset fails the load rather than splicing the resumed trace
+  // at a wrong byte.
+  std::uint64_t bytes = 0;
+  std::uint64_t seq = 0;
   if (const Section* trace = loaded_.FindSection(kTraceSection)) {
     for (const std::string& line : trace->lines) {
-      if (line.compare(0, 6, "bytes ") == 0) {
-        ParseU64Token(line, 6, &resume_trace_bytes_);
-      } else if (line.compare(0, 4, "seq ") == 0) {
-        ParseU64Token(line, 4, &resume_trace_seq_);
+      const std::string_view text(line);
+      bool ok = true;
+      if (text.starts_with("bytes ")) {
+        ok = ParseUnsigned(text.substr(6), &bytes);
+      } else if (text.starts_with("seq ")) {
+        ok = ParseUnsigned(text.substr(4), &seq);
+      }
+      if (!ok) {
+        EmitOperational("load_failed", static_cast<double>(loaded_.step), 0);
+        return nullptr;
       }
     }
   }
+  resume_trace_bytes_ = bytes;
+  resume_trace_seq_ = seq;
+  load_succeeded_ = true;
   return &loaded_;
 }
 

@@ -29,6 +29,14 @@ bool ParseUnsigned(std::string_view text, Int* value) {
   return true;
 }
 
+/// The strict parser of every real number read from a model or grammar
+/// file: `text` must be one decimal literal, `inf`, `-inf` or `nan`, and
+/// nothing else — everything the writers print at precision 17. Rejects
+/// empty text, whitespace, a '+' sign, trailing characters and a literal
+/// outside the double range, so `0.05abc` or `banana` never loads as a
+/// prefix or as 0.
+bool ParseDouble(std::string_view text, double* value);
+
 }  // namespace gmr
 
 #endif  // GMR_COMMON_PARSE_H_

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "expr/print.h"
 
 namespace gmr::core {
@@ -79,8 +79,12 @@ bool LoadModel(const std::string& path, const expr::SymbolTable& symbols,
         if (error != nullptr) *error = "unknown parameter: " + name;
         return false;
       }
-      model->parameters[static_cast<std::size_t>(it->second)] =
-          std::strtod(value_text.c_str(), nullptr);
+      double value = 0.0;
+      if (!ParseDouble(value_text, &value)) {
+        if (error != nullptr) *error = "bad param value: " + line;
+        return false;
+      }
+      model->parameters[static_cast<std::size_t>(it->second)] = value;
       model->declared_parameters.push_back(name);
     } else {
       if (error != nullptr) *error = "unknown keyword: " + keyword;

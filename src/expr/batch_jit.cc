@@ -25,15 +25,10 @@ std::string GenerateBatchCSource(
   std::ostringstream out;
   out << JitKernelPreamble();
   for (const auto& [hash, root] : entries) {
-    // One exported symbol per unique structure. The lane loop is the
-    // elementwise shape the autovectorizer targets; every lane evaluates
-    // the same expression, so a symbol called at width 1 (the scalar
-    // rollouts) computes the same operation sequence as at width N (lane
-    // blocks), with contraction pinned off by -ffp-contract=off.
-    out << "void " << BatchSymbolName(hash)
-        << "(const double* v, const double* p, double* out, long w) {\n"
-        << "  long i;\n  for (i = 0; i < w; ++i) {\n    out[i] = "
-        << RenderCExpressionStrided(*root) << ";\n  }\n}\n";
+    // One exported symbol per unique structure.
+    out << "double " << BatchSymbolName(hash)
+        << "(const double* v, const double* p) {\n  return "
+        << RenderCExpression(*root) << ";\n}\n";
   }
   return out.str();
 }
@@ -105,14 +100,10 @@ std::vector<BatchJitSession::BatchFn> BatchJitSession::CompileBatch(
     out << last_source_;
   }
 
-  // One compiler invocation for the whole generation. -O2 with explicit
-  // tree vectorization: the lane loops are elementwise, so vectorizing
-  // them preserves each lane's IEEE result; -ffp-contract=off keeps the
-  // vector body and the scalar epilogue emitting the same operations, so
-  // results are bit-identical across batch widths.
+  // One compiler invocation for the whole generation. -ffp-contract=off
+  // keeps every multiply and add rounded on its own, as in the VM.
   const std::string command =
-      JitCompilerCommand() +
-      " -O2 -ftree-vectorize -ffp-contract=off -shared -fPIC -o " +
+      JitCompilerCommand() + " -O2 -ffp-contract=off -shared -fPIC -o " +
       library_path + " " + source_path + " -lm > /dev/null 2>&1";
   tu_compiles_.fetch_add(1, std::memory_order_relaxed);
   const int status = std::system(command.c_str());

@@ -25,18 +25,16 @@ namespace gmr::expr {
 /// structure-hash cache for the lifetime of the session, so individuals
 /// recurring across generations never recompile at all.
 ///
-/// The emitted symbols use the SoA batch calling convention of
-/// batch_vm.h — `fn(v, p, out, width)` with `v[slot*width+lane]` — so one
-/// compiled equation evaluates a whole lane block per call; scalar rollouts
-/// call the same symbol with width 1 (SoA == AoS at stride 1). The TU is
-/// compiled with -ffp-contract=off, which keeps every lane's result
-/// bit-identical across widths (vector body and scalar epilogue perform
-/// the same IEEE operations).
+/// Each emitted symbol evaluates its equation for one parameter vector,
+/// `double fn(const double* v, const double* p)` with leaves read at
+/// `v[slot]` / `p[slot]` — the layout of EvalContext — so a rollout calls it
+/// once per derivative evaluation. The TU is compiled with
+/// -ffp-contract=off, so no multiply-add is fused that the VM programs
+/// would round twice.
 class BatchJitSession {
  public:
-  /// out[lane] = f(v, p) for lane in [0, width); v/p in SoA layout.
-  using BatchFn = void (*)(const double* v, const double* p, double* out,
-                           long width);
+  /// f(v, p) over one variable and one parameter vector.
+  using BatchFn = double (*)(const double* v, const double* p);
 
   /// `breaker` guards the per-TU compiler invocations; null uses
   /// JitCircuitBreaker::Default(). The session does not own it.
@@ -50,8 +48,8 @@ class BatchJitSession {
   /// returns the per-root entry points in input order. A null entry means
   /// that root must run on the VM program instead (compile failure, open
   /// circuit breaker, no compiler, or `batch_compile` fault injection) —
-  /// the degradation is per-call-site, so healthy lanes are never
-  /// poisoned. Coordinator-only: call from the batch barrier, not from
+  /// the degradation is per root, so a failed root never poisons the
+  /// others. Coordinator-only: call from the batch barrier, not from
   /// worker lanes (Lookup is the lane-safe accessor).
   std::vector<BatchFn> CompileBatch(const std::vector<const Expr*>& roots);
 

@@ -32,8 +32,7 @@ struct TapeLayout {
 ///
 /// so leaves cost no instruction: a variable, parameter or literal operand
 /// is read where it lives. dst is always a temporary distinct from both
-/// operands. Shared by the scalar VM below and the stride-N batch VM
-/// (batch_vm.h).
+/// operands.
 struct TapeInstruction {
   NodeKind op = NodeKind::kAdd;
   std::uint32_t dst = 0;
@@ -43,10 +42,9 @@ struct TapeInstruction {
 
 /// A flattened equation system: the instructions of every root, the
 /// literal values of the constant registers, and one output register per
-/// root. Pure data — every VM backend executes the same tape and applies
-/// each operator once, through the ApplyUnary/ApplyBinary kernels, to the
-/// same operand values as EvalExpr, which is what makes their results
-/// bit-identical to the interpreter's.
+/// root. Pure data — the VM below applies each operator once, through the
+/// ApplyUnary/ApplyBinary kernels, to the same operand values as EvalExpr,
+/// which is what makes its results bit-identical to the interpreter's.
 ///
 /// The instructions form three contiguous segments, by the most-varying
 /// register each one reads: bind [0, hold_begin) reads only constants and

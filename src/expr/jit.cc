@@ -55,10 +55,10 @@ void EmitNode(const Expr& node, std::ostringstream& out) {
       return;
     }
     case NodeKind::kParameter:
-      out << "p[" << node.slot() << "*w+i]";
+      out << "p[" << node.slot() << ']';
       return;
     case NodeKind::kVariable:
-      out << "v[" << node.slot() << "*w+i]";
+      out << "v[" << node.slot() << ']';
       return;
     case NodeKind::kAdd:
     case NodeKind::kSub:
@@ -204,7 +204,7 @@ std::string JitScratchStem() {
 
 const char* JitKernelPreamble() { return kPreamble; }
 
-std::string RenderCExpressionStrided(const Expr& root) {
+std::string RenderCExpression(const Expr& root) {
   std::ostringstream out;
   EmitNode(root, out);
   return out.str();

@@ -101,11 +101,10 @@ class JitCircuitBreaker {
 /// unit; the generation batch JIT prepends it to its multi-symbol TUs).
 const char* JitKernelPreamble();
 
-/// Renders `root` as a C expression over `v`/`p` with the SoA stride of
-/// the batch calling convention: slot s of lane i reads `v[s*w+i]` /
-/// `p[s*w+i]` (the generation batch JIT wraps this body in a
-/// `for (i = 0; i < w; ++i)` lane loop).
-std::string RenderCExpressionStrided(const Expr& root);
+/// Renders `root` as a C expression over `v`/`p`: variable slot s reads
+/// `v[s]`, parameter slot s reads `p[s]` (the generation batch JIT returns
+/// it from one symbol per root).
+std::string RenderCExpression(const Expr& root);
 
 }  // namespace gmr::expr
 

@@ -173,14 +173,14 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
     return result;
   }
 
-  // The replay steps through the rollout's own lane stepper, with the
+  // The replay steps through the rollout's own stepper, with the
   // tapes as derivative source. The forward watchdogs never tripped on the
   // replayed days, so the replay runs with them disabled.
   river::SimulationConfig replay_config = config;
   replay_config.max_nonfinite_derivatives = 0;
   replay_config.max_saturated_substeps = 0;
   replay_config.substep_budget = 0;
-  river::LaneStepper<1> replay(initial_state, /*width=*/1, replay_config);
+  river::LaneStepper replay(initial_state, replay_config);
   const std::size_t num_stages = replay.NumStages();
   const int substeps = config.substeps;
 
@@ -214,8 +214,8 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
     // Recompute the day's substeps from the begin-of-day checkpoint,
     // recording every stage's tape values and every raw state.
     for (std::size_t s = 0; s < num_species; ++s) {
-      replay.state(s, 0) = d == 0 ? river::ClampState(initial_state[s], config)
-                                  : trajectory.series[s][d - 1];
+      replay.state(s) = d == 0 ? river::ClampState(initial_state[s], config)
+                               : trajectory.series[s][d - 1];
     }
     replay.LoadDrivers(dataset, t_begin + d);
     for (SubstepRecord& record : records) {

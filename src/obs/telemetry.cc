@@ -17,8 +17,10 @@ std::string FormatJsonNumber(double value) {
   char buffer[40];
   if (std::isnan(value)) return "null";  // JSON has no NaN
   if (std::isinf(value)) return value > 0 ? "1e999" : "-1e999";
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      std::fabs(value) < 9.007199254740992e15) {
+  // The magnitude check comes first: casting a double at or beyond 2^63 to
+  // long long is undefined.
+  if (std::fabs(value) < 9.007199254740992e15 &&
+      value == static_cast<double>(static_cast<long long>(value))) {
     std::snprintf(buffer, sizeof(buffer), "%lld",
                   static_cast<long long>(value));
   } else {

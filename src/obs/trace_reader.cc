@@ -1,5 +1,6 @@
 #include "obs/trace_reader.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -55,11 +56,16 @@ bool ParseString(Cursor* cursor, std::string* out) {
           out->push_back('\r');
           break;
         case 'u': {
+          // Exactly four hex digits below 0x80: the writer escapes only
+          // control characters.
           if (cursor->pos + 4 > cursor->text.size()) return false;
-          const std::string hex = cursor->text.substr(cursor->pos, 4);
+          const char* hex = cursor->text.data() + cursor->pos;
+          unsigned code = 0;
+          const auto [end, ec] = std::from_chars(hex, hex + 4, code, 16);
+          if (ec != std::errc() || end != hex + 4 || code >= 0x80) {
+            return false;
+          }
           cursor->pos += 4;
-          const long code = std::strtol(hex.c_str(), nullptr, 16);
-          // The writer only emits \u00xx for control characters.
           out->push_back(static_cast<char>(code));
           break;
         }
@@ -71,6 +77,13 @@ bool ParseString(Cursor* cursor, std::string* out) {
     }
   }
   return false;  // unterminated string
+}
+
+/// True when `value` is an integer in [0, 2^64), so casting it to uint64_t
+/// is defined.
+bool IsUint64(double value) {
+  return value >= 0.0 && value < 18446744073709551616.0 &&
+         value == std::floor(value);
 }
 
 bool ParseNumber(Cursor* cursor, double* out) {
@@ -138,6 +151,7 @@ bool ParseTraceLine(const std::string& line, TraceRecord* record) {
       double value = 0;
       if (!ParseNumber(&cursor, &value)) return false;
       if (key == "seq") {
+        if (!IsUint64(value)) return false;
         record->seq = static_cast<std::uint64_t>(value);
       } else {
         record->numbers.emplace_back(key, value);
@@ -178,8 +192,8 @@ TraceSummary SummarizeTrace(const std::vector<TraceRecord>& records) {
     if (record.type == "manifest") {
       if (summary.driver.empty()) {
         summary.driver = record.FindString("driver");
-        summary.seed =
-            static_cast<std::uint64_t>(record.FindNumber("seed"));
+        const double seed = record.FindNumber("seed");
+        summary.seed = IsUint64(seed) ? static_cast<std::uint64_t>(seed) : 0;
         summary.git_describe = record.FindString("git_describe");
         summary.started_at_utc = record.FindString("started_at_utc");
       }

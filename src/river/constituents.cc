@@ -23,8 +23,6 @@ const char* ConfigErrorCodeName(ConfigErrorCode code) {
       return "bad_observed_series";
     case ConfigErrorCode::kBadInitialState:
       return "bad_initial_state";
-    case ConfigErrorCode::kParameterLaneMismatch:
-      return "parameter_lane_mismatch";
     case ConfigErrorCode::kBadSubsteps:
       return "bad_substeps";
     case ConfigErrorCode::kBadStateBounds:

@@ -22,7 +22,6 @@ enum class ConfigErrorCode : int {
   kSpeciesCountMismatch,  ///< config.num_species != constituents/equations.
   kBadObservedSeries,     ///< observed_series out of the dataset's range.
   kBadInitialState,       ///< Non-finite initial condition.
-  kParameterLaneMismatch, ///< Batch lanes disagree on parameter count.
   kBadSubsteps,           ///< config.substeps < 1.
   kBadStateBounds,        ///< Non-finite or inverted state_min/state_max.
   kNegativeWatchdogLimit, ///< A watchdog limit below 0 (0 disables).
@@ -202,10 +201,9 @@ expr::SymbolTable SymbolsFor(const ConstituentSet& constituents);
 /// against.
 analysis::UnitsEnv UnitsEnvFor(const ConstituentSet& constituents);
 
-/// Species-major structure-of-arrays state storage for `width` rollout
-/// lanes: value(species, lane) at index species * width + lane. Width 1 is
-/// the scalar rollout; the batch rollout spans species x lanes in one
-/// contiguous block.
+/// Species-major state storage of a channel's `width` cells:
+/// value(species, cell) at index species * width + cell, so each species'
+/// cells are one contiguous row.
 class MassBalanceStore {
  public:
   MassBalanceStore(std::size_t num_species, std::size_t width)
@@ -215,19 +213,19 @@ class MassBalanceStore {
   std::size_t num_species() const { return num_species_; }
   std::size_t width() const { return width_; }
 
-  double& at(std::size_t species, std::size_t lane) {
-    return values_[species * width_ + lane];
+  double& at(std::size_t species, std::size_t cell) {
+    return values_[species * width_ + cell];
   }
-  double at(std::size_t species, std::size_t lane) const {
-    return values_[species * width_ + lane];
+  double at(std::size_t species, std::size_t cell) const {
+    return values_[species * width_ + cell];
   }
-  /// The lane block of one species (length width()).
+  /// The cells of one species (length width()).
   double* row(std::size_t species) { return &values_[species * width_]; }
   const double* row(std::size_t species) const {
     return &values_[species * width_];
   }
 
-  /// Broadcasts per-species initial states across every lane.
+  /// Broadcasts per-species initial states across every cell.
   void Fill(const std::vector<double>& initial_state);
 
  private:

@@ -73,22 +73,6 @@ ConfigError ValidateObservations(const ConstituentSet& constituents,
   return ConfigError::Ok();
 }
 
-ConfigError ValidateBatchLanes(
-    const std::vector<std::vector<double>>& parameter_lanes) {
-  if (parameter_lanes.empty()) return ConfigError::Ok();
-  const std::size_t n = parameter_lanes[0].size();
-  for (std::size_t l = 1; l < parameter_lanes.size(); ++l) {
-    if (parameter_lanes[l].size() != n) {
-      return ConfigError::Error(
-          ConfigErrorCode::kParameterLaneMismatch,
-          "batch lane " + std::to_string(l) + " carries " +
-              std::to_string(parameter_lanes[l].size()) +
-              " parameters but lane 0 carries " + std::to_string(n));
-    }
-  }
-  return ConfigError::Ok();
-}
-
 std::vector<ObservationBinding> BindObservations(
     const ConstituentSet& constituents) {
   std::vector<ObservationBinding> observations;
@@ -124,47 +108,45 @@ JitSymbols::JitSymbols(const std::vector<expr::ExprPtr>& equations,
 
 namespace {
 
-/// One rollout of a lane block: the derivative runner over the caller's
-/// SoA parameter block (not copied; it must outlive the rollout) and the
-/// lane stepper driving it.
-template <std::size_t kWidth>
+/// One rollout: the derivative runner over the caller's parameter vector
+/// (not copied; it must outlive the rollout) and the stepper driving it.
 class Rollout {
  public:
   Rollout(const std::vector<expr::ExprPtr>& equations,
-          const double* parameters, std::size_t num_parameters,
-          std::size_t width, bool compiled, const RiverDataset* dataset,
+          const std::vector<double>& parameters, bool compiled,
+          const RiverDataset* dataset,
           const std::vector<double>& initial_state,
           const SimulationConfig& config)
-      : runner_(equations, parameters, num_parameters,
+      : runner_(equations, parameters.data(), parameters.size(),
                 initial_state.size() +
                     static_cast<std::size_t>(kNumDriverVariables),
-                width, compiled, config),
-        stepper_(initial_state, width, config),
+                compiled, config),
+        stepper_(initial_state, config),
         dataset_(dataset) {
     GMR_CHECK_EQ(equations.size(), initial_state.size());
   }
 
-  /// Integrates day `t` for every lane; read the end-of-day states through
+  /// Integrates day `t`; read the end-of-day states through
   /// StateOrPenalty.
   void AdvanceDay(std::size_t t) {
     stepper_.AdvanceDay(*dataset_, t, runner_);
   }
 
-  double StateOrPenalty(std::size_t species, std::size_t lane) const {
-    return stepper_.StateOrPenalty(species, lane);
+  double StateOrPenalty(std::size_t species) const {
+    return stepper_.StateOrPenalty(species);
   }
 
-  EvalOutcome outcome(std::size_t lane) const {
-    return stepper_.watchdog(lane).outcome(runner_.jit_fallback());
+  EvalOutcome outcome() const {
+    return stepper_.watchdog().outcome(runner_.jit_fallback());
   }
 
-  void FillReport(std::size_t lane, SimulationReport* report) const {
-    stepper_.watchdog(lane).FillReport(runner_.jit_fallback(), report);
+  void FillReport(SimulationReport* report) const {
+    stepper_.watchdog().FillReport(runner_.jit_fallback(), report);
   }
 
  private:
-  DerivativeRunner<kWidth> runner_;
-  LaneStepper<kWidth> stepper_;
+  DerivativeRunner runner_;
+  LaneStepper stepper_;
   const RiverDataset* dataset_;
 };
 
@@ -178,8 +160,8 @@ class RiverEvaluation : public gp::SequentialEvaluation {
                   std::vector<ObservationBinding> observations,
                   const SimulationConfig& config)
       : parameters_(parameters),
-        rollout_(equations, parameters_.data(), parameters_.size(),
-                 /*width=*/1, compiled, dataset, initial_state, config),
+        rollout_(equations, parameters_, compiled, dataset, initial_state,
+                 config),
         dataset_(dataset),
         observations_(std::move(observations)),
         t_(t_begin),
@@ -189,7 +171,7 @@ class RiverEvaluation : public gp::SequentialEvaluation {
     GMR_CHECK_LT(t_, t_end_);
     rollout_.AdvanceDay(t_);
     for (const ObservationBinding& binding : observations_) {
-      const double predicted = rollout_.StateOrPenalty(binding.species, 0);
+      const double predicted = rollout_.StateOrPenalty(binding.species);
       const double observed = dataset_->ObservedSeries(binding.series)[t_];
       const double error = predicted - observed;
       sse_ += error * error;
@@ -209,13 +191,13 @@ class RiverEvaluation : public gp::SequentialEvaluation {
 
   std::size_t steps_taken() const override { return steps_; }
 
-  EvalOutcome outcome() const override { return rollout_.outcome(0); }
+  EvalOutcome outcome() const override { return rollout_.outcome(); }
 
  private:
   // Owns a copy so the runner's pointer stays valid for the lifetime of the
   // evaluation regardless of caller storage.
   std::vector<double> parameters_;
-  Rollout<1> rollout_;
+  Rollout rollout_;
   const RiverDataset* dataset_;
   std::vector<ObservationBinding> observations_;
   std::size_t t_;
@@ -240,64 +222,19 @@ SimulationTrajectory Simulate(const std::vector<expr::ExprPtr>& equations,
       ValidateSimulation(config, constituents, equations.size());
   GMR_CHECK_MSG(err.ok(), err.message.c_str());
   GMR_CHECK_EQ(initial_state.size(), constituents.size());
-  Rollout<1> rollout(equations, parameters.data(), parameters.size(),
-                     /*width=*/1, compiled, &dataset, initial_state, config);
+  Rollout rollout(equations, parameters, compiled, &dataset, initial_state,
+                  config);
   SimulationTrajectory trajectory;
   trajectory.series.resize(constituents.size());
   for (auto& series : trajectory.series) series.reserve(t_end - t_begin);
   for (std::size_t t = t_begin; t < t_end; ++t) {
     rollout.AdvanceDay(t);
     for (std::size_t s = 0; s < constituents.size(); ++s) {
-      trajectory.series[s].push_back(rollout.StateOrPenalty(s, 0));
+      trajectory.series[s].push_back(rollout.StateOrPenalty(s));
     }
   }
-  if (report != nullptr) rollout.FillReport(0, report);
+  if (report != nullptr) rollout.FillReport(report);
   return trajectory;
-}
-
-BatchSimulationResult BatchSimulate(
-    const std::vector<expr::ExprPtr>& equations,
-    const std::vector<std::vector<double>>& parameter_lanes,
-    const RiverDataset& dataset, std::size_t t_begin, std::size_t t_end,
-    const ConstituentSet& constituents,
-    const std::vector<double>& initial_state,
-    const SimulationConfig& config) {
-  GMR_CHECK_LE(t_end, dataset.num_days);
-  GMR_CHECK_LE(t_begin, t_end);
-  ConfigError err = ValidateSimulation(config, constituents, equations.size());
-  GMR_CHECK_MSG(err.ok(), err.message.c_str());
-  err = ValidateBatchLanes(parameter_lanes);
-  GMR_CHECK_MSG(err.ok(), err.message.c_str());
-  GMR_CHECK_EQ(initial_state.size(), constituents.size());
-  BatchSimulationResult result;
-  result.width = parameter_lanes.size();
-  result.num_species = constituents.size();
-  result.predicted.resize(result.width);
-  result.reports.resize(result.width);
-  if (result.width == 0) return result;
-  // SoA parameter block, [slot * width + lane].
-  const std::size_t num_parameters = parameter_lanes[0].size();
-  std::vector<double> parameters(num_parameters * result.width);
-  for (std::size_t l = 0; l < result.width; ++l) {
-    for (std::size_t s = 0; s < num_parameters; ++s) {
-      parameters[s * result.width + l] = parameter_lanes[l][s];
-    }
-  }
-  Rollout<kDynamicWidth> rollout(equations, parameters.data(), num_parameters,
-                                 result.width, /*compiled=*/true, &dataset,
-                                 initial_state, config);
-  const auto primary = static_cast<std::size_t>(constituents.PrimaryObserved());
-  for (auto& lane : result.predicted) lane.reserve(t_end - t_begin);
-  for (std::size_t t = t_begin; t < t_end; ++t) {
-    rollout.AdvanceDay(t);
-    for (std::size_t l = 0; l < result.width; ++l) {
-      result.predicted[l].push_back(rollout.StateOrPenalty(primary, l));
-    }
-  }
-  for (std::size_t l = 0; l < result.width; ++l) {
-    rollout.FillReport(l, &result.reports[l]);
-  }
-  return result;
 }
 
 RiverFitness::RiverFitness(const RiverDataset* dataset, std::size_t t_begin,

@@ -23,19 +23,17 @@ enum class IntegrationMethod {
 };
 
 /// Which "runtime compilation" backend evaluates candidate equations when
-/// the RC speedup is on. Lane width, not this value, picks the VM: scalar
-/// rollouts (Simulate, RiverFitness) run one register program for the
-/// equation system (expr/compile.h), lane blocks (BatchSimulate, the
-/// channel) run the same tape over lane rows (expr/batch_vm.h).
+/// the RC speedup is on. Every rollout (Simulate, RiverFitness, the
+/// channel, the adjoint's forward sweep) runs one register program for the
+/// equation system (expr/compile.h), one parameter vector at a time.
 enum class CompiledBackend {
   kBytecodeVm = 0,  ///< The VM programs alone; the default.
   kBatchJit,        ///< Generation-batched cc + dlopen (expr/batch_jit.h):
                     ///< one translation unit per compile batch, one symbol
                     ///< per unique equation, structure-hash compile cache.
-                    ///< Each symbol overrides its equation's VM output, at
-                    ///< width 1 in scalar rollouts; an equation whose
-                    ///< compile fails (or once the breaker opens) keeps the
-                    ///< VM output.
+                    ///< Each symbol overrides its equation's VM output; an
+                    ///< equation whose compile fails (or once the breaker
+                    ///< opens) keeps the VM output.
 };
 
 /// Numerical integration settings for the constituent processes.
@@ -81,9 +79,9 @@ struct SimulationConfig {
   std::size_t substep_budget = 0;
 };
 
-/// The commit clamp of every integrator (station, lane block, channel, and
-/// the adjoint's replay). Sign-aware: -Inf (and NaN with the sign bit set)
-/// pins to the biological floor, +Inf/NaN to the ceiling — a huge negative
+/// The commit clamp of every integrator (station, channel, and the
+/// adjoint's replay). Sign-aware: -Inf (and NaN with the sign bit set) pins
+/// to the biological floor, +Inf/NaN to the ceiling — a huge negative
 /// update means the population crashed, not exploded. Pinning at the
 /// ceiling sets *saturated_high (when non-null); the floor is ordinary
 /// die-off and is never reported.
@@ -125,11 +123,6 @@ ConfigError ValidateSimulation(const SimulationConfig& config,
 /// the dataset actually carries (kBadObservedSeries otherwise).
 ConfigError ValidateObservations(const ConstituentSet& constituents,
                                  const RiverDataset& dataset);
-
-/// Validates that every batch lane carries the same parameter count
-/// (kParameterLaneMismatch otherwise — never silently truncated).
-ConfigError ValidateBatchLanes(
-    const std::vector<std::vector<double>>& parameter_lanes);
 
 /// One observation binding of a fitness problem: constituent state index ->
 /// dataset observed-series index.
@@ -182,39 +175,6 @@ SimulationTrajectory Simulate(const std::vector<expr::ExprPtr>& equations,
                               const std::vector<double>& initial_state,
                               const SimulationConfig& config, bool compiled,
                               SimulationReport* report = nullptr);
-
-/// Result of one batched rollout: `width` independent parameter lanes
-/// integrated in lockstep through the same equations.
-struct BatchSimulationResult {
-  std::size_t width = 0;
-  /// Species count of the rollout's constituent registry (the SoA lane
-  /// blocks span num_species x width).
-  std::size_t num_species = 0;
-  /// predicted[lane][day]: the primary observed constituent's trajectory,
-  /// bit-identical to the scalar Simulate of that lane's parameter vector
-  /// under the same config.
-  std::vector<std::vector<double>> predicted;
-  /// Per-lane containment telemetry; a diverging lane is masked out of
-  /// further derivative evaluations without perturbing its neighbors.
-  std::vector<SimulationReport> reports;
-};
-
-/// Simulates the constituent processes for `parameter_lanes.size()`
-/// parameter vectors at once in structure-of-arrays layout (lane blocks
-/// span species x lanes): each compiled equation call advances a whole
-/// lane block. Equations are evaluated through one batch program for the
-/// system, overridden per equation by generation-JIT symbols when the
-/// config selects kBatchJit. Every lane's watchdog semantics match
-/// the scalar rollout exactly: a lane that trips a watchdog is masked out
-/// (its remaining days predict state_max) while the surviving lanes keep
-/// integrating.
-BatchSimulationResult BatchSimulate(
-    const std::vector<expr::ExprPtr>& equations,
-    const std::vector<std::vector<double>>& parameter_lanes,
-    const RiverDataset& dataset, std::size_t t_begin, std::size_t t_end,
-    const ConstituentSet& constituents,
-    const std::vector<double>& initial_state,
-    const SimulationConfig& config);
 
 /// The river fitness problem: one fitness case per day; fitness is the
 /// running RMSE between the simulated and observed series of every

@@ -1,6 +1,5 @@
 #include "river/transport.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -93,13 +92,13 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
   GMR_CHECK_MSG(err.ok(), err.message.c_str());
 
   const std::size_t num_species = constituents.size();
-  const std::size_t width = static_cast<std::size_t>(channel.num_cells);
+  const std::size_t num_cells = static_cast<std::size_t>(channel.num_cells);
   const int n = channel.num_cells;
   const std::size_t num_variables =
       num_species + static_cast<std::size_t>(kNumDriverVariables);
 
   ChannelResult result;
-  result.final_state = MassBalanceStore(num_species, width);
+  result.final_state = MassBalanceStore(num_species, num_cells);
   result.budgets.assign(num_species, ChannelMassBudget{});
   result.outlet.assign(num_species, {});
   for (auto& series : result.outlet) series.reserve(t_end - t_begin);
@@ -113,23 +112,22 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
   cells.Fill(initial);
   for (std::size_t s = 0; s < num_species; ++s) {
     result.budgets[s].initial =
-        static_cast<double>(width) * initial[s] * channel.dx;
+        static_cast<double>(num_cells) * initial[s] * channel.dx;
   }
 
-  // Candidate processes run in every cell at once: cells are the lanes of
-  // the derivative runner, vars[slot * width + cell].
-  std::vector<double> params(parameters.size() * width);
-  for (std::size_t s = 0; s < parameters.size(); ++s) {
-    std::fill_n(&params[s * width], width, parameters[s]);
-  }
-  const DerivativeRunner<kDynamicWidth> runner(
-      equations, params.data(), parameters.size(), num_variables, width,
-      /*compiled=*/true, config);
-  std::vector<double> vars(num_variables * width, 0.0);
-  std::vector<double> reaction(num_species * width, 0.0);
+  // Candidate processes run cell by cell on the station rollouts' runner:
+  // the parameters bind once per rollout, the drivers hold once per day
+  // (every cell sees the same drivers), and each cell's states run once
+  // per substep into reaction[species * num_cells + cell].
+  const DerivativeRunner runner(equations, parameters.data(),
+                                parameters.size(), num_variables,
+                                /*compiled=*/true, config);
+  std::vector<double> vars(num_variables, 0.0);
+  std::vector<double> slopes(num_species, 0.0);
+  std::vector<double> reaction(num_species * num_cells, 0.0);
   std::vector<double> flux(static_cast<std::size_t>(n) + 1, 0.0);
 
-  // The reach is one watchdog lane: it aborts as a unit.
+  // The reach has one watchdog: it aborts as a unit.
   LaneWatchdog watchdog;
   const double dt = 1.0 / static_cast<double>(config.substeps);
   const double u = channel.velocity;
@@ -138,16 +136,20 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
   for (std::size_t t = t_begin; t < t_end; ++t) {
     watchdog.BeginDay();
     if (!watchdog.aborted()) {
-      BroadcastDrivers(dataset, t, num_species, width, vars.data());
+      LoadDrivers(dataset, t, num_species, vars.data());
+      runner.Hold(vars.data());
     }
     for (int step = 0; step < config.substeps; ++step) {
       if (watchdog.aborted() || !watchdog.ChargeSubstep(config)) break;
       // Reaction: evaluate every process in every cell.
-      std::copy_n(cells.row(0), num_species * width, vars.data());
-      runner.Derivatives(vars.data(), reaction.data());
       bool all_finite = true;
-      for (const double r : reaction) {
-        all_finite = all_finite && std::isfinite(r);
+      for (std::size_t i = 0; i < num_cells; ++i) {
+        for (std::size_t s = 0; s < num_species; ++s) vars[s] = cells.at(s, i);
+        runner.Derivatives(vars.data(), slopes.data());
+        for (std::size_t s = 0; s < num_species; ++s) {
+          reaction[s * num_cells + i] = slopes[s];
+          all_finite = all_finite && std::isfinite(slopes[s]);
+        }
       }
       watchdog.NoteDerivatives(all_finite, config);
       // Skip the commit. The station stepper commits the clamped state
@@ -173,7 +175,7 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
         // when a watchdog aborts the reach mid-day.
         result.budgets[s].inflow += dt * flux[0];
         result.budgets[s].outflow += dt * flux[static_cast<std::size_t>(n)];
-        const double* k_row = &reaction[s * width];
+        const double* k_row = &reaction[s * num_cells];
         for (int i = 0; i < n; ++i) {
           const double dc = (flux[static_cast<std::size_t>(i)] -
                              flux[static_cast<std::size_t>(i) + 1]) /
@@ -193,14 +195,14 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
     for (std::size_t s = 0; s < num_species; ++s) {
       result.outlet[s].push_back(watchdog.aborted()
                                      ? config.state_max
-                                     : cells.at(s, width - 1));
+                                     : cells.at(s, num_cells - 1));
     }
   }
   watchdog.FillReport(runner.jit_fallback(), &result.report);
   for (std::size_t s = 0; s < num_species; ++s) {
     double total = 0.0;
     const double* c = cells.row(s);
-    for (std::size_t l = 0; l < width; ++l) total += c[l] * channel.dx;
+    for (std::size_t i = 0; i < num_cells; ++i) total += c[i] * channel.dx;
     result.budgets[s].final_mass = total;
   }
   return result;

@@ -1,7 +1,7 @@
-// Batched-evaluation tests: the stride-N batch VM, the generation-batched
-// JIT session (structure-hash compile cache, one TU per batch), SoA batch
-// rollouts with per-lane watchdog masking, and the `batch_compile` fault
-// site. Labeled `batch`, `prop`, and `fault` in ctest.
+// Batched-compilation tests: the equation-system VM program, the
+// generation-batched JIT session (structure-hash compile cache, one TU per
+// batch), JIT rollouts against the VM, and the `batch_compile` fault site.
+// Labeled `batch`, `prop`, and `fault` in ctest.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "expr/ast.h"
 #include "expr/batch_jit.h"
-#include "expr/batch_vm.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "expr/jit.h"
@@ -33,7 +32,6 @@ namespace gmr {
 namespace {
 
 namespace e = gmr::expr;
-using river::BatchSimulate;
 using river::CompiledBackend;
 using river::ConstituentSet;
 using river::IntegrationMethod;
@@ -70,147 +68,42 @@ e::ExprPtr TestExpr() {
              e::Max(e::Parameter(1, "p1"), e::Constant(0.25))));
 }
 
-// --------------------------------------------------------- batch VM ------
+// ------------------------------------------------------ system program ----
 
-TEST(BatchVmTest, MatchesInterpreterLaneByLane) {
-  const e::ExprPtr tree = TestExpr();
-  const e::BatchProgram program = e::CompileBatch(*tree);
-  const std::size_t width = 16;
-  Rng rng(7);
-  std::vector<double> vars(2 * width);
-  std::vector<double> params(2 * width);
-  for (double& v : vars) v = rng.Uniform(-3.0, 3.0);
-  for (double& p : params) p = rng.Uniform(-2.0, 2.0);
+TEST(BatchVmTest, SystemProgramMatchesInterpreterPerEquationAndLane) {
+  // One program for three equations (one a bare leaf, two sharing a
+  // subtree by pointer), run for five parameter vectors: equation e lands
+  // at out[e]. A copy owns its register file: rebinding and running the
+  // source afterwards must not move the copy's results.
+  const e::ExprPtr shared = TestExpr();
+  const std::vector<e::ExprPtr> roots = {
+      e::Sub(shared, e::Variable(1, "y")), e::Parameter(1, "p1"),
+      e::Mul(shared, e::Exp(e::Neg(shared)))};
+  const e::CompiledProgram source = e::Compile(roots, e::TapeLayout{2, 2});
+  Rng rng(23);
+  for (int lane = 0; lane < 5; ++lane) {
+    const double vars[2] = {rng.Uniform(-3.0, 3.0), rng.Uniform(-3.0, 3.0)};
+    const double params[2] = {rng.Uniform(-2.0, 2.0),
+                              rng.Uniform(-2.0, 2.0)};
+    source.Bind(params, 2);
+    source.Hold(vars, 2);
+    const e::CompiledProgram program = source;
+    const double other[2] = {9.0, -9.0};
+    source.Bind(other, 2);
+    source.Hold(other, 2);
+    std::vector<double> scratch(roots.size(), 0.0);
+    source.Run(other, 2, scratch.data());
 
-  e::BatchEvalContext ctx;
-  ctx.variables = vars.data();
-  ctx.num_variables = 2;
-  ctx.parameters = params.data();
-  ctx.num_parameters = 2;
-  ctx.width = width;
-  std::vector<double> out(width, 0.0);
-  program.RunLanes(ctx, out.data());
-
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    const double lane_vars[2] = {vars[0 * width + lane],
-                                 vars[1 * width + lane]};
-    const double lane_params[2] = {params[0 * width + lane],
-                                   params[1 * width + lane]};
-    e::EvalContext ec;
-    ec.variables = lane_vars;
-    ec.num_variables = 2;
-    ec.parameters = lane_params;
-    ec.num_parameters = 2;
-    EXPECT_TRUE(BitwiseEqual(out[lane], e::EvalExpr(*tree, ec)))
-        << "lane " << lane;
-  }
-}
-
-TEST(BatchVmTest, WidthOneMatchesBytecodeVmBitwise) {
-  const e::ExprPtr tree = TestExpr();
-  const e::CompiledProgram scalar = e::Compile(*tree);
-  const e::BatchProgram batch = e::CompileBatch(*tree);
-  Rng rng(11);
-  for (int trial = 0; trial < 100; ++trial) {
-    const double vars[2] = {rng.Uniform(-5.0, 5.0),
-                            rng.Uniform(-5.0, 5.0)};
-    const double params[2] = {rng.Uniform(-5.0, 5.0),
-                              rng.Uniform(-5.0, 5.0)};
+    std::vector<double> out(roots.size(), 0.0);
+    program.Run(vars, 2, out.data());
     e::EvalContext ec;
     ec.variables = vars;
     ec.num_variables = 2;
     ec.parameters = params;
     ec.num_parameters = 2;
-    e::BatchEvalContext bc;
-    bc.variables = vars;
-    bc.num_variables = 2;
-    bc.parameters = params;
-    bc.num_parameters = 2;
-    bc.width = 1;
-    double got = 0.0;
-    batch.RunLanes(bc, &got);
-    EXPECT_TRUE(BitwiseEqual(got, scalar.Run(ec))) << "trial " << trial;
-  }
-}
-
-TEST(BatchVmTest, SystemProgramMatchesInterpreterPerEquationAndLane) {
-  // One program for three equations (one a bare leaf, two sharing a
-  // subtree): equation e's lanes land at out[e * width + lane].
-  const e::ExprPtr shared = TestExpr();
-  const std::vector<e::ExprPtr> roots = {
-      e::Sub(shared, e::Variable(1, "y")), e::Parameter(1, "p1"),
-      e::Mul(shared, e::Exp(e::Neg(shared)))};
-  const e::BatchProgram source =
-      e::CompileBatch(roots, e::TapeLayout{2, 2});
-  const std::size_t width = 5;
-  Rng rng(23);
-  std::vector<double> vars(2 * width);
-  std::vector<double> params(2 * width);
-  for (double& v : vars) v = rng.Uniform(-3.0, 3.0);
-  for (double& p : params) p = rng.Uniform(-2.0, 2.0);
-  e::BatchEvalContext ctx;
-  ctx.variables = vars.data();
-  ctx.num_variables = 2;
-  ctx.parameters = params.data();
-  ctx.num_parameters = 2;
-  ctx.width = width;
-  std::vector<double> scratch(roots.size() * width, 0.0);
-  source.RunLanes(ctx, scratch.data());
-  // A copy owns its scratch: running it must not depend on the source's.
-  const e::BatchProgram program = source;
-  std::vector<double> out(roots.size() * width, 0.0);
-  program.RunLanes(ctx, out.data());
-
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    const double lane_vars[2] = {vars[lane], vars[width + lane]};
-    const double lane_params[2] = {params[lane], params[width + lane]};
-    e::EvalContext ec;
-    ec.variables = lane_vars;
-    ec.num_variables = 2;
-    ec.parameters = lane_params;
-    ec.num_parameters = 2;
-    e::BatchEvalContext narrow;
-    narrow.variables = lane_vars;
-    narrow.num_variables = 2;
-    narrow.parameters = lane_params;
-    narrow.num_parameters = 2;
-    narrow.width = 1;
-    std::vector<double> single(roots.size(), 0.0);
-    program.RunLanes(narrow, single.data());
     for (std::size_t eq = 0; eq < roots.size(); ++eq) {
-      const double want = e::EvalExpr(*roots[eq], ec);
-      EXPECT_TRUE(BitwiseEqual(out[eq * width + lane], want))
+      EXPECT_TRUE(BitwiseEqual(out[eq], e::EvalExpr(*roots[eq], ec)))
           << "equation " << eq << ", lane " << lane;
-      EXPECT_TRUE(BitwiseEqual(single[eq], want))
-          << "width 1, equation " << eq << ", lane " << lane;
-    }
-  }
-}
-
-TEST(BatchVmTest, LaneDivergenceDoesNotPerturbNeighbors) {
-  // gmr_plog(0) = 0 and division guards keep most lanes finite; inject a
-  // non-finite value into one lane's variable slot and check neighbors.
-  const e::ExprPtr tree =
-      e::Add(e::Variable(0, "x"), e::Mul(e::Variable(0, "x"),
-                                         e::Parameter(0, "p0")));
-  const e::BatchProgram program = e::CompileBatch(*tree);
-  const std::size_t width = 8;
-  std::vector<double> vars(width, 1.0);
-  std::vector<double> params(width, 2.0);
-  vars[3] = std::numeric_limits<double>::quiet_NaN();
-  e::BatchEvalContext ctx;
-  ctx.variables = vars.data();
-  ctx.num_variables = 1;
-  ctx.parameters = params.data();
-  ctx.num_parameters = 1;
-  ctx.width = width;
-  std::vector<double> out(width, 0.0);
-  program.RunLanes(ctx, out.data());
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    if (lane == 3) {
-      EXPECT_TRUE(std::isnan(out[lane]));
-    } else {
-      EXPECT_DOUBLE_EQ(out[lane], 3.0) << "lane " << lane;
     }
   }
 }
@@ -230,8 +123,11 @@ TEST(BatchJitTest, GeneratedSourceHasOneSymbolPerUniqueTree) {
             std::string::npos);
   EXPECT_NE(source.find(e::BatchSymbolName(b->StructuralHash())),
             std::string::npos);
-  // Strided SoA addressing: leaves index [slot * w + i].
-  EXPECT_NE(source.find("*w+i]"), std::string::npos);
+  // Scalar symbols: one double per call, leaves read at [slot].
+  EXPECT_NE(source.find("double " + e::BatchSymbolName(a->StructuralHash()) +
+                        "(const double* v, const double* p)"),
+            std::string::npos);
+  EXPECT_NE(source.find("v[0]"), std::string::npos);
 }
 
 TEST(BatchJitTest, DeduplicatesWithinAndAcrossBatches) {
@@ -267,28 +163,23 @@ TEST(BatchJitTest, DeduplicatesWithinAndAcrossBatches) {
   EXPECT_EQ(stats.tu_compiles, 1u);
   EXPECT_DOUBLE_EQ(stats.HitRate(), 2.0 / 5.0);
 
-  // The compiled symbol agrees with the interpreter at full width.
-  const std::size_t width = 4;
-  std::vector<double> vars(2 * width);
-  std::vector<double> params(2 * width);
+  // The compiled symbol agrees with the interpreter.
   Rng rng(3);
-  for (double& v : vars) v = rng.Uniform(-2.0, 2.0);
-  for (double& p : params) p = rng.Uniform(-2.0, 2.0);
-  std::vector<double> out(width, 0.0);
-  fns[0](vars.data(), params.data(), out.data(), static_cast<long>(width));
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    const double lane_vars[2] = {vars[lane], vars[width + lane]};
-    const double lane_params[2] = {params[lane], params[width + lane]};
+  for (int trial = 0; trial < 4; ++trial) {
+    const double vars[2] = {rng.Uniform(-2.0, 2.0), rng.Uniform(-2.0, 2.0)};
+    const double params[2] = {rng.Uniform(-2.0, 2.0),
+                              rng.Uniform(-2.0, 2.0)};
     e::EvalContext ec;
-    ec.variables = lane_vars;
+    ec.variables = vars;
     ec.num_variables = 2;
-    ec.parameters = lane_params;
+    ec.parameters = params;
     ec.num_parameters = 2;
-    EXPECT_NEAR(out[lane], e::EvalExpr(*a, ec), 1e-12) << "lane " << lane;
+    EXPECT_NEAR(fns[0](vars, params), e::EvalExpr(*a, ec), 1e-12)
+        << "trial " << trial;
   }
 }
 
-// ------------------------------------------------------ batch rollouts ----
+// ------------------------------------------------------- JIT rollouts ----
 
 RiverDataset TinyDataset(std::size_t days) {
   RiverDataset dataset;
@@ -308,7 +199,7 @@ RiverDataset TinyDataset(std::size_t days) {
 }
 
 /// Equations whose dynamics depend on the parameter vector, so distinct
-/// lanes trace distinct trajectories: dB_Phy/dt = p0 B_Phy - p1 B_Zoo,
+/// vectors trace distinct trajectories: dB_Phy/dt = p0 B_Phy - p1 B_Zoo,
 /// dB_Zoo/dt = p2 B_Phy.
 std::vector<e::ExprPtr> ParameterizedEquations() {
   std::vector<e::ExprPtr> equations;
@@ -320,7 +211,7 @@ std::vector<e::ExprPtr> ParameterizedEquations() {
   return equations;
 }
 
-/// Lanes 0..n-2 are tame; the last lane diverges explosively (hits the
+/// Vectors 0..n-2 are tame; the last diverges explosively (hits the
 /// state_max clamp and, with a tight saturation watchdog, aborts).
 std::vector<std::vector<double>> MixedLanes(std::size_t n) {
   std::vector<std::vector<double>> lanes;
@@ -337,66 +228,24 @@ std::vector<std::vector<double>> MixedLanes(std::size_t n) {
   return lanes;
 }
 
-void ExpectLaneMatchesScalar(const std::vector<e::ExprPtr>& equations,
-                             const std::vector<std::vector<double>>& lanes,
-                             const SimulationConfig& config,
-                             std::size_t days) {
-  const RiverDataset dataset = TinyDataset(days);
-  const ConstituentSet plankton = ConstituentSet::LegacyPlankton();
-  const auto batch = BatchSimulate(equations, lanes, dataset, 0, days,
-                                   plankton, {5.0, 1.0}, config);
-  ASSERT_EQ(batch.width, lanes.size());
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    SimulationReport scalar_report;
-    const auto scalar =
-        Simulate(equations, lanes[l], dataset, 0, days, plankton, {5.0, 1.0},
-                 config, /*compiled=*/true, &scalar_report)
-            .series[0];
-    ASSERT_EQ(batch.predicted[l].size(), scalar.size()) << "lane " << l;
-    for (std::size_t t = 0; t < scalar.size(); ++t) {
-      EXPECT_TRUE(BitwiseEqual(batch.predicted[l][t], scalar[t]))
-          << "lane " << l << " day " << t << ": batch "
-          << batch.predicted[l][t] << " vs scalar " << scalar[t];
-    }
-    const SimulationReport& r = batch.reports[l];
-    EXPECT_EQ(r.outcome, scalar_report.outcome) << "lane " << l;
-    EXPECT_EQ(r.aborted, scalar_report.aborted) << "lane " << l;
-    EXPECT_EQ(r.substeps_used, scalar_report.substeps_used) << "lane " << l;
-    EXPECT_EQ(r.days_simulated, scalar_report.days_simulated);
-    EXPECT_EQ(r.days_before_abort, scalar_report.days_before_abort);
-    EXPECT_EQ(r.nonfinite_derivatives, scalar_report.nonfinite_derivatives);
-    EXPECT_EQ(r.clamp_saturations, scalar_report.clamp_saturations);
-  }
-}
-
-TEST(BatchRolloutTest, EulerMatchesScalarLaneByLaneBitwise) {
-  SimulationConfig config;
-  config.max_saturated_substeps = 8;  // the divergent lane must abort
-  ExpectLaneMatchesScalar(ParameterizedEquations(), MixedLanes(8), config,
-                          40);
-}
-
-TEST(BatchRolloutTest, Rk4MatchesScalarLaneByLaneBitwise) {
-  SimulationConfig config;
-  config.method = IntegrationMethod::kRk4;
-  config.max_saturated_substeps = 8;
-  ExpectLaneMatchesScalar(ParameterizedEquations(), MixedLanes(6), config,
-                          30);
-}
-
-TEST(BatchRolloutTest, SubstepBudgetAbortsPerLane) {
-  SimulationConfig config;
-  config.substep_budget = 20;  // 2 substeps/day -> aborts on day 11
-  ExpectLaneMatchesScalar(ParameterizedEquations(), MixedLanes(4), config,
-                          30);
+/// The primary (B_Phy) trajectory of one compiled rollout of `parameters`.
+std::vector<double> SimulatePrimary(const std::vector<double>& parameters,
+                                    std::size_t days,
+                                    const SimulationConfig& config,
+                                    SimulationReport* report) {
+  return Simulate(ParameterizedEquations(), parameters, TinyDataset(days), 0,
+                  days, ConstituentSet::LegacyPlankton(), {5.0, 1.0}, config,
+                  /*compiled=*/true, report)
+      .series[0];
 }
 
 TEST(BatchRolloutTest, NonFiniteDerivativeAbortsPerLane) {
-  // p0 = 1e307 on lane 1: the stage-0 slope 5e307 is finite, but the next
-  // evaluation overflows to +inf — under RK4 at stage 1 of the first
-  // substep (input 5 + 0.25 * 5e307), so the lane aborts mid-substep and
-  // must skip the later stages' bookkeeping and the commit; under Euler
-  // one substep later, from the clamped ceiling.
+  // p0 = 1e307 in vector 1: the stage-0 slope 5e307 is finite, but the
+  // next evaluation overflows to +inf — under RK4 at stage 1 of the first
+  // substep (input 5 + 0.25 * 5e307), so the rollout aborts mid-substep
+  // and must skip the later stages' bookkeeping and the commit; under
+  // Euler one substep later, from the clamped ceiling. The other vectors
+  // keep their own outcomes.
   auto lanes = MixedLanes(4);
   lanes[1][0] = 1e307;
   const std::size_t days = 30;
@@ -406,40 +255,21 @@ TEST(BatchRolloutTest, NonFiniteDerivativeAbortsPerLane) {
     config.method = method;
     config.max_nonfinite_derivatives = 1;
     config.max_saturated_substeps = 8;
-    ExpectLaneMatchesScalar(ParameterizedEquations(), lanes, config, days);
-    SimulationReport report;
-    Simulate(ParameterizedEquations(), lanes[1], TinyDataset(days), 0, days,
-             ConstituentSet::LegacyPlankton(), {5.0, 1.0}, config,
-             /*compiled=*/true, &report);
-    EXPECT_EQ(report.outcome, EvalOutcome::kNonFiniteDerivative);
-    EXPECT_EQ(report.nonfinite_derivatives, 1u);
-    EXPECT_EQ(report.substeps_used,
-              method == IntegrationMethod::kRk4 ? 1u : 2u);
-  }
-}
-
-TEST(BatchRolloutTest, MaskedLaneIsIsolated) {
-  SimulationConfig config;
-  config.max_saturated_substeps = 8;
-  const std::size_t days = 40;
-  const RiverDataset dataset = TinyDataset(days);
-  const auto lanes = MixedLanes(8);
-  const auto batch =
-      BatchSimulate(ParameterizedEquations(), lanes, dataset, 0, days,
-                    ConstituentSet::LegacyPlankton(), {5.0, 1.0}, config);
-  // The divergent lane aborted with the saturation watchdog...
-  const SimulationReport& divergent = batch.reports.back();
-  EXPECT_TRUE(divergent.aborted);
-  EXPECT_EQ(divergent.outcome, EvalOutcome::kClampSaturated);
-  EXPECT_LT(divergent.days_before_abort, days);
-  for (std::size_t t = divergent.days_before_abort; t < days; ++t) {
-    EXPECT_DOUBLE_EQ(batch.predicted.back()[t], config.state_max);
-  }
-  // ...and every healthy lane ran to completion, unperturbed.
-  for (std::size_t l = 0; l + 1 < batch.width; ++l) {
-    EXPECT_FALSE(batch.reports[l].aborted) << "lane " << l;
-    EXPECT_EQ(batch.reports[l].outcome, EvalOutcome::kOk) << "lane " << l;
-    EXPECT_EQ(batch.reports[l].days_simulated, days);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      SimulationReport report;
+      SimulatePrimary(lanes[l], days, config, &report);
+      if (l == 1) {
+        EXPECT_EQ(report.outcome, EvalOutcome::kNonFiniteDerivative);
+        EXPECT_EQ(report.nonfinite_derivatives, 1u);
+        EXPECT_EQ(report.substeps_used,
+                  method == IntegrationMethod::kRk4 ? 1u : 2u);
+      } else if (l + 1 == lanes.size()) {
+        EXPECT_EQ(report.outcome, EvalOutcome::kClampSaturated);
+      } else {
+        EXPECT_EQ(report.outcome, EvalOutcome::kOk) << "vector " << l;
+        EXPECT_EQ(report.days_simulated, days);
+      }
+    }
   }
 }
 
@@ -452,37 +282,22 @@ TEST(BatchRolloutTest, BatchJitLanesMatchVmLanes) {
   jit_config.compiled_backend = CompiledBackend::kBatchJit;
   jit_config.batch_jit_session = &session;
   const std::size_t days = 30;
-  const RiverDataset dataset = TinyDataset(days);
-  const auto equations = ParameterizedEquations();
-  const auto lanes = MixedLanes(4);
-  const ConstituentSet plankton = ConstituentSet::LegacyPlankton();
-  const auto vm = BatchSimulate(equations, lanes, dataset, 0, days, plankton,
-                                {5.0, 1.0}, vm_config);
-  const auto jit = BatchSimulate(equations, lanes, dataset, 0, days, plankton,
-                                 {5.0, 1.0}, jit_config);
-  EXPECT_GE(session.stats().tu_compiles, 1u);
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    EXPECT_FALSE(jit.reports[l].jit_fallback);
-    // A scalar rollout calls the same symbols at width 1 over the system
-    // program's outputs; the symbols are width-invariant, so it matches
-    // the lane bitwise.
-    SimulationReport scalar_report;
-    const auto scalar =
-        Simulate(equations, lanes[l], dataset, 0, days, plankton, {5.0, 1.0},
-                 jit_config, /*compiled=*/true, &scalar_report)
-            .series[0];
-    EXPECT_FALSE(scalar_report.jit_fallback);
-    EXPECT_EQ(scalar_report.outcome, jit.reports[l].outcome);
+  for (const std::vector<double>& parameters : MixedLanes(4)) {
+    SimulationReport vm_report;
+    SimulationReport jit_report;
+    const auto vm = SimulatePrimary(parameters, days, vm_config, &vm_report);
+    const auto jit =
+        SimulatePrimary(parameters, days, jit_config, &jit_report);
+    EXPECT_FALSE(jit_report.jit_fallback);
+    EXPECT_EQ(jit_report.outcome, vm_report.outcome);
     for (std::size_t t = 0; t < days; ++t) {
       // The batch JIT has a ULP budget against the VM; with
       // -ffp-contract=off they match to full precision in practice.
-      EXPECT_NEAR(jit.predicted[l][t], vm.predicted[l][t],
-                  1e-9 * std::abs(vm.predicted[l][t]) + 1e-12)
-          << "lane " << l << " day " << t;
-      EXPECT_TRUE(BitwiseEqual(scalar[t], jit.predicted[l][t]))
-          << "lane " << l << " day " << t;
+      EXPECT_NEAR(jit[t], vm[t], 1e-9 * std::abs(vm[t]) + 1e-12)
+          << "day " << t;
     }
   }
+  EXPECT_GE(session.stats().tu_compiles, 1u);
 }
 
 // ------------------------------------------------- batch_compile fault ----
@@ -507,29 +322,26 @@ TEST(BatchFaultTest, CompileFaultFallsBackToVmWithoutPoisoningLanes) {
   vm_config.compiled_backend = CompiledBackend::kBytecodeVm;
 
   const std::size_t days = 30;
-  const RiverDataset dataset = TinyDataset(days);
-  const auto equations = ParameterizedEquations();
   const auto lanes = MixedLanes(4);
-  const ConstituentSet plankton = ConstituentSet::LegacyPlankton();
-  const auto faulty = BatchSimulate(equations, lanes, dataset, 0, days,
-                                    plankton, {5.0, 1.0}, jit_config);
-  const auto vm = BatchSimulate(equations, lanes, dataset, 0, days, plankton,
-                                {5.0, 1.0}, vm_config);
-  EXPECT_EQ(session.stats().tu_compiles, 0u);
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    // The degradation is reported, exact, and per-lane bitwise identical
-    // to the batched VM: healthy lanes are never poisoned.
-    EXPECT_TRUE(faulty.reports[l].jit_fallback) << "lane " << l;
+    SimulationReport faulty_report;
+    const auto faulty =
+        SimulatePrimary(lanes[l], days, jit_config, &faulty_report);
+    const auto vm = SimulatePrimary(lanes[l], days, vm_config, nullptr);
+    // The degradation is reported and exact: bitwise the VM's rollout.
+    EXPECT_TRUE(faulty_report.jit_fallback) << "vector " << l;
     for (std::size_t t = 0; t < days; ++t) {
-      EXPECT_TRUE(
-          BitwiseEqual(faulty.predicted[l][t], vm.predicted[l][t]))
-          << "lane " << l << " day " << t;
+      EXPECT_TRUE(BitwiseEqual(faulty[t], vm[t]))
+          << "vector " << l << " day " << t;
     }
+    // Tame vectors report the fallback; the divergent one still reports
+    // its own abort.
+    EXPECT_EQ(faulty_report.outcome, l + 1 == lanes.size()
+                                         ? EvalOutcome::kClampSaturated
+                                         : EvalOutcome::kJitCompileFailed)
+        << "vector " << l;
   }
-  // The healthy lanes report the fallback (exactness preserved), the
-  // divergent lane still reports its own abort.
-  EXPECT_EQ(faulty.reports.front().outcome, EvalOutcome::kJitCompileFailed);
-  EXPECT_EQ(faulty.reports.back().outcome, EvalOutcome::kClampSaturated);
+  EXPECT_EQ(session.stats().tu_compiles, 0u);
 }
 
 TEST(BatchFaultTest, RepeatedCompileFaultsOpenTheBreaker) {
@@ -560,36 +372,6 @@ TEST(BatchFaultTest, OnceFaultRecoversOnNextBatch) {
 }
 
 // --------------------------------------------- fitness-level equivalence --
-
-TEST(BatchFitnessTest, BatchVmFitnessMatchesBytecodeBitwise) {
-  // The scalar fitness (the system register program) and the RMSE of the
-  // same parameter vector's lane in a batched rollout (the batch program
-  // over lane rows) agree bitwise: both VMs run one tape.
-  const RiverDataset dataset = TinyDataset(40);
-  const river::RiverFitness fitness =
-      river::RiverFitness::ForTraining(&dataset);
-  const auto equations = ParameterizedEquations();
-  const auto lanes = MixedLanes(4);
-  const std::size_t days = dataset.train_end;
-  const auto batch =
-      BatchSimulate(equations, lanes, dataset, 0, days,
-                    ConstituentSet::LegacyPlankton(), {5.0, 1.0},
-                    SimulationConfig{});
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    auto eval = fitness.Begin(equations, lanes[l], true);
-    while (eval->Step()) {
-    }
-    double sse = 0.0;
-    for (std::size_t t = 0; t < days; ++t) {
-      const double error = batch.predicted[l][t] - dataset.observed_bphy[t];
-      sse += error * error;
-    }
-    EXPECT_TRUE(BitwiseEqual(eval->CurrentFitness(),
-                             std::sqrt(sse / static_cast<double>(days))))
-        << "lane " << l;
-    EXPECT_EQ(eval->outcome(), batch.reports[l].outcome) << "lane " << l;
-  }
-}
 
 TEST(BatchFitnessTest, PrepareBatchPrecompilesTheGeneration) {
   if (!e::JitAvailable()) GTEST_SKIP() << "no C compiler";

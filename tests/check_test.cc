@@ -151,7 +151,7 @@ TEST(ShrinkTest, DerivationShrinksToRootWhenAnythingFails) {
 
 TEST(OracleTest, RegistryKnowsEveryOracle) {
   const auto names = ExprOracleNames();
-  EXPECT_EQ(names.size(), 12u);
+  EXPECT_EQ(names.size(), 10u);
   for (const std::string& name : names) {
     EXPECT_NE(FindExprOracle(name), nullptr) << name;
   }

@@ -467,6 +467,28 @@ TEST(CheckpointerTest, ResumeForChecksDriverAndFingerprint) {
   EXPECT_EQ(CountEvents(events, "ckpt", "resume"), 1u);
 }
 
+TEST(CheckpointerTest, MalformedTraceOffsetFailsTheLoad) {
+  // A trace offset that is not a plain count ("bytes 12abc" is not byte
+  // 12, "bytes -1" is not 2^64-1) fails the load and leaves both offsets
+  // at 0, and so does a bad "seq" line.
+  for (const char* bad : {"bytes 12abc", "bytes -1", "seq 3x"}) {
+    const std::string dir = FreshDir("bad_trace_offset");
+    {
+      Checkpointer writer(Options(dir));
+      Snapshot snapshot = MakeTestSnapshot("d", 4);
+      snapshot.AddSection("trace")->lines = {"bytes 40", "seq 3", bad};
+      ASSERT_TRUE(writer.Save(std::move(snapshot)));
+    }
+    obs::VectorSink events;
+    Checkpointer reader(Options(dir), &events);
+    EXPECT_EQ(reader.Load(), nullptr) << bad;
+    EXPECT_EQ(reader.ResumeFor("d", {}), nullptr) << bad;
+    EXPECT_EQ(CountEvents(events, "ckpt", "load_failed"), 1u) << bad;
+    EXPECT_EQ(reader.resume_trace_bytes(), 0u) << bad;
+    EXPECT_EQ(reader.resume_trace_sequence(), 0u) << bad;
+  }
+}
+
 TEST(CheckpointerTest, ResumedTraceSinkLeavesNoGapAcrossTheKillPoint) {
   // Satellite contract: a trace interrupted after the checkpoint and then
   // resumed must be byte-identical to one written by an uninterrupted run —

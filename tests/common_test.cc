@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -497,6 +500,38 @@ TEST(ParseUnsignedTest, TypedFormIsBoundedByTheType) {
   std::size_t count = 0;
   EXPECT_TRUE(ParseUnsigned("4294967297", &count));
   EXPECT_EQ(count, 4294967297u);
+}
+
+TEST(ParseDoubleTest, LoadsEveryLiteralTheWritersPrint) {
+  // Precision-17 round trips, including the non-finite spellings and the
+  // subnormals; bits must survive exactly.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double want :
+       {0.05, -0.0, 1e300, 1.7976931348623157e308, 4.9406564584124654e-324,
+        2.2250738585072009e-308, inf, -inf, 0.1 + 0.2}) {
+    char text[40];
+    std::snprintf(text, sizeof(text), "%.17g", want);
+    double got = 0.0;
+    ASSERT_TRUE(ParseDouble(text, &got)) << text;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << text;
+  }
+  for (const char* nan : {"nan", "-nan"}) {
+    double got = 0.0;
+    ASSERT_TRUE(ParseDouble(nan, &got)) << nan;
+    EXPECT_TRUE(std::isnan(got)) << nan;
+  }
+}
+
+TEST(ParseDoubleTest, RejectsPrefixesJunkAndOutOfRangeLiterals) {
+  double value = 99.0;
+  for (const char* bad :
+       {"", " 1", "1 ", "\t1", "+1", "0.05abc", "banana", "0.0x", "1.0abc",
+        "1e", "--1", "1e400", "-1e400", "0x1p3"}) {
+    EXPECT_FALSE(ParseDouble(bad, &value)) << "'" << bad << "'";
+    EXPECT_EQ(value, 99.0) << "a rejected parse must not write the value";
+  }
 }
 
 TEST(ParseUnsignedDeathTest, CommandLineFormNamesTheValueAndExitsTwo) {

@@ -249,7 +249,7 @@ TEST(CompileTest, SystemMatchesInterpreterPerEquationInOrder) {
 }
 
 /// Flattens `roots` with `num_states` state slots followed by the ten
-/// driver slots, the layout the width-1 rollouts compile with.
+/// driver slots, the layout the rollouts compile with.
 Tape FlattenWithStates(const std::vector<ExprPtr>& roots,
                        std::size_t num_states) {
   std::vector<const Expr*> pointers;

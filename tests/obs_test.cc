@@ -53,6 +53,16 @@ TEST(FormatJsonNumberTest, NonFiniteValuesStayValidJson) {
             "-1e999");
 }
 
+TEST(FormatJsonNumberTest, HugeValuesPrintWithoutAnUndefinedCast) {
+  // The integer form stops below 2^53; at and beyond 2^63 a cast to long
+  // long would be undefined (a generation's mean fitness reaches 1e30
+  // whenever an individual carries the penalty fitness).
+  EXPECT_EQ(FormatJsonNumber(1e20), "1e+20");
+  EXPECT_EQ(FormatJsonNumber(-1e19), "-1e+19");
+  EXPECT_EQ(FormatJsonNumber(1e30), "1e+30");
+  EXPECT_EQ(FormatJsonNumber(9007199254740992.0), "9007199254740992");
+}
+
 TEST(SerializeEventTest, FixedFieldOrder) {
   TraceEvent event("generation");
   event.Field("gen", 3)
@@ -109,6 +119,29 @@ TEST(ParseTraceLineTest, RejectsMalformedInput) {
   TraceRecord record;
   EXPECT_FALSE(ParseTraceLine("not json", &record));
   EXPECT_FALSE(ParseTraceLine("{\"seq\":1}", &record));  // no type
+}
+
+TEST(ParseTraceLineTest, RejectsOutOfRangeSeqAndBadEscapes) {
+  TraceRecord record;
+  // A seq must be an integer in [0, 2^64); a \u escape exactly four hex
+  // digits below 0x80.
+  for (const char* bad :
+       {R"({"type":"x","seq":-1})", R"({"type":"x","seq":1.5})",
+        R"({"type":"x","seq":1e20})",
+        R"({"type":"x","seq":18446744073709551616})",
+        R"({"type":"x","s":"a\uZZZZb"})", R"({"type":"x","s":"\u-041"})",
+        R"({"type":"x","s":"\u00e9"})", R"({"type":"x","s":"\u12"})"}) {
+    EXPECT_FALSE(ParseTraceLine(bad, &record)) << bad;
+  }
+  ASSERT_TRUE(ParseTraceLine(
+      R"({"type":"x","seq":18446744073709549568,"s":"a\u001fb"})", &record));
+  EXPECT_EQ(record.seq, 18446744073709549568u);
+  EXPECT_EQ(record.FindString("s"), "a\x1f"
+                                    "b");
+  // A manifest seed outside uint64_t summarizes as 0.
+  ASSERT_TRUE(ParseTraceLine(R"({"type":"manifest","driver":"d","seed":-1})",
+                             &record));
+  EXPECT_EQ(SummarizeTrace({record}).seed, 0u);
 }
 
 // --------------------------------------------------------------- sinks ----

@@ -1,11 +1,10 @@
 // Multi-constituent transport tests (ctest labels `transport` + `prop`):
 // the constituent registry's typed validation, the legacy two-species
-// preset's 0-ULP differential oracle (training fitness vs rollout, batch
-// lanes vs scalar rollouts), batch-vs-scalar agreement at five species,
+// preset's 0-ULP differential oracle (training fitness vs rollout),
 // compiled-vs-interpreted RK4 trajectories, channel mass conservation
-// under both advection schemes
-// (including watchdog aborts), and a small end-to-end GMR revision of the
-// five-species scenario with a checkpoint/resume round trip.
+// under both advection schemes (including watchdog aborts) and pinned
+// channel bits, and a small end-to-end GMR revision of the five-species
+// scenario with a checkpoint/resume round trip.
 
 #include <gtest/gtest.h>
 
@@ -187,11 +186,6 @@ TEST(ConstituentSetTest, ObservationAndLaneValidation) {
   set.mutable_at(0).observed_series = 7;  // No such series in the dataset.
   EXPECT_EQ(ValidateObservations(set, dataset).code,
             ConfigErrorCode::kBadObservedSeries);
-
-  const std::vector<std::vector<double>> ragged = {{1.0, 2.0}, {1.0}};
-  EXPECT_EQ(ValidateBatchLanes(ragged).code,
-            ConfigErrorCode::kParameterLaneMismatch);
-  EXPECT_TRUE(ValidateBatchLanes({{1.0, 2.0}, {3.0, 4.0}}).ok());
 }
 
 TEST(ConstituentSetTest, TransportRegistryLayout) {
@@ -270,34 +264,6 @@ TEST(LegacyPresetTest, TrainingFitnessMatchesSimulateBitwise) {
   }
 }
 
-TEST(LegacyPresetTest, BatchSimulateMatchesScalarLaneByLane) {
-  const RiverDataset dataset = SmallDataset();
-  const auto equations = ManualProcess();
-  const auto means = gp::PriorMeans(RiverParameterPriors());
-  std::vector<std::vector<double>> lanes = {means, means, means};
-  for (std::size_t i = 0; i < lanes[1].size(); ++i) lanes[1][i] *= 1.1;
-  for (std::size_t i = 0; i < lanes[2].size(); ++i) lanes[2][i] *= 0.9;
-
-  const ConstituentSet legacy = ConstituentSet::LegacyPlankton(
-      dataset.initial_bphy, dataset.initial_bzoo, dataset.test_initial_bphy,
-      dataset.test_initial_bzoo);
-  const std::vector<double> initial = {dataset.initial_bphy,
-                                       dataset.initial_bzoo};
-  const SimulationConfig config;
-  const BatchSimulationResult batch =
-      BatchSimulate(equations, lanes, dataset, 0, dataset.train_end, legacy,
-                    initial, config);
-  EXPECT_EQ(batch.num_species, 2u);
-  ASSERT_EQ(batch.predicted.size(), lanes.size());
-  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-    const SimulationTrajectory scalar =
-        Simulate(equations, lanes[lane], dataset, 0, dataset.train_end,
-                 legacy, initial, config, /*compiled=*/true);
-    ExpectBitIdentical(batch.predicted[lane], scalar.series[0],
-                       "batch lane");
-  }
-}
-
 TEST(LegacyPresetTest, AccuracyOverloadsAgreeBitwise) {
   const RiverDataset dataset = SmallDataset();
   const auto equations = ManualProcess();
@@ -315,39 +281,7 @@ TEST(LegacyPresetTest, AccuracyOverloadsAgreeBitwise) {
   EXPECT_EQ(Bits(legacy.test_mae), Bits(generic.test_mae));
 }
 
-// --------------------------------------------- transport batch vs scalar ----
-
-TEST(TransportSimulateTest, BatchMatchesScalarAtFiveSpecies) {
-  const TransportScenario scenario = SmallScenario(5);
-  const auto equations = TransportProcess(scenario.constituents);
-  ASSERT_EQ(equations.size(), 5u);
-
-  std::vector<std::vector<double>> lanes = {
-      scenario.true_parameters,
-      gp::PriorMeans(scenario.constituents.priors()),
-      scenario.true_parameters};
-  for (std::size_t i = 0; i < lanes[2].size(); ++i) lanes[2][i] *= 1.25;
-
-  SimulationConfig config;
-  config.num_species = 5;
-  const std::vector<double> initial = scenario.constituents.InitialStates();
-  const BatchSimulationResult batch = BatchSimulate(
-      equations, lanes, scenario.dataset, 0, scenario.dataset.train_end,
-      scenario.constituents, initial, config);
-  EXPECT_EQ(batch.num_species, 5u);
-  ASSERT_EQ(batch.predicted.size(), lanes.size());
-
-  const int primary = scenario.constituents.PrimaryObserved();
-  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-    const SimulationTrajectory scalar = Simulate(
-        equations, lanes[lane], scenario.dataset, 0,
-        scenario.dataset.train_end, scenario.constituents, initial, config,
-        /*compiled=*/true);
-    ExpectBitIdentical(batch.predicted[lane],
-                       scalar.series[static_cast<std::size_t>(primary)],
-                       "transport lane");
-  }
-}
+// -------------------------------------------- compiled vs interpreted ----
 
 void ExpectSameReport(const SimulationReport& a, const SimulationReport& b,
                       const char* what) {
@@ -364,10 +298,9 @@ void ExpectSameReport(const SimulationReport& a, const SimulationReport& b,
 TEST(TransportSimulateTest, CompiledMatchesInterpreterBitwiseUnderRk4) {
   // The 5-species RK4 registry, once with the expert process, once with a
   // revised candidate whose added terms read only drivers and constants
-  // (the scalar program runs them once per day), and once with a candidate
-  // whose nitrate process saturates the clamp until the watchdog aborts:
-  // both VMs — the scalar rollout's system program and a one-lane batched
-  // rollout's batch program — must reproduce the interpreter's trajectory
+  // (the program runs them once per day), and once with a candidate whose
+  // nitrate process saturates the clamp until the watchdog aborts: the
+  // rollout's system program must reproduce the interpreter's trajectory
   // bits and its SimulationReport exactly.
   const TransportScenario scenario = SmallScenario(5);
   std::vector<e::ExprPtr> expert = TransportProcess(scenario.constituents);
@@ -385,8 +318,6 @@ TEST(TransportSimulateTest, CompiledMatchesInterpreterBitwiseUnderRk4) {
   config.num_species = 5;
   config.method = IntegrationMethod::kRk4;
   const std::vector<double> initial = scenario.constituents.InitialStates();
-  const std::size_t primary =
-      static_cast<std::size_t>(scenario.constituents.PrimaryObserved());
 
   bool saw_abort = false;
   for (const std::vector<e::ExprPtr>* equations :
@@ -408,12 +339,6 @@ TEST(TransportSimulateTest, CompiledMatchesInterpreterBitwiseUnderRk4) {
       ExpectBitIdentical(want.series[s], got.series[s], "bytecode-vm");
     }
     ExpectSameReport(want_report, got_report, "bytecode-vm");
-
-    const BatchSimulationResult lane = BatchSimulate(
-        *equations, {scenario.true_parameters}, scenario.dataset, 0,
-        scenario.dataset.train_end, scenario.constituents, initial, config);
-    ExpectBitIdentical(want.series[primary], lane.predicted[0], "batch-vm");
-    ExpectSameReport(want_report, lane.reports[0], "batch-vm");
   }
   EXPECT_TRUE(saw_abort) << "the divergent candidate must trip a watchdog";
 }
@@ -519,6 +444,78 @@ TEST(ChannelConservationTest, BudgetStaysExactAcrossWatchdogAbort) {
   }
 }
 
+/// FNV-1a over the bit patterns of every outlet value, final cell, budget
+/// term and report counter of one channel rollout.
+std::uint64_t ChannelBits(const ChannelResult& result) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& series : result.outlet) {
+    for (const double v : series) mix(Bits(v));
+  }
+  const MassBalanceStore& cells = result.final_state;
+  for (std::size_t s = 0; s < cells.num_species(); ++s) {
+    for (std::size_t i = 0; i < cells.width(); ++i) mix(Bits(cells.at(s, i)));
+  }
+  for (const ChannelMassBudget& b : result.budgets) {
+    for (const double v : {b.initial, b.final_mass, b.inflow, b.outflow,
+                           b.reaction, b.clamp_correction}) {
+      mix(Bits(v));
+    }
+  }
+  const SimulationReport& r = result.report;
+  for (const std::uint64_t v :
+       {static_cast<std::uint64_t>(r.outcome),
+        static_cast<std::uint64_t>(r.aborted),
+        static_cast<std::uint64_t>(r.jit_fallback),
+        static_cast<std::uint64_t>(r.substeps_used),
+        static_cast<std::uint64_t>(r.days_simulated),
+        static_cast<std::uint64_t>(r.days_before_abort),
+        static_cast<std::uint64_t>(r.nonfinite_derivatives),
+        static_cast<std::uint64_t>(r.clamp_saturations)}) {
+    mix(v);
+  }
+  return hash;
+}
+
+TEST(ChannelConservationTest, OutletAndBudgetBitsArePinned) {
+  // Every outlet value, final cell, budget term and report counter of a
+  // channel rollout, pinned bit for bit for 1, 2 and 5 species under both
+  // schemes: a change to how the cells are evaluated (the VM, its staging,
+  // the calls per cell) must leave these hashes unchanged.
+  struct Pin {
+    int species;
+    AdvectionScheme scheme;
+    std::uint64_t bits;
+  };
+  const Pin pins[] = {
+      {1, AdvectionScheme::kUpwind, 0x7fdb6253e522861bULL},
+      {1, AdvectionScheme::kQuick, 0x4e32fd4174d49298ULL},
+      {2, AdvectionScheme::kUpwind, 0x6bedbe42eaf20bb2ULL},
+      {2, AdvectionScheme::kQuick, 0x54c2cef1e89379caULL},
+      {5, AdvectionScheme::kUpwind, 0x5b84a906b1f4b4bfULL},
+      {5, AdvectionScheme::kQuick, 0x1d11ccdde0af92f0ULL},
+  };
+  for (const Pin& pin : pins) {
+    const TransportScenario scenario = SmallScenario(pin.species);
+    SimulationConfig config;
+    config.num_species = pin.species;
+    ChannelConfig channel;
+    channel.scheme = pin.scheme;
+    channel.num_cells = 6;
+    const ChannelResult result = SimulateChannel(
+        TransportProcess(scenario.constituents), scenario.true_parameters,
+        scenario.dataset, 0, 60, scenario.constituents, config, channel);
+    EXPECT_EQ(ChannelBits(result), pin.bits)
+        << pin.species << " species, " << AdvectionSchemeName(pin.scheme)
+        << std::hex << ": got 0x" << ChannelBits(result);
+  }
+}
+
 TEST(ChannelConservationTest, GeometryValidationIsTyped) {
   const ConstituentSet set = ConstituentSet::Transport(2);
   const SimulationConfig config;
@@ -605,7 +602,7 @@ TEST(ChannelConservationTest, BatchJitChannelMatchesVm) {
   for (std::size_t s = 0; s < vm.outlet.size(); ++s) {
     ASSERT_EQ(jit.outlet[s].size(), vm.outlet[s].size());
     for (std::size_t t = 0; t < vm.outlet[s].size(); ++t) {
-      // The batch JIT has a ULP budget against the VM (as for lanes).
+      // The batch JIT has a ULP budget against the VM.
       EXPECT_NEAR(jit.outlet[s][t], vm.outlet[s][t],
                   1e-9 * std::abs(vm.outlet[s][t]) + 1e-12)
           << "species " << s << " day " << t;
