@@ -1,11 +1,14 @@
 // Reverse-mode gradient benchmarks: (1) the wall-clock overhead of one
-// discrete-adjoint gradient (forward rollout + day-checkpointed reverse
-// sweep over the tapes) relative to a plain value rollout, under Euler and
-// RK4; (2) evaluations-to-target on a toy calibration problem — the GA runs
-// its full budget, then L-BFGS (fed exact adjoint gradients) is measured on
-// how many rollouts it needs to first match the GA's final RMSE. The
-// acceptance bar is <= 20% of the GA's rollout count. Results land in
-// BENCH_grad.json (shared bench schema v2).
+// discrete-adjoint gradient (forward rollout + day-checkpointed replay and
+// reverse sweep of the system's register tape) relative to a plain value
+// rollout, under Euler and RK4, with the tape's instruction count and how
+// many of them activity pruning removed (the `tape_nodes`/`pruned_nodes`
+// columns, named after GradientResult's fields); (2) evaluations-to-target
+// on a toy calibration problem — the GA runs its full budget, then L-BFGS
+// (fed exact adjoint gradients) is measured on how many rollouts it needs
+// to first match the GA's final RMSE. The acceptance bar is <= 20% of the
+// GA's rollout count. Results land in BENCH_grad.json (shared bench schema
+// v2).
 
 #include <algorithm>
 #include <cmath>
@@ -160,7 +163,7 @@ int main(int argc, char** argv) {
       TimeRollouts(dataset, r::IntegrationMethod::kRk4, repeats);
 
   std::printf("%-8s %14s %14s %10s %12s %12s\n", "method", "forward s",
-              "gradient s", "overhead", "tape nodes", "pruned");
+              "gradient s", "overhead", "instructions", "pruned");
   for (const auto& [name, t] :
        {std::pair<const char*, const RolloutTiming&>{"euler", euler},
         std::pair<const char*, const RolloutTiming&>{"rk4", rk4}}) {

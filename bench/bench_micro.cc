@@ -21,6 +21,7 @@
 #include "river/network.h"
 #include "river/parameters.h"
 #include "river/simulate.h"
+#include "river/stepper.h"
 #include "river/synthetic.h"
 #include "river/variables.h"
 #include "tag/generate.h"
@@ -162,12 +163,8 @@ void ReportTapeOps(benchmark::State& state,
                    const std::vector<expr::ExprPtr>& equations,
                    std::size_t num_parameters,
                    const river::SimulationConfig& config) {
-  const std::size_t num_states = equations.size();
   const expr::Tape tape = expr::Flatten(
-      equations,
-      expr::TapeLayout{
-          num_states + static_cast<std::size_t>(river::kNumDriverVariables),
-          num_parameters, num_states});
+      equations, river::RolloutLayout(equations.size(), num_parameters));
   const std::size_t hold = tape.run_begin - tape.hold_begin;
   const std::size_t run = tape.size() - tape.run_begin;
   const std::size_t stages =

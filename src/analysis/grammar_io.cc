@@ -73,8 +73,10 @@ bool ParseGrammarSpec(std::istream& in, const expr::SymbolTable& symbols,
       std::string label;
       std::string lo_text;
       std::string hi_text;
-      ss >> label >> lo_text >> hi_text;
-      if (label.empty() || lo_text.empty() || hi_text.empty()) {
+      std::string extra;
+      ss >> label >> lo_text >> hi_text >> extra;
+      if (label.empty() || lo_text.empty() || hi_text.empty() ||
+          !extra.empty()) {
         return Fail(error, line_number, "bad slot line: " + line);
       }
       tag::SlotSpec spec;

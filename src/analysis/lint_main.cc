@@ -47,7 +47,6 @@
 #include "analysis/units.h"
 #include "core/model_io.h"
 #include "core/river_grammar.h"
-#include "grad/tape.h"
 #include "river/biology.h"
 #include "river/constituents.h"
 #include "river/domains.h"
@@ -301,30 +300,27 @@ FileOutcome LintModelFile(const std::string& path, const Options& options) {
     }
   }
 
-  // Gradient-structural-zero: the reverse-mode tapes (grad/tape.h) of every
-  // equation, activity-pruned over the same lint domains. A syntactically
-  // live parameter outside every equation's root activity accumulates an
-  // adjoint of exactly 0.0 on every rollout — L-BFGS/Adam and the TAG3P
-  // elite polish can never move it, so it should be frozen or the model
-  // revised. Strictly sharper than inactive-parameter: the activity pass
-  // also prunes x - x, self-division, and operands locked inside the
-  // protected div/log bands by their domains.
+  // Gradient-structural-zero: the activity of every equation over the same
+  // lint domains, the pass that prunes the reverse sweep (grad/adjoint.h).
+  // A syntactically live parameter outside every equation's activity
+  // accumulates an adjoint of exactly 0.0 on every rollout — L-BFGS/Adam
+  // and the TAG3P elite polish can never move it, so it should be frozen
+  // or the model revised. Strictly sharper than inactive-parameter: the
+  // activity pass also prunes x - x, self-division, and operands locked
+  // inside the protected div/log bands by their domains.
   {
-    gmr::analysis::Activity tape_union;
+    gmr::analysis::Activity activity;
     const int num_parameters =
         static_cast<int>(lint_options.parameter_names.size());
     for (const gmr::expr::ExprPtr& equation : model.equations) {
-      const gmr::grad::Tape tape(*equation, num_parameters,
-                                 static_cast<int>(constituents.size()),
-                                 &domains);
-      tape_union |= tape.root_activity();
+      activity |= gmr::analysis::AnalyzeActivity(*equation, domains);
     }
     for (const int slot : result.live_parameters) {
       if (slot < 0 || slot >= num_parameters || slot >= 63) continue;
       const std::string& name =
           lint_options.parameter_names[static_cast<std::size_t>(slot)];
       if (name.empty()) continue;
-      if ((tape_union.parameters & gmr::analysis::ActivityBit(slot)) != 0) {
+      if ((activity.parameters & gmr::analysis::ActivityBit(slot)) != 0) {
         continue;
       }
       gmr::analysis::Diagnostic d;

@@ -16,7 +16,7 @@
 #include "expr/parser.h"
 #include "expr/print.h"
 #include "expr/simplify.h"
-#include "grad/tape.h"
+#include "grad/adjoint.h"
 #include "tag/derivation.h"
 
 namespace gmr::check {
@@ -408,21 +408,17 @@ OracleResult CheckGradcheck(const ExprCase& c, const OracleContext& ctx) {
   env.variables = ctx.config->domains.variables;
   env.parameters = ctx.config->domains.parameters;
   env.parameters.resize(num_params, analysis::Interval::All());
-  const int num_vars = static_cast<int>(env.variables.size());
-  const grad::Tape tape(*c.tree, static_cast<int>(num_params), num_vars,
-                        nullptr);
-  const grad::Tape pruned(*c.tree, static_cast<int>(num_params), num_vars,
-                          &env);
   const std::vector<int> inactive = analysis::InactiveParameters(
       analysis::AnalyzeActivity(*c.tree, env),
       static_cast<int>(num_params));
-  std::vector<double> values(tape.size());
-  std::vector<double> pruned_values(pruned.size());
-  std::vector<double> cotangents(std::max(tape.size(), pruned.size()));
-  std::vector<double> adj(num_params);
-  std::vector<double> state_adj(static_cast<std::size_t>(num_vars));
-  std::vector<double> pruned_adj(num_params);
-  std::vector<double> pruned_state_adj(static_cast<std::size_t>(num_vars));
+  const std::vector<std::vector<double>> contexts = SampleContexts(c, ctx);
+  if (contexts.empty()) return OracleResult::Pass();
+  const std::size_t num_vars = contexts[0].size();
+  const expr::Expr* roots[] = {c.tree.get()};
+  const expr::TapeLayout layout{num_vars, num_params,
+                                std::min(env.variables.size(), num_vars)};
+  const grad::GradientProgram full_program(roots, layout, nullptr);
+  const grad::GradientProgram pruned_program(roots, layout, &env);
 
   const auto fail = [&c](const std::string& what) {
     std::ostringstream out;
@@ -432,30 +428,21 @@ OracleResult CheckGradcheck(const ExprCase& c, const OracleContext& ctx) {
     return OracleResult::Fail(out.str());
   };
 
-  for (const auto& vars : SampleContexts(c, ctx)) {
+  for (const auto& vars : contexts) {
     const auto ec = MakeEvalContext(vars, c.parameters);
+    const grad::ExprGradient full = grad::Differentiate(full_program, ec);
+    const grad::ExprGradient pruned = grad::Differentiate(pruned_program, ec);
     const double want = expr::EvalExpr(*c.tree, ec);
-    const double f0 = tape.Forward(ec, values.data());
-    if (ckpt::HexDouble(f0) != ckpt::HexDouble(want)) {
-      return fail("tape forward value disagrees with interpreter: got " +
+    const double f0 = full.value;
+    if (ckpt::HexDouble(f0) != ckpt::HexDouble(want) ||
+        ckpt::HexDouble(pruned.value) != ckpt::HexDouble(want)) {
+      return fail("gradient program value disagrees with interpreter: got " +
                   std::to_string(f0) + ", want " + std::to_string(want));
     }
-    const double pruned_f0 = pruned.Forward(ec, pruned_values.data());
-    if (ckpt::HexDouble(pruned_f0) != ckpt::HexDouble(want)) {
-      return fail("pruned tape forward value disagrees with interpreter");
-    }
-    std::fill(adj.begin(), adj.end(), 0.0);
-    std::fill(state_adj.begin(), state_adj.end(), 0.0);
-    tape.Reverse(values.data(), 1.0, adj.data(), state_adj.data(),
-                 cotangents.data());
-    std::fill(pruned_adj.begin(), pruned_adj.end(), 0.0);
-    std::fill(pruned_state_adj.begin(), pruned_state_adj.end(), 0.0);
-    pruned.Reverse(pruned_values.data(), 1.0, pruned_adj.data(),
-                   pruned_state_adj.data(), cotangents.data());
     // Zero-gradient guarantee: a provably-inactive parameter's adjoint is
-    // exactly 0.0 on the pruned tape, whatever the runtime values did.
+    // exactly 0.0 on the pruned sweep, whatever the runtime values did.
     for (const int slot : inactive) {
-      if (pruned_adj[static_cast<std::size_t>(slot)] != 0.0) {
+      if (pruned.parameters[static_cast<std::size_t>(slot)] != 0.0) {
         return fail("activity-pruned parameter slot " +
                     std::to_string(slot) + " has nonzero adjoint");
       }
@@ -481,28 +468,33 @@ OracleResult CheckGradcheck(const ExprCase& c, const OracleContext& ctx) {
           std::abs(fm) > 1e100) {
         continue;  // probe left the representable regime; FD is meaningless
       }
-      const double noise = (std::abs(f0) + std::abs(fp) + std::abs(fm)) *
+      // FD rounding noise: of f itself, and to first order of every
+      // intermediate value (absorption, cancellation, quantization inside
+      // the expression leave |f| small but still move the FD quotients).
+      const double noise = (std::abs(f0) + std::abs(fp) + std::abs(fm) +
+                            full.rounding) *
                            1e-16 / h;
       const double central = (fp - fm) / (2.0 * h);
       const double central_half = (fp2 - fm2) / h;
       const double right = (fp - f0) / h;
       const double left = (f0 - fm) / h;
       const auto tol = [&](double est) {
-        return 5e-3 * std::max(std::abs(adj[i]), std::abs(est)) + 1e-6 +
-               1e3 * noise;
+        return 5e-3 * std::max(std::abs(full.parameters[i]), std::abs(est)) +
+               1e-6 + 1e3 * noise;
       };
       // Self-consistency: when halving h moves the central estimate by
       // more than the acceptance band, the function is kinked (a clamp or
       // protection-band boundary sits inside the stencil) and a secant
       // proves nothing either way.
       if (std::abs(central - central_half) > tol(central)) continue;
-      // Both tapes face the same FD band. Strict pruned==unpruned equality
+      // Both sweeps face the same FD band. Strict pruned==unpruned equality
       // would be wrong: pruning drops mathematically-zero flows that the
-      // unpruned tape computes with rounding residue (e.g. the w/p and
+      // unpruned sweep computes with rounding residue (e.g. the w/p and
       // w*p/(p*p) halves of d(p/p) round differently), so the pruned
       // adjoint can be the *more* exact of the two.
-      for (const double* candidate : {&adj[i], &pruned_adj[i]}) {
-        const char* which = candidate == &adj[i] ? "" : "pruned ";
+      for (const double* candidate :
+           {&full.parameters[i], &pruned.parameters[i]}) {
+        const char* which = candidate == &full.parameters[i] ? "" : "pruned ";
         if (!std::isfinite(*candidate)) {
           return fail(std::string("non-finite ") + which + "adjoint for slot " +
                       std::to_string(i) +

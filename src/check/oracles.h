@@ -123,16 +123,19 @@ OracleResult CheckGateSound(const ExprCase& c, const OracleContext& ctx);
 /// rely on when they freeze inactive dimensions.
 OracleResult CheckActivitySound(const ExprCase& c, const OracleContext& ctx);
 
-/// Reverse-mode gradient check (grad/tape.h): on every sampled context the
-/// tape's forward value must agree bitwise (0 ULP) with the tree
-/// interpreter — pruned and unpruned alike — the activity-pruned tape's
-/// adjoints must match the unpruned tape's exactly (with every
-/// provably-inactive parameter's adjoint exactly 0.0), and each unpruned
-/// parameter adjoint must agree with central finite differences within a
-/// relative band that widens with the FD cancellation noise floor. Slots
-/// where the FD estimates disagree among themselves (clamp kinks, band
-/// boundaries — places where a secant slope is meaningless) are skipped; a
-/// non-finite adjoint where FD is finite and self-consistent is a failure.
+/// Reverse-mode gradient check (grad::Differentiate): on every sampled
+/// context the gradient program's value must agree bitwise (0 ULP) with
+/// the tree interpreter — pruned and unpruned alike — every
+/// provably-inactive parameter's adjoint must be exactly 0.0 on the
+/// activity-pruned sweep, and each parameter adjoint of both sweeps must
+/// agree with finite differences within a relative band that widens with
+/// the FD rounding noise floor: |f| plus the first-order rounding of every
+/// intermediate value, Σ|cotangent × value| of the unpruned sweep. Pruned
+/// and unpruned adjoints are not compared with each other: pruning drops
+/// zero flows that the unpruned sweep rounds to a residue. Slots where the
+/// FD estimates disagree among themselves (clamp kinks, band boundaries —
+/// places where a secant slope is meaningless) are skipped; a non-finite
+/// adjoint where FD is finite and self-consistent is a failure.
 OracleResult CheckGradcheck(const ExprCase& c, const OracleContext& ctx);
 
 /// Registry of the expression-case oracles above, keyed by the short names

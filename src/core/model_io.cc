@@ -69,14 +69,21 @@ bool LoadModel(const std::string& path, const expr::SymbolTable& symbols,
       std::string name;
       std::string equals;
       std::string value_text;
-      ss >> name >> equals >> value_text;
-      if (equals != "=" || value_text.empty()) {
+      std::string extra;
+      ss >> name >> equals >> value_text >> extra;
+      if (equals != "=" || value_text.empty() || !extra.empty()) {
         if (error != nullptr) *error = "bad param line: " + line;
         return false;
       }
       const auto it = symbols.parameters.find(name);
       if (it == symbols.parameters.end()) {
         if (error != nullptr) *error = "unknown parameter: " + name;
+        return false;
+      }
+      if (std::find(model->declared_parameters.begin(),
+                    model->declared_parameters.end(),
+                    name) != model->declared_parameters.end()) {
+        if (error != nullptr) *error = "duplicate parameter: " + name;
         return false;
       }
       double value = 0.0;

@@ -8,16 +8,16 @@
 namespace gmr::expr {
 namespace {
 
-// While flattening, constant, temporary, bind and hold operands carry a
-// tag in their top bits and their index within their region below it: the
-// region bases are known only once every root has been walked. Variable and
-// parameter operands carry no tag (their registers are final). The tags are
-// resolved in one pass at the end, by table lookup rather than a branch per
-// operand.
+// While flattening, constant and instruction operands carry a tag in their
+// top bits (the constant region or the instruction's segment) and their
+// index within it below: the region bases are known only once every root
+// has been walked. Variable and parameter operands carry no tag (their
+// registers are final). The tags are resolved in one pass at the end, by
+// table lookup rather than a branch per operand.
 constexpr int kTagShift = 28;
 constexpr std::uint32_t kHoldTag = 1u << kTagShift;
 constexpr std::uint32_t kBindTag = 2u << kTagShift;
-constexpr std::uint32_t kTemporaryTag = 4u << kTagShift;
+constexpr std::uint32_t kRunTag = 4u << kTagShift;
 constexpr std::uint32_t kConstantTag = 8u << kTagShift;
 constexpr std::uint32_t kIndexMask = kHoldTag - 1;
 
@@ -41,21 +41,21 @@ struct Operand {
 };
 
 /// Postorder emitter. A leaf returns its own register and emits nothing.
-/// An operator belongs to the segment of its most-varying operand. A run
-/// operator evaluated at `depth` writes temporary `depth` after its
-/// operands were evaluated at depth + 1 and depth + 2; a subtree at depth d
-/// only writes temporaries >= d, so the first operand survives the second
-/// one's evaluation, and dst never aliases an operand. A bind or hold
-/// operator writes its own register, numbered in postorder within its
-/// segment, so its value survives the later segments' runs. The dst tag
-/// records the segment until Flatten sorts the instructions.
+/// An operator belongs to the segment of its most-varying operand and is
+/// numbered in postorder within that segment; the dst tag records the
+/// segment until Flatten sorts the instructions and gives each its own
+/// register.
 class Emitter {
  public:
   Emitter(const TapeLayout& layout, Tape* tape,
-          std::vector<TapeInstruction>* postorder)
-      : layout_(layout), tape_(tape), postorder_(postorder) {}
+          std::vector<TapeInstruction>* postorder,
+          std::vector<const Expr*>* sources)
+      : layout_(layout),
+        tape_(tape),
+        postorder_(postorder),
+        sources_(sources) {}
 
-  Operand Emit(const Expr& n, std::uint32_t depth) {
+  Operand Emit(const Expr& n) {
     switch (n.kind()) {
       case NodeKind::kConstant:
         tape_->constants.push_back(n.value());
@@ -76,17 +76,13 @@ class Emitter {
       default:
         break;
     }
-    const Operand a = Emit(*n.children()[0], depth + 1);
-    const Operand b =
-        Arity(n.kind()) == 2 ? Emit(*n.children()[1], depth + 2) : a;
+    const Operand a = Emit(*n.children()[0]);
+    const Operand b = Arity(n.kind()) == 2 ? Emit(*n.children()[1]) : a;
     const Segment segment = std::max(a.segment, b.segment);
-    const std::uint32_t count = counts_[static_cast<int>(segment)]++;
-    const bool run = segment == Segment::kRun;
-    const std::uint32_t dst =
-        kSegmentTag[static_cast<int>(segment)] | (run ? depth : count);
-    tape_->num_temporaries =
-        std::max<std::size_t>(tape_->num_temporaries, run ? depth + 1 : 0);
+    const int s = static_cast<int>(segment);
+    const std::uint32_t dst = kSegmentTag[s] | counts_[s]++;
     postorder_->push_back({n.kind(), dst, a.reg, b.reg});
+    if (sources_ != nullptr) sources_->push_back(&n);
     return {dst, segment};
   }
 
@@ -95,11 +91,12 @@ class Emitter {
 
  private:
   static constexpr std::uint32_t kSegmentTag[] = {kBindTag, kHoldTag,
-                                                  kTemporaryTag};
+                                                  kRunTag};
 
   const TapeLayout& layout_;
   Tape* tape_;
   std::vector<TapeInstruction>* postorder_;
+  std::vector<const Expr*>* sources_;
   /// Operators emitted per segment.
   std::uint32_t counts_[3] = {0, 0, 0};
 };
@@ -159,46 +156,48 @@ TapeLayout LayoutOf(std::span<const Expr* const> roots) {
   return layout;
 }
 
-Tape Flatten(std::span<const Expr* const> roots, const TapeLayout& layout) {
+Tape Flatten(std::span<const Expr* const> roots, const TapeLayout& layout,
+             std::vector<const Expr*>* sources) {
   GMR_CHECK_LE(layout.num_states, layout.num_variables);
   Tape tape;
   tape.layout = layout;
   tape.outputs.reserve(roots.size());
-  // The instructions in postorder, before they are sorted into segments.
-  // Reused across calls, so a compile allocates the tape's instruction
-  // vector once, at its final size.
+  // The instructions (and their sources) in postorder, before they are
+  // sorted into segments. Reused across calls, so a compile allocates the
+  // tape's instruction vector once, at its final size.
   thread_local std::vector<TapeInstruction> postorder;
   postorder.clear();
-  Emitter emitter(layout, &tape, &postorder);
-  // A run root r's value lands in temporary r, which later roots (evaluated
-  // at depths > r) never write, so every output survives until the run
-  // copies it out.
-  for (std::size_t r = 0; r < roots.size(); ++r) {
-    tape.outputs.push_back(
-        emitter.Emit(*roots[r], static_cast<std::uint32_t>(r)).reg);
+  std::vector<const Expr*> postorder_sources;
+  Emitter emitter(layout, &tape, &postorder,
+                  sources != nullptr ? &postorder_sources : nullptr);
+  for (const Expr* root : roots) {
+    tape.outputs.push_back(emitter.Emit(*root).reg);
   }
   tape.hold_begin = emitter.num_bind();
   tape.run_begin = tape.hold_begin + emitter.num_hold();
-  // Register base of each tag, and the next instruction slot of its
-  // segment, by operand >> kTagShift. Untagged operands index 0 (base 0).
+  GMR_CHECK_LT(tape.temporary_base() + postorder.size(),
+               static_cast<std::size_t>(kIndexMask));
+  // Register base of each tag by operand >> kTagShift: a segment's k-th
+  // instruction lands at its segment's start plus k and writes its own
+  // register, temporary_base() plus its index. Untagged operands index 0
+  // (base 0).
   std::size_t base[16] = {};
   base[kConstantTag >> kTagShift] = tape.constant_base();
-  base[kTemporaryTag >> kTagShift] = tape.temporary_base();
-  base[kBindTag >> kTagShift] = tape.temporary_base() + tape.num_temporaries;
-  base[kHoldTag >> kTagShift] = base[kBindTag >> kTagShift] + tape.hold_begin;
-  tape.num_temporaries += tape.run_begin;
-  GMR_CHECK_LT(tape.num_registers(), static_cast<std::size_t>(kIndexMask));
+  base[kBindTag >> kTagShift] = tape.temporary_base();
+  base[kHoldTag >> kTagShift] = tape.temporary_base() + tape.hold_begin;
+  base[kRunTag >> kTagShift] = tape.temporary_base() + tape.run_begin;
   const auto resolve = [&base](std::uint32_t operand) {
     return static_cast<std::uint32_t>(base[operand >> kTagShift] +
                                       (operand & kIndexMask));
   };
-  std::size_t next[16] = {};
-  next[kHoldTag >> kTagShift] = tape.hold_begin;
-  next[kTemporaryTag >> kTagShift] = tape.run_begin;
   tape.ops.resize(postorder.size());
-  for (const TapeInstruction& ins : postorder) {
-    tape.ops[next[ins.dst >> kTagShift]++] = {
-        ins.op, resolve(ins.dst), resolve(ins.a), resolve(ins.b)};
+  if (sources != nullptr) sources->assign(postorder.size(), nullptr);
+  for (std::size_t k = 0; k < postorder.size(); ++k) {
+    const TapeInstruction& ins = postorder[k];
+    const std::uint32_t dst = resolve(ins.dst);
+    const std::size_t i = dst - tape.temporary_base();
+    tape.ops[i] = {ins.op, dst, resolve(ins.a), resolve(ins.b)};
+    if (sources != nullptr) (*sources)[i] = postorder_sources[k];
   }
   for (std::uint32_t& out : tape.outputs) out = resolve(out);
   return tape;

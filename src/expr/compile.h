@@ -31,8 +31,8 @@ struct TapeLayout {
 ///   [variables | parameters | constants | temporaries]
 ///
 /// so leaves cost no instruction: a variable, parameter or literal operand
-/// is read where it lives. dst is always a temporary distinct from both
-/// operands.
+/// is read where it lives. dst is the instruction's own temporary, distinct
+/// from both operands.
 struct TapeInstruction {
   NodeKind op = NodeKind::kAdd;
   std::uint32_t dst = 0;
@@ -50,16 +50,17 @@ struct TapeInstruction {
 /// register each one reads: bind [0, hold_begin) reads only constants and
 /// parameters, hold [hold_begin, run_begin) also reads held variables, and
 /// run [run_begin, size()) reads a state. Each segment keeps the postorder
-/// of the roots in root order, and every bind or hold result has its own
-/// register, so the segments in order are one valid evaluation order and
-/// each can rerun on its own once its inputs change.
+/// of the roots in root order, so the segments in order are one valid
+/// evaluation order and each can rerun on its own once its inputs change.
+///
+/// Every instruction has its own register (SSA form): instruction i writes
+/// temporary_base() + i and reads only registers written before it, so
+/// after a run the register file holds every intermediate value — the
+/// values the adjoint's reverse sweep reads (grad/adjoint.h).
 struct Tape {
   TapeLayout layout;
   /// Value of constant register constant_base() + i.
   std::vector<double> constants;
-  /// The depth-allocated temporaries of the run segment, then one register
-  /// per bind or hold instruction.
-  std::size_t num_temporaries = 0;
   std::vector<TapeInstruction> ops;
   std::size_t hold_begin = 0;
   std::size_t run_begin = 0;
@@ -73,9 +74,7 @@ struct Tape {
   std::size_t temporary_base() const {
     return constant_base() + constants.size();
   }
-  std::size_t num_registers() const {
-    return temporary_base() + num_temporaries;
-  }
+  std::size_t num_registers() const { return temporary_base() + ops.size(); }
   /// Number of roots (outputs per run).
   std::size_t num_outputs() const { return outputs.size(); }
   /// Number of instructions (operator nodes of the source).
@@ -89,7 +88,10 @@ TapeLayout LayoutOf(std::span<const Expr* const> roots);
 
 /// Flattens `roots` into one register tape over `layout` (segmented as
 /// described at Tape). Aborts when a leaf slot falls outside the layout.
-Tape Flatten(std::span<const Expr* const> roots, const TapeLayout& layout);
+/// When `sources` is given, it receives the operator node each instruction
+/// was emitted from, in tape order.
+Tape Flatten(std::span<const Expr* const> roots, const TapeLayout& layout,
+             std::vector<const Expr*>* sources = nullptr);
 Tape Flatten(const std::vector<ExprPtr>& roots, const TapeLayout& layout);
 
 /// Runtime-compilation backend.
@@ -146,6 +148,10 @@ class CompiledProgram {
   /// Number of instructions in the tape (operator nodes of the source).
   std::size_t size() const { return tape_.size(); }
   std::size_t num_outputs() const { return tape_.num_outputs(); }
+
+  const Tape& tape() const { return tape_; }
+  /// The register file as the last Bind, Hold or Run left it.
+  const double* registers() const { return registers_.data(); }
 
   /// True when Compile has not been run.
   bool empty() const { return tape_.empty(); }

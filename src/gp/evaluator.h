@@ -59,8 +59,9 @@ struct EvalStats {
   /// zero). Sums to static_rejects.
   std::size_t gate_rule_rejects[analysis::kNumGateRules] = {};
   /// Gradient side-channel telemetry (elite constant polish): adjoint
-  /// gradient evaluations, total reverse-mode tape nodes linearized for
-  /// them, and line-search (descent candidate) evaluations spent polishing.
+  /// gradient evaluations, the register-tape instructions they reversed
+  /// (summed per evaluation), and line-search (descent candidate)
+  /// evaluations spent polishing.
   std::size_t gradient_evaluations = 0;
   std::size_t tape_nodes = 0;
   std::size_t linesearch_steps = 0;

@@ -94,18 +94,18 @@ class GradientFitness {
  public:
   /// Gradient-evaluation telemetry folded into EvalStats.
   struct GradientStats {
+    /// Instructions of the system's register tape.
     std::size_t tape_nodes = 0;
-    std::size_t pruned_nodes = 0;
   };
 
   virtual ~GradientFitness() = default;
 
   /// Evaluates fitness and its exact parameter gradient at `parameters`.
-  /// Returns false when no trustworthy gradient exists (tape construction
-  /// failed, adjoints came back non-finite); `*value` still carries the
-  /// fitness. Aborted rollouts are NOT failures: the deterministic penalty
-  /// tail contributes exactly zero gradient, never NaN. Must be safe to
-  /// call concurrently.
+  /// Returns false when no trustworthy gradient exists (the gradient
+  /// program could not be built, adjoints came back non-finite); `*value`
+  /// still carries the fitness. Aborted rollouts are NOT failures: the
+  /// deterministic penalty tail contributes exactly zero gradient, never
+  /// NaN. Must be safe to call concurrently.
   virtual bool EvaluateGradient(const std::vector<expr::ExprPtr>& equations,
                                 const std::vector<double>& parameters,
                                 double* value, std::vector<double>* gradient,

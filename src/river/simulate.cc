@@ -117,10 +117,8 @@ class Rollout {
           const RiverDataset* dataset,
           const std::vector<double>& initial_state,
           const SimulationConfig& config)
-      : runner_(equations, parameters.data(), parameters.size(),
-                initial_state.size() +
-                    static_cast<std::size_t>(kNumDriverVariables),
-                compiled, config),
+      : runner_(equations, parameters.data(), parameters.size(), compiled,
+                config),
         stepper_(initial_state, config),
         dataset_(dataset) {
     GMR_CHECK_EQ(equations.size(), initial_state.size());

@@ -22,9 +22,10 @@
 /// (Simulate, RiverFitness) step through LaneStepper, the channel
 /// (river/transport.cc) steps its cells one at a time on the same runner
 /// under one reach-wide watchdog, and the adjoint (grad/adjoint.cc)
-/// replays LaneStepper::Substep over its tapes — so every rollout runs the
-/// same VM, stepper and watchdog, and the replay matches the forward sweep
-/// bitwise by construction.
+/// replays LaneStepper::Substep over a program compiled with the same
+/// RolloutLayout — so every rollout runs the same VM, stepper and
+/// watchdog, and the replay matches the forward sweep bitwise by
+/// construction.
 namespace gmr::river {
 
 /// The divergence watchdog of one rollout (the three SimulationConfig
@@ -124,6 +125,14 @@ inline void LoadDrivers(const RiverDataset& dataset, std::size_t t,
   }
 }
 
+/// The register layout every rollout compiles its equation system with:
+/// the species are the states, the ten drivers after them are held.
+inline expr::TapeLayout RolloutLayout(std::size_t num_species,
+                                      std::size_t num_parameters) {
+  return {num_species + static_cast<std::size_t>(kNumDriverVariables),
+          num_parameters, num_species};
+}
+
 /// Under kBatchJit, the generation-JIT symbols of an equation system, one
 /// per equation (empty under kBytecodeVm). Pure cache hits when the
 /// evaluator's PrepareBatch already compiled this generation; a miss
@@ -164,14 +173,15 @@ class JitSymbols {
 class DerivativeRunner {
  public:
   /// `parameters` is not copied and must outlive the runner. `compiled`
-  /// false selects the interpreter.
+  /// false selects the interpreter. Variable vectors follow RolloutLayout:
+  /// one state per equation, then the ten drivers.
   DerivativeRunner(const std::vector<expr::ExprPtr>& equations,
                    const double* parameters, std::size_t num_parameters,
-                   std::size_t num_variables, bool compiled,
-                   const SimulationConfig& config)
+                   bool compiled, const SimulationConfig& config)
       : parameters_(parameters),
         num_parameters_(num_parameters),
-        num_variables_(num_variables),
+        num_variables_(
+            RolloutLayout(equations.size(), num_parameters).num_variables),
         num_equations_(equations.size()),
         compiled_(compiled) {
     GMR_CHECK(!equations.empty());
@@ -180,10 +190,8 @@ class DerivativeRunner {
       equations_ = equations;
       return;
     }
-    // The variable slots past the species are the day's drivers.
-    const expr::TapeLayout layout{num_variables_, num_parameters_,
-                                  num_equations_};
-    program_ = expr::Compile(equations, layout);
+    program_ = expr::Compile(
+        equations, RolloutLayout(num_equations_, num_parameters_));
     program_.Bind(parameters_, num_parameters_);
     jit_ = JitSymbols(equations, config);
   }
@@ -282,10 +290,6 @@ class LaneStepper {
     if (!watchdog_.aborted()) StepDay(dataset, t, runner);
   }
 
-  void LoadDrivers(const RiverDataset& dataset, std::size_t t) {
-    river::LoadDrivers(dataset, t, num_species_, vars_.data());
-  }
-
   /// One Euler or RK4 substep. Each stage's input is the committed state
   /// plus StageShift(stage) times the previous stage's slopes; `derive`
   /// evaluates it, and the watchdog notes the call. When the watchdog
@@ -350,7 +354,7 @@ class LaneStepper {
   /// Hold on penalty days.
   void StepDay(const RiverDataset& dataset, std::size_t t,
                const DerivativeRunner& runner) {
-    LoadDrivers(dataset, t);
+    LoadDrivers(dataset, t, num_species_, vars_.data());
     runner.Hold(vars_.data());
     const auto derive = [&runner](std::size_t, const double* variables,
                                   double* slopes) {

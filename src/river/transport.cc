@@ -120,8 +120,7 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
   // (every cell sees the same drivers), and each cell's states run once
   // per substep into reaction[species * num_cells + cell].
   const DerivativeRunner runner(equations, parameters.data(),
-                                parameters.size(), num_variables,
-                                /*compiled=*/true, config);
+                                parameters.size(), /*compiled=*/true, config);
   std::vector<double> vars(num_variables, 0.0);
   std::vector<double> slopes(num_species, 0.0);
   std::vector<double> reaction(num_species * num_cells, 0.0);

@@ -586,6 +586,11 @@ TEST(GrammarIoTest, LoaderRejectsStructuralMistakesBeforeTheAbortingApi) {
                      "alpha a Exp : B_Phy\n",
                      &error));
   EXPECT_NE(error.find("lo > hi"), std::string::npos);
+  // A slot line takes exactly a label and two bounds.
+  EXPECT_FALSE(parse("# gmr-grammar v1\nslot R 0.0 1.0 5.0\n"
+                     "alpha a Exp : B_Phy\n",
+                     &error));
+  EXPECT_NE(error.find("bad slot line"), std::string::npos);
   // FOOT in an alpha tree.
   EXPECT_FALSE(parse("# gmr-grammar v1\nalpha a Exp : FOOT + B_Phy\n",
                      &error));

@@ -278,6 +278,44 @@ TEST(CompileTest, ExpertProcessSegmentSizes) {
   EXPECT_EQ(transport.size() - transport.run_begin, 16u);
 }
 
+TEST(CompileTest, EveryInstructionWritesItsOwnRegisterAfterItsOperands) {
+  // SSA form, which the adjoint's reverse sweep relies on: instruction i
+  // writes temporary_base() + i, and every operand is a leaf register or
+  // an earlier instruction's. Flatten's sources are the instructions' own
+  // operator nodes, in tape order.
+  const auto expect_ssa = [](const std::vector<ExprPtr>& roots,
+                             std::size_t num_states) {
+    std::vector<const Expr*> pointers;
+    for (const ExprPtr& root : roots) pointers.push_back(root.get());
+    TapeLayout layout = LayoutOf(pointers);
+    layout.num_variables = std::max(layout.num_variables, num_states);
+    layout.num_states = num_states;
+    std::vector<const Expr*> sources;
+    const Tape tape = Flatten(pointers, layout, &sources);
+    ASSERT_EQ(sources.size(), tape.size());
+    EXPECT_EQ(tape.num_registers(), tape.temporary_base() + tape.size());
+    for (std::size_t i = 0; i < tape.size(); ++i) {
+      const TapeInstruction& ins = tape.ops[i];
+      EXPECT_EQ(ins.dst, tape.temporary_base() + i);
+      EXPECT_LT(ins.a, ins.dst);
+      EXPECT_LT(ins.b, ins.dst);
+      EXPECT_EQ(sources[i]->kind(), ins.op);
+    }
+    for (const std::uint32_t out : tape.outputs) {
+      EXPECT_LT(out, tape.num_registers());
+    }
+  };
+  expect_ssa(river::ManualProcess(), 2);
+  expect_ssa(river::TransportProcess(river::ConstituentSet::Transport(5)), 5);
+  Rng rng(31);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(trial);
+    expect_ssa({RandomTree(rng, 6, 4, 3), RandomTree(rng, 6, 4, 3),
+                RandomTree(rng, 4, 4, 3)},
+               static_cast<std::size_t>(trial % 5));
+  }
+}
+
 TEST(CompileTest, StagedRunsFollowEveryInputChange) {
   // Variable 0 is a state, variable 1 is held. Roots: a parameter-only
   // root and a held-only root (both hoisted whole), bare leaves of the

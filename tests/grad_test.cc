@@ -1,13 +1,14 @@
 // Reverse-mode autodiff tests (ctest labels `grad` + `fault`): hand-derived
 // adjoints of every protected primitive at its clamp/band boundaries,
-// bitwise (0 ULP) forward agreement between the tape and the tree
-// interpreter, the discrete-adjoint rollout against central finite
-// differences under Euler and RK4 for both the legacy plankton preset and a
-// transport ConstituentSet registry, the exact-zero gradient guarantee for
-// activity-pruned parameters, watchdog-abort penalty gradients (finite and
-// zero, never NaN), the `tape_alloc`/`adjoint_nan` fault sites with the
-// L-BFGS degrade-to-derivative-free path, and bit-identical L-BFGS resume
-// through the checkpoint store.
+// bitwise (0 ULP) agreement between the gradient program's value and the
+// tree interpreter, the discrete-adjoint rollout against central finite
+// differences under Euler and RK4 for the legacy plankton preset, a
+// transport ConstituentSet registry and systems whose outputs sit in every
+// register class, the exact-zero gradient guarantee for activity-pruned
+// parameters, watchdog-abort penalty gradients (finite and zero, never
+// NaN), the `tape_alloc`/`adjoint_nan` fault sites with the L-BFGS
+// degrade-to-derivative-free path, and bit-identical L-BFGS resume through
+// the checkpoint store.
 
 #include <gtest/gtest.h>
 
@@ -33,7 +34,6 @@
 #include "expr/ast.h"
 #include "expr/eval.h"
 #include "grad/adjoint.h"
-#include "grad/tape.h"
 #include "obs/run_context.h"
 #include "obs/telemetry.h"
 #include "river/constituents.h"
@@ -51,34 +51,28 @@ namespace fs = std::filesystem;
 
 // ------------------------------------------------------------- helpers ----
 
-/// Forward + reverse sweep of one expression; adjoints seeded with 1.0.
-struct TapeEval {
-  double value = 0.0;
-  std::vector<double> param_adjoint;
-  std::vector<double> state_adjoint;
-};
+/// The gradient program of one expression over the regions of a context
+/// with `variables` and `parameters`.
+GradientProgram ProgramOf(const e::ExprPtr& root,
+                          const std::vector<double>& variables,
+                          const std::vector<double>& parameters,
+                          std::size_t num_states,
+                          const an::DomainEnv* prune_env) {
+  const e::Expr* roots[] = {root.get()};
+  return GradientProgram(
+      roots, {variables.size(), parameters.size(), num_states}, prune_env);
+}
 
-TapeEval Differentiate(const e::ExprPtr& root,
-                       const std::vector<double>& variables,
-                       const std::vector<double>& parameters,
-                       int num_state_variables = 0,
-                       const an::DomainEnv* prune_env = nullptr) {
-  const Tape tape(*root, static_cast<int>(parameters.size()),
-                  num_state_variables, prune_env);
-  std::vector<double> values(tape.size(), 0.0);
-  std::vector<double> cotangents(tape.size(), 0.0);
+/// Value and adjoints of one expression, seeded with 1.0.
+ExprGradient Gradient(const e::ExprPtr& root,
+                      const std::vector<double>& variables,
+                      const std::vector<double>& parameters,
+                      std::size_t num_states = 0,
+                      const an::DomainEnv* prune_env = nullptr) {
   const e::EvalContext ctx{variables.data(), variables.size(),
                            parameters.data(), parameters.size()};
-  TapeEval out;
-  out.param_adjoint.assign(parameters.empty() ? 1 : parameters.size(), 0.0);
-  out.state_adjoint.assign(
-      num_state_variables > 0 ? static_cast<std::size_t>(num_state_variables)
-                              : 1,
-      0.0);
-  out.value = tape.Forward(ctx, values.data());
-  tape.Reverse(values.data(), 1.0, out.param_adjoint.data(),
-               out.state_adjoint.data(), cotangents.data());
-  return out;
+  return Differentiate(
+      ProgramOf(root, variables, parameters, num_states, prune_env), ctx);
 }
 
 double EvalOne(const e::ExprPtr& root, const std::vector<double>& variables,
@@ -183,9 +177,9 @@ TEST(TapeTest, ForwardMatchesInterpreterBitwise) {
       {0.5, -1.25}, {3.0, 2.0}, {-2.0, 0.0}, {90.0, 1e-13}, {1e-10, -3.5}};
   const std::vector<double> params = {1.75, -0.3};
   for (const auto& vars : var_sets) {
-    const TapeEval tape = Differentiate(root, vars, params);
+    const ExprGradient gradient = Gradient(root, vars, params);
     const double reference = EvalOne(root, vars, params);
-    EXPECT_EQ(ckpt::HexDouble(tape.value), ckpt::HexDouble(reference))
+    EXPECT_EQ(ckpt::HexDouble(gradient.value), ckpt::HexDouble(reference))
         << "x=" << vars[0] << " y=" << vars[1];
   }
 }
@@ -197,36 +191,36 @@ TEST(TapeTest, AddSubNegAdjoints) {
   const e::ExprPtr p1 = e::Parameter(1, "p1");
   const std::vector<double> params = {2.5, -4.0};
 
-  TapeEval out = Differentiate(e::Add(p0, p1), {}, params);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], 1.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[1], 1.0);
+  ExprGradient out = Gradient(e::Add(p0, p1), {}, params);
+  EXPECT_DOUBLE_EQ(out.parameters[0], 1.0);
+  EXPECT_DOUBLE_EQ(out.parameters[1], 1.0);
 
-  out = Differentiate(e::Sub(p0, p1), {}, params);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], 1.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[1], -1.0);
+  out = Gradient(e::Sub(p0, p1), {}, params);
+  EXPECT_DOUBLE_EQ(out.parameters[0], 1.0);
+  EXPECT_DOUBLE_EQ(out.parameters[1], -1.0);
 
-  out = Differentiate(e::Neg(p0), {}, params);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], -1.0);
+  out = Gradient(e::Neg(p0), {}, params);
+  EXPECT_DOUBLE_EQ(out.parameters[0], -1.0);
 }
 
 TEST(TapeTest, MulProductRule) {
   const e::ExprPtr p0 = e::Parameter(0, "p0");
   const e::ExprPtr p1 = e::Parameter(1, "p1");
   const std::vector<double> params = {3.0, -7.0};
-  const TapeEval out = Differentiate(e::Mul(p0, p1), {}, params);
+  const ExprGradient out = Gradient(e::Mul(p0, p1), {}, params);
   EXPECT_DOUBLE_EQ(out.value, -21.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], -7.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[1], 3.0);
+  EXPECT_DOUBLE_EQ(out.parameters[0], -7.0);
+  EXPECT_DOUBLE_EQ(out.parameters[1], 3.0);
 }
 
 TEST(TapeTest, DivQuotientRuleOutsideProtectionBand) {
   const e::ExprPtr p0 = e::Parameter(0, "p0");
   const e::ExprPtr p1 = e::Parameter(1, "p1");
   const std::vector<double> params = {6.0, 4.0};
-  const TapeEval out = Differentiate(e::Div(p0, p1), {}, params);
+  const ExprGradient out = Gradient(e::Div(p0, p1), {}, params);
   EXPECT_DOUBLE_EQ(out.value, 1.5);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], 0.25);          // 1 / b
-  EXPECT_DOUBLE_EQ(out.param_adjoint[1], -6.0 / 16.0);   // -a / b^2
+  EXPECT_DOUBLE_EQ(out.parameters[0], 0.25);          // 1 / b
+  EXPECT_DOUBLE_EQ(out.parameters[1], -6.0 / 16.0);   // -a / b^2
 }
 
 TEST(TapeTest, DivInsideProtectionBandIsConstantOne) {
@@ -236,46 +230,46 @@ TEST(TapeTest, DivInsideProtectionBandIsConstantOne) {
   const e::ExprPtr p0 = e::Parameter(0, "p0");
   const e::ExprPtr p1 = e::Parameter(1, "p1");
   const std::vector<double> params = {6.0, 1e-10};
-  const TapeEval out = Differentiate(e::Div(p0, p1), {}, params);
+  const ExprGradient out = Gradient(e::Div(p0, p1), {}, params);
   EXPECT_DOUBLE_EQ(out.value, 1.0);
-  EXPECT_EQ(out.param_adjoint[0], 0.0);
-  EXPECT_EQ(out.param_adjoint[1], 0.0);
+  EXPECT_EQ(out.parameters[0], 0.0);
+  EXPECT_EQ(out.parameters[1], 0.0);
 }
 
 TEST(TapeTest, LogAdjointIsReciprocalForBothSigns) {
   // log(|x|): d/dx = sign(x)/|x| = 1/x on both sides of zero.
   const e::ExprPtr p0 = e::Parameter(0, "p0");
-  TapeEval out = Differentiate(e::Log(p0), {}, {2.0});
+  ExprGradient out = Gradient(e::Log(p0), {}, {2.0});
   EXPECT_DOUBLE_EQ(out.value, std::log(2.0));
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], 0.5);
+  EXPECT_DOUBLE_EQ(out.parameters[0], 0.5);
 
-  out = Differentiate(e::Log(p0), {}, {-2.0});
+  out = Gradient(e::Log(p0), {}, {-2.0});
   EXPECT_DOUBLE_EQ(out.value, std::log(2.0));
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], -0.5);
+  EXPECT_DOUBLE_EQ(out.parameters[0], -0.5);
 }
 
 TEST(TapeTest, LogInsideZeroBandHasZeroAdjoint) {
   const e::ExprPtr p0 = e::Parameter(0, "p0");
-  const TapeEval out = Differentiate(e::Log(p0), {}, {1e-13});
+  const ExprGradient out = Gradient(e::Log(p0), {}, {1e-13});
   EXPECT_EQ(out.value, 0.0);
-  EXPECT_EQ(out.param_adjoint[0], 0.0);
+  EXPECT_EQ(out.parameters[0], 0.0);
 }
 
 TEST(TapeTest, ExpAdjointAndClampBoundary) {
   const e::ExprPtr p0 = e::Parameter(0, "p0");
-  TapeEval out = Differentiate(e::Exp(p0), {}, {1.5});
+  ExprGradient out = Gradient(e::Exp(p0), {}, {1.5});
   EXPECT_DOUBLE_EQ(out.value, std::exp(1.5));
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], std::exp(1.5));
+  EXPECT_DOUBLE_EQ(out.parameters[0], std::exp(1.5));
 
   // Above the clamp the value saturates at exp(80) and the adjoint is
   // exactly zero (the clamped branch is locally constant).
-  out = Differentiate(e::Exp(p0), {}, {100.0});
+  out = Gradient(e::Exp(p0), {}, {100.0});
   EXPECT_DOUBLE_EQ(out.value, std::exp(80.0));
-  EXPECT_EQ(out.param_adjoint[0], 0.0);
+  EXPECT_EQ(out.parameters[0], 0.0);
 
-  out = Differentiate(e::Exp(p0), {}, {-100.0});
+  out = Gradient(e::Exp(p0), {}, {-100.0});
   EXPECT_DOUBLE_EQ(out.value, std::exp(-80.0));
-  EXPECT_EQ(out.param_adjoint[0], 0.0);
+  EXPECT_EQ(out.parameters[0], 0.0);
 }
 
 TEST(TapeTest, MinMaxRouteCotangentToSelectedBranch) {
@@ -283,44 +277,41 @@ TEST(TapeTest, MinMaxRouteCotangentToSelectedBranch) {
   const e::ExprPtr p1 = e::Parameter(1, "p1");
 
   // min(a, b) == a < b ? a : b.
-  TapeEval out = Differentiate(e::Min(p0, p1), {}, {1.0, 2.0});
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], 1.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[1], 0.0);
-  out = Differentiate(e::Min(p0, p1), {}, {2.0, 1.0});
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], 0.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[1], 1.0);
+  ExprGradient out = Gradient(e::Min(p0, p1), {}, {1.0, 2.0});
+  EXPECT_DOUBLE_EQ(out.parameters[0], 1.0);
+  EXPECT_DOUBLE_EQ(out.parameters[1], 0.0);
+  out = Gradient(e::Min(p0, p1), {}, {2.0, 1.0});
+  EXPECT_DOUBLE_EQ(out.parameters[0], 0.0);
+  EXPECT_DOUBLE_EQ(out.parameters[1], 1.0);
   // Tie: `a < b` is false, so the kernel selects b; the whole cotangent
   // follows (never split between the operands).
-  out = Differentiate(e::Min(p0, p1), {}, {3.0, 3.0});
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], 0.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[1], 1.0);
+  out = Gradient(e::Min(p0, p1), {}, {3.0, 3.0});
+  EXPECT_DOUBLE_EQ(out.parameters[0], 0.0);
+  EXPECT_DOUBLE_EQ(out.parameters[1], 1.0);
 
   // max(a, b) == a > b ? a : b; ties also select b.
-  out = Differentiate(e::Max(p0, p1), {}, {1.0, 2.0});
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], 0.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[1], 1.0);
-  out = Differentiate(e::Max(p0, p1), {}, {2.0, 1.0});
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], 1.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[1], 0.0);
-  out = Differentiate(e::Max(p0, p1), {}, {3.0, 3.0});
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], 0.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[1], 1.0);
+  out = Gradient(e::Max(p0, p1), {}, {1.0, 2.0});
+  EXPECT_DOUBLE_EQ(out.parameters[0], 0.0);
+  EXPECT_DOUBLE_EQ(out.parameters[1], 1.0);
+  out = Gradient(e::Max(p0, p1), {}, {2.0, 1.0});
+  EXPECT_DOUBLE_EQ(out.parameters[0], 1.0);
+  EXPECT_DOUBLE_EQ(out.parameters[1], 0.0);
+  out = Gradient(e::Max(p0, p1), {}, {3.0, 3.0});
+  EXPECT_DOUBLE_EQ(out.parameters[0], 0.0);
+  EXPECT_DOUBLE_EQ(out.parameters[1], 1.0);
 }
 
 TEST(TapeTest, SharedSubtreesOccupyOneSlotAndAccumulate) {
-  // Add(sub, sub) with a literally shared ExprPtr: pointer-memoized CSE
-  // linearizes the subtree once, and its cotangent accumulates both paths.
+  // Add(sub, sub) with a literally shared ExprPtr: both paths accumulate
+  // into the leaf registers the subtree reads.
   const e::ExprPtr shared = e::Mul(e::Parameter(0, "p0"), e::Variable(0, "x"));
   const e::ExprPtr root = e::Add(shared, shared);
   ASSERT_EQ(root->NodeCount(), 7u);
 
-  const Tape tape(*root, 1, 1, nullptr);
-  EXPECT_EQ(tape.size(), 4u);  // p0, x, Mul, Add — each once.
-
-  const TapeEval out = Differentiate(root, {5.0}, {3.0}, 1);
+  const ExprGradient out = Gradient(root, {5.0}, {3.0}, 1);
   EXPECT_DOUBLE_EQ(out.value, 30.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[0], 10.0);  // 2 * x
-  EXPECT_DOUBLE_EQ(out.state_adjoint[0], 6.0);   // 2 * p0
+  EXPECT_DOUBLE_EQ(out.parameters[0], 10.0);  // 2 * x
+  EXPECT_DOUBLE_EQ(out.states[0], 6.0);   // 2 * p0
 }
 
 TEST(TapeTest, StateVariableAdjointsStopAtDrivers) {
@@ -328,9 +319,9 @@ TEST(TapeTest, StateVariableAdjointsStopAtDrivers) {
   // slots are exogenous data and are never differentiated.
   const e::ExprPtr root =
       e::Mul(e::Variable(0, "state"), e::Variable(2, "driver"));
-  const TapeEval out = Differentiate(root, {3.0, 0.0, 7.0}, {}, 1);
+  const ExprGradient out = Gradient(root, {3.0, 0.0, 7.0}, {}, 1);
   EXPECT_DOUBLE_EQ(out.value, 21.0);
-  EXPECT_DOUBLE_EQ(out.state_adjoint[0], 7.0);
+  EXPECT_DOUBLE_EQ(out.states[0], 7.0);
 }
 
 TEST(TapeTest, ActivityPruningZeroesInactiveParameterExactly) {
@@ -346,17 +337,17 @@ TEST(TapeTest, ActivityPruningZeroesInactiveParameterExactly) {
   env.variables = {an::Interval::Of(0.0, 10.0)};
   env.parameters = {an::Interval::Point(0.5), an::Interval::Point(0.25)};
 
-  const Tape tape(*root, 2, 1, &env);
-  EXPECT_GT(tape.pruned_nodes(), 0u);
-  EXPECT_LT(tape.live_nodes(), tape.size());
   const std::vector<int> inactive =
-      an::InactiveParameters(tape.root_activity(), 2);
+      an::InactiveParameters(an::AnalyzeActivity(*root, env), 2);
   ASSERT_EQ(inactive.size(), 1u);
   EXPECT_EQ(inactive[0], 0);
 
-  const TapeEval out = Differentiate(root, {2.0}, {0.5, 0.25}, 1, &env);
-  EXPECT_EQ(out.param_adjoint[0], 0.0);
-  EXPECT_DOUBLE_EQ(out.param_adjoint[1], 2.0);
+  const GradientProgram program = ProgramOf(root, {2.0}, {0.5, 0.25}, 1, &env);
+  EXPECT_GT(program.pruned(), 0u);
+  EXPECT_LT(program.pruned(), program.tape().size());
+  const ExprGradient out = Gradient(root, {2.0}, {0.5, 0.25}, 1, &env);
+  EXPECT_EQ(out.parameters[0], 0.0);
+  EXPECT_DOUBLE_EQ(out.parameters[1], 2.0);
   // The pruned forward value still matches the interpreter bitwise: pruning
   // only drops provably-zero flows, never changes the value.
   EXPECT_EQ(ckpt::HexDouble(out.value),
@@ -418,6 +409,60 @@ TEST(AdjointRolloutTest, TransportRegistryGradientMatchesCentralDifference) {
   ExpectMatchesCentralDifference(equations, parameters, dataset, 0, 4,
                                  constituents, constituents.InitialStates(),
                                  config);
+}
+
+TEST(AdjointRolloutTest, OutputsInEveryRegisterClassMatchCentralDifference) {
+  // Each system puts its two equations' outputs in the registers of a
+  // different pair of classes — bind, hold, run, bare parameter, bare state
+  // and constant — so every seed and segment reversal is exercised. Both
+  // species are observed, so every output reaches the RMSE.
+  r::RiverDataset dataset = GradDataset(8);
+  std::vector<double> nh4_observed(dataset.num_days);
+  for (std::size_t t = 0; t < dataset.num_days; ++t) {
+    nh4_observed[t] = 0.7 + 0.1 * static_cast<double>(t % 3);
+  }
+  dataset.extra_observed = {nh4_observed};
+  r::ConstituentSet constituents = r::ConstituentSet::Transport(2);
+  constituents.mutable_at(1).observed_series = 1;
+
+  const e::ExprPtr no3 = e::Variable(0, "M_NO3");
+  const e::ExprPtr nh4 = e::Variable(1, "M_NH4");
+  const e::ExprPtr lgt = e::Variable(constituents.driver_slot(0), "V_lgt");
+  const e::ExprPtr k_nit = e::Parameter(r::kKNit, "K_NIT");
+  const e::ExprPtr k_no3 = e::Parameter(r::kKNo3, "K_NO3");
+  const e::ExprPtr k_nh4 = e::Parameter(r::kKNh4, "K_NH4");
+  const e::ExprPtr s_no3 = e::Parameter(r::kSNo3, "S_NO3");
+  struct System {
+    const char* classes;
+    std::vector<e::ExprPtr> equations;
+  };
+  const std::vector<System> systems = {
+      {"bind + hold", {e::Mul(k_nit, k_no3), e::Mul(s_no3, lgt)}},
+      {"hold + bare parameter", {e::Mul(s_no3, lgt), k_nh4}},
+      {"run + constant",
+       {e::Sub(e::Mul(k_nit, nh4), e::Mul(k_no3, no3)), e::Constant(0.05)}},
+      {"bare state + run", {nh4, e::Neg(e::Mul(k_nh4, nh4))}},
+  };
+  std::vector<double> parameters(r::kNumTransportParameters, 0.0);
+  parameters[r::kKNit] = 0.2;
+  parameters[r::kKNo3] = 0.1;
+  parameters[r::kKNh4] = 0.15;
+  parameters[r::kSNo3] = 0.3;
+
+  for (const r::IntegrationMethod method :
+       {r::IntegrationMethod::kEuler, r::IntegrationMethod::kRk4}) {
+    r::SimulationConfig config;
+    config.method = method;
+    config.num_species = 2;
+    for (const System& system : systems) {
+      SCOPED_TRACE(std::string(system.classes) +
+                   (method == r::IntegrationMethod::kRk4 ? ", RK4"
+                                                          : ", Euler"));
+      ExpectMatchesCentralDifference(system.equations, parameters, dataset, 0,
+                                     4, constituents,
+                                     constituents.InitialStates(), config);
+    }
+  }
 }
 
 TEST(AdjointRolloutTest, RmseMatchesValueObjectiveBitwiseUnderBothMethods) {
@@ -530,16 +575,20 @@ TEST(GradFaultTest, TapeAllocFaultThrowsBadAlloc) {
   std::string error;
   ASSERT_TRUE(SetFaultSpec("tape_alloc:always", &error)) << error;
   const e::ExprPtr root = e::Parameter(0, "p0");
-  EXPECT_THROW(Tape(*root, 1, 0, nullptr), std::bad_alloc);
+  const e::Expr* roots[] = {root.get()};
+  const e::TapeLayout layout{0, 1};
+  EXPECT_THROW(GradientProgram(roots, layout, nullptr), std::bad_alloc);
+  EXPECT_THROW(Gradient(root, {}, {1.0}), std::bad_alloc);
   ClearFaults();
-  EXPECT_NO_THROW(Tape(*root, 1, 0, nullptr));
+  EXPECT_NO_THROW(GradientProgram(roots, layout, nullptr));
+  EXPECT_NO_THROW(Gradient(root, {}, {1.0}));
 }
 
 TEST(GradFaultTest, AdjointNanFaultPoisonsAdjoints) {
   std::string error;
   ASSERT_TRUE(SetFaultSpec("adjoint_nan:always", &error)) << error;
-  const TapeEval out = Differentiate(e::Parameter(0, "p0"), {}, {2.0});
-  EXPECT_TRUE(std::isnan(out.param_adjoint[0]));
+  const ExprGradient out = Gradient(e::Parameter(0, "p0"), {}, {2.0});
+  EXPECT_TRUE(std::isnan(out.parameters[0]));
   ClearFaults();
 }
 

@@ -82,6 +82,29 @@ TEST(ModelIoTest, LoadRejectsUnknownParameter) {
   EXPECT_NE(error.find("C_Bogus"), std::string::npos);
 }
 
+TEST(ModelIoTest, LoadRejectsTrailingTokensAndRepeatedParameters) {
+  const std::string path = ::testing::TempDir() + "/gmr_model_badline.txt";
+  const auto load = [&path](const std::string& params, std::string* error) {
+    {
+      std::ofstream out(path);
+      out << "# gmr-model v1\nequation B_Phy\n" << params;
+    }
+    SavedModel model;
+    return LoadModel(path, r::RiverSymbols(), &model, error);
+  };
+  std::string error;
+  ASSERT_TRUE(load("param C_UA = 0.05\nparam C_P = 0.1\n", &error)) << error;
+  for (const char* params :
+       {"param C_UA = 0.05 0.9\n", "param C_UA = 0.1 junk\n"}) {
+    error.clear();
+    EXPECT_FALSE(load(params, &error)) << params;
+    EXPECT_NE(error.find("bad param line"), std::string::npos) << error;
+  }
+  error.clear();
+  EXPECT_FALSE(load("param C_UA = 0.05\nparam C_UA = 0.9\n", &error));
+  EXPECT_EQ(error, "duplicate parameter: C_UA");
+}
+
 TEST(RevisionReportTest, NamesAdjunctionSitesAndBetas) {
   const RiverPriorKnowledge knowledge = BuildRiverPriorKnowledge();
   Rng rng(5);
