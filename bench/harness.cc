@@ -69,9 +69,7 @@ std::uint64_t HashGmrConfig(const core::GmrConfig& config) {
       .Add("short_circuiting", s.short_circuiting)
       .Add("es_threshold", s.es_threshold)
       .Add("runtime_compilation", s.runtime_compilation)
-      .Add("simplify_before_eval", s.simplify_before_eval)
-      .Add("frontier_frozen",
-           s.frontier_mode == gp::FrontierMode::kFrozenFrontier);
+      .Add("simplify_before_eval", s.simplify_before_eval);
   return hasher.hash();
 }
 

@@ -156,7 +156,6 @@ gp::Tag3pConfig DrillConfig(const DrillOptions& options) {
   config.seed = 5;
   config.speedups.tree_caching = options.cache;
   config.speedups.short_circuiting = true;
-  config.speedups.frontier_mode = gp::FrontierMode::kFrozenFrontier;
   config.speedups.num_threads = options.threads;
   return config;
 }

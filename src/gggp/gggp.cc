@@ -1,10 +1,8 @@
 #include "gggp/gggp.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <memory>
 
 #include "ckpt/checkpoint.h"
@@ -19,134 +17,6 @@
 
 namespace gmr::gggp {
 namespace {
-
-void AtomicFetchMin(std::atomic<double>* target, double value) {
-  double current = target->load(std::memory_order_relaxed);
-  while (value < current &&
-         !target->compare_exchange_weak(current, value,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
-/// Shared evaluation with optional short-circuiting against the best fully
-/// evaluated fitness so far (same scheme as Algorithm 1; GGGP gets the same
-/// speedups as GMR for a fair comparison, including parallel batches with
-/// the frontier discipline from SpeedupConfig::frontier_mode).
-class Evaluator {
- public:
-  Evaluator(const gp::SequentialFitness* fitness,
-            const gp::SpeedupConfig& config, obs::TelemetrySink* sink)
-      : fitness_(fitness), config_(config), sink_(obs::ResolveSink(sink)) {}
-
-  /// Pure evaluation against a caller-supplied frontier; sets *fully to
-  /// whether the run went to completion (vs. short-circuited). Safe to call
-  /// from several threads at once.
-  double EvaluateAgainst(const GggpIndividual& individual, double frontier,
-                         bool* fully) const {
-    const std::size_t num_cases = fitness_->num_cases();
-    auto eval = fitness_->Begin(individual.equations, individual.parameters,
-                                config_.runtime_compilation);
-    *fully = true;
-    double fitness = 0.0;
-    std::size_t i = 0;
-    while (i < num_cases) {
-      const bool more = eval->Step();
-      fitness = eval->CurrentFitness();
-      ++i;
-      if (config_.short_circuiting && frontier < 1e299 && i < num_cases &&
-          fitness > frontier * config_.es_threshold) {
-        const double estimate = config_.extrapolate(fitness, i, num_cases);
-        if (estimate > frontier) {
-          *fully = false;
-          return estimate;
-        }
-      }
-      if (!more) break;
-    }
-    return fitness;
-  }
-
-  /// Serial path: a one-element batch, so the frontier advances
-  /// immediately (the pre-parallel behavior).
-  double Evaluate(const GggpIndividual& individual) {
-    ++evaluations_;
-    bool fully = false;
-    const double fitness = EvaluateAgainst(
-        individual, best_prev_full_.load(std::memory_order_relaxed), &fully);
-    if (fully) AtomicFetchMin(&best_prev_full_, fitness);
-    return fitness;
-  }
-
-  /// Assigns `individual->fitness` for the whole batch, fanned out across
-  /// `pool`. Under kFrozenFrontier every item cuts against the same
-  /// snapshot and the batch minimum folds in afterwards, so the assigned
-  /// values are identical for any thread count.
-  void EvaluateBatch(ThreadPool* pool,
-                     const std::vector<GggpIndividual*>& batch) {
-    if (batch.empty()) return;
-    const bool shared =
-        config_.frontier_mode == gp::FrontierMode::kShared;
-    const double snapshot = best_prev_full_.load(std::memory_order_relaxed);
-    std::vector<double> full_fitness(
-        batch.size(), std::numeric_limits<double>::infinity());
-    const std::vector<TaskFailure> failures =
-        ParallelFor(pool, batch.size(), [&](std::size_t i) {
-          const double frontier =
-              shared ? best_prev_full_.load(std::memory_order_relaxed)
-                     : snapshot;
-          bool fully = false;
-          const double fitness = EvaluateAgainst(*batch[i], frontier, &fully);
-          batch[i]->fitness = fitness;
-          if (fully) {
-            if (shared) {
-              AtomicFetchMin(&best_prev_full_, fitness);
-            } else {
-              full_fitness[i] = fitness;
-            }
-          }
-        });
-    // Barrier conversion, mirroring gp::FitnessEvaluator: a throwing task
-    // penalizes only its own individual and never enters the frontier.
-    for (const TaskFailure& failure : failures) {
-      batch[failure.index]->fitness = kPenaltyFitness;
-      full_fitness[failure.index] = std::numeric_limits<double>::infinity();
-    }
-    evaluations_ += batch.size();
-    for (double fitness : full_fitness) {
-      AtomicFetchMin(&best_prev_full_, fitness);
-    }
-    if (sink_->enabled()) {
-      // Coordinator-only emission at the batch barrier (the same contract
-      // as gp::FitnessEvaluator): deterministic order and, under
-      // kFrozenFrontier, deterministic field values for any thread count.
-      obs::TraceEvent event("eval_batch");
-      event.Field("n", static_cast<double>(batch.size()))
-          .Field("individuals", static_cast<double>(batch.size()))
-          .Field("task_failures", static_cast<double>(failures.size()))
-          .Field("frontier",
-                 best_prev_full_.load(std::memory_order_relaxed));
-      sink_->Emit(std::move(event));
-    }
-  }
-
-  std::size_t evaluations() const { return evaluations_; }
-
-  /// Checkpoint hooks (coordinator-only, between batches).
-  double best_prev_full() const {
-    return best_prev_full_.load(std::memory_order_relaxed);
-  }
-  void Restore(double frontier, std::size_t evaluations) {
-    best_prev_full_.store(frontier, std::memory_order_relaxed);
-    evaluations_ = evaluations;
-  }
-
- private:
-  const gp::SequentialFitness* fitness_;
-  gp::SpeedupConfig config_;
-  obs::TelemetrySink* sink_;
-  std::atomic<double> best_prev_full_{1e300};
-  std::size_t evaluations_ = 0;
-};
 
 std::vector<std::string> GggpFingerprint(const GggpConfig& config,
                                          std::size_t num_species) {
@@ -164,7 +34,7 @@ std::vector<std::string> GggpFingerprint(const GggpConfig& config,
 void SaveGggpCheckpoint(ckpt::Checkpointer* checkpointer,
                         const GggpConfig& config, int generation,
                         const std::vector<GggpIndividual>& population,
-                        const Evaluator& evaluator, const Rng& rng,
+                        const gp::FitnessEvaluator& evaluator, const Rng& rng,
                         const GggpResult& result,
                         std::size_t num_species) {
   ckpt::Snapshot snapshot;
@@ -183,21 +53,22 @@ void SaveGggpCheckpoint(ckpt::Checkpointer* checkpointer,
     }
     pop->lines.push_back(ckpt::SerializeDoubles(individual.parameters));
   }
-  ckpt::Section* ev = snapshot.AddSection("evaluator");
-  ev->lines.push_back("frontier " +
-                      ckpt::HexDouble(evaluator.best_prev_full()));
-  ev->lines.push_back("evaluations " +
-                      std::to_string(evaluator.evaluations()));
+  evaluator.SaveState(&snapshot);
   snapshot.AddSection("history")->lines = {
       ckpt::SerializeDoubles(result.best_fitness_history)};
   checkpointer->Save(std::move(snapshot));
 }
 
+/// Restores a snapshot written by SaveGggpCheckpoint; false on any parse or
+/// validation failure, with nothing touched (the caller then starts fresh).
+/// Every individual must carry one equation per seed equation and one
+/// parameter per prior, as breeding assumes.
 bool RestoreGggpCheckpoint(const ckpt::Snapshot& snapshot,
                            const GggpConfig& config,
+                           const GggpProblem& problem,
                            std::vector<GggpIndividual>* population,
-                           Evaluator* evaluator, Rng* rng, GggpResult* result,
-                           int* start_generation) {
+                           gp::FitnessEvaluator* evaluator, Rng* rng,
+                           GggpResult* result, int* start_generation) {
   const ckpt::Section* rng_section = snapshot.FindSection("rng");
   RngState rng_state;
   if (rng_section == nullptr || rng_section->lines.size() != 1 ||
@@ -218,6 +89,7 @@ bool RestoreGggpCheckpoint(const ckpt::Snapshot& snapshot,
     if (head.size() != 3 || head[0] != "i" ||
         !ckpt::ParseHexDouble(head[1], &individual.fitness) ||
         !ParseUnsigned(head[2], &num_equations) ||
+        num_equations != problem.seed_equations.size() ||
         num_equations >= pop_section->lines.size() - i - 1) {
       return false;
     }
@@ -229,7 +101,8 @@ bool RestoreGggpCheckpoint(const ckpt::Snapshot& snapshot,
       if (equation == nullptr) return false;
       individual.equations.push_back(std::move(equation));
     }
-    if (!ckpt::ParseDoubles(pop_section->lines[i], &individual.parameters)) {
+    if (!ckpt::ParseDoubles(pop_section->lines[i], &individual.parameters) ||
+        individual.parameters.size() != problem.priors->size()) {
       return false;
     }
     ++i;
@@ -239,22 +112,6 @@ bool RestoreGggpCheckpoint(const ckpt::Snapshot& snapshot,
     return false;
   }
 
-  const ckpt::Section* ev_section = snapshot.FindSection("evaluator");
-  double frontier;
-  std::size_t evaluations;
-  if (ev_section == nullptr || ev_section->lines.size() != 2 ||
-      ev_section->lines[0].compare(0, 9, "frontier ") != 0 ||
-      !ckpt::ParseHexDouble(ev_section->lines[0].substr(9), &frontier)) {
-    return false;
-  }
-  {
-    const std::string& line = ev_section->lines[1];
-    if (line.compare(0, 12, "evaluations ") != 0 ||
-        !ParseUnsigned(std::string_view(line).substr(12), &evaluations)) {
-      return false;
-    }
-  }
-
   const ckpt::Section* history_section = snapshot.FindSection("history");
   std::vector<double> history;
   if (history_section == nullptr || history_section->lines.size() != 1 ||
@@ -262,8 +119,10 @@ bool RestoreGggpCheckpoint(const ckpt::Snapshot& snapshot,
     return false;
   }
 
+  // The evaluator commits last: it restores only when its own sections
+  // parse, and nothing after it can fail.
+  if (!evaluator->RestoreState(snapshot)) return false;
   rng->RestoreState(rng_state);
-  evaluator->Restore(frontier, evaluations);
   *population = std::move(restored);
   result->best_fitness_history = std::move(history);
   *start_generation = static_cast<int>(snapshot.step) + 1;
@@ -310,7 +169,10 @@ GggpResult RunGggp(const GggpConfig& config, const GggpProblem& problem,
   Rng own_rng(config.seed);
   Rng& rng = context.rng != nullptr ? *context.rng : own_rng;
   obs::TelemetrySink* sink = obs::ResolveSink(context.sink);
-  Evaluator evaluator(&fitness, config.speedups, sink);
+  // No grammar: GGGP scores its equations as bred, through the phenotype
+  // entry points only.
+  gp::FitnessEvaluator evaluator(nullptr, &fitness, config.speedups);
+  evaluator.set_telemetry_sink(sink);
   obs::PoolLease pool_lease =
       obs::LeasePool(context, config.speedups.num_threads);
   ThreadPool* const pool = pool_lease.pool();
@@ -325,8 +187,8 @@ GggpResult RunGggp(const GggpConfig& config, const GggpProblem& problem,
         context.checkpointer->ResumeFor(
             "gggp", GggpFingerprint(config, fitness.num_states()));
     if (snapshot != nullptr &&
-        RestoreGggpCheckpoint(*snapshot, config, &population, &evaluator,
-                              &rng, &result, &start_generation)) {
+        RestoreGggpCheckpoint(*snapshot, config, problem, &population,
+                              &evaluator, &rng, &result, &start_generation)) {
       resumed = true;
     }
   }
@@ -343,6 +205,7 @@ GggpResult RunGggp(const GggpConfig& config, const GggpProblem& problem,
         {"p_subtree_mutation", config.p_subtree_mutation},
         {"p_gaussian_mutation", config.p_gaussian_mutation},
         {"grow_depth", static_cast<double>(config.grow_depth)},
+        {"tree_caching", config.speedups.tree_caching ? 1.0 : 0.0},
         {"short_circuiting",
          config.speedups.short_circuiting ? 1.0 : 0.0},
         {"runtime_compilation",
@@ -351,6 +214,23 @@ GggpResult RunGggp(const GggpConfig& config, const GggpProblem& problem,
     manifest.num_threads = pool != nullptr ? pool->num_threads() : 1;
     obs::EmitManifest(sink, manifest);
   }
+
+  // Scores population[indices] as one evaluator batch.
+  auto evaluate = [&](const std::vector<std::size_t>& indices) {
+    std::vector<std::vector<expr::ExprPtr>> equations;
+    std::vector<std::vector<double>> parameters;
+    equations.reserve(indices.size());
+    parameters.reserve(indices.size());
+    for (std::size_t index : indices) {
+      equations.push_back(population[index].equations);
+      parameters.push_back(population[index].parameters);
+    }
+    const std::vector<gp::Verdict> verdicts =
+        evaluator.EvaluateBatch(equations, parameters, pool);
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      population[indices[k]].fitness = verdicts[k].fitness;
+    }
+  };
 
   auto mutate_structure = [&](GggpIndividual* individual) {
     const std::size_t eq = rng.PickIndex(individual->equations);
@@ -378,12 +258,9 @@ GggpResult RunGggp(const GggpConfig& config, const GggpProblem& problem,
       for (int e = 0; e < edits; ++e) mutate_structure(&individual);
       population.push_back(std::move(individual));
     }
-    std::vector<GggpIndividual*> batch;
-    batch.reserve(population.size());
-    for (GggpIndividual& individual : population) {
-      batch.push_back(&individual);
-    }
-    evaluator.EvaluateBatch(pool, batch);
+    std::vector<std::size_t> everyone(population.size());
+    for (std::size_t i = 0; i < everyone.size(); ++i) everyone[i] = i;
+    evaluate(everyone);
   }
 
   for (int generation = start_generation;
@@ -470,12 +347,7 @@ GggpResult RunGggp(const GggpConfig& config, const GggpProblem& problem,
       }
     }
     population = std::move(next);
-    {
-      std::vector<GggpIndividual*> batch;
-      batch.reserve(pending.size());
-      for (std::size_t index : pending) batch.push_back(&population[index]);
-      evaluator.EvaluateBatch(pool, batch);
-    }
+    evaluate(pending);
 
     // Batch barrier: drain buffered trace events, then checkpoint on the
     // configured cadence.
@@ -494,7 +366,7 @@ GggpResult RunGggp(const GggpConfig& config, const GggpProblem& problem,
             });
   result.best = population.front();
   result.best_fitness_history.push_back(result.best.fitness);
-  result.evaluations = evaluator.evaluations();
+  result.eval_stats = evaluator.stats();
   return result;
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "gggp/cfg.h"
+#include "gp/evaluator.h"
 #include "gp/fitness.h"
 #include "gp/parameter_prior.h"
 #include "obs/run_context.h"
@@ -37,14 +38,18 @@ struct GggpConfig {
   int sigma_rampdown_generations = 20;
   double sigma_final_scale = 0.1;
   std::uint64_t seed = 1;
-  /// Evaluation backend / short-circuiting (shared with GMR for parity).
+  /// Evaluation speedups, applied by the same gp::FitnessEvaluator as GMR's
+  /// (tree caching, short-circuiting, runtime compilation, parallel
+  /// evaluation, static gate). `simplify_before_eval` has no effect here:
+  /// GGGP scores its equations as bred, since simplifying can turn a NaN
+  /// into a finite value (`x - x` at x = inf) and so change a fitness.
   gp::SpeedupConfig speedups;
 };
 
 struct GggpResult {
   GggpIndividual best;
   std::vector<double> best_fitness_history;
-  std::size_t evaluations = 0;
+  gp::EvalStats eval_stats;
 };
 
 /// The domain side of a GGGP run (unified driver API): the expert process

@@ -1,11 +1,14 @@
 #include "gp/evaluator.h"
 
-
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
+#include "ckpt/serialize.h"
+#include "ckpt/snapshot.h"
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/timer.h"
 #include "expr/simplify.h"
 
@@ -30,6 +33,83 @@ void AtomicFetchMin(std::atomic<double>* target, double value) {
          !target->compare_exchange_weak(current, value,
                                         std::memory_order_relaxed)) {
   }
+}
+
+/// The verdict of a task that threw, charged to `stats`.
+Verdict TaskFailed(EvalStats* stats) {
+  ++stats->outcomes[static_cast<std::size_t>(EvalOutcome::kTaskFailed)];
+  return Verdict{kPenaltyFitness, true, EvalOutcome::kTaskFailed};
+}
+
+void Assign(const Verdict& verdict, Individual* individual) {
+  individual->fitness = verdict.fitness;
+  individual->fully_evaluated = verdict.fully_evaluated;
+  individual->outcome = verdict.outcome;
+}
+
+/// EvalStats as one line: decimal counters, bit-exact hex seconds, then the
+/// outcome histogram. Order matches the struct declaration.
+std::string EncodeEvalStats(const EvalStats& stats) {
+  std::string out = std::to_string(stats.individuals_evaluated);
+  out += " " + std::to_string(stats.cache_hits);
+  out += " " + std::to_string(stats.cache_lookups);
+  out += " " + std::to_string(stats.full_evaluations);
+  out += " " + std::to_string(stats.short_circuited);
+  out += " " + std::to_string(stats.static_rejects);
+  out += " " + std::to_string(stats.time_steps_evaluated);
+  out += " " + ckpt::HexDouble(stats.wall_seconds);
+  out += " " + ckpt::HexDouble(stats.cpu_seconds);
+  out += " " + ckpt::HexDouble(stats.compile_seconds);
+  for (std::size_t i = 0; i < kNumEvalOutcomes; ++i) {
+    out += " " + std::to_string(stats.outcomes[i]);
+  }
+  out += " " + std::to_string(stats.verdict_cache_lookups);
+  out += " " + std::to_string(stats.verdict_cache_hits);
+  for (std::size_t i = 0; i < analysis::kNumGateRules; ++i) {
+    out += " " + std::to_string(stats.gate_rule_rejects[i]);
+  }
+  out += " " + std::to_string(stats.gradient_evaluations);
+  out += " " + std::to_string(stats.tape_nodes);
+  out += " " + std::to_string(stats.linesearch_steps);
+  return out;
+}
+
+bool DecodeEvalStats(const std::string& line, EvalStats* stats) {
+  const std::vector<std::string> t = ckpt::TokenizeSExpr(line);
+  if (t.size() != 10 + kNumEvalOutcomes + 2 + analysis::kNumGateRules + 3) {
+    return false;
+  }
+  EvalStats s;
+  if (!ParseUnsigned(t[0], &s.individuals_evaluated) ||
+      !ParseUnsigned(t[1], &s.cache_hits) ||
+      !ParseUnsigned(t[2], &s.cache_lookups) ||
+      !ParseUnsigned(t[3], &s.full_evaluations) ||
+      !ParseUnsigned(t[4], &s.short_circuited) ||
+      !ParseUnsigned(t[5], &s.static_rejects) ||
+      !ParseUnsigned(t[6], &s.time_steps_evaluated) ||
+      !ckpt::ParseHexDouble(t[7], &s.wall_seconds) ||
+      !ckpt::ParseHexDouble(t[8], &s.cpu_seconds) ||
+      !ckpt::ParseHexDouble(t[9], &s.compile_seconds)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < kNumEvalOutcomes; ++i) {
+    if (!ParseUnsigned(t[10 + i], &s.outcomes[i])) return false;
+  }
+  std::size_t at = 10 + kNumEvalOutcomes;
+  if (!ParseUnsigned(t[at++], &s.verdict_cache_lookups) ||
+      !ParseUnsigned(t[at++], &s.verdict_cache_hits)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < analysis::kNumGateRules; ++i) {
+    if (!ParseUnsigned(t[at++], &s.gate_rule_rejects[i])) return false;
+  }
+  if (!ParseUnsigned(t[at++], &s.gradient_evaluations) ||
+      !ParseUnsigned(t[at++], &s.tape_nodes) ||
+      !ParseUnsigned(t[at++], &s.linesearch_steps)) {
+    return false;
+  }
+  *stats = s;
+  return true;
 }
 
 }  // namespace
@@ -71,6 +151,29 @@ void EvalStats::Merge(const EvalStats& other) {
   linesearch_steps += other.linesearch_steps;
 }
 
+std::string EncodeVerdict(const Verdict& verdict) {
+  return ckpt::HexDouble(verdict.fitness) +
+         (verdict.fully_evaluated ? " 1 " : " 0 ") +
+         std::to_string(static_cast<int>(verdict.outcome));
+}
+
+bool DecodeVerdict(const std::vector<std::string>& tokens, std::size_t at,
+                   Verdict* verdict) {
+  Verdict v;
+  std::size_t outcome = 0;
+  if (tokens.size() < at + 3 ||
+      !ckpt::ParseHexDouble(tokens[at], &v.fitness) ||
+      (tokens[at + 1] != "0" && tokens[at + 1] != "1") ||
+      !ParseUnsigned(tokens[at + 2], &outcome) ||
+      outcome >= kNumEvalOutcomes) {
+    return false;
+  }
+  v.fully_evaluated = tokens[at + 1] == "1";
+  v.outcome = static_cast<EvalOutcome>(outcome);
+  *verdict = v;
+  return true;
+}
+
 FitnessEvaluator::FitnessEvaluator(const tag::Grammar* grammar,
                                    const SequentialFitness* fitness,
                                    SpeedupConfig config)
@@ -81,12 +184,12 @@ FitnessEvaluator::FitnessEvaluator(const tag::Grammar* grammar,
           config.cache_stripes > 0 ? config.cache_stripes : 1)),
       verdict_cache_(static_cast<std::size_t>(
           config.cache_stripes > 0 ? config.cache_stripes : 1)) {
-  GMR_CHECK(grammar_ != nullptr);
   GMR_CHECK(fitness_ != nullptr);
 }
 
 std::vector<expr::ExprPtr> FitnessEvaluator::Phenotype(
     const Individual& individual) const {
+  GMR_CHECK(grammar_ != nullptr);
   std::vector<expr::ExprPtr> equations =
       tag::ExpandToExpressions(*grammar_, *individual.genotype);
   if (config_.simplify_before_eval) {
@@ -104,10 +207,10 @@ std::uint64_t FitnessEvaluator::CacheKey(
   return h;
 }
 
-double FitnessEvaluator::RunEvaluation(
+Verdict FitnessEvaluator::RunEvaluation(
     const std::vector<expr::ExprPtr>& equations,
     const std::vector<double>& parameters, double best_prev_full,
-    EvalStats* stats, bool* fully_evaluated, EvalOutcome* outcome) const {
+    EvalStats* stats) const {
   const std::size_t num_cases = fitness_->num_cases();
   // Begin() hosts the per-candidate compile work under the RC backends
   // (bytecode flattening, JIT invocation or compile-cache probe); charge it
@@ -119,7 +222,6 @@ double FitnessEvaluator::RunEvaluation(
 
   // Algorithm 1: Evaluation Short-Circuiting. With ES disabled the loop
   // degenerates to a plain full pass.
-  *fully_evaluated = true;
   double fitness = 0.0;
   std::size_t i = 0;
   while (i < num_cases) {
@@ -134,9 +236,8 @@ double FitnessEvaluator::RunEvaluation(
         if (est_fitness > best_prev_full) {
           stats->time_steps_evaluated += i;
           ++stats->short_circuited;
-          *fully_evaluated = false;
-          *outcome = eval->outcome();
-          return est_fitness;  // Short circuiting.
+          // Short circuiting.
+          return Verdict{est_fitness, false, eval->outcome()};
         }
       }
     }
@@ -144,43 +245,26 @@ double FitnessEvaluator::RunEvaluation(
   }
   stats->time_steps_evaluated += i;
   ++stats->full_evaluations;
-  *outcome = eval->outcome();
-  return fitness;  // Full evaluation.
+  return Verdict{fitness, true, eval->outcome()};  // Full evaluation.
 }
 
-void FitnessEvaluator::NoteFullEvaluation(BatchContext* context,
-                                          double fitness) {
-  if (config_.frontier_mode == FrontierMode::kShared) {
-    // Publish immediately: evaluations still in flight anywhere may cut
-    // against this bound. Aggressive but interleaving-dependent.
-    AtomicFetchMin(&best_prev_full_, fitness);
-  } else {
-    // Hold the improvement in the lane until the batch barrier.
-    if (fitness < context->local_min_full_) {
-      context->local_min_full_ = fitness;
-    }
-  }
-}
-
-void FitnessEvaluator::EvaluateWith(BatchContext* context,
-                                    Individual* individual) {
-  EvalStats& stats = context->stats_;
+Verdict FitnessEvaluator::BatchContext::Evaluate(
+    const std::vector<expr::ExprPtr>& equations,
+    const std::vector<double>& parameters) {
+  GMR_CHECK(owner_ != nullptr);
+  const SpeedupConfig& config = owner_->config_;
   // Domain pre-check: a non-finite parameter vector cannot produce a
-  // meaningful simulation, so it is penalized before any expansion work.
+  // meaningful simulation, so it is penalized before any simulation work.
   // The penalty is a pure function of the candidate and never enters the
   // frontier, so caching/short-circuiting stay exact.
-  for (double p : individual->parameters) {
+  for (double p : parameters) {
     if (!std::isfinite(p)) {
-      individual->fitness = kPenaltyFitness;
-      individual->fully_evaluated = true;
-      individual->outcome = EvalOutcome::kDomainViolation;
-      ++stats.outcomes[static_cast<std::size_t>(
+      ++stats_.outcomes[static_cast<std::size_t>(
           EvalOutcome::kDomainViolation)];
-      ++stats.individuals_evaluated;
-      return;
+      ++stats_.individuals_evaluated;
+      return Verdict{kPenaltyFitness, true, EvalOutcome::kDomainViolation};
     }
   }
-  std::vector<expr::ExprPtr> equations = Phenotype(*individual);
 
   // Static reject gate: an O(tree) interval check that turns a provably
   // divergent rollout into an immediate deterministic penalty. The
@@ -189,61 +273,45 @@ void FitnessEvaluator::EvaluateWith(BatchContext* context,
   // clamps parameters to the prior boxes, so the guard normally holds).
   // Rejects bypass the tree cache and never touch the ES frontier, so
   // gate-on is bit-identical to gate-off on populations the gate passes.
-  if (config_.static_gate.enabled &&
-      analysis::ParametersInDomain(individual->parameters,
-                                   config_.static_gate.domains)) {
-    const analysis::GateRule rule = StaticallyRejected(equations, &stats);
+  if (config.static_gate.enabled &&
+      analysis::ParametersInDomain(parameters, config.static_gate.domains)) {
+    const analysis::GateRule rule =
+        owner_->StaticallyRejected(equations, &stats_);
     if (rule != analysis::GateRule::kNone) {
-      individual->fitness = kPenaltyFitness;
-      individual->fully_evaluated = true;
-      individual->outcome = EvalOutcome::kStaticReject;
-      ++stats.static_rejects;
-      ++stats.gate_rule_rejects[static_cast<std::size_t>(rule)];
-      ++stats.individuals_evaluated;
-      ++stats.outcomes[static_cast<std::size_t>(EvalOutcome::kStaticReject)];
-      return;
+      ++stats_.static_rejects;
+      ++stats_.gate_rule_rejects[static_cast<std::size_t>(rule)];
+      ++stats_.individuals_evaluated;
+      ++stats_.outcomes[static_cast<std::size_t>(EvalOutcome::kStaticReject)];
+      return Verdict{kPenaltyFitness, true, EvalOutcome::kStaticReject};
     }
   }
 
-  const double frontier =
-      config_.frontier_mode == FrontierMode::kShared
-          ? best_prev_full_.load(std::memory_order_relaxed)
-          : context->frozen_frontier_;
-
-  if (config_.tree_caching) {
-    ++stats.cache_lookups;
-    const std::uint64_t key = CacheKey(equations, individual->parameters);
-    CacheEntry entry;
-    if (cache_.Lookup(key, &entry)) {
-      ++stats.cache_hits;
-      individual->fitness = entry.fitness;
-      individual->fully_evaluated = entry.fully_evaluated;
-      individual->outcome = entry.outcome;
-      return;
+  std::uint64_t key = 0;
+  if (config.tree_caching) {
+    ++stats_.cache_lookups;
+    key = owner_->CacheKey(equations, parameters);
+    Verdict cached;
+    if (owner_->cache_.Lookup(key, &cached)) {
+      ++stats_.cache_hits;
+      return cached;
     }
-    bool fully = false;
-    EvalOutcome outcome = EvalOutcome::kOk;
-    const double fitness = RunEvaluation(equations, individual->parameters,
-                                         frontier, &stats, &fully, &outcome);
-    if (fully) NoteFullEvaluation(context, fitness);
-    cache_.Insert(key, CacheEntry{fitness, fully, outcome});
-    individual->fitness = fitness;
-    individual->fully_evaluated = fully;
-    individual->outcome = outcome;
-    ++stats.individuals_evaluated;
-    ++stats.outcomes[static_cast<std::size_t>(outcome)];
-    return;
   }
+  const Verdict verdict =
+      owner_->RunEvaluation(equations, parameters, frozen_frontier_, &stats_);
+  // Hold a full evaluation's improvement in the lane until the barrier.
+  if (verdict.fully_evaluated && verdict.fitness < local_min_full_) {
+    local_min_full_ = verdict.fitness;
+  }
+  if (config.tree_caching) owner_->cache_.Insert(key, verdict);
+  ++stats_.individuals_evaluated;
+  ++stats_.outcomes[static_cast<std::size_t>(verdict.outcome)];
+  return verdict;
+}
 
-  bool fully = false;
-  EvalOutcome outcome = EvalOutcome::kOk;
-  individual->fitness = RunEvaluation(equations, individual->parameters,
-                                      frontier, &stats, &fully, &outcome);
-  if (fully) NoteFullEvaluation(context, individual->fitness);
-  individual->fully_evaluated = fully;
-  individual->outcome = outcome;
-  ++stats.individuals_evaluated;
-  ++stats.outcomes[static_cast<std::size_t>(outcome)];
+void FitnessEvaluator::BatchContext::Evaluate(Individual* individual) {
+  GMR_CHECK(owner_ != nullptr);
+  Assign(Evaluate(owner_->Phenotype(*individual), individual->parameters),
+         individual);
 }
 
 analysis::GateRule FitnessEvaluator::StaticallyRejected(
@@ -265,11 +333,6 @@ analysis::GateRule FitnessEvaluator::StaticallyRejected(
   return rule;
 }
 
-void FitnessEvaluator::BatchContext::Evaluate(Individual* individual) {
-  GMR_CHECK(owner_ != nullptr);
-  owner_->EvaluateWith(this, individual);
-}
-
 FitnessEvaluator::BatchContext FitnessEvaluator::StartBatch() {
   BatchContext context;
   context.owner_ = this;
@@ -288,11 +351,9 @@ void FitnessEvaluator::Evaluate(Individual* individual) {
   Timer timer;
   BatchContext context = StartBatch();
   try {
-    EvaluateWith(&context, individual);
-  } catch (const std::exception&) {
-    SetTaskFailed(individual, &context.stats_);
+    context.Evaluate(individual);
   } catch (...) {
-    SetTaskFailed(individual, &context.stats_);
+    Assign(TaskFailed(&context.stats_), individual);
   }
   FinishBatch(&context);
   // Serial path: one lane, so the coordinator's wall time is the busy time.
@@ -389,28 +450,23 @@ void FitnessEvaluator::EmitBatchEvent(std::size_t n,
   sink_->Emit(std::move(event));
 }
 
-void FitnessEvaluator::SetTaskFailed(Individual* individual,
-                                     EvalStats* stats) {
-  individual->fitness = kPenaltyFitness;
-  individual->fully_evaluated = true;
-  individual->outcome = EvalOutcome::kTaskFailed;
-  ++stats->outcomes[static_cast<std::size_t>(EvalOutcome::kTaskFailed)];
-}
-
-void FitnessEvaluator::EvaluateBatch(const std::vector<Individual*>& batch,
-                                     ThreadPool* pool) {
+std::vector<Verdict> FitnessEvaluator::ScoreBatch(
+    std::size_t n,
+    const std::function<std::vector<expr::ExprPtr>(std::size_t)>&
+        equations_of,
+    const std::function<const std::vector<double>&(std::size_t)>&
+        parameters_of,
+    ThreadPool* pool) {
   // Generation-level compile pass (e.g. the batched JIT backend): one
   // translation unit for every unique equation of the batch, compiled on
   // the coordinator before fan-out so worker lanes only probe the compile
   // cache. Pure warm-up — skipping it cannot change any fitness value.
-  if (config_.runtime_compilation && !batch.empty() &&
+  if (config_.runtime_compilation && n > 0 &&
       fitness_->WantsBatchPreparation()) {
     Timer prepare_timer;
     std::vector<std::vector<expr::ExprPtr>> phenotypes;
-    phenotypes.reserve(batch.size());
-    for (const Individual* individual : batch) {
-      phenotypes.push_back(Phenotype(*individual));
-    }
+    phenotypes.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) phenotypes.push_back(equations_of(i));
     fitness_->PrepareBatch(phenotypes);
     const double elapsed = prepare_timer.ElapsedSeconds();
     stats_.compile_seconds += elapsed;
@@ -418,16 +474,44 @@ void FitnessEvaluator::EvaluateBatch(const std::vector<Individual*>& batch,
     // coordinator time too.
     stats_.wall_seconds += elapsed;
   }
-  const std::vector<TaskFailure> failures =
-      RunBatch(pool, batch.size(),
-               [this, &batch](std::size_t i, BatchContext* context) {
-                 EvaluateWith(context, batch[i]);
-               });
-  // Barrier conversion: each failed task poisons only its own individual.
+  std::vector<Verdict> verdicts(n);
+  const std::vector<TaskFailure> failures = RunBatch(
+      pool, n,
+      [&verdicts, &equations_of, &parameters_of](std::size_t i,
+                                                 BatchContext* context) {
+        verdicts[i] = context->Evaluate(equations_of(i), parameters_of(i));
+      });
+  // Barrier conversion: each failed task poisons only its own candidate.
   // The penalty never enters the frontier or the cache.
   for (const TaskFailure& failure : failures) {
-    SetTaskFailed(batch[failure.index], &stats_);
+    verdicts[failure.index] = TaskFailed(&stats_);
   }
+  return verdicts;
+}
+
+void FitnessEvaluator::EvaluateBatch(const std::vector<Individual*>& batch,
+                                     ThreadPool* pool) {
+  const std::vector<Verdict> verdicts = ScoreBatch(
+      batch.size(),
+      [this, &batch](std::size_t i) { return Phenotype(*batch[i]); },
+      [&batch](std::size_t i) -> const std::vector<double>& {
+        return batch[i]->parameters;
+      },
+      pool);
+  for (std::size_t i = 0; i < batch.size(); ++i) Assign(verdicts[i], batch[i]);
+}
+
+std::vector<Verdict> FitnessEvaluator::EvaluateBatch(
+    const std::vector<std::vector<expr::ExprPtr>>& equations,
+    const std::vector<std::vector<double>>& parameters, ThreadPool* pool) {
+  GMR_CHECK_EQ(equations.size(), parameters.size());
+  return ScoreBatch(
+      equations.size(),
+      [&equations](std::size_t i) { return equations[i]; },
+      [&parameters](std::size_t i) -> const std::vector<double>& {
+        return parameters[i];
+      },
+      pool);
 }
 
 double FitnessEvaluator::EvaluateFull(const Individual& individual) const {
@@ -439,28 +523,58 @@ double FitnessEvaluator::EvaluateFull(const Individual& individual) const {
   return eval->CurrentFitness();
 }
 
-std::vector<FitnessEvaluator::CacheExport> FitnessEvaluator::ExportCache()
-    const {
-  std::vector<CacheExport> entries;
+void FitnessEvaluator::SaveState(ckpt::Snapshot* snapshot) const {
+  ckpt::Section* ev = snapshot->AddSection("evaluator");
+  ev->lines.push_back("frontier " + ckpt::HexDouble(best_prev_full()));
+  ev->lines.push_back("stats " + EncodeEvalStats(stats_));
+
+  std::vector<std::pair<std::uint64_t, Verdict>> entries;
   entries.reserve(cache_.size());
-  cache_.ForEach([&entries](const std::uint64_t& key,
-                            const CacheEntry& entry) {
-    entries.push_back(
-        CacheExport{key, entry.fitness, entry.fully_evaluated, entry.outcome});
+  cache_.ForEach([&entries](const std::uint64_t& key, const Verdict& verdict) {
+    entries.emplace_back(key, verdict);
   });
   std::sort(entries.begin(), entries.end(),
-            [](const CacheExport& a, const CacheExport& b) {
-              return a.key < b.key;
-            });
-  return entries;
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  ckpt::Section* cache = snapshot->AddSection("cache");
+  cache->lines.reserve(entries.size());
+  for (const auto& [key, verdict] : entries) {
+    cache->lines.push_back(ckpt::HexUint64(key) + " " + EncodeVerdict(verdict));
+  }
 }
 
-void FitnessEvaluator::ImportCache(const std::vector<CacheExport>& entries) {
-  cache_.Clear();
-  for (const CacheExport& entry : entries) {
-    cache_.Insert(entry.key, CacheEntry{entry.fitness, entry.fully_evaluated,
-                                        entry.outcome});
+bool FitnessEvaluator::RestoreState(const ckpt::Snapshot& snapshot) {
+  // Parse both sections before touching anything, so a torn section leaves
+  // the evaluator as it was.
+  const ckpt::Section* ev = snapshot.FindSection("evaluator");
+  double frontier;
+  EvalStats stats;
+  if (ev == nullptr || ev->lines.size() != 2 ||
+      ev->lines[0].compare(0, 9, "frontier ") != 0 ||
+      !ckpt::ParseHexDouble(ev->lines[0].substr(9), &frontier) ||
+      ev->lines[1].compare(0, 6, "stats ") != 0 ||
+      !DecodeEvalStats(ev->lines[1].substr(6), &stats)) {
+    return false;
   }
+  const ckpt::Section* cache = snapshot.FindSection("cache");
+  if (cache == nullptr) return false;
+  std::vector<std::pair<std::uint64_t, Verdict>> entries;
+  entries.reserve(cache->lines.size());
+  for (const std::string& line : cache->lines) {
+    const std::vector<std::string> fields = ckpt::TokenizeSExpr(line);
+    std::uint64_t key;
+    Verdict verdict;
+    if (fields.size() != 4 || !ckpt::ParseHexUint64(fields[0], &key) ||
+        !DecodeVerdict(fields, 1, &verdict)) {
+      return false;
+    }
+    entries.emplace_back(key, verdict);
+  }
+
+  best_prev_full_.store(frontier, std::memory_order_relaxed);
+  stats_ = stats;
+  cache_.Clear();
+  for (const auto& [key, verdict] : entries) cache_.Insert(key, verdict);
+  return true;
 }
 
 }  // namespace gmr::gp

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/striped_map.h"
@@ -13,6 +14,10 @@
 #include "gp/individual.h"
 #include "obs/telemetry.h"
 #include "tag/grammar.h"
+
+namespace gmr::ckpt {
+struct Snapshot;
+}  // namespace gmr::ckpt
 
 namespace gmr::gp {
 
@@ -78,36 +83,69 @@ struct EvalStats {
   }
 };
 
-/// Evaluates individuals against a SequentialFitness, applying the enabled
+/// The verdict of one evaluation: what a candidate scored and how. Also the
+/// tree cache's value type, so a cache hit replays the whole verdict.
+struct Verdict {
+  double fitness = 0.0;
+  /// True when `fitness` came from a full (non-short-circuited) evaluation.
+  bool fully_evaluated = false;
+  /// Why the evaluation produced this fitness (containment telemetry).
+  EvalOutcome outcome = EvalOutcome::kOk;
+};
+
+/// A verdict as checkpoint text: the fitness's hex bits, 0 or 1 for
+/// fully_evaluated, and the outcome's number, space-separated.
+std::string EncodeVerdict(const Verdict& verdict);
+
+/// Parses the three tokens EncodeVerdict wrote, starting at `tokens[at]`.
+bool DecodeVerdict(const std::vector<std::string>& tokens, std::size_t at,
+                   Verdict* verdict);
+
+/// Scores candidates against a SequentialFitness, applying the enabled
 /// speedup techniques: tree caching (with algebraic simplification),
 /// evaluation short-circuiting (Algorithm 1), runtime compilation, and
 /// parallel evaluation. Tracks bestPrevFull — the best fitness seen from
 /// *full* evaluations — which gates the short-circuit test.
 ///
-/// Thread model: `Evaluate`, `EvaluateBatch`, `RunBatch`, and the
-/// Start/FinishBatch pair are coordinator-only; worker threads evaluate
-/// exclusively through a per-lane `BatchContext`. The tree cache is a
-/// striped hash map shared by all lanes, and the frontier follows
-/// `SpeedupConfig::frontier_mode` (see FrontierMode for the
-/// determinism trade-off).
+/// A candidate is a phenotype — equations plus a parameter vector — and one
+/// body scores it (BatchContext::Evaluate). The `Individual` entry points
+/// are adapters that expand the TAG genotype first (inside the lane) and
+/// write the verdict back; GGGP, whose genotype is already its equations,
+/// scores phenotypes directly.
+///
+/// Thread model: `Evaluate`, both `EvaluateBatch` overloads, `RunBatch`,
+/// `SaveState` and `RestoreState` are coordinator-only; worker threads
+/// evaluate exclusively through a per-lane `BatchContext`. The tree cache
+/// is a striped hash map shared by all lanes. Every evaluation of a batch
+/// cuts against the frontier frozen at the batch start, and the batch's
+/// full-evaluation minimum folds in at the barrier, so each fitness is a
+/// pure function of (phenotype, parameters, frozen frontier) and results
+/// are bit-identical for any thread count.
 class FitnessEvaluator {
  public:
+  /// `grammar` expands Individual genotypes; it may be null when the caller
+  /// only scores phenotypes.
   FitnessEvaluator(const tag::Grammar* grammar,
                    const SequentialFitness* fitness, SpeedupConfig config);
 
   /// Per-lane evaluation handle within one batch. Holds the frozen
   /// frontier snapshot, the lane's partial statistics, and the lane's best
-  /// full-evaluation fitness; created by StartBatch on the coordinator and
-  /// used by exactly one thread until FinishBatch absorbs it.
+  /// full-evaluation fitness; created at the batch start on the coordinator
+  /// and used by exactly one thread until the barrier absorbs it.
   class BatchContext {
    public:
     BatchContext() = default;
 
-    /// Evaluates `individual` in place: sets fitness and fully_evaluated.
-    /// Safe to call concurrently with other lanes' contexts.
-    void Evaluate(Individual* individual);
+    /// Scores one phenotype: domain check, static gate, tree cache, then
+    /// Algorithm 1 against the batch's frozen frontier, charging this
+    /// lane's statistics. Safe to call concurrently with other lanes'
+    /// contexts.
+    Verdict Evaluate(const std::vector<expr::ExprPtr>& equations,
+                     const std::vector<double>& parameters);
 
-    const EvalStats& local_stats() const { return stats_; }
+    /// Evaluates `individual` in place: expands its genotype in this lane,
+    /// scores the phenotype, and sets fitness, fully_evaluated and outcome.
+    void Evaluate(Individual* individual);
 
    private:
     friend class FitnessEvaluator;
@@ -118,19 +156,25 @@ class FitnessEvaluator {
   };
 
   /// Evaluates `individual` in place (serial path): one-element batch, so
-  /// the frontier advances immediately afterwards, exactly like the
-  /// pre-parallel evaluator.
+  /// the frontier advances immediately afterwards.
   void Evaluate(Individual* individual);
 
-  /// Evaluates the batch, fanning out across `pool` (inline when null or
-  /// single-threaded — the same code path, so results match). Under
-  /// kFrozenFrontier the assigned fitness values are bit-identical for any
-  /// thread count. The wall clock is sampled once for the whole batch.
+  /// Evaluates the batch in place, fanning out across `pool` (inline when
+  /// null or single-threaded — the same code path, so results match). The
+  /// wall clock is sampled once for the whole batch.
   ///
   /// Fault containment: an evaluation task that throws poisons only its own
   /// individual — at the batch barrier it is assigned kPenaltyFitness with
   /// outcome kTaskFailed; every other individual is unaffected.
   void EvaluateBatch(const std::vector<Individual*>& batch, ThreadPool* pool);
+
+  /// Scores a batch of phenotypes — candidate i is `equations[i]` under
+  /// `parameters[i]` — exactly as the Individual batch does (same frontier,
+  /// cache, gate, statistics, containment and eval_batch event). Returns
+  /// the verdicts in batch order.
+  std::vector<Verdict> EvaluateBatch(
+      const std::vector<std::vector<expr::ExprPtr>>& equations,
+      const std::vector<std::vector<double>>& parameters, ThreadPool* pool);
 
   /// Generalized batch runner for callers that evaluate several candidates
   /// per item (e.g. local search): body(item, ctx) runs for every item in
@@ -141,23 +185,15 @@ class FitnessEvaluator {
       ThreadPool* pool, std::size_t n,
       const std::function<void(std::size_t, BatchContext*)>& body);
 
-  /// Snapshots the frontier into a fresh context. Coordinator-only.
-  BatchContext StartBatch();
-
-  /// Folds a context's statistics and full-evaluation minimum back into
-  /// the evaluator. Coordinator-only (the batch barrier).
-  void FinishBatch(BatchContext* context);
-
   /// Evaluates without consulting or polluting the cache and without
   /// short-circuiting; used for final reporting of best models.
   double EvaluateFull(const Individual& individual) const;
 
   /// Expands and (optionally) simplifies the individual's equations — its
-  /// phenotype.
+  /// phenotype. Requires the grammar.
   std::vector<expr::ExprPtr> Phenotype(const Individual& individual) const;
 
   const EvalStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = EvalStats{}; }
 
   /// Folds gradient side-channel telemetry (elite constant polish) into the
   /// aggregate statistics. Coordinator-only: the gradient polish runs
@@ -182,43 +218,25 @@ class FitnessEvaluator {
   /// The problem this evaluator scores against (borrowed).
   const SequentialFitness* fitness() const { return fitness_; }
 
-  /// Resets bestPrevFull (e.g. between independent runs).
-  void ResetBestPrevFull() {
-    best_prev_full_.store(std::numeric_limits<double>::infinity(),
-                          std::memory_order_relaxed);
-  }
-
   /// Current short-circuiting frontier (exposed for tests and benches).
   double best_prev_full() const {
     return best_prev_full_.load(std::memory_order_relaxed);
   }
 
-  /// One exported tree-cache entry (checkpoint serialization). The cache
-  /// is part of the determinism contract: eval_batch trace events report
-  /// cache_hits as a deterministic field, so a resumed run must see the
-  /// exact cache contents the interrupted run had at the checkpoint.
-  struct CacheExport {
-    std::uint64_t key = 0;
-    double fitness = 0.0;
-    bool fully_evaluated = false;
-    EvalOutcome outcome = EvalOutcome::kOk;
-  };
+  /// Adds the evaluator's checkpoint state to `snapshot`: an `evaluator`
+  /// section (the frontier and the run's EvalStats) and a `cache` section
+  /// (the tree cache sorted by key, so the bytes are stable). The cache is
+  /// part of the determinism contract — eval_batch events report
+  /// cache_hits as a deterministic field — so a resumed run must see the
+  /// exact cache the interrupted run had. Coordinator-only, between
+  /// batches.
+  void SaveState(ckpt::Snapshot* snapshot) const;
 
-  /// Exports the tree cache sorted by key (stable bytes for snapshots).
+  /// Restores what SaveState wrote: the frontier, the statistics (totals
+  /// then keep accumulating across segments) and the tree cache. False,
+  /// with the evaluator untouched, when a section is missing or malformed.
   /// Coordinator-only, between batches.
-  std::vector<CacheExport> ExportCache() const;
-
-  /// Replaces the tree cache with `entries` (resume). Coordinator-only.
-  void ImportCache(const std::vector<CacheExport>& entries);
-
-  /// Restores checkpointed aggregate statistics (resume): totals then
-  /// continue accumulating across segments instead of restarting at zero.
-  void RestoreStats(const EvalStats& stats) { stats_ = stats; }
-
-  /// Restores the checkpointed short-circuiting frontier (resume).
-  void RestoreBestPrevFull(double frontier) {
-    best_prev_full_.store(frontier, std::memory_order_relaxed);
-  }
+  bool RestoreState(const ckpt::Snapshot& snapshot);
 
   /// Entries in the shared tree cache.
   std::size_t cache_size() const { return cache_.size(); }
@@ -227,18 +245,6 @@ class FitnessEvaluator {
   std::size_t verdict_cache_size() const { return verdict_cache_.size(); }
 
  private:
-  /// A memoized evaluation outcome. The fully_evaluated bit is stored, not
-  /// inferred from the frontier: a cached value may both originate from a
-  /// short-circuited run and sit below a later (reset) frontier, so any
-  /// frontier-based inference misclassifies.
-  struct CacheEntry {
-    double fitness = 0.0;
-    bool fully_evaluated = false;
-    /// Cached alongside the fitness so a hit reproduces the containment
-    /// telemetry of the original evaluation.
-    EvalOutcome outcome = EvalOutcome::kOk;
-  };
-
   /// 64-bit key combining the structural hashes of the (simplified)
   /// equations with the parameter bits. Collisions are possible in
   /// principle but negligible in practice (documented trade-off; the
@@ -248,13 +254,9 @@ class FitnessEvaluator {
 
   /// Runs Algorithm 1 (or a plain full pass when ES is off) against the
   /// given frontier, charging `stats`. Pure with respect to shared state.
-  double RunEvaluation(const std::vector<expr::ExprPtr>& equations,
-                       const std::vector<double>& parameters,
-                       double best_prev_full, EvalStats* stats,
-                       bool* fully_evaluated, EvalOutcome* outcome) const;
-
-  /// The per-individual evaluation body shared by all paths.
-  void EvaluateWith(BatchContext* context, Individual* individual);
+  Verdict RunEvaluation(const std::vector<expr::ExprPtr>& equations,
+                        const std::vector<double>& parameters,
+                        double best_prev_full, EvalStats* stats) const;
 
   /// O(tree) static gate check, memoized by structure-only hash in
   /// verdict_cache_ (the cached byte is the rejecting analysis rule, kNone
@@ -264,13 +266,24 @@ class FitnessEvaluator {
   analysis::GateRule StaticallyRejected(
       const std::vector<expr::ExprPtr>& equations, EvalStats* stats);
 
-  /// Assigns the kTaskFailed penalty to an individual whose evaluation
-  /// threw, charging `stats`.
-  static void SetTaskFailed(Individual* individual, EvalStats* stats);
+  /// The batch core of both EvaluateBatch overloads: the generation-level
+  /// compile pass over every phenotype, one RunBatch scoring candidate i
+  /// from `equations_of(i)` and `parameters_of(i)` inside its lane, and
+  /// the barrier conversion of failed tasks into kTaskFailed verdicts.
+  std::vector<Verdict> ScoreBatch(
+      std::size_t n,
+      const std::function<std::vector<expr::ExprPtr>(std::size_t)>&
+          equations_of,
+      const std::function<const std::vector<double>&(std::size_t)>&
+          parameters_of,
+      ThreadPool* pool);
 
-  /// Records a full evaluation's fitness into the frontier according to
-  /// the configured FrontierMode.
-  void NoteFullEvaluation(BatchContext* context, double fitness);
+  /// Snapshots the frontier into a fresh context.
+  BatchContext StartBatch();
+
+  /// Folds a context's statistics and full-evaluation minimum back into
+  /// the evaluator (the batch barrier).
+  void FinishBatch(BatchContext* context);
 
   /// Emits the per-batch "eval_batch" event (coordinator-only).
   void EmitBatchEvent(std::size_t n, const EvalStats& batch_stats,
@@ -283,7 +296,13 @@ class FitnessEvaluator {
   obs::TelemetrySink* sink_ = obs::NullTelemetrySink();
   std::atomic<double> best_prev_full_{
       std::numeric_limits<double>::infinity()};
-  StripedMap<std::uint64_t, CacheEntry> cache_;
+  /// Memoized verdicts keyed by CacheKey. The fully_evaluated bit is
+  /// stored, not inferred from the frontier: the frontier keeps falling,
+  /// so a full evaluation cached at or below it later sits above it, where
+  /// a frontier-based inference would take it for a short-circuited
+  /// estimate. The outcome is stored so a hit reproduces the containment
+  /// telemetry of the original evaluation.
+  StripedMap<std::uint64_t, Verdict> cache_;
   /// Structure-hash -> rejecting rule byte (analysis::GateRule) for the
   /// static gate. Separate from cache_: verdicts are parameter-independent
   /// (valid for every in-domain parameter vector), so they survive

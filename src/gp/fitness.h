@@ -138,20 +138,15 @@ double ExtrapolateGrowth(double fitness, std::size_t steps,
                          std::size_t total_steps);
 
 /// How the short-circuiting frontier (bestPrevFull) behaves under parallel
-/// evaluation. Irrelevant when num_threads <= 1 and ES is off.
+/// evaluation. There is one discipline, kept as an enum so configs that
+/// name it keep compiling.
 enum class FrontierMode {
-  /// The frontier is a shared atomic updated the moment any thread finishes
-  /// a full evaluation. Maximally aggressive short-circuiting — later
-  /// evaluations in the same batch cut against the freshest bound — but
-  /// results depend on thread interleaving, so runs are NOT reproducible
-  /// across thread counts (or even across same-config runs).
-  kShared,
   /// The frontier is snapshotted at the start of each evaluation batch;
   /// every evaluation in the batch short-circuits against the snapshot, and
   /// the batch's full-evaluation minima fold into the frontier only at the
   /// barrier. Fitness values become a pure function of (phenotype,
   /// parameters, snapshot), so results are bit-identical for any thread
-  /// count. Slightly weaker cutting within a batch; the default.
+  /// count.
   kFrozenFrontier,
 };
 
@@ -174,7 +169,7 @@ struct SpeedupConfig {
   bool simplify_before_eval = true;
   /// PE: evaluation threads per population batch (<= 1 disables).
   int num_threads = 1;
-  /// PE: frontier discipline under parallel evaluation.
+  /// PE: frontier discipline under parallel evaluation (the only one).
   FrontierMode frontier_mode = FrontierMode::kFrozenFrontier;
   /// PE: lock stripes of the shared tree cache.
   int cache_stripes = 16;

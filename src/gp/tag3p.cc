@@ -14,71 +14,6 @@
 namespace gmr::gp {
 namespace {
 
-/// EvalStats as one line: decimal counters, bit-exact hex seconds, then the
-/// outcome histogram. Order matches the struct declaration.
-std::string EncodeEvalStats(const EvalStats& stats) {
-  std::string out = std::to_string(stats.individuals_evaluated);
-  out += " " + std::to_string(stats.cache_hits);
-  out += " " + std::to_string(stats.cache_lookups);
-  out += " " + std::to_string(stats.full_evaluations);
-  out += " " + std::to_string(stats.short_circuited);
-  out += " " + std::to_string(stats.static_rejects);
-  out += " " + std::to_string(stats.time_steps_evaluated);
-  out += " " + ckpt::HexDouble(stats.wall_seconds);
-  out += " " + ckpt::HexDouble(stats.cpu_seconds);
-  out += " " + ckpt::HexDouble(stats.compile_seconds);
-  for (std::size_t i = 0; i < kNumEvalOutcomes; ++i) {
-    out += " " + std::to_string(stats.outcomes[i]);
-  }
-  out += " " + std::to_string(stats.verdict_cache_lookups);
-  out += " " + std::to_string(stats.verdict_cache_hits);
-  for (std::size_t i = 0; i < analysis::kNumGateRules; ++i) {
-    out += " " + std::to_string(stats.gate_rule_rejects[i]);
-  }
-  out += " " + std::to_string(stats.gradient_evaluations);
-  out += " " + std::to_string(stats.tape_nodes);
-  out += " " + std::to_string(stats.linesearch_steps);
-  return out;
-}
-
-bool DecodeEvalStats(const std::string& line, EvalStats* stats) {
-  const std::vector<std::string> t = ckpt::TokenizeSExpr(line);
-  if (t.size() != 10 + kNumEvalOutcomes + 2 + analysis::kNumGateRules + 3) {
-    return false;
-  }
-  EvalStats s;
-  if (!ParseUnsigned(t[0], &s.individuals_evaluated) ||
-      !ParseUnsigned(t[1], &s.cache_hits) ||
-      !ParseUnsigned(t[2], &s.cache_lookups) ||
-      !ParseUnsigned(t[3], &s.full_evaluations) ||
-      !ParseUnsigned(t[4], &s.short_circuited) ||
-      !ParseUnsigned(t[5], &s.static_rejects) ||
-      !ParseUnsigned(t[6], &s.time_steps_evaluated) ||
-      !ckpt::ParseHexDouble(t[7], &s.wall_seconds) ||
-      !ckpt::ParseHexDouble(t[8], &s.cpu_seconds) ||
-      !ckpt::ParseHexDouble(t[9], &s.compile_seconds)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < kNumEvalOutcomes; ++i) {
-    if (!ParseUnsigned(t[10 + i], &s.outcomes[i])) return false;
-  }
-  std::size_t at = 10 + kNumEvalOutcomes;
-  if (!ParseUnsigned(t[at++], &s.verdict_cache_lookups) ||
-      !ParseUnsigned(t[at++], &s.verdict_cache_hits)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < analysis::kNumGateRules; ++i) {
-    if (!ParseUnsigned(t[at++], &s.gate_rule_rejects[i])) return false;
-  }
-  if (!ParseUnsigned(t[at++], &s.gradient_evaluations) ||
-      !ParseUnsigned(t[at++], &s.tape_nodes) ||
-      !ParseUnsigned(t[at++], &s.linesearch_steps)) {
-    return false;
-  }
-  *stats = s;
-  return true;
-}
-
 std::string EncodeGenStats(const GenerationStats& stats) {
   return std::to_string(stats.generation) + " " +
          ckpt::HexDouble(stats.best_fitness) + " " +
@@ -100,13 +35,6 @@ bool DecodeGenStats(const std::string& line, GenerationStats* stats) {
   }
   g.generation = static_cast<int>(generation);
   *stats = g;
-  return true;
-}
-
-bool ParseOutcome(const std::string& token, EvalOutcome* outcome) {
-  std::size_t value;
-  if (!ParseUnsigned(token, &value) || value >= kNumEvalOutcomes) return false;
-  *outcome = static_cast<EvalOutcome>(value);
   return true;
 }
 
@@ -284,15 +212,9 @@ Tag3pResult Tag3pEngine::Run() {
         {"runtime_compilation",
          config_.speedups.runtime_compilation ? 1.0 : 0.0},
     };
-    manifest.config_labels = {
-        {"frontier_mode",
-         config_.speedups.frontier_mode == FrontierMode::kFrozenFrontier
-             ? "frozen"
-             : "shared"},
-    };
-    // Thread count is environment, not config: under kFrozenFrontier the
-    // trajectory (and the deterministic trace classes) must not depend on
-    // it, so it must not break byte-comparability.
+    // Thread count is environment, not config: the trajectory (and the
+    // deterministic trace classes) must not depend on it, so it must not
+    // break byte-comparability.
     manifest.num_threads = pool_lease_.pool() != nullptr
                                ? pool_lease_.pool()->num_threads()
                                : 1;
@@ -533,27 +455,14 @@ void Tag3pEngine::SaveCheckpoint(int generation,
   pop->lines.reserve(population.size() * 3);
   for (const Individual& individual : population) {
     pop->lines.push_back(
-        "i " + ckpt::HexDouble(individual.fitness) +
-        (individual.fully_evaluated ? " 1 " : " 0 ") +
-        std::to_string(static_cast<int>(individual.outcome)));
+        "i " + EncodeVerdict(Verdict{individual.fitness,
+                                     individual.fully_evaluated,
+                                     individual.outcome}));
     pop->lines.push_back(ckpt::SerializeDerivation(*individual.genotype));
     pop->lines.push_back(ckpt::SerializeDoubles(individual.parameters));
   }
 
-  ckpt::Section* ev = snapshot.AddSection("evaluator");
-  ev->lines.push_back("frontier " +
-                      ckpt::HexDouble(evaluator_.best_prev_full()));
-  ev->lines.push_back("stats " + EncodeEvalStats(evaluator_.stats()));
-
-  // The tree cache is part of the deterministic trajectory (cache_hits is
-  // a deterministic eval_batch field), so it ships with every snapshot.
-  ckpt::Section* cache = snapshot.AddSection("cache");
-  for (const FitnessEvaluator::CacheExport& entry : evaluator_.ExportCache()) {
-    cache->lines.push_back(ckpt::HexUint64(entry.key) + " " +
-                           ckpt::HexDouble(entry.fitness) +
-                           (entry.fully_evaluated ? " 1 " : " 0 ") +
-                           std::to_string(static_cast<int>(entry.outcome)));
-  }
+  evaluator_.SaveState(&snapshot);
 
   ckpt::Section* history = snapshot.AddSection("history");
   for (const GenerationStats& stats : result.history) {
@@ -587,14 +496,15 @@ bool Tag3pEngine::RestoreCheckpoint(const ckpt::Snapshot& snapshot,
   for (std::size_t i = 0; i < pop_section->lines.size(); i += 3) {
     const std::vector<std::string> head =
         ckpt::TokenizeSExpr(pop_section->lines[i]);
-    Individual individual;
+    Verdict verdict;
     if (head.size() != 4 || head[0] != "i" ||
-        !ckpt::ParseHexDouble(head[1], &individual.fitness) ||
-        (head[2] != "0" && head[2] != "1") ||
-        !ParseOutcome(head[3], &individual.outcome)) {
+        !DecodeVerdict(head, 1, &verdict)) {
       return false;
     }
-    individual.fully_evaluated = head[2] == "1";
+    Individual individual;
+    individual.fitness = verdict.fitness;
+    individual.fully_evaluated = verdict.fully_evaluated;
+    individual.outcome = verdict.outcome;
     std::string error;
     individual.genotype =
         ckpt::ParseDerivationLine(pop_section->lines[i + 1], &error);
@@ -602,39 +512,14 @@ bool Tag3pEngine::RestoreCheckpoint(const ckpt::Snapshot& snapshot,
         !tag::Validate(*grammar_, *individual.genotype, &error)) {
       return false;
     }
+    // Breeding indexes the parameter vector by prior, so a vector of any
+    // other length is malformed, however well-formed its line.
     if (!ckpt::ParseDoubles(pop_section->lines[i + 2],
-                            &individual.parameters)) {
+                            &individual.parameters) ||
+        individual.parameters.size() != priors_.size()) {
       return false;
     }
     restored.push_back(std::move(individual));
-  }
-
-  const ckpt::Section* ev_section = snapshot.FindSection("evaluator");
-  double frontier;
-  EvalStats stats;
-  if (ev_section == nullptr || ev_section->lines.size() != 2 ||
-      ev_section->lines[0].compare(0, 9, "frontier ") != 0 ||
-      !ckpt::ParseHexDouble(ev_section->lines[0].substr(9), &frontier) ||
-      ev_section->lines[1].compare(0, 6, "stats ") != 0 ||
-      !DecodeEvalStats(ev_section->lines[1].substr(6), &stats)) {
-    return false;
-  }
-
-  const ckpt::Section* cache_section = snapshot.FindSection("cache");
-  if (cache_section == nullptr) return false;
-  std::vector<FitnessEvaluator::CacheExport> cache_entries;
-  cache_entries.reserve(cache_section->lines.size());
-  for (const std::string& line : cache_section->lines) {
-    const std::vector<std::string> fields = ckpt::TokenizeSExpr(line);
-    FitnessEvaluator::CacheExport entry;
-    if (fields.size() != 4 || !ckpt::ParseHexUint64(fields[0], &entry.key) ||
-        !ckpt::ParseHexDouble(fields[1], &entry.fitness) ||
-        (fields[2] != "0" && fields[2] != "1") ||
-        !ParseOutcome(fields[3], &entry.outcome)) {
-      return false;
-    }
-    entry.fully_evaluated = fields[2] == "1";
-    cache_entries.push_back(entry);
   }
 
   const ckpt::Section* history_section = snapshot.FindSection("history");
@@ -647,10 +532,10 @@ bool Tag3pEngine::RestoreCheckpoint(const ckpt::Snapshot& snapshot,
     history.push_back(gen_stats);
   }
 
+  // The evaluator commits last: it restores only when its own sections
+  // parse, and nothing after it can fail.
+  if (!evaluator_.RestoreState(snapshot)) return false;
   rng_.RestoreState(rng_state);
-  evaluator_.RestoreStats(stats);
-  evaluator_.RestoreBestPrevFull(frontier);
-  evaluator_.ImportCache(cache_entries);
   *population = std::move(restored);
   result->history = std::move(history);
   *start_generation = static_cast<int>(snapshot.step) + 1;

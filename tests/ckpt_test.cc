@@ -4,7 +4,9 @@
 // four ckpt fault-injection sites (graceful degradation, previous-snapshot
 // fallback, operational events), trace continuation with no gap across the
 // checkpoint boundary, and in-process resume bit-identity for every
-// checkpointing driver (TAG3P, GGGP, GA, SCE-UA, DREAM). The SIGKILL crash
+// checkpointing driver (TAG3P, GGGP, GA, SCE-UA, DREAM), and restore
+// validation (a well-formed snapshot that breeding would overrun starts the
+// run fresh instead of taking it down). The SIGKILL crash
 // drill binary (gmr_crashdrill) covers the real-process half of the same
 // contract.
 
@@ -15,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -28,6 +31,8 @@
 #include "ckpt/snapshot.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "core/gmr.h"
+#include "core/river_grammar.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "gggp/gggp.h"
@@ -717,7 +722,6 @@ gp::Tag3pConfig ToyTagConfig() {
   // tests run serially, so caching stays on to exercise its serialization.
   config.speedups.tree_caching = true;
   config.speedups.short_circuiting = true;
-  config.speedups.frontier_mode = gp::FrontierMode::kFrozenFrontier;
   config.speedups.num_threads = 1;
   return config;
 }
@@ -908,13 +912,13 @@ std::string DigestGggp(const gggp::GggpResult& result) {
   for (const auto& equation : result.best.equations) {
     out << SerializeExpr(*equation) << "\n";
   }
-  out << SerializeDoubles(result.best_fitness_history) << "\n"
-      << "evaluations " << result.evaluations << "\n";
+  out << SerializeDoubles(result.best_fitness_history) << "\n";
+  AppendEvalStatsDigest(result.eval_stats, &out);
   return out.str();
 }
 
 DriverRun RunToyGggp(const std::string& dir,
-                     const river::RiverDataset& dataset) {
+                     const river::RiverDataset& dataset, bool tree_caching) {
   const river::RiverFitness fitness = river::RiverFitness::ForTraining(&dataset);
   const gggp::CfgGrammar grammar = gggp::RiverCfgGrammar();
   const gp::ParameterPriors priors = river::RiverParameterPriors();
@@ -930,6 +934,7 @@ DriverRun RunToyGggp(const std::string& dir,
   config.grow_depth = 3;
   config.seed = 9;
   config.speedups.short_circuiting = true;
+  config.speedups.tree_caching = tree_caching;
 
   DriverRun run;
   const std::string trace_path = dir + "/trace.jsonl";
@@ -963,17 +968,113 @@ TEST(ResumeBitIdentityTest, GggpContinuesByteIdentically) {
   data_config.seed = 3;
   const river::RiverDataset dataset = river::GenerateNakdongLike(data_config);
 
-  const std::string dir = FreshDir("resume_gggp");
-  const DriverRun full = RunToyGggp(dir, dataset);
-  EXPECT_FALSE(full.resumed);
-  ASSERT_FALSE(full.trace.empty());
+  // With the tree cache on, the cache travels in the snapshot: a resumed
+  // run that lost it would miss hits the uninterrupted run scored.
+  for (const bool tree_caching : {false, true}) {
+    SCOPED_TRACE(tree_caching ? "tree caching" : "no tree caching");
+    const std::string dir =
+        FreshDir(tree_caching ? "resume_gggp_tc" : "resume_gggp");
+    const DriverRun full = RunToyGggp(dir, dataset, tree_caching);
+    EXPECT_FALSE(full.resumed);
+    ASSERT_FALSE(full.trace.empty());
 
-  const std::uint64_t mid = RewindStoreToMiddle(dir + "/ck");
-  const DriverRun resumed = RunToyGggp(dir, dataset);
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_EQ(resumed.resumed_step, mid);
-  EXPECT_EQ(resumed.trace, full.trace);
-  EXPECT_EQ(resumed.digest, full.digest);
+    const std::uint64_t mid = RewindStoreToMiddle(dir + "/ck");
+    const DriverRun resumed = RunToyGggp(dir, dataset, tree_caching);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_EQ(resumed.resumed_step, mid);
+    EXPECT_EQ(resumed.trace, full.trace);
+    EXPECT_EQ(resumed.digest, full.digest);
+  }
+}
+
+// -------------------------------- restore: malformed parameter vectors ----
+
+/// Runs `run` — a checkpointed search over the river problem that returns
+/// its result digest — to completion, rewinds its checkpoint directory to
+/// step 1, and re-saves that snapshot with every population parameter
+/// vector cut to 3 values: well formed, CRC-valid, fingerprint intact. The
+/// resume must refuse it and start fresh, finishing at the uninterrupted
+/// run's digest instead of breeding from the short vectors.
+void ExpectShortParameterVectorsStartFresh(
+    const std::string& name,
+    const std::function<std::string(Checkpointer*)>& run) {
+  const std::string dir = FreshDir(name);
+  std::string full;
+  {
+    Checkpointer checkpointer(Options(dir));
+    full = run(&checkpointer);
+  }
+  {
+    SnapshotStore store(dir, /*retain=*/64);
+    ASSERT_TRUE(store.DropNewerThan(1).ok());
+    Snapshot snapshot;
+    ASSERT_TRUE(store.LoadLatest(&snapshot).ok());
+    ASSERT_EQ(snapshot.step, 1u);
+    std::size_t cut = 0;
+    for (Section& section : snapshot.sections) {
+      if (section.name != "population") continue;
+      for (std::string& line : section.lines) {
+        std::vector<double> values;
+        if (ParseDoubles(line, &values) && values.size() > 3) {
+          values.resize(3);
+          line = SerializeDoubles(values);
+          ++cut;
+        }
+      }
+    }
+    ASSERT_GT(cut, 0u);
+    ASSERT_TRUE(store.Save(snapshot).ok());
+  }
+  Checkpointer checkpointer(Options(dir));
+  const Snapshot* loaded = checkpointer.Load();
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->step, 1u);
+  EXPECT_EQ(run(&checkpointer), full);
+}
+
+TEST(RestoreValidationTest, ShortParameterVectorsStartBothDriversFresh) {
+  river::SyntheticConfig data_config;
+  data_config.years = 2;
+  data_config.train_years = 1;
+  data_config.seed = 3;
+  const river::RiverDataset dataset = river::GenerateNakdongLike(data_config);
+  const river::RiverFitness fitness =
+      river::RiverFitness::ForTraining(&dataset);
+  const gp::ParameterPriors priors = river::RiverParameterPriors();
+  ASSERT_GT(priors.size(), 3u);
+
+  const core::RiverPriorKnowledge knowledge = core::BuildRiverPriorKnowledge();
+  ExpectShortParameterVectorsStartFresh(
+      "short_params_tag3p", [&](Checkpointer* checkpointer) {
+        core::GmrConfig config;
+        config.tag3p.population_size = 12;
+        config.tag3p.max_generations = 4;
+        config.tag3p.local_search_steps = 1;
+        config.tag3p.elite_polish_steps = 2;
+        config.tag3p.seed = 5;
+        obs::RunContext context;
+        context.checkpointer = checkpointer;
+        return DigestTag3p(
+            core::RunGmr(config, core::GmrProblem{&dataset, &knowledge},
+                         context)
+                .search);
+      });
+
+  const gggp::CfgGrammar grammar = gggp::RiverCfgGrammar();
+  const gggp::GggpProblem problem{river::ManualProcess(), &grammar, &priors,
+                                  &fitness};
+  ExpectShortParameterVectorsStartFresh(
+      "short_params_gggp", [&](Checkpointer* checkpointer) {
+        gggp::GggpConfig config;
+        config.population_size = 12;
+        config.max_generations = 4;
+        config.grow_depth = 3;
+        config.seed = 9;
+        config.speedups.short_circuiting = true;
+        obs::RunContext context;
+        context.checkpointer = checkpointer;
+        return DigestGggp(gggp::RunGggp(config, problem, context));
+      });
 }
 
 // ------------------------------------- resume bit-identity: calibrators ----

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "gggp/gggp.h"
 #include "river/biology.h"
 #include "river/variables.h"
@@ -98,11 +102,19 @@ TEST(GggpTest, RevisionImprovesOnSeedFitness) {
   // Population index 0 is the unmodified seed, so generation-0 best is at
   // most the seed fitness and the final best must improve on it.
   EXPECT_LT(result.best.fitness, result.best_fitness_history.front() + 1e-9);
-  EXPECT_GT(result.evaluations, 24u);
+  EXPECT_GT(result.eval_stats.individuals_evaluated, 24u);
   ASSERT_EQ(result.best.equations.size(), 2u);
   for (const auto& eq : result.best.equations) {
     EXPECT_LE(eq->NodeCount(), config.max_equation_nodes);
   }
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (double value : values) bits.push_back(Bits(value));
+  return bits;
 }
 
 TEST(GggpTest, DeterministicForSameSeed) {
@@ -118,11 +130,23 @@ TEST(GggpTest, DeterministicForSameSeed) {
   config.population_size = 10;
   config.max_generations = 3;
   config.seed = 4;
+  config.speedups.short_circuiting = true;
+  config.speedups.runtime_compilation = true;
   const GggpResult a = RunGggp(r::ManualProcess(), RiverCfgGrammar(),
                                r::RiverParameterPriors(), fitness, config);
+  // Every lane cuts against the same frozen frontier, so the thread count
+  // cannot change a bit.
+  config.speedups.num_threads = 4;
   const GggpResult b = RunGggp(r::ManualProcess(), RiverCfgGrammar(),
                                r::RiverParameterPriors(), fitness, config);
-  EXPECT_DOUBLE_EQ(a.best.fitness, b.best.fitness);
+  EXPECT_EQ(Bits(a.best.fitness), Bits(b.best.fitness));
+  EXPECT_EQ(Bits(a.best.parameters), Bits(b.best.parameters));
+  EXPECT_EQ(Bits(a.best_fitness_history), Bits(b.best_fitness_history));
+  ASSERT_EQ(a.best.equations.size(), b.best.equations.size());
+  for (std::size_t i = 0; i < a.best.equations.size(); ++i) {
+    EXPECT_TRUE(
+        e::StructurallyEqual(*a.best.equations[i], *b.best.equations[i]));
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
+#include "gggp/gggp.h"
 #include "gp/evaluator.h"
 #include "gp/tag3p.h"
 #include "obs/manifest.h"
@@ -23,6 +24,10 @@
 #include "obs/run_context.h"
 #include "obs/telemetry.h"
 #include "obs/trace_reader.h"
+#include "river/biology.h"
+#include "river/parameters.h"
+#include "river/simulate.h"
+#include "river/synthetic.h"
 #include "tag/generate.h"
 
 namespace gmr::obs {
@@ -514,13 +519,12 @@ gp::Tag3pConfig ToyConfig(int num_threads) {
   config.elite_polish_steps = 5;
   config.sigma_rampdown_generations = 3;
   config.seed = 5;
-  // The determinism contract (DESIGN.md §4f): ES under kFrozenFrontier is
-  // bit-identical across thread counts, but TC's cache counters are
+  // The determinism contract (DESIGN.md §4f): ES under the frozen frontier
+  // is bit-identical across thread counts, but TC's cache counters are
   // satisfied-first racy, so byte-identical traces require tree_caching
   // off.
   config.speedups.tree_caching = false;
   config.speedups.short_circuiting = true;
-  config.speedups.frontier_mode = gp::FrontierMode::kFrozenFrontier;
   config.speedups.num_threads = num_threads;
   return config;
 }
@@ -618,6 +622,55 @@ TEST(TraceSummaryTest, SummarizesARealSearchTrace) {
   EXPECT_NE(RenderBatchesCsv(summary).find("cum_hit_rate"),
             std::string::npos);
   EXPECT_NE(RenderOutcomesCsv(summary).find("ok"), std::string::npos);
+}
+
+TEST(TraceSummaryTest, GggpTraceAccountsForEveryEvaluation) {
+  // GGGP scores through the same evaluator as TAG3P, so its eval_batch
+  // events carry the full EvalStats field set and the summary adds up to
+  // the run's own totals.
+  river::SyntheticConfig data_config;
+  data_config.years = 2;
+  data_config.train_years = 1;
+  data_config.seed = 3;
+  const river::RiverDataset dataset = river::GenerateNakdongLike(data_config);
+  const river::RiverFitness fitness =
+      river::RiverFitness::ForTraining(&dataset);
+  const gggp::CfgGrammar grammar = gggp::RiverCfgGrammar();
+  const gp::ParameterPriors priors = river::RiverParameterPriors();
+  const gggp::GggpProblem problem{river::ManualProcess(), &grammar, &priors,
+                                  &fitness};
+  gggp::GggpConfig config;
+  config.population_size = 12;
+  config.max_generations = 4;
+  config.seed = 9;
+  config.speedups.short_circuiting = true;
+  config.speedups.tree_caching = true;
+
+  const std::string path = testing::TempDir() + "/obs_summary_gggp.jsonl";
+  gggp::GggpResult result;
+  {
+    JsonlTraceSink sink(path);
+    ASSERT_TRUE(sink.ok());
+    RunContext context;
+    context.sink = &sink;
+    result = gggp::RunGggp(config, problem, context);
+  }
+
+  std::vector<TraceRecord> records;
+  const Status status = ReadTrace(path, &records);
+  ASSERT_TRUE(status.ok()) << status.message;
+  const TraceSummary summary = SummarizeTrace(records);
+  EXPECT_EQ(summary.driver, "gggp");
+  EXPECT_EQ(summary.curve.size(), 4u);  // one point per generation
+  const gp::EvalStats& stats = result.eval_stats;
+  EXPECT_GT(stats.individuals_evaluated, 0u);
+  EXPECT_EQ(summary.total_individuals, stats.individuals_evaluated);
+  for (std::size_t i = 0; i < kNumEvalOutcomes; ++i) {
+    EXPECT_EQ(summary.outcomes[i], stats.outcomes[i])
+        << EvalOutcomeName(static_cast<EvalOutcome>(i));
+  }
+  EXPECT_GT(stats.cache_lookups, 0u);
+  EXPECT_EQ(summary.cache_hit_rate, stats.CacheHitRate());
 }
 
 }  // namespace

@@ -373,8 +373,7 @@ TEST(EvaluatorTest, BatchStatsFoldAcrossLanes) {
 
 // ----------------------------------------------------------- determinism ----
 
-Tag3pResult RunToyEngine(int num_threads, FrontierMode mode,
-                         const t::Grammar& grammar,
+Tag3pResult RunToyEngine(int num_threads, const t::Grammar& grammar,
                          const ToyFitness& fitness) {
   Tag3pConfig config;
   config.population_size = 24;
@@ -387,7 +386,6 @@ Tag3pResult RunToyEngine(int num_threads, FrontierMode mode,
   config.speedups.tree_caching = true;
   config.speedups.short_circuiting = true;
   config.speedups.num_threads = num_threads;
-  config.speedups.frontier_mode = mode;
   Tag3pEngine engine(&grammar, &fitness, {}, config);
   return engine.Run();
 }
@@ -395,11 +393,9 @@ Tag3pResult RunToyEngine(int num_threads, FrontierMode mode,
 TEST(Tag3pParallelTest, FrozenFrontierBitIdenticalAcrossThreadCounts) {
   const t::Grammar grammar = ToyGrammar();
   const ToyFitness fitness(60);
-  const Tag3pResult one =
-      RunToyEngine(1, FrontierMode::kFrozenFrontier, grammar, fitness);
+  const Tag3pResult one = RunToyEngine(1, grammar, fitness);
   for (int threads : {4, 8}) {
-    const Tag3pResult many =
-        RunToyEngine(threads, FrontierMode::kFrozenFrontier, grammar, fitness);
+    const Tag3pResult many = RunToyEngine(threads, grammar, fitness);
     EXPECT_EQ(one.best.fitness, many.best.fitness)
         << threads << " threads: best fitness diverged";
     ASSERT_EQ(one.history.size(), many.history.size());
@@ -414,20 +410,6 @@ TEST(Tag3pParallelTest, FrozenFrontierBitIdenticalAcrossThreadCounts) {
           << threads << " threads, generation " << g;
     }
   }
-}
-
-TEST(Tag3pParallelTest, SharedFrontierStillConvergesAndImproves) {
-  // kShared results are interleaving-dependent, so only sanity properties
-  // hold: the search runs, improves on the seed, and history is monotone
-  // under elitism.
-  const t::Grammar grammar = ToyGrammar();
-  const ToyFitness fitness(60);
-  const Tag3pResult result =
-      RunToyEngine(4, FrontierMode::kShared, grammar, fitness);
-  ASSERT_FALSE(result.history.empty());
-  EXPECT_TRUE(std::isfinite(result.best.fitness));
-  EXPECT_LE(result.history.back().best_fitness,
-            result.history.front().best_fitness);
 }
 
 }  // namespace
