@@ -190,7 +190,7 @@ void WriteAnalysisBench() {
     Timer timer;
     for (gp::Individual& individual : population) {
       gp::Individual copy = individual.Clone();
-      evaluator.Evaluate(&copy);
+      evaluator.EvaluateBatch({&copy}, nullptr);
     }
     const double seconds = timer.ElapsedSeconds();
     const gp::EvalStats& stats = evaluator.stats();

@@ -59,7 +59,7 @@ int main() {
     gp::FitnessEvaluator evaluator(&knowledge.grammar, &fitness, config);
     for (int i = 0; i < 5; ++i) {
       gp::Individual copy = individual.Clone();
-      evaluator.Evaluate(&copy);
+      evaluator.EvaluateBatch({&copy}, nullptr);
     }
     std::printf(
         "  evaluated 5 identical individuals: %zu simulations, %zu cache "
@@ -83,7 +83,8 @@ int main() {
     config.runtime_compilation = true;
     gp::FitnessEvaluator evaluator(&knowledge.grammar, &fitness, config);
     gp::Individual good = individual.Clone();
-    evaluator.Evaluate(&good);  // First evaluation is always full.
+    // The first evaluation is always full.
+    evaluator.EvaluateBatch({&good}, nullptr);
     std::printf("  incumbent fitness %.3f after %zu time steps (full)\n",
                 good.fitness, evaluator.stats().time_steps_evaluated);
 
@@ -94,7 +95,7 @@ int main() {
       lexemes.assign(lexemes.size(), 500.0);
     }
     const std::size_t before = evaluator.stats().time_steps_evaluated;
-    evaluator.Evaluate(&bad);
+    evaluator.EvaluateBatch({&bad}, nullptr);
     std::printf(
         "  divergent candidate cut after %zu of %zu time steps "
         "(estimated fitness %.1f)\n",

@@ -98,18 +98,20 @@ bool Checkpointer::Save(Snapshot snapshot) {
     ++saves_failed_;
     return false;
   }
-  if (trace_sink_ != nullptr) {
-    // Durable-flush the run trace first so the recorded offset covers every
-    // event emitted before this checkpoint: a resumed sink truncates to
-    // exactly this point and re-emits everything after it.
-    const std::uint64_t bytes = trace_sink_->DurableFlush();
+  // Durable-flush the run trace first so the recorded offset covers every
+  // event emitted before this checkpoint: a resumed sink truncates to
+  // exactly this point and re-emits everything after it. A trace that
+  // cannot be made durable fails the save like a failed snapshot write.
+  std::uint64_t bytes = 0;
+  bool ok = trace_sink_ == nullptr || trace_sink_->DurableFlush(&bytes);
+  if (ok && trace_sink_ != nullptr) {
     Section* trace = snapshot.AddSection(kTraceSection);
     trace->lines.push_back("bytes " + std::to_string(bytes));
     trace->lines.push_back("seq " +
                            std::to_string(trace_sink_->events_emitted()));
   }
-  const Status status = store_.Save(snapshot, options_.retry);
-  if (!status.ok()) {
+  ok = ok && store_.Save(snapshot, options_.retry).ok();
+  if (!ok) {
     ++saves_failed_;
     EmitOperational("save_error", static_cast<double>(snapshot.step), 0);
     return false;

@@ -91,7 +91,9 @@ class Checkpointer {
   }
 
   /// Durably writes the snapshot (adding the `trace` section when a trace
-  /// sink is attached). False on failure — reported, never fatal.
+  /// sink is attached). False on failure — reported, never fatal. A trace
+  /// sink that cannot be made durable fails the save the same way, and no
+  /// snapshot is written.
   bool Save(Snapshot snapshot);
 
   /// Saves attempted / failed (for tests and telemetry).

@@ -241,7 +241,7 @@ int RunSegment(const DrillOptions& options, const std::string& trace_path,
           });
     }
     result = engine.Run();
-  }  // sink destroyed: writer thread joined, file closed
+  }  // sink destroyed: file closed
 
   std::ofstream digest(digest_path, std::ios::binary | std::ios::trunc);
   digest << ResultDigest(result);

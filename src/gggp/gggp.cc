@@ -279,18 +279,6 @@ GggpResult RunGggp(const GggpConfig& config, const GggpProblem& problem,
                 return a.fitness < b.fitness;
               });
     result.best_fitness_history.push_back(population.front().fitness);
-    if (sink->enabled()) {
-      double sum = 0.0;
-      for (const GggpIndividual& individual : population) {
-        sum += individual.fitness;
-      }
-      obs::TraceEvent event("generation");
-      event.Field("gen", static_cast<double>(generation))
-          .Field("best_fitness", population.front().fitness)
-          .Field("mean_fitness",
-                 sum / static_cast<double>(population.size()));
-      sink->Emit(std::move(event));
-    }
 
     std::vector<GggpIndividual> next(
         population.begin(),
@@ -348,6 +336,22 @@ GggpResult RunGggp(const GggpConfig& config, const GggpProblem& problem,
     }
     population = std::move(next);
     evaluate(pending);
+    // The generation's curve point covers the population it just scored,
+    // as TAG3P's does, so the last point is the run's best.
+    if (sink->enabled()) {
+      double best = population.front().fitness;
+      double sum = 0.0;
+      for (const GggpIndividual& individual : population) {
+        best = std::min(best, individual.fitness);
+        sum += individual.fitness;
+      }
+      obs::TraceEvent event("generation");
+      event.Field("gen", static_cast<double>(generation))
+          .Field("best_fitness", best)
+          .Field("mean_fitness",
+                 sum / static_cast<double>(population.size()));
+      sink->Emit(std::move(event));
+    }
 
     // Batch barrier: drain buffered trace events, then checkpoint on the
     // configured cadence.

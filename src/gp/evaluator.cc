@@ -26,20 +26,8 @@ std::uint64_t DoubleBits(double v) {
   return bits;
 }
 
-/// Lock-free monotone minimum on an atomic double.
-void AtomicFetchMin(std::atomic<double>* target, double value) {
-  double current = target->load(std::memory_order_relaxed);
-  while (value < current &&
-         !target->compare_exchange_weak(current, value,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
-/// The verdict of a task that threw, charged to `stats`.
-Verdict TaskFailed(EvalStats* stats) {
-  ++stats->outcomes[static_cast<std::size_t>(EvalOutcome::kTaskFailed)];
-  return Verdict{kPenaltyFitness, true, EvalOutcome::kTaskFailed};
-}
+/// Lock stripes of each of the evaluator's shared caches.
+constexpr std::size_t kCacheStripes = 16;
 
 void Assign(const Verdict& verdict, Individual* individual) {
   individual->fitness = verdict.fitness;
@@ -180,10 +168,8 @@ FitnessEvaluator::FitnessEvaluator(const tag::Grammar* grammar,
     : grammar_(grammar),
       fitness_(fitness),
       config_(config),
-      cache_(static_cast<std::size_t>(
-          config.cache_stripes > 0 ? config.cache_stripes : 1)),
-      verdict_cache_(static_cast<std::size_t>(
-          config.cache_stripes > 0 ? config.cache_stripes : 1)) {
+      cache_(kCacheStripes),
+      verdict_cache_(kCacheStripes) {
   GMR_CHECK(fitness_ != nullptr);
 }
 
@@ -333,47 +319,33 @@ analysis::GateRule FitnessEvaluator::StaticallyRejected(
   return rule;
 }
 
-FitnessEvaluator::BatchContext FitnessEvaluator::StartBatch() {
-  BatchContext context;
-  context.owner_ = this;
-  context.frozen_frontier_ = best_prev_full_.load(std::memory_order_relaxed);
-  return context;
-}
-
-void FitnessEvaluator::FinishBatch(BatchContext* context) {
-  stats_.Merge(context->stats_);
-  context->stats_ = EvalStats{};
-  AtomicFetchMin(&best_prev_full_, context->local_min_full_);
-  context->local_min_full_ = std::numeric_limits<double>::infinity();
-}
-
-void FitnessEvaluator::Evaluate(Individual* individual) {
-  Timer timer;
-  BatchContext context = StartBatch();
-  try {
-    context.Evaluate(individual);
-  } catch (...) {
-    Assign(TaskFailed(&context.stats_), individual);
-  }
-  FinishBatch(&context);
-  // Serial path: one lane, so the coordinator's wall time is the busy time.
-  const double elapsed = timer.ElapsedSeconds();
-  stats_.wall_seconds += elapsed;
-  stats_.cpu_seconds += elapsed;
+std::vector<TaskFailure> FitnessEvaluator::RunBatch(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t, BatchContext*)>& body) {
+  return RunBatch(pool, n, body, nullptr);
 }
 
 std::vector<TaskFailure> FitnessEvaluator::RunBatch(
     ThreadPool* pool, std::size_t n,
-    const std::function<void(std::size_t, BatchContext*)>& body) {
+    const std::function<void(std::size_t, BatchContext*)>& body,
+    const std::function<void()>& prepare) {
   if (n == 0) return {};
   // One wall-clock sample per batch: cache hits inside the batch no longer
   // pay a clock read each (they dominated wall_seconds noise at high hit
   // rates).
   Timer timer;
-  const int lanes =
-      pool != nullptr && pool->num_threads() > 1 ? pool->num_threads() : 1;
+  EvalStats batch_stats;
+  if (prepare) {
+    prepare();
+    batch_stats.compile_seconds = timer.ElapsedSeconds();
+  }
+  // A one-item batch runs inline: waking the pool buys it nothing.
+  const int lanes = pool != nullptr && n > 1 ? pool->num_threads() : 1;
   std::vector<BatchContext> contexts(static_cast<std::size_t>(lanes));
-  for (BatchContext& context : contexts) context = StartBatch();
+  for (BatchContext& context : contexts) {
+    context.owner_ = this;
+    context.frozen_frontier_ = best_prev_full_;
+  }
   // Each lane charges its own busy time to its local stats (cpu_seconds);
   // the wall clock stays a single coordinator sample per batch.
   const auto timed_body = [&body, &contexts](std::size_t i, int lane) {
@@ -391,22 +363,22 @@ std::vector<TaskFailure> FitnessEvaluator::RunBatch(
   } else {
     failures = pool->ParallelFor(n, timed_body);
   }
-  // Merge the lane stats into a batch-local view first so the barrier can
-  // report this batch's delta, then fold them into the run totals.
-  EvalStats batch_stats;
+  // The barrier: fold the lanes into this batch's delta, which is both the
+  // eval_batch event and the only update of the run totals.
   for (const BatchContext& context : contexts) {
     batch_stats.Merge(context.stats_);
+    best_prev_full_ = std::min(best_prev_full_, context.local_min_full_);
   }
-  for (BatchContext& context : contexts) FinishBatch(&context);
+  batch_stats.outcomes[static_cast<std::size_t>(EvalOutcome::kTaskFailed)] +=
+      failures.size();
   batch_stats.wall_seconds = timer.ElapsedSeconds();
-  stats_.wall_seconds += batch_stats.wall_seconds;
-  if (sink_->enabled()) EmitBatchEvent(n, batch_stats, failures.size());
+  stats_.Merge(batch_stats);
+  if (sink_->enabled()) EmitBatchEvent(n, batch_stats);
   return failures;
 }
 
 void FitnessEvaluator::EmitBatchEvent(std::size_t n,
-                                      const EvalStats& batch_stats,
-                                      std::size_t task_failures) const {
+                                      const EvalStats& batch_stats) const {
   obs::TraceEvent event("eval_batch");
   event.Field("n", static_cast<double>(n))
       .Field("num_species", static_cast<double>(fitness_->num_states()))
@@ -422,7 +394,6 @@ void FitnessEvaluator::EmitBatchEvent(std::size_t n,
              static_cast<double>(batch_stats.static_rejects))
       .Field("time_steps",
              static_cast<double>(batch_stats.time_steps_evaluated))
-      .Field("task_failures", static_cast<double>(task_failures))
       .Field("frontier", best_prev_full());
   for (std::size_t i = 0; i < kNumEvalOutcomes; ++i) {
     event.Field(std::string("outcomes.") +
@@ -460,32 +431,30 @@ std::vector<Verdict> FitnessEvaluator::ScoreBatch(
   // Generation-level compile pass (e.g. the batched JIT backend): one
   // translation unit for every unique equation of the batch, compiled on
   // the coordinator before fan-out so worker lanes only probe the compile
-  // cache. Pure warm-up — skipping it cannot change any fitness value.
-  if (config_.runtime_compilation && n > 0 &&
+  // cache. Pure warm-up — skipping it cannot change any fitness value. A
+  // one-candidate batch skips it: its Begin compiles the same TU on a miss.
+  std::function<void()> prepare;
+  if (n > 1 && config_.runtime_compilation &&
       fitness_->WantsBatchPreparation()) {
-    Timer prepare_timer;
-    std::vector<std::vector<expr::ExprPtr>> phenotypes;
-    phenotypes.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) phenotypes.push_back(equations_of(i));
-    fitness_->PrepareBatch(phenotypes);
-    const double elapsed = prepare_timer.ElapsedSeconds();
-    stats_.compile_seconds += elapsed;
-    // The pass runs outside RunBatch's wall sample; count it as user-visible
-    // coordinator time too.
-    stats_.wall_seconds += elapsed;
+    prepare = [this, n, &equations_of] {
+      std::vector<std::vector<expr::ExprPtr>> phenotypes;
+      phenotypes.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) phenotypes.push_back(equations_of(i));
+      fitness_->PrepareBatch(phenotypes);
+    };
   }
-  std::vector<Verdict> verdicts(n);
-  const std::vector<TaskFailure> failures = RunBatch(
+  // A candidate whose task throws keeps this penalty verdict, so each
+  // failure poisons only its own candidate; the penalty never enters the
+  // frontier or the cache.
+  std::vector<Verdict> verdicts(
+      n, Verdict{kPenaltyFitness, true, EvalOutcome::kTaskFailed});
+  RunBatch(
       pool, n,
       [&verdicts, &equations_of, &parameters_of](std::size_t i,
                                                  BatchContext* context) {
         verdicts[i] = context->Evaluate(equations_of(i), parameters_of(i));
-      });
-  // Barrier conversion: each failed task poisons only its own candidate.
-  // The penalty never enters the frontier or the cache.
-  for (const TaskFailure& failure : failures) {
-    verdicts[failure.index] = TaskFailed(&stats_);
-  }
+      },
+      prepare);
   return verdicts;
 }
 
@@ -570,7 +539,7 @@ bool FitnessEvaluator::RestoreState(const ckpt::Snapshot& snapshot) {
     entries.emplace_back(key, verdict);
   }
 
-  best_prev_full_.store(frontier, std::memory_order_relaxed);
+  best_prev_full_ = frontier;
   stats_ = stats;
   cache_.Clear();
   for (const auto& [key, verdict] : entries) cache_.Insert(key, verdict);

@@ -1,7 +1,6 @@
 #ifndef GMR_GP_EVALUATOR_H_
 #define GMR_GP_EVALUATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -113,14 +112,16 @@ bool DecodeVerdict(const std::vector<std::string>& tokens, std::size_t at,
 /// write the verdict back; GGGP, whose genotype is already its equations,
 /// scores phenotypes directly.
 ///
-/// Thread model: `Evaluate`, both `EvaluateBatch` overloads, `RunBatch`,
-/// `SaveState` and `RestoreState` are coordinator-only; worker threads
-/// evaluate exclusively through a per-lane `BatchContext`. The tree cache
-/// is a striped hash map shared by all lanes. Every evaluation of a batch
-/// cuts against the frontier frozen at the batch start, and the batch's
+/// Thread model: both `EvaluateBatch` overloads, `RunBatch`, `SaveState`
+/// and `RestoreState` are coordinator-only; worker threads evaluate
+/// exclusively through a per-lane `BatchContext`. The tree cache is a
+/// striped hash map shared by all lanes. Every evaluation of a batch cuts
+/// against the frontier frozen at the batch start, and the batch's
 /// full-evaluation minimum folds in at the barrier, so each fitness is a
 /// pure function of (phenotype, parameters, frozen frontier) and results
-/// are bit-identical for any thread count.
+/// are bit-identical for any thread count. The barrier is also the only
+/// place the run's EvalStats grow, and it emits each batch's delta as one
+/// `eval_batch` event, so a trace sums to the statistics exactly.
 class FitnessEvaluator {
  public:
   /// `grammar` expands Individual genotypes; it may be null when the caller
@@ -147,6 +148,16 @@ class FitnessEvaluator {
     /// scores the phenotype, and sets fitness, fully_evaluated and outcome.
     void Evaluate(Individual* individual);
 
+    /// Charges gradient side-channel work (elite constant polish) to this
+    /// lane: adjoint gradient evaluations, the tape instructions they
+    /// reversed, and line-search candidates.
+    void NoteGradientWork(std::size_t gradient_evals, std::size_t tape_nodes,
+                          std::size_t linesearch_steps) {
+      stats_.gradient_evaluations += gradient_evals;
+      stats_.tape_nodes += tape_nodes;
+      stats_.linesearch_steps += linesearch_steps;
+    }
+
    private:
     friend class FitnessEvaluator;
     FitnessEvaluator* owner_ = nullptr;
@@ -155,13 +166,10 @@ class FitnessEvaluator {
     EvalStats stats_;
   };
 
-  /// Evaluates `individual` in place (serial path): one-element batch, so
-  /// the frontier advances immediately afterwards.
-  void Evaluate(Individual* individual);
-
   /// Evaluates the batch in place, fanning out across `pool` (inline when
   /// null or single-threaded — the same code path, so results match). The
-  /// wall clock is sampled once for the whole batch.
+  /// wall clock is sampled once for the whole batch. A one-candidate batch
+  /// is the serial path: the frontier advances right after it.
   ///
   /// Fault containment: an evaluation task that throws poisons only its own
   /// individual — at the batch barrier it is assigned kPenaltyFitness with
@@ -179,8 +187,10 @@ class FitnessEvaluator {
   /// Generalized batch runner for callers that evaluate several candidates
   /// per item (e.g. local search): body(item, ctx) runs for every item in
   /// [0, n) with a per-lane context; frontier and statistics fold at the
-  /// barrier. Returns the items whose body threw (contained, sorted by
-  /// index; the caller decides how to penalize them). Coordinator-only.
+  /// barrier, which counts each body that threw as one kTaskFailed outcome.
+  /// A one-item batch runs inline on the caller. Returns the items whose
+  /// body threw (contained, sorted by index; the caller decides how to
+  /// penalize them). Coordinator-only.
   std::vector<TaskFailure> RunBatch(
       ThreadPool* pool, std::size_t n,
       const std::function<void(std::size_t, BatchContext*)>& body);
@@ -194,16 +204,6 @@ class FitnessEvaluator {
   std::vector<expr::ExprPtr> Phenotype(const Individual& individual) const;
 
   const EvalStats& stats() const { return stats_; }
-
-  /// Folds gradient side-channel telemetry (elite constant polish) into the
-  /// aggregate statistics. Coordinator-only: the gradient polish runs
-  /// between evaluation batches, never inside one.
-  void NoteGradientWork(std::size_t gradient_evals, std::size_t tape_nodes,
-                        std::size_t linesearch_steps) {
-    stats_.gradient_evaluations += gradient_evals;
-    stats_.tape_nodes += tape_nodes;
-    stats_.linesearch_steps += linesearch_steps;
-  }
 
   /// Attaches a telemetry sink: every RunBatch barrier then emits one
   /// "eval_batch" event from the coordinator (workers never emit, so event
@@ -219,9 +219,7 @@ class FitnessEvaluator {
   const SequentialFitness* fitness() const { return fitness_; }
 
   /// Current short-circuiting frontier (exposed for tests and benches).
-  double best_prev_full() const {
-    return best_prev_full_.load(std::memory_order_relaxed);
-  }
+  double best_prev_full() const { return best_prev_full_; }
 
   /// Adds the evaluator's checkpoint state to `snapshot`: an `evaluator`
   /// section (the frontier and the run's EvalStats) and a `cache` section
@@ -266,10 +264,10 @@ class FitnessEvaluator {
   analysis::GateRule StaticallyRejected(
       const std::vector<expr::ExprPtr>& equations, EvalStats* stats);
 
-  /// The batch core of both EvaluateBatch overloads: the generation-level
-  /// compile pass over every phenotype, one RunBatch scoring candidate i
-  /// from `equations_of(i)` and `parameters_of(i)` inside its lane, and
-  /// the barrier conversion of failed tasks into kTaskFailed verdicts.
+  /// The batch core of both EvaluateBatch overloads: one RunBatch whose
+  /// coordinator pass is the generation-level compile of every phenotype,
+  /// scoring candidate i from `equations_of(i)` and `parameters_of(i)`
+  /// inside its lane; failed tasks become kTaskFailed verdicts.
   std::vector<Verdict> ScoreBatch(
       std::size_t n,
       const std::function<std::vector<expr::ExprPtr>(std::size_t)>&
@@ -278,24 +276,25 @@ class FitnessEvaluator {
           parameters_of,
       ThreadPool* pool);
 
-  /// Snapshots the frontier into a fresh context.
-  BatchContext StartBatch();
-
-  /// Folds a context's statistics and full-evaluation minimum back into
-  /// the evaluator (the batch barrier).
-  void FinishBatch(BatchContext* context);
+  /// RunBatch with a coordinator pass: `prepare` (when set) runs before
+  /// the fan-out, inside the batch's wall sample and charged to its
+  /// compile_seconds.
+  std::vector<TaskFailure> RunBatch(
+      ThreadPool* pool, std::size_t n,
+      const std::function<void(std::size_t, BatchContext*)>& body,
+      const std::function<void()>& prepare);
 
   /// Emits the per-batch "eval_batch" event (coordinator-only).
-  void EmitBatchEvent(std::size_t n, const EvalStats& batch_stats,
-                      std::size_t task_failures) const;
+  void EmitBatchEvent(std::size_t n, const EvalStats& batch_stats) const;
 
   const tag::Grammar* grammar_;
   const SequentialFitness* fitness_;
   SpeedupConfig config_;
   EvalStats stats_;
   obs::TelemetrySink* sink_ = obs::NullTelemetrySink();
-  std::atomic<double> best_prev_full_{
-      std::numeric_limits<double>::infinity()};
+  /// Written only at the barrier (and by RestoreState); lanes read their
+  /// context's frozen copy.
+  double best_prev_full_ = std::numeric_limits<double>::infinity();
   /// Memoized verdicts keyed by CacheKey. The fully_evaluated bit is
   /// stored, not inferred from the frontier: the frontier keeps falling,
   /// so a full evaluation cached at or below it later sits above it, where

@@ -69,9 +69,9 @@ class SequentialFitness {
   /// True when the problem wants one generation-level compile pass before a
   /// batch of evaluations fans out (e.g. the batched JIT backend, which
   /// compiles every unique equation of the batch into a single translation
-  /// unit). Consulted by FitnessEvaluator::EvaluateBatch; the serial
-  /// Evaluate path never calls PrepareBatch, so implementations must stay
-  /// correct (if slower) without it.
+  /// unit). Consulted by FitnessEvaluator::EvaluateBatch; a one-candidate
+  /// batch never calls PrepareBatch, so implementations must stay correct
+  /// (if slower) without it.
   virtual bool WantsBatchPreparation() const { return false; }
 
   /// Called once per evaluation batch, on the coordinator, before worker
@@ -171,8 +171,6 @@ struct SpeedupConfig {
   int num_threads = 1;
   /// PE: frontier discipline under parallel evaluation (the only one).
   FrontierMode frontier_mode = FrontierMode::kFrozenFrontier;
-  /// PE: lock stripes of the shared tree cache.
-  int cache_stripes = 16;
   /// Static reject gate: when enabled, provably-doomed phenotypes are
   /// penalized with EvalOutcome::kStaticReject before any integration (see
   /// analysis/static_gate.h and river/domains.h MakeStaticGate). Rejects

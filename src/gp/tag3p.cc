@@ -146,6 +146,49 @@ void Tag3pEngine::LocalSearch(Individual* individual, Rng& rng,
   }
 }
 
+bool Tag3pEngine::GradientStep(const std::vector<expr::ExprPtr>& equations,
+                               Individual* incumbent, double* trust,
+                               FitnessEvaluator::BatchContext* context) {
+  double value = 0.0;
+  std::vector<double> grad;
+  GradientFitness::GradientStats grad_stats;
+  const bool trustworthy = gradient_->EvaluateGradient(
+      equations, incumbent->parameters, &value, &grad, &grad_stats);
+  context->NoteGradientWork(1, grad_stats.tape_nodes, 0);
+  if (!trustworthy || grad.size() != incumbent->parameters.size()) {
+    return false;  // no usable descent direction (tape fault, NaN adjoint)
+  }
+  double grad_max = 0.0;
+  for (const double g : grad) grad_max = std::max(grad_max, std::abs(g));
+  if (grad_max == 0.0) return false;  // flat (e.g. fully aborted rollout)
+  // Only a step's last candidate can be accepted. A rejected one scores no
+  // better than the incumbent, itself at or above the frontier, so the
+  // step's frozen frontier cuts each candidate as a per-candidate fold would.
+  for (int halve = 0; halve < 6; ++halve) {
+    Individual candidate = incumbent->Clone();
+    bool moved = false;
+    for (std::size_t i = 0; i < candidate.parameters.size(); ++i) {
+      const double span = priors_[i].hi - priors_[i].lo;
+      double p = candidate.parameters[i] -
+                 *trust * 0.1 * span * (grad[i] / grad_max);
+      p = std::min(std::max(p, priors_[i].lo), priors_[i].hi);
+      moved = moved || p != candidate.parameters[i];
+      candidate.parameters[i] = p;
+    }
+    if (moved) {
+      context->Evaluate(&candidate);
+      context->NoteGradientWork(0, 0, 1);
+      if (candidate.fitness < incumbent->fitness) {
+        *incumbent = std::move(candidate);
+        *trust = std::min(1.0, *trust * 2.0);
+        return true;
+      }
+    }
+    *trust *= 0.5;
+  }
+  return false;
+}
+
 void Tag3pEngine::LocalSearchBatch(std::vector<Individual>* population,
                                    const std::vector<std::size_t>& indices) {
   if (config_.local_search_steps <= 0 || indices.empty()) return;
@@ -315,7 +358,7 @@ Tag3pResult Tag3pEngine::Run() {
                                  ? LexemeTweak(&candidate, rng_)
                                  : ParameterTweak(priors_, &candidate, rng_);
         if (!applied) continue;
-        evaluator_.Evaluate(&candidate);
+        evaluator_.EvaluateBatch({&candidate}, pool_lease_.pool());
         if (candidate.fitness < incumbent->fitness) {
           *incumbent = std::move(candidate);
         }
@@ -326,8 +369,8 @@ Tag3pResult Tag3pEngine::Run() {
     // Tag3pConfig::elite_gradient_steps): projected steepest descent with
     // step halving on the elite's parameters, driven by the exact
     // reverse-mode rollout gradient. RNG-free; acceptance only on strict
-    // improvement, evaluated through the evaluator so cache/frontier
-    // discipline is preserved.
+    // improvement. Each descent step is a one-item evaluator batch, so
+    // cache, frontier and statistics keep the barrier's discipline.
     if (config_.elite_gradient_steps > 0 && gradient_ != nullptr &&
         !priors_.empty()) {
       Individual* incumbent = &population.front();
@@ -339,44 +382,15 @@ Tag3pResult Tag3pEngine::Run() {
       const std::vector<expr::ExprPtr> equations =
           evaluator_.Phenotype(*incumbent);
       double trust = 1.0;
-      for (int step = 0; step < config_.elite_gradient_steps; ++step) {
-        double value = 0.0;
-        std::vector<double> grad;
-        GradientFitness::GradientStats grad_stats;
-        const bool trustworthy = gradient_->EvaluateGradient(
-            equations, incumbent->parameters, &value, &grad, &grad_stats);
-        evaluator_.NoteGradientWork(1, grad_stats.tape_nodes, 0);
-        if (!trustworthy || grad.size() != incumbent->parameters.size()) {
-          break;  // no usable descent direction (tape fault, NaN adjoint)
-        }
-        double grad_max = 0.0;
-        for (const double g : grad) grad_max = std::max(grad_max, std::abs(g));
-        if (grad_max == 0.0) break;  // flat (e.g. fully aborted rollout)
-        bool accepted = false;
-        for (int halve = 0; halve < 6 && !accepted; ++halve) {
-          Individual candidate = incumbent->Clone();
-          bool moved = false;
-          for (std::size_t i = 0; i < candidate.parameters.size(); ++i) {
-            const double span = priors_[i].hi - priors_[i].lo;
-            double p = candidate.parameters[i] -
-                       trust * 0.1 * span * (grad[i] / grad_max);
-            p = std::min(std::max(p, priors_[i].lo), priors_[i].hi);
-            moved = moved || p != candidate.parameters[i];
-            candidate.parameters[i] = p;
-          }
-          if (moved) {
-            evaluator_.Evaluate(&candidate);
-            evaluator_.NoteGradientWork(0, 0, 1);
-            if (candidate.fitness < incumbent->fitness) {
-              *incumbent = std::move(candidate);
-              accepted = true;
-              break;
-            }
-          }
-          trust *= 0.5;
-        }
-        if (!accepted) break;
-        trust = std::min(1.0, trust * 2.0);
+      bool accepted = true;
+      for (int step = 0; step < config_.elite_gradient_steps && accepted;
+           ++step) {
+        accepted = false;  // stays false when the step's task throws
+        evaluator_.RunBatch(
+            pool_lease_.pool(), 1,
+            [&](std::size_t, FitnessEvaluator::BatchContext* context) {
+              accepted = GradientStep(equations, incumbent, &trust, context);
+            });
       }
     }
 

@@ -150,6 +150,12 @@ class Tag3pEngine {
   /// (worker-safe) and drawing from `rng` (the individual's own stream).
   void LocalSearch(Individual* individual, Rng& rng,
                    FitnessEvaluator::BatchContext* context);
+  /// One gradient descent step on `incumbent`'s parameters through
+  /// `context`: an adjoint gradient, then up to six halving trial steps
+  /// from `*trust`. True when a trial improved (and replaced) the incumbent.
+  bool GradientStep(const std::vector<expr::ExprPtr>& equations,
+                    Individual* incumbent, double* trust,
+                    FitnessEvaluator::BatchContext* context);
   /// Fans the local searches of `population[indices]` out across the pool.
   void LocalSearchBatch(std::vector<Individual>* population,
                         const std::vector<std::size_t>& indices);

@@ -2,7 +2,7 @@
 
 #include <unistd.h>
 
-#include <chrono>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 
@@ -130,74 +130,37 @@ JsonlTraceSink::JsonlTraceSink(std::string path, JsonlTraceOptions options)
   if (file_ == nullptr) {
     std::fprintf(stderr, "telemetry: cannot open trace file %s\n",
                  path_.c_str());
-    return;
   }
-  writer_ = std::thread([this] { WriterLoop(); });
 }
 
 JsonlTraceSink::~JsonlTraceSink() {
-  if (file_ == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  writer_.join();
-  std::fclose(file_);
+  if (file_ != nullptr) std::fclose(file_);
 }
 
 void JsonlTraceSink::Emit(TraceEvent event) {
   if (file_ == nullptr) return;
-  // Serialization happens here (emit order defines seq and line order);
-  // only the write syscalls are deferred to the writer thread.
   std::string line = SerializeEvent(event, sequence_++, options_);
-  bool wake = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.push_back(std::move(line));
-    wake = pending_.size() >= options_.flush_threshold;
-  }
-  if (wake) work_cv_.notify_one();
+  line.push_back('\n');
+  std::fwrite(line.data(), 1, line.size(), file_);
 }
 
 void JsonlTraceSink::Flush() {
-  if (file_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  work_cv_.notify_one();
-  drain_cv_.wait(lock, [this] { return pending_.empty() && !writing_; });
-  std::fflush(file_);
+  if (file_ != nullptr) std::fflush(file_);
 }
 
-std::uint64_t JsonlTraceSink::DurableFlush() {
-  if (file_ == nullptr) return 0;
-  std::unique_lock<std::mutex> lock(mu_);
-  work_cv_.notify_one();
-  drain_cv_.wait(lock, [this] { return pending_.empty() && !writing_; });
-  std::fflush(file_);
-  fsync(fileno(file_));
-  const long offset = std::ftell(file_);
-  return offset > 0 ? static_cast<std::uint64_t>(offset) : 0;
-}
-
-void JsonlTraceSink::WriterLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait_for(lock, std::chrono::milliseconds(50), [this] {
-      return stop_ || !pending_.empty();
-    });
-    while (!pending_.empty()) {
-      std::string line = std::move(pending_.front());
-      pending_.pop_front();
-      writing_ = true;
-      lock.unlock();
-      std::fwrite(line.data(), 1, line.size(), file_);
-      std::fputc('\n', file_);
-      lock.lock();
-      writing_ = false;
-    }
-    drain_cv_.notify_all();
-    if (stop_) return;
+bool JsonlTraceSink::DurableFlush(std::uint64_t* bytes) {
+  *bytes = 0;
+  if (file_ == nullptr) return true;
+  // fflush first: it reports a failed write of the buffered tail, and
+  // ferror then keeps any earlier failed write visible. EINVAL from fsync
+  // means a file with nothing to sync (e.g. /dev/null), not a failure.
+  if (std::fflush(file_) != 0 || std::ferror(file_) ||
+      (fsync(fileno(file_)) != 0 && errno != EINVAL)) {
+    return false;
   }
+  const long offset = std::ftell(file_);
+  *bytes = offset > 0 ? static_cast<std::uint64_t>(offset) : 0;
+  return true;
 }
 
 }  // namespace gmr::obs

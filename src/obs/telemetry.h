@@ -1,13 +1,9 @@
 #ifndef GMR_OBS_TELEMETRY_H_
 #define GMR_OBS_TELEMETRY_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -111,9 +107,6 @@ struct JsonlTraceOptions {
   bool include_timings = true;
   /// Include hostname / git / wall clock / thread-count entries.
   bool include_environment = true;
-  /// Buffered lines before the writer thread is woken early; the writer
-  /// also drains on Flush() and at destruction.
-  std::size_t flush_threshold = 64;
 
   /// Preset for byte-comparable traces: timings and environment suppressed.
   static JsonlTraceOptions Deterministic() {
@@ -134,10 +127,10 @@ struct JsonlTraceOptions {
   std::uint64_t resume_sequence = 0;
 };
 
-/// Buffered JSONL sink: one JSON object per line, in emit order. Emit()
-/// serializes on the calling (coordinator) thread and enqueues the line; a
-/// background writer thread owns the file so the coordinator never blocks
-/// on disk. Sequence numbers are assigned at Emit, so the written order is
+/// JSONL sink: one JSON object per line, in emit order. Emit() serializes
+/// and writes on the calling thread, into the stdio buffer of the file;
+/// emits are coordinator-only, and the drivers Flush() at every generation
+/// barrier. Sequence numbers are assigned at Emit, so the written order is
 /// exactly the emit order.
 class JsonlTraceSink final : public TelemetrySink {
  public:
@@ -151,11 +144,14 @@ class JsonlTraceSink final : public TelemetrySink {
   void Emit(TraceEvent event) override;
   void Flush() override;
 
-  /// Flush() plus fsync: on return every emitted event is durably on disk
-  /// (survives SIGKILL / power loss). Returns the durable byte offset of
-  /// the file end — the value a checkpoint records so a resumed sink can
-  /// truncate back to exactly this point.
-  std::uint64_t DurableFlush();
+  /// Flush() plus fsync: on success every emitted event is durably on
+  /// disk (survives SIGKILL / power loss) and `*bytes` is the durable byte
+  /// offset of the file end — the value a checkpoint records so a resumed
+  /// sink can truncate back to exactly this point. False when any write,
+  /// flush or sync of the file failed since it was opened (a failed write
+  /// stays failed), so the trace cannot be trusted up to that offset. A
+  /// sink whose file never opened has nothing to make durable: true, 0.
+  bool DurableFlush(std::uint64_t* bytes);
 
   /// False when the trace file could not be opened (events are dropped).
   bool ok() const { return file_ != nullptr; }
@@ -163,20 +159,10 @@ class JsonlTraceSink final : public TelemetrySink {
   std::uint64_t events_emitted() const { return sequence_; }
 
  private:
-  void WriterLoop();
-
   const std::string path_;
   const JsonlTraceOptions options_;
   std::FILE* file_ = nullptr;
   std::uint64_t sequence_ = 0;  // emits are coordinator-only
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;   // lines pending or stop
-  std::condition_variable drain_cv_;  // queue fully written
-  std::deque<std::string> pending_;
-  bool stop_ = false;
-  bool writing_ = false;
-  std::thread writer_;
 };
 
 /// Serializes an event to one JSON line (no trailing newline). Field order

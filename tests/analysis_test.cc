@@ -717,7 +717,7 @@ TEST(EvaluatorGateTest, StaticallyRejectedCandidateNeverReachesIntegrator) {
   std::string error;
   ASSERT_TRUE(SetFaultSpec("derivative_nan:always", &error)) << error;
   gp::Individual individual = fx.MakeDivergent(11);
-  evaluator.Evaluate(&individual);
+  evaluator.EvaluateBatch({&individual}, nullptr);
   ClearFaults();
 
   EXPECT_EQ(individual.outcome, EvalOutcome::kStaticReject);
@@ -750,8 +750,8 @@ TEST(EvaluatorGateTest, VerdictIsCachedByStructure) {
   gp::Individual second = fx.MakeDivergent(4);
   // Different (in-domain) parameters, same structure: one verdict entry.
   second.parameters[0] = fx.knowledge.priors[0].lo;
-  evaluator.Evaluate(&first);
-  evaluator.Evaluate(&second);
+  evaluator.EvaluateBatch({&first}, nullptr);
+  evaluator.EvaluateBatch({&second}, nullptr);
   EXPECT_EQ(evaluator.stats().static_rejects, 2u);
   EXPECT_EQ(evaluator.verdict_cache_size(), 1u);
   EXPECT_EQ(second.outcome, EvalOutcome::kStaticReject);
@@ -771,7 +771,7 @@ TEST(EvaluatorGateTest, OutOfDomainParametersSkipTheGate) {
   // the gate, contains it).
   gp::Individual individual = fx.MakeDivergent(5);
   individual.parameters.assign(individual.parameters.size(), 1e6);
-  evaluator.Evaluate(&individual);
+  evaluator.EvaluateBatch({&individual}, nullptr);
   EXPECT_NE(individual.outcome, EvalOutcome::kStaticReject);
   EXPECT_EQ(evaluator.stats().static_rejects, 0u);
   EXPECT_GT(evaluator.stats().time_steps_evaluated, 0u);
@@ -799,8 +799,8 @@ TEST(EvaluatorGateTest, GateOnIsBitIdenticalToGateOffOnCleanPopulation) {
     a_ind.genotype = t::GrowRandom(knowledge.grammar, 0, 6 + i % 5, rng);
     a_ind.parameters = gp::PriorMeans(knowledge.priors);
     gp::Individual b_ind = a_ind.Clone();
-    evaluator_off.Evaluate(&a_ind);
-    evaluator_on.Evaluate(&b_ind);
+    evaluator_off.EvaluateBatch({&a_ind}, nullptr);
+    evaluator_on.EvaluateBatch({&b_ind}, nullptr);
     ASSERT_EQ(a_ind.fitness, b_ind.fitness) << "individual " << i;
     ASSERT_EQ(a_ind.outcome, b_ind.outcome) << "individual " << i;
     ASSERT_EQ(a_ind.fully_evaluated, b_ind.fully_evaluated)
@@ -1143,8 +1143,8 @@ TEST(EvaluatorGateTest, RuleCountersAndVerdictCacheStats) {
 
   gp::Individual first = fx.MakeDivergent(3);
   gp::Individual second = fx.MakeDivergent(4);
-  evaluator.Evaluate(&first);
-  evaluator.Evaluate(&second);
+  evaluator.EvaluateBatch({&first}, nullptr);
+  evaluator.EvaluateBatch({&second}, nullptr);
   const gp::EvalStats& stats = evaluator.stats();
   EXPECT_EQ(stats.verdict_cache_lookups, 2u);
   EXPECT_EQ(stats.verdict_cache_hits, 1u);

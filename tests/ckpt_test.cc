@@ -546,6 +546,40 @@ TEST(CheckpointerTest, ResumedTraceSinkLeavesNoGapAcrossTheKillPoint) {
   EXPECT_EQ(interrupted, ReadFile(reference_path));
 }
 
+TEST(CheckpointerTest, UnwritableTraceFailsTheSave) {
+  // A snapshot records the trace's durable offset, so a trace whose bytes
+  // never reached the disk must not be recorded as durable: the save fails
+  // like a failed snapshot write, writes nothing, and the run goes on.
+  obs::JsonlTraceSink sink("/dev/full",
+                           obs::JsonlTraceOptions::Deterministic());
+  if (!sink.ok()) GTEST_SKIP() << "/dev/full cannot be opened";
+  const std::string dir = FreshDir("trace_unwritable");
+  obs::VectorSink events;
+  Checkpointer checkpointer(Options(dir), &events);
+  checkpointer.AttachTraceSink(&sink);
+  for (int step = 0; step < 2; ++step) {
+    obs::TraceEvent event("step");
+    event.Field("index", step);
+    sink.Emit(std::move(event));
+    EXPECT_FALSE(checkpointer.Save(MakeTestSnapshot("d", step)));
+  }
+  EXPECT_EQ(checkpointer.saves_attempted(), 2u);
+  EXPECT_EQ(checkpointer.saves_failed(), 2u);
+  EXPECT_EQ(CountEvents(events, "ckpt", "save_error"), 2u);
+  EXPECT_EQ(CountEvents(events, "ckpt", "save"), 0u);
+  EXPECT_TRUE(checkpointer.store().entries().empty());
+
+  // A trace on a device with nothing to sync (fsync reports EINVAL) takes
+  // every write, so it does not fail the save.
+  obs::JsonlTraceSink null_sink("/dev/null",
+                                obs::JsonlTraceOptions::Deterministic());
+  if (!null_sink.ok()) GTEST_SKIP() << "/dev/null cannot be opened";
+  checkpointer.AttachTraceSink(&null_sink);
+  null_sink.Emit(obs::TraceEvent("step"));
+  EXPECT_TRUE(checkpointer.Save(MakeTestSnapshot("d", 2)));
+  EXPECT_EQ(checkpointer.saves_failed(), 2u);
+}
+
 // ------------------------------------------------- fault-site matrix -------
 
 class CkptFaultTest : public ::testing::Test {

@@ -501,16 +501,19 @@ TEST(EvaluatorFaultTest, TaskFailurePoisonsOnlyItsOwnIndividual) {
             1u);
 }
 
-TEST(EvaluatorFaultTest, SerialEvaluateContainsThrow) {
+TEST(EvaluatorFaultTest, OneCandidateBatchContainsThrow) {
   const t::Grammar grammar = ToyGrammar();
   const ThrowableFitness fitness(40);
   gp::FitnessEvaluator evaluator(&grammar, &fitness, gp::SpeedupConfig{});
   Rng rng(23);
   gp::Individual poisoned = MakeIndividual(grammar, 3, rng);
   poisoned.parameters = {13.0};
-  evaluator.Evaluate(&poisoned);
+  evaluator.EvaluateBatch({&poisoned}, nullptr);
   EXPECT_DOUBLE_EQ(poisoned.fitness, kPenaltyFitness);
   EXPECT_EQ(poisoned.outcome, EvalOutcome::kTaskFailed);
+  EXPECT_EQ(evaluator.stats().outcomes[static_cast<std::size_t>(
+                EvalOutcome::kTaskFailed)],
+            1u);
 }
 
 TEST(EvaluatorFaultTest, NonFiniteParameterIsDomainViolation) {
@@ -520,7 +523,7 @@ TEST(EvaluatorFaultTest, NonFiniteParameterIsDomainViolation) {
   Rng rng(29);
   gp::Individual individual = MakeIndividual(grammar, 3, rng);
   individual.parameters = {std::numeric_limits<double>::quiet_NaN()};
-  evaluator.Evaluate(&individual);
+  evaluator.EvaluateBatch({&individual}, nullptr);
   EXPECT_DOUBLE_EQ(individual.fitness, kPenaltyFitness);
   EXPECT_EQ(individual.outcome, EvalOutcome::kDomainViolation);
   EXPECT_EQ(evaluator.stats().outcomes[static_cast<std::size_t>(

@@ -227,8 +227,8 @@ TEST(EvaluatorTest, CacheHitsForIdenticalIndividuals) {
   Rng rng(7);
   Individual a = MakeIndividual(grammar, 5, rng);
   Individual b = a.Clone();
-  evaluator.Evaluate(&a);
-  evaluator.Evaluate(&b);
+  evaluator.EvaluateBatch({&a}, nullptr);
+  evaluator.EvaluateBatch({&b}, nullptr);
   EXPECT_EQ(evaluator.stats().individuals_evaluated, 1u);
   EXPECT_EQ(evaluator.stats().cache_hits, 1u);
   EXPECT_EQ(evaluator.stats().cache_lookups, 2u);
@@ -245,8 +245,8 @@ TEST(EvaluatorTest, CacheDistinguishesParameters) {
   Individual a = MakeIndividual(grammar, 5, rng, 1);
   Individual b = a.Clone();
   b.parameters[0] = 0.75;
-  evaluator.Evaluate(&a);
-  evaluator.Evaluate(&b);
+  evaluator.EvaluateBatch({&a}, nullptr);
+  evaluator.EvaluateBatch({&b}, nullptr);
   EXPECT_EQ(evaluator.stats().cache_hits, 0u);
   EXPECT_EQ(evaluator.stats().individuals_evaluated, 2u);
 }
@@ -262,7 +262,7 @@ TEST(EvaluatorTest, ShortCircuitSkipsTimeSteps) {
 
   // First individual: full evaluation (no bestPrevFull yet).
   Individual good = MakeIndividual(grammar, 2, rng);
-  evaluator.Evaluate(&good);
+  evaluator.EvaluateBatch({&good}, nullptr);
   EXPECT_TRUE(good.fully_evaluated);
   const std::size_t steps_after_first =
       evaluator.stats().time_steps_evaluated;
@@ -276,7 +276,7 @@ TEST(EvaluatorTest, ShortCircuitSkipsTimeSteps) {
   ASSERT_FALSE(bad.genotype->children.empty());
   bad.genotype->children[0].node->lexemes.assign(
       bad.genotype->children[0].node->lexemes.size(), 1e6);
-  evaluator.Evaluate(&bad);
+  evaluator.EvaluateBatch({&bad}, nullptr);
   EXPECT_FALSE(bad.fully_evaluated);
   EXPECT_LT(evaluator.stats().time_steps_evaluated, 2 * 1000u);
   EXPECT_EQ(evaluator.stats().short_circuited, 1u);
@@ -294,14 +294,14 @@ TEST(EvaluatorTest, ConservativeThresholdDelaysShortCircuit) {
     FitnessEvaluator evaluator(&grammar, &fitness, config);
     Rng rng(13);
     Individual good = MakeIndividual(grammar, 2, rng);
-    evaluator.Evaluate(&good);
+    evaluator.EvaluateBatch({&good}, nullptr);
     Individual bad = good.Clone();
     PointInsertion(grammar, SizeBounds{1, 50}, &bad, rng);
     if (!bad.genotype->children.empty()) {
       bad.genotype->children[0].node->lexemes.assign(
           bad.genotype->children[0].node->lexemes.size(), 50.0);
     }
-    evaluator.Evaluate(&bad);
+    evaluator.EvaluateBatch({&bad}, nullptr);
     return evaluator.stats().time_steps_evaluated;
   };
 
@@ -323,8 +323,8 @@ TEST(EvaluatorTest, BackendsAgree) {
   FitnessEvaluator eval_compiled(&grammar, &fitness, compiled);
   Individual a = individual.Clone();
   Individual b = individual.Clone();
-  eval_interpreted.Evaluate(&a);
-  eval_compiled.Evaluate(&b);
+  eval_interpreted.EvaluateBatch({&a}, nullptr);
+  eval_compiled.EvaluateBatch({&b}, nullptr);
   EXPECT_DOUBLE_EQ(a.fitness, b.fitness);
   EXPECT_DOUBLE_EQ(eval_interpreted.EvaluateFull(individual),
                    eval_compiled.EvaluateFull(individual));
@@ -350,7 +350,7 @@ TEST(EvaluatorTest, SimplificationImprovesCacheHits) {
       for (auto& ref : refs) {
         ref.node()->lexemes.assign(ref.node()->lexemes.size(), 0.0);
       }
-      evaluator.Evaluate(&individual);
+      evaluator.EvaluateBatch({&individual}, nullptr);
     }
     return evaluator.stats().CacheHitRate();
   };

@@ -31,14 +31,17 @@
 #include "ckpt/snapshot.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "core/river_grammar.h"
 #include "expr/ast.h"
 #include "expr/eval.h"
+#include "gp/tag3p.h"
 #include "grad/adjoint.h"
 #include "obs/run_context.h"
 #include "obs/telemetry.h"
 #include "river/constituents.h"
 #include "river/dataset.h"
 #include "river/simulate.h"
+#include "river/synthetic.h"
 #include "river/variables.h"
 
 namespace gmr::grad {
@@ -567,6 +570,71 @@ TEST(AdjointRolloutTest, RiverGradientFitnessPopulatesStats) {
       r::ConstituentSet::LegacyPlankton().InitialStates(),
       r::SimulationConfig{});
   EXPECT_EQ(ckpt::HexDouble(value), ckpt::HexDouble(objective(parameters)));
+}
+
+TEST(Tag3pGradientPolishTest, DeterministicAcrossThreadsAndMonotone) {
+  // TAG3P's gradient elite polish (elite_gradient_steps) descends on the
+  // elite's parameters with RiverGradientFitness's adjoint. Each descent
+  // step is one evaluator batch, so the search is bit-identical at any
+  // thread count, and with elitism the per-generation best never rises.
+  r::SyntheticConfig data_config;
+  data_config.years = 2;
+  data_config.train_years = 1;
+  data_config.seed = 3;
+  const r::RiverDataset dataset = r::GenerateNakdongLike(data_config);
+  const core::RiverPriorKnowledge knowledge =
+      core::BuildRiverPriorKnowledge();
+  const r::RiverFitness fitness = r::RiverFitness::ForTraining(&dataset);
+  const RiverGradientFitness gradient = RiverGradientFitness::ForTraining(
+      &dataset, r::ConstituentSet::LegacyPlankton());
+  const gp::Tag3pProblem problem{&knowledge.grammar, &fitness,
+                                 knowledge.priors, &gradient};
+  const auto run = [&](int threads) {
+    gp::Tag3pConfig config;
+    config.population_size = 30;
+    config.max_generations = 6;
+    config.local_search_steps = 3;
+    config.elite_polish_steps = 10;
+    config.elite_gradient_steps = 4;
+    config.sigma_rampdown_generations = 3;
+    config.seed = 5;
+    config.seed_alpha_index = knowledge.seed_alpha_index;
+    config.speedups.tree_caching = true;
+    config.speedups.short_circuiting = true;
+    config.speedups.num_threads = threads;
+    return gp::RunTag3p(config, problem);
+  };
+  const gp::Tag3pResult serial = run(1);
+  const gp::Tag3pResult parallel = run(4);
+
+  EXPECT_EQ(ckpt::HexDouble(serial.best.fitness),
+            ckpt::HexDouble(parallel.best.fitness));
+  EXPECT_EQ(ckpt::SerializeDoubles(serial.best.parameters),
+            ckpt::SerializeDoubles(parallel.best.parameters));
+  ASSERT_EQ(serial.history.size(), parallel.history.size());
+  for (std::size_t g = 0; g < serial.history.size(); ++g) {
+    EXPECT_EQ(ckpt::HexDouble(serial.history[g].best_fitness),
+              ckpt::HexDouble(parallel.history[g].best_fitness))
+        << "generation " << g;
+    EXPECT_EQ(ckpt::HexDouble(serial.history[g].mean_fitness),
+              ckpt::HexDouble(parallel.history[g].mean_fitness))
+        << "generation " << g;
+    if (g > 0) {
+      EXPECT_LE(serial.history[g].best_fitness,
+                serial.history[g - 1].best_fitness)
+          << "generation " << g;
+    }
+  }
+  EXPECT_LT(serial.history.back().best_fitness,
+            serial.history.front().best_fitness);
+  const gp::EvalStats& stats = serial.eval_stats;
+  // One gradient per generation, plus one per accepted descent step.
+  EXPECT_GT(stats.gradient_evaluations, serial.history.size());
+  EXPECT_GT(stats.tape_nodes, 0u);
+  EXPECT_GT(stats.linesearch_steps, 0u);
+  EXPECT_EQ(stats.gradient_evaluations,
+            parallel.eval_stats.gradient_evaluations);
+  EXPECT_EQ(stats.linesearch_steps, parallel.eval_stats.linesearch_steps);
 }
 
 // ------------------------------------------------------- fault injection ---

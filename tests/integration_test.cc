@@ -75,7 +75,7 @@ TEST(IntegrationTest, SpeedupsDoNotChangeFullEvaluationResult) {
       config.short_circuiting = false;
       gp::FitnessEvaluator evaluator(&knowledge.grammar, &fitness, config);
       gp::Individual copy = individual.Clone();
-      evaluator.Evaluate(&copy);
+      evaluator.EvaluateBatch({&copy}, nullptr);
       if (first) {
         reference = copy.fitness;
         first = false;
@@ -109,8 +109,8 @@ TEST(IntegrationTest, ShortCircuitingNeverChangesFullyEvaluatedFitness) {
     individual.parameters = gp::PriorMeans(knowledge.priors);
     gp::Individual a = individual.Clone();
     gp::Individual b = individual.Clone();
-    with_es.Evaluate(&a);
-    without_es.Evaluate(&b);
+    with_es.EvaluateBatch({&a}, nullptr);
+    without_es.EvaluateBatch({&b}, nullptr);
     // ES may over-estimate the fitness of cut-off individuals, but any
     // individual it evaluated fully must carry the exact fitness.
     if (a.fully_evaluated) {

@@ -13,18 +13,22 @@
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/rng.h"
+#include "core/river_grammar.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "gggp/gggp.h"
 #include "gp/evaluator.h"
 #include "gp/tag3p.h"
+#include "grad/adjoint.h"
 #include "obs/manifest.h"
 #include "obs/histogram.h"
 #include "obs/run_context.h"
 #include "obs/telemetry.h"
 #include "obs/trace_reader.h"
 #include "river/biology.h"
+#include "river/domains.h"
 #include "river/parameters.h"
 #include "river/simulate.h"
 #include "river/synthetic.h"
@@ -661,7 +665,10 @@ TEST(TraceSummaryTest, GggpTraceAccountsForEveryEvaluation) {
   ASSERT_TRUE(status.ok()) << status.message;
   const TraceSummary summary = SummarizeTrace(records);
   EXPECT_EQ(summary.driver, "gggp");
-  EXPECT_EQ(summary.curve.size(), 4u);  // one point per generation
+  ASSERT_EQ(summary.curve.size(), 4u);  // one point per generation
+  // Each point covers the population its generation scored, so the curve
+  // ends at the run's best.
+  EXPECT_EQ(summary.curve.back().best_fitness, result.best.fitness);
   const gp::EvalStats& stats = result.eval_stats;
   EXPECT_GT(stats.individuals_evaluated, 0u);
   EXPECT_EQ(summary.total_individuals, stats.individuals_evaluated);
@@ -671,6 +678,80 @@ TEST(TraceSummaryTest, GggpTraceAccountsForEveryEvaluation) {
   }
   EXPECT_GT(stats.cache_lookups, 0u);
   EXPECT_EQ(summary.cache_hit_rate, stats.CacheHitRate());
+}
+
+TEST(TraceSummaryTest, Tag3pTraceAccountsForEveryEvaluation) {
+  // Population batches, local search, elite polish, gradient polish and a
+  // contained task failure all pass through the evaluator's batch barrier,
+  // which alone grows EvalStats and emits its delta: the trace sums to the
+  // run's totals with nothing added back.
+  river::SyntheticConfig data_config;
+  data_config.years = 2;
+  data_config.train_years = 1;
+  data_config.seed = 3;
+  const river::RiverDataset dataset = river::GenerateNakdongLike(data_config);
+  const core::RiverPriorKnowledge knowledge =
+      core::BuildRiverPriorKnowledge();
+  const river::SimulationConfig sim;
+  const river::RiverFitness fitness =
+      river::RiverFitness::ForTraining(&dataset, sim);
+  const grad::RiverGradientFitness gradient =
+      grad::RiverGradientFitness::ForTraining(
+          &dataset, river::ConstituentSet::LegacyPlankton(), sim);
+  const gp::Tag3pProblem problem{&knowledge.grammar, &fitness,
+                                 knowledge.priors, &gradient};
+  gp::Tag3pConfig config;
+  config.population_size = 16;
+  config.max_generations = 4;
+  config.bounds = gp::SizeBounds{2, 12};
+  config.local_search_steps = 2;
+  config.elite_polish_steps = 4;
+  config.elite_gradient_steps = 3;
+  config.seed = 11;
+  config.seed_alpha_index = knowledge.seed_alpha_index;
+  config.speedups.tree_caching = true;
+  config.speedups.short_circuiting = true;
+  config.speedups.static_gate = river::MakeStaticGate(sim, &dataset);
+  config.speedups.num_threads = 2;
+
+  const std::string path = testing::TempDir() + "/obs_summary_tag3p.jsonl";
+  gp::Tag3pResult result;
+  {
+    JsonlTraceSink sink(path);
+    ASSERT_TRUE(sink.ok());
+    RunContext context;
+    context.sink = &sink;
+    std::string error;
+    ASSERT_TRUE(SetFaultSpec("pool_task:once", &error)) << error;
+    result = gp::RunTag3p(config, problem, context);
+    ClearFaults();
+  }
+
+  std::vector<TraceRecord> records;
+  const Status status = ReadTrace(path, &records);
+  ASSERT_TRUE(status.ok()) << status.message;
+  const TraceSummary summary = SummarizeTrace(records);
+  ASSERT_FALSE(summary.batches.empty());
+  const BatchPoint& last = summary.batches.back();
+  const gp::EvalStats& stats = result.eval_stats;
+  EXPECT_EQ(summary.total_individuals, stats.individuals_evaluated);
+  EXPECT_EQ(last.cum_lookups, static_cast<double>(stats.cache_lookups));
+  EXPECT_EQ(last.cum_hits, static_cast<double>(stats.cache_hits));
+  EXPECT_EQ(last.cum_static_rejects,
+            static_cast<double>(stats.static_rejects));
+  for (std::size_t i = 0; i < kNumEvalOutcomes; ++i) {
+    EXPECT_EQ(summary.outcomes[i], stats.outcomes[i])
+        << EvalOutcomeName(static_cast<EvalOutcome>(i));
+  }
+  EXPECT_EQ(stats.outcomes[static_cast<std::size_t>(EvalOutcome::kTaskFailed)],
+            1u);
+  EXPECT_GT(stats.gradient_evaluations, 0u);
+  EXPECT_GT(stats.linesearch_steps, 0u);
+  EXPECT_EQ(summary.gradient_evaluations,
+            static_cast<double>(stats.gradient_evaluations));
+  EXPECT_EQ(summary.tape_nodes, static_cast<double>(stats.tape_nodes));
+  EXPECT_EQ(summary.linesearch_steps,
+            static_cast<double>(stats.linesearch_steps));
 }
 
 }  // namespace

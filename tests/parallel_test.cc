@@ -268,7 +268,7 @@ TEST(EvaluatorTest, CacheHitRestoresStoredFullyEvaluatedBit) {
   Rng rng(7);
 
   Individual worse = MakeIndividual(grammar, 2, rng);
-  evaluator.Evaluate(&worse);
+  evaluator.EvaluateBatch({&worse}, nullptr);
   ASSERT_TRUE(worse.fully_evaluated);
 
   // Find a structurally different individual with strictly better fitness.
@@ -282,13 +282,13 @@ TEST(EvaluatorTest, CacheHitRestoresStoredFullyEvaluatedBit) {
     }
   }
   ASSERT_TRUE(better.genotype != nullptr) << "no better candidate found";
-  evaluator.Evaluate(&better);
+  evaluator.EvaluateBatch({&better}, nullptr);
   ASSERT_TRUE(better.fully_evaluated);
   ASSERT_LT(evaluator.best_prev_full(), worse.fitness);
 
   Individual again = worse.Clone();
   again.fitness = std::numeric_limits<double>::infinity();
-  evaluator.Evaluate(&again);
+  evaluator.EvaluateBatch({&again}, nullptr);
   EXPECT_DOUBLE_EQ(again.fitness, worse.fitness);
   EXPECT_TRUE(again.fully_evaluated);
 
@@ -298,11 +298,11 @@ TEST(EvaluatorTest, CacheHitRestoresStoredFullyEvaluatedBit) {
   ASSERT_FALSE(bad.genotype->children.empty());
   bad.genotype->children[0].node->lexemes.assign(
       bad.genotype->children[0].node->lexemes.size(), 1e6);
-  evaluator.Evaluate(&bad);
+  evaluator.EvaluateBatch({&bad}, nullptr);
   ASSERT_FALSE(bad.fully_evaluated);
   Individual bad_again = bad.Clone();
   bad_again.fitness = std::numeric_limits<double>::infinity();
-  evaluator.Evaluate(&bad_again);
+  evaluator.EvaluateBatch({&bad_again}, nullptr);
   EXPECT_DOUBLE_EQ(bad_again.fitness, bad.fitness);
   EXPECT_FALSE(bad_again.fully_evaluated);
 }
