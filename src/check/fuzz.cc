@@ -6,6 +6,7 @@
 #include "check/shrink.h"
 #include "common/check.h"
 #include "core/river_grammar.h"
+#include "core/transport_grammar.h"
 
 namespace gmr::check {
 namespace {
@@ -46,6 +47,8 @@ FuzzReport RunFuzz(const FuzzOptions& options, const GenConfig& config) {
     properties.push_back({name, FindExprOracle(name), 0, {}});
   }
   const bool run_derivation = MatchesFilter("derivation", options.filter);
+  const bool run_derivation_bytes =
+      MatchesFilter("derivation_bytes", options.filter);
   const bool run_ckpt_generation =
       MatchesFilter("ckpt_generation", options.filter);
 
@@ -128,10 +131,14 @@ FuzzReport RunFuzz(const FuzzOptions& options, const GenConfig& config) {
   // The population-level oracles spawn whole generations (and use the pool
   // themselves), so they run serially over their subsampled indices —
   // nesting ParallelFor inside a pool worker would deadlock the single-job
-  // pool.
-  if ((run_derivation || run_ckpt_generation) && options.iterations > 0) {
-    const core::RiverPriorKnowledge knowledge =
-        core::BuildRiverPriorKnowledge();
+  // pool. Each case runs on the plankton and the five-species transport
+  // grammar.
+  if ((run_derivation || run_derivation_bytes || run_ckpt_generation) &&
+      options.iterations > 0) {
+    const core::RiverPriorKnowledge grammars[] = {
+        core::BuildRiverPriorKnowledge(),
+        core::BuildTransportPriorKnowledge(
+            river::ConstituentSet::Transport(5))};
     const auto every =
         static_cast<std::uint64_t>(std::max(options.derivation_every, 1));
     struct PopulationOracle {
@@ -142,6 +149,7 @@ FuzzReport RunFuzz(const FuzzOptions& options, const GenConfig& config) {
     };
     const PopulationOracle population_oracles[] = {
         {"derivation", run_derivation, CheckDerivationDeterministic},
+        {"derivation_bytes", run_derivation_bytes, CheckDerivationBytes},
         {"ckpt_generation", run_ckpt_generation, CheckGenerationRoundTrip},
     };
     for (const PopulationOracle& oracle : population_oracles) {
@@ -150,13 +158,15 @@ FuzzReport RunFuzz(const FuzzOptions& options, const GenConfig& config) {
       row.name = oracle.name;
       for (std::uint64_t i = 0; i < options.iterations; i += every) {
         const std::uint64_t case_seed = CaseSeed(options.seed, i);
-        ++row.cases;
-        const OracleResult verdict = oracle.check(
-            knowledge.grammar, knowledge.seed_alpha_index, /*count=*/4,
-            /*target_size=*/8, case_seed, options.pool);
-        if (!verdict.ok) {
-          ++row.failures;
-          if (row.first_failure.empty()) row.first_failure = verdict.detail;
+        for (const core::RiverPriorKnowledge& knowledge : grammars) {
+          ++row.cases;
+          const OracleResult verdict = oracle.check(
+              knowledge.grammar, knowledge.seed_alpha_index, /*count=*/4,
+              /*target_size=*/8, case_seed, options.pool);
+          if (!verdict.ok) {
+            ++row.failures;
+            if (row.first_failure.empty()) row.first_failure = verdict.detail;
+          }
         }
       }
       report.total_cases += row.cases;

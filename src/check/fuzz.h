@@ -32,8 +32,10 @@ struct FuzzOptions {
   /// cheap oracles run on all.
   int jit_every = 256;
 
-  /// The derivation-determinism oracle generates whole populations, so it
-  /// runs on every derivation_every-th case.
+  /// The population oracles (derivation, derivation_bytes,
+  /// ckpt_generation) generate whole populations, so they run on every
+  /// derivation_every-th case, once per river grammar (plankton and
+  /// five-species transport).
   int derivation_every = 64;
 
   int max_shrink_attempts = 200;

@@ -10,7 +10,7 @@
 //   --corpus-dir DIR      write shrunk counterexamples into DIR as .gmr files
 //   --replay DIR          replay reproducers in DIR instead of fuzzing
 //   --jit-every N         run the JIT oracle every Nth case (default 256)
-//   --derivation-every N  run the derivation oracle every Nth case (default 64)
+//   --derivation-every N  run the population oracles every Nth case (default 64)
 //   --contexts N          evaluation contexts sampled per case (default 8)
 //   --threads N           worker threads (default 1; GMR_BENCH_THREADS honored)
 //
@@ -125,9 +125,9 @@ int Fuzz(Options options) {
     options.fuzz.pool = pool.get();
   }
   const gmr::check::FuzzReport report = gmr::check::RunFuzz(options.fuzz);
-  std::printf("%-12s %10s %10s\n", "property", "cases", "failures");
+  std::printf("%-16s %10s %10s\n", "property", "cases", "failures");
   for (const auto& row : report.properties) {
-    std::printf("%-12s %10llu %10llu\n", row.name.c_str(),
+    std::printf("%-16s %10llu %10llu\n", row.name.c_str(),
                 static_cast<unsigned long long>(row.cases),
                 static_cast<unsigned long long>(row.failures));
     if (!row.first_failure.empty()) {

@@ -561,6 +561,33 @@ ExprOracle FindExprOracle(const std::string& name) {
   return nullptr;
 }
 
+namespace {
+
+/// Compares ExpandToExpressions with the reference expansion (clone,
+/// adjoin, lower) equation by equation; empty when they agree.
+std::string ReferenceMismatch(const tag::Grammar& grammar,
+                              const tag::DerivationNode& derivation) {
+  const auto direct = tag::ExpandToExpressions(grammar, derivation);
+  const auto reference =
+      tag::LowerToExpressions(*tag::Expand(grammar, derivation));
+  if (direct.size() != reference.size()) {
+    return std::to_string(direct.size()) + " equations, reference has " +
+           std::to_string(reference.size());
+  }
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    const std::string a = expr::ToSExpression(*direct[i]);
+    const std::string b = expr::ToSExpression(*reference[i]);
+    if (a != b ||
+        direct[i]->StructuralHash() != reference[i]->StructuralHash()) {
+      return "equation " + std::to_string(i) + " lowers to " + a +
+             ", reference " + b;
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
 OracleResult CheckDerivationDeterministic(const tag::Grammar& grammar,
                                           int alpha_index, std::size_t count,
                                           std::size_t target_size,
@@ -588,6 +615,12 @@ OracleResult CheckDerivationDeterministic(const tag::Grammar& grammar,
                                 error + " (seed " + std::to_string(seed) +
                                 ")");
     }
+    const std::string mismatch = ReferenceMismatch(grammar, *derivation);
+    if (!mismatch.empty()) {
+      return OracleResult::Fail("phenotype differs from the reference "
+                                "expansion: " + mismatch + " (seed " +
+                                std::to_string(seed) + ")");
+    }
   }
   const std::string a = render(pooled);
   if (a != render(inline_run)) {
@@ -601,6 +634,77 @@ OracleResult CheckDerivationDeterministic(const tag::Grammar& grammar,
     return OracleResult::Fail("re-expanding the same derivations changed the "
                               "phenotype (seed " +
                               std::to_string(seed) + ")");
+  }
+  return OracleResult::Pass();
+}
+
+OracleResult CheckDerivationBytes(const tag::Grammar& grammar,
+                                  int alpha_index, std::size_t count,
+                                  std::size_t target_size, std::uint64_t seed,
+                                  ThreadPool* pool) {
+  // Mostly bytes of the codec's own alphabet, so a mutant often still
+  // parses and reaches Validate and the lowering; now and then any byte.
+  static constexpr std::string_view kCodecBytes = "()0123456789abcdef -";
+  constexpr int kMutantsPerDerivation = 8;
+  const auto population =
+      GenerateDerivations(grammar, alpha_index, count, target_size, seed, pool);
+  Rng rng(CaseSeed(seed, 0xb7e5ULL));
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    const std::string original = ckpt::SerializeDerivation(*population[i]);
+    for (int m = 0; m < kMutantsPerDerivation; ++m) {
+      std::string line = original;
+      const int edits = 1 + rng.UniformInt(0, 3);
+      for (int k = 0; k < edits; ++k) {
+        const char byte =
+            rng.Bernoulli(0.75)
+                ? kCodecBytes[static_cast<std::size_t>(
+                      rng.UniformInt(std::uint64_t{kCodecBytes.size()}))]
+                : static_cast<char>(rng.UniformInt(std::uint64_t{256}));
+        const auto at = static_cast<std::size_t>(
+            rng.UniformInt(std::uint64_t{line.size()}));
+        switch (rng.UniformInt(std::uint64_t{3})) {
+          case 0:
+            line[at] = byte;
+            break;
+          case 1:
+            line.insert(line.begin() + static_cast<std::ptrdiff_t>(at), byte);
+            break;
+          default:
+            if (line.size() > 1) {
+              line.erase(line.begin() + static_cast<std::ptrdiff_t>(at));
+            }
+            break;
+        }
+      }
+      const std::string where = " (derivation " + std::to_string(i) +
+                                ", mutant " + std::to_string(m) + ", seed " +
+                                std::to_string(seed) + ")";
+      std::string error;
+      const tag::DerivationPtr parsed = ckpt::ParseDerivationLine(line, &error);
+      if (parsed == nullptr) {
+        if (error.empty()) {
+          return OracleResult::Fail("rejected without an error" + where);
+        }
+        continue;
+      }
+      if (!tag::Validate(grammar, *parsed, &error)) continue;
+      const tag::TagNode& alpha = grammar.alpha(parsed->tree_index).root();
+      const std::size_t equations =
+          alpha.kind == tag::TagNode::Kind::kSystem ? alpha.children.size()
+                                                    : 1;
+      const std::size_t lowered =
+          tag::ExpandToExpressions(grammar, *parsed).size();
+      if (lowered != equations) {
+        return OracleResult::Fail(std::to_string(lowered) +
+                                  " equations lowered, the alpha has " +
+                                  std::to_string(equations) + where);
+      }
+      const std::string mismatch = ReferenceMismatch(grammar, *parsed);
+      if (!mismatch.empty()) {
+        return OracleResult::Fail("phenotype differs from the reference "
+                                  "expansion: " + mismatch + where);
+      }
+    }
   }
   return OracleResult::Pass();
 }

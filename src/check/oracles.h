@@ -153,13 +153,25 @@ ExprOracle FindExprOracle(const std::string& name);
 /// Derivation determinism: generating `count` derivations of about
 /// `target_size` nodes from (grammar, seed) must produce byte-identical
 /// expanded phenotypes whether fanned out over `pool` or run inline, every
-/// derivation must Validate, and re-expanding the same derivation must be
-/// a pure function.
+/// derivation must Validate and lower to the reference expansion's
+/// equations (tag::Expand, then LowerToExpressions: same S-expressions and
+/// hashes), and re-expanding the same derivation must be a pure function.
 OracleResult CheckDerivationDeterministic(const tag::Grammar& grammar,
                                           int alpha_index, std::size_t count,
                                           std::size_t target_size,
                                           std::uint64_t seed,
                                           ThreadPool* pool);
+
+/// Derivation-codec byte mutation: each of `count` generated derivations
+/// is serialized and mutated in 1-4 seeded bytes (replaced, inserted or
+/// deleted) several times. ParseDerivationLine must return a tree or a
+/// non-empty error; a tree that tag::Validate accepts must lower without
+/// abort to its alpha tree's equation count and equal the reference
+/// expansion. This is the contract restored snapshots rely on.
+OracleResult CheckDerivationBytes(const tag::Grammar& grammar,
+                                  int alpha_index, std::size_t count,
+                                  std::size_t target_size, std::uint64_t seed,
+                                  ThreadPool* pool);
 
 /// Whole-generation checkpoint fixpoint: a generated population of `count`
 /// derivations, each paired with a random parameter vector, must survive

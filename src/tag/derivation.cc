@@ -1,5 +1,6 @@
 #include "tag/derivation.h"
 
+#include <algorithm>
 #include <set>
 
 #include "common/check.h"
@@ -126,10 +127,148 @@ TagNodePtr Expand(const Grammar& grammar, const DerivationNode& root) {
   return std::move(instance.root);
 }
 
+/// Lowers a derivation from its elementary trees' plans: the result of
+/// ExpandNode + LowerToExpressions, without the derived tree.
+class DerivationLowering {
+ public:
+  explicit DerivationLowering(const Grammar& grammar) : grammar_(grammar) {}
+
+  std::vector<expr::ExprPtr> Equations(const DerivationNode& root) const {
+    const ElementaryTree& alpha = grammar_.alpha(root.tree_index);
+    GMR_CHECK_MSG(!alpha.IsAuxiliary(), "the root tree has a foot node");
+    Frame frame = Open(alpha, root, nullptr);
+    std::vector<expr::ExprPtr> equations;
+    if (alpha.plan_[0].kind == TagNode::Kind::kSystem) {
+      equations.reserve(static_cast<std::size_t>(alpha.plan_[0].num_children));
+      for (int child = 1; child < alpha.plan_[0].end;
+           child = alpha.plan_[static_cast<std::size_t>(child)].end) {
+        equations.push_back(LowerAt(&frame, child));
+      }
+    } else {
+      equations.push_back(LowerAt(&frame, 0));
+    }
+    GMR_CHECK_EQ(frame.next, frame.sites.size());
+    return equations;
+  }
+
+ private:
+  /// One derivation node being lowered over its elementary tree.
+  struct Frame {
+    const ElementaryTree* tree = nullptr;
+    const DerivationNode* node = nullptr;
+    /// The lowered adjunction target that replaces a beta's foot.
+    const expr::ExprPtr* foot = nullptr;
+    /// The node's adjunctions, stably sorted by address. Addresses follow
+    /// the preorder the plan is walked in, so every site before `next` has
+    /// been reached and `sites[next]` is the first one still ahead.
+    std::vector<const DerivationNode::AdjunctionChild*> sites;
+    std::size_t next = 0;
+  };
+
+  static Frame Open(const ElementaryTree& tree, const DerivationNode& node,
+                    const expr::ExprPtr* foot) {
+    GMR_CHECK_EQ(node.lexemes.size(), tree.slot_labels().size());
+    Frame frame{&tree, &node, foot, {}, 0};
+    frame.sites.reserve(node.children.size());
+    for (const auto& child : node.children) {
+      GMR_CHECK_GE(child.address_index, 0);
+      GMR_CHECK_LT(static_cast<std::size_t>(child.address_index),
+                   tree.adjoinable_labels().size());
+      const auto after = std::upper_bound(
+          frame.sites.begin(), frame.sites.end(), child.address_index,
+          [](int address, const DerivationNode::AdjunctionChild* site) {
+            return address < site->address_index;
+          });
+      frame.sites.insert(after, &child);
+    }
+    return frame;
+  }
+
+  expr::ExprPtr LowerAt(Frame* frame, int index) const {
+    const ElementaryTree::PlanNode& node =
+        frame->tree->plan_[static_cast<std::size_t>(index)];
+    const bool touched =
+        frame->next < frame->sites.size() &&
+        frame->sites[frame->next]->address_index < node.address_end;
+    if (!touched && node.lowered != nullptr) return node.lowered;
+
+    // Take this node's own adjunctions before its descendants' (its address
+    // precedes theirs); they wrap the node once its subtree is lowered.
+    const bool adjoinable = node.kind == TagNode::Kind::kOperator ||
+                            node.kind == TagNode::Kind::kWrapper;
+    const std::size_t first = frame->next;
+    while (adjoinable && frame->next < frame->sites.size() &&
+           frame->sites[frame->next]->address_index == node.index) {
+      ++frame->next;
+    }
+    const std::size_t last = frame->next;
+
+    expr::ExprPtr lowered;
+    switch (node.kind) {
+      case TagNode::Kind::kLeaf:
+        lowered = node.lowered;
+        break;
+      case TagNode::Kind::kSlot:
+        lowered = expr::Constant(
+            frame->node->lexemes[static_cast<std::size_t>(node.index)]);
+        break;
+      case TagNode::Kind::kFoot:
+        GMR_CHECK_MSG(frame->foot != nullptr, "cannot lower a foot node");
+        lowered = *frame->foot;
+        break;
+      case TagNode::Kind::kWrapper:
+        GMR_CHECK_EQ(node.num_children, 1);
+        lowered = LowerAt(frame, index + 1);
+        break;
+      case TagNode::Kind::kOperator: {
+        const int arity = expr::Arity(node.op);
+        GMR_CHECK_EQ(node.num_children, arity);
+        GMR_CHECK_MSG(arity > 0, "operator node with a leaf kind");
+        expr::ExprPtr a = LowerAt(frame, index + 1);
+        if (arity == 1) {
+          lowered = expr::MakeUnary(node.op, std::move(a));
+          break;
+        }
+        const int second =
+            frame->tree->plan_[static_cast<std::size_t>(index + 1)].end;
+        lowered = expr::MakeBinary(node.op, std::move(a),
+                                   LowerAt(frame, second));
+        break;
+      }
+      case TagNode::Kind::kSystem:
+        GMR_CHECK_MSG(false, "nested system node");
+        break;
+    }
+    // The first-adjoined beta ends up outermost, as repeated Adjoin calls at
+    // one node leave it.
+    for (std::size_t k = last; k > first; --k) {
+      const Symbol& label = frame->tree->adjoinable_labels()[
+          static_cast<std::size_t>(node.index)];
+      lowered = LowerBeta(*frame->sites[k - 1]->node, label, lowered);
+    }
+    return lowered;
+  }
+
+  /// Lowers the beta derivation `node` with `target` at its foot.
+  expr::ExprPtr LowerBeta(const DerivationNode& node,
+                          const Symbol& site_label,
+                          const expr::ExprPtr& target) const {
+    const ElementaryTree& beta = grammar_.beta(node.tree_index);
+    GMR_CHECK_MSG(beta.IsAuxiliary(), "adjoined tree has no foot node");
+    GMR_CHECK_MSG(beta.root_label() == site_label,
+                  "adjunction label mismatch");
+    Frame frame = Open(beta, node, &target);
+    expr::ExprPtr lowered = LowerAt(&frame, 0);
+    GMR_CHECK_EQ(frame.next, frame.sites.size());
+    return lowered;
+  }
+
+  const Grammar& grammar_;
+};
+
 std::vector<expr::ExprPtr> ExpandToExpressions(const Grammar& grammar,
                                                const DerivationNode& root) {
-  TagNodePtr derived = Expand(grammar, root);
-  return LowerToExpressions(*derived);
+  return DerivationLowering(grammar).Equations(root);
 }
 
 bool Validate(const Grammar& grammar, const DerivationNode& root,

@@ -48,14 +48,21 @@ const ElementaryTree& ElementaryTreeOf(const Grammar& grammar,
                                        const DerivationNode& node,
                                        bool is_root);
 
-/// Expands the derivation tree into a completed derived tree: instantiates
-/// each node's elementary tree, substitutes its lexemes, and performs all
-/// adjunctions bottom-up. Aborts on malformed derivations (bad indices,
-/// occupied addresses, label mismatches) — the GP operators maintain those
-/// invariants.
+/// The textbook expansion, kept as the reference ExpandToExpressions is
+/// tested against: instantiates each node's elementary tree, substitutes
+/// its lexemes, and performs all adjunctions bottom-up into a completed
+/// derived tree. Aborts on malformed derivations (bad indices, lexeme
+/// counts, label mismatches) — the GP operators maintain those invariants.
 TagNodePtr Expand(const Grammar& grammar, const DerivationNode& root);
 
-/// Expand followed by LowerToExpressions.
+/// The phenotype: one expression per equation, equal in structure to
+/// LowerToExpressions(*Expand(grammar, root)) and aborting on the same
+/// malformed derivations. Lowers straight from each elementary tree's plan
+/// without building the derived tree: only the nodes on the paths from an
+/// equation root to a lexeme, a foot or an adjunction site are allocated;
+/// every other subtree is the grammar's own pre-lowered, pre-hashed Expr,
+/// shared by every phenotype (and every position) that leaves it alone.
+/// Adjunctions at one address nest with the first-adjoined outermost.
 std::vector<expr::ExprPtr> ExpandToExpressions(const Grammar& grammar,
                                                const DerivationNode& root);
 

@@ -9,42 +9,13 @@ namespace {
 
 /// Finds the owning unique_ptr of `target` within the tree rooted at *root.
 /// Returns nullptr when target is not in the tree. O(n), acceptable because
-/// process trees are small and adjunction is not the evaluation hot path.
+/// only the reference expansion (tag::Expand) adjoins.
 TagNodePtr* FindOwner(TagNodePtr* root, TagNode* target) {
   if (root->get() == target) return root;
   for (auto& child : (*root)->children) {
     if (TagNodePtr* found = FindOwner(&child, target)) return found;
   }
   return nullptr;
-}
-
-void IndexTree(const TagNode& node, Address* path, bool* has_foot,
-               std::vector<Symbol>* adjoinable_labels,
-               std::vector<Address>* adjoinable_addresses,
-               std::vector<Symbol>* slot_labels) {
-  switch (node.kind) {
-    case TagNode::Kind::kOperator:
-    case TagNode::Kind::kWrapper:
-      adjoinable_labels->push_back(node.label);
-      adjoinable_addresses->push_back(*path);
-      break;
-    case TagNode::Kind::kSlot:
-      slot_labels->push_back(node.label);
-      break;
-    case TagNode::Kind::kFoot:
-      GMR_CHECK_MSG(!*has_foot, "auxiliary tree has two foot nodes");
-      *has_foot = true;
-      break;
-    case TagNode::Kind::kSystem:
-    case TagNode::Kind::kLeaf:
-      break;
-  }
-  for (std::size_t i = 0; i < node.children.size(); ++i) {
-    path->push_back(static_cast<int>(i));
-    IndexTree(*node.children[i], path, has_foot, adjoinable_labels,
-              adjoinable_addresses, slot_labels);
-    path->pop_back();
-  }
 }
 
 void CollectPointers(TagNode* node, std::vector<TagNode*>* adjoinable,
@@ -151,20 +122,78 @@ TagNodePtr FromExpr(const expr::ExprPtr& e, const Symbol& label) {
 ElementaryTree::ElementaryTree(std::string name, TagNodePtr root)
     : name_(std::move(name)), root_(std::move(root)) {
   GMR_CHECK(root_ != nullptr);
-  Address path;
-  IndexTree(*root_, &path, &has_foot_, &adjoinable_labels_,
-            &adjoinable_addresses_, &slot_labels_);
-  if (has_foot_) {
-    // The foot must carry the same non-terminal as the root (TAG invariant).
-    // Locate it for the label check.
-    std::vector<TagNode*> adjoinable;
-    std::vector<TagNode*> slots;
-    TagNode* foot = nullptr;
-    CollectPointers(root_.get(), &adjoinable, &slots, &foot);
-    GMR_CHECK(foot != nullptr);
-    GMR_CHECK_MSG(foot->label == root_->label,
-                  "foot label must match root label");
+  plan_.reserve(root_->NodeCount());  // A grammar holds a plan per tree.
+  IndexNode(*root_);
+}
+
+void ElementaryTree::IndexNode(const TagNode& node) {
+  // plan_ grows during the recursion, so entries are addressed by index.
+  const std::size_t index = plan_.size();
+  plan_.push_back(PlanNode{});
+  plan_[index].kind = node.kind;
+  plan_[index].op = node.op;
+  plan_[index].num_children = static_cast<int>(node.children.size());
+  switch (node.kind) {
+    case TagNode::Kind::kOperator:
+    case TagNode::Kind::kWrapper:
+      plan_[index].index = static_cast<int>(adjoinable_labels_.size());
+      adjoinable_labels_.push_back(node.label);
+      break;
+    case TagNode::Kind::kSlot:
+      plan_[index].index = static_cast<int>(slot_labels_.size());
+      slot_labels_.push_back(node.label);
+      break;
+    case TagNode::Kind::kFoot:
+      GMR_CHECK_MSG(!has_foot_, "auxiliary tree has two foot nodes");
+      // The foot must carry the same non-terminal as the root (TAG
+      // invariant).
+      GMR_CHECK_MSG(node.label == root_->label,
+                    "foot label must match root label");
+      has_foot_ = true;
+      break;
+    case TagNode::Kind::kSystem:
+    case TagNode::Kind::kLeaf:
+      break;
   }
+  for (const auto& child : node.children) IndexNode(*child);
+
+  PlanNode& entry = plan_[index];
+  entry.end = static_cast<int>(plan_.size());
+  entry.address_end = static_cast<int>(adjoinable_labels_.size());
+  // Lower the subtree once if no lexeme and no foot enters it; a malformed
+  // node stays null and fails its check when a derivation lowers it.
+  const expr::ExprPtr* first =
+      entry.num_children > 0 ? &plan_[index + 1].lowered : nullptr;
+  switch (node.kind) {
+    case TagNode::Kind::kLeaf:
+      entry.lowered = node.leaf;
+      break;
+    case TagNode::Kind::kWrapper:
+      if (entry.num_children == 1) entry.lowered = *first;
+      break;
+    case TagNode::Kind::kOperator: {
+      const int arity = expr::Arity(node.op);
+      if (entry.num_children != arity || arity == 0 || *first == nullptr) {
+        break;
+      }
+      if (arity == 1) {
+        entry.lowered = expr::MakeUnary(node.op, *first);
+        break;
+      }
+      const expr::ExprPtr& second =
+          plan_[static_cast<std::size_t>(plan_[index + 1].end)].lowered;
+      if (second != nullptr) {
+        entry.lowered = expr::MakeBinary(node.op, *first, second);
+      }
+      break;
+    }
+    case TagNode::Kind::kSlot:
+    case TagNode::Kind::kFoot:
+    case TagNode::Kind::kSystem:
+      break;
+  }
+  // Hash now, so lanes that share this node only ever read its hash.
+  if (entry.lowered != nullptr) entry.lowered->StructuralHash();
 }
 
 ElementaryTree::Instance ElementaryTree::Instantiate() const {

@@ -68,13 +68,11 @@ TagNodePtr FootNode(Symbol label);
 /// labeled `label`. Used for seeds without designated extension points.
 TagNodePtr FromExpr(const expr::ExprPtr& e, const Symbol& label);
 
-/// Gorn address: the path of child indices from the root (empty = root).
-using Address = std::vector<int>;
-
-/// An elementary tree: an alpha (initial) tree when `foot_address` is empty,
-/// or a beta (auxiliary) tree whose foot node's label equals the root label.
+/// An elementary tree: an alpha (initial) tree when it has no foot node, or
+/// a beta (auxiliary) tree whose foot node's label equals the root label.
 /// Construction scans the tree once to index the adjoinable interior nodes
-/// and the open substitution slots.
+/// and the open substitution slots, and to record the lowering plan that
+/// ExpandToExpressions (derivation.h) reads instead of the tree.
 class ElementaryTree {
  public:
   /// Takes ownership of `root`. `name` is used in diagnostics and printing.
@@ -91,11 +89,9 @@ class ElementaryTree {
 
   /// Labels of the nodes where adjunction may take place, indexed by
   /// "address index" (the integers that appear on derivation-tree links).
+  /// Address indices follow the preorder of the tree.
   const std::vector<Symbol>& adjoinable_labels() const {
     return adjoinable_labels_;
-  }
-  const std::vector<Address>& adjoinable_addresses() const {
-    return adjoinable_addresses_;
   }
 
   /// Labels of the open substitution slots, in left-to-right order; the
@@ -104,6 +100,7 @@ class ElementaryTree {
 
   /// Deep-copies the tree and returns raw pointers to the clone's
   /// adjoinable nodes / slot nodes / foot (parallel to the accessors above).
+  /// Only the reference expansion (tag::Expand) instantiates trees.
   struct Instance {
     TagNodePtr root;
     std::vector<TagNode*> adjoinable;
@@ -113,12 +110,35 @@ class ElementaryTree {
   Instance Instantiate() const;
 
  private:
+  friend class DerivationLowering;  // derivation.cc reads plan_.
+
+  /// One node of the tree, in preorder: the first child of node i is node
+  /// i + 1 and each further child starts at its elder sibling's `end`.
+  struct PlanNode {
+    TagNode::Kind kind = TagNode::Kind::kLeaf;
+    expr::NodeKind op = expr::NodeKind::kAdd;
+    int num_children = 0;
+    /// Address index of an operator or wrapper, slot index of a slot; -1
+    /// otherwise.
+    int index = -1;
+    int end = 0;  ///< One past the subtree's last node.
+    /// One past the subtree's last address index; an adjoinable node's
+    /// subtree holds the addresses [index, address_end).
+    int address_end = 0;
+    /// The subtree lowered once, with its hash computed, when it holds no
+    /// slot and no foot (a leaf's own payload); null otherwise. Built from
+    /// the children's `lowered`, so the grammar owns O(n) extra nodes.
+    expr::ExprPtr lowered;
+  };
+
+  void IndexNode(const TagNode& node);
+
   std::string name_;
   TagNodePtr root_;
   bool has_foot_ = false;
   std::vector<Symbol> adjoinable_labels_;
-  std::vector<Address> adjoinable_addresses_;
   std::vector<Symbol> slot_labels_;
+  std::vector<PlanNode> plan_;
 };
 
 /// Adjoins the auxiliary instance `beta` at node `target` of the tree rooted

@@ -86,6 +86,16 @@ TEST(GenTest, DerivationPopulationIsByteIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(verdict.ok) << verdict.detail;
 }
 
+TEST(GenTest, DerivationByteMutantsParseOrFailWithAnError) {
+  const tag::Grammar grammar = ToyGrammar();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const OracleResult verdict = CheckDerivationBytes(
+        grammar, /*alpha_index=*/0, /*count=*/8, /*target_size=*/6, seed,
+        nullptr);
+    EXPECT_TRUE(verdict.ok) << verdict.detail;
+  }
+}
+
 TEST(GenTest, RandomParametersStayInPriorBoxes) {
   const GenConfig config = RiverGenConfig();
   Rng rng(5);

@@ -6,8 +6,10 @@
 #include "core/analysis.h"
 #include "core/gmr.h"
 #include "core/river_grammar.h"
+#include "core/transport_grammar.h"
 #include "expr/print.h"
 #include "expr/simplify.h"
+#include "gp/operators.h"
 #include "river/biology.h"
 #include "river/parameters.h"
 #include "river/synthetic.h"
@@ -130,6 +132,68 @@ TEST(RiverGrammarTest, RandomRevisionsStayValidAndLowerable) {
     const auto equations =
         t::ExpandToExpressions(knowledge.grammar, *genotype);
     ASSERT_EQ(equations.size(), 2u);
+  }
+}
+
+// ExpandToExpressions lowers straight from the grammar's plans; it must
+// print and hash like the textbook clone, adjoin and lower of the derived
+// tree on every derivation the search can reach.
+void ExpectLoweringMatchesReference(const t::Grammar& grammar,
+                                    const t::DerivationNode& derivation) {
+  const auto direct = t::ExpandToExpressions(grammar, derivation);
+  const auto reference =
+      t::LowerToExpressions(*t::Expand(grammar, derivation));
+  ASSERT_EQ(direct.size(), reference.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(e::ToSExpression(*direct[i]), e::ToSExpression(*reference[i]))
+        << "equation " << i;
+    EXPECT_EQ(direct[i]->StructuralHash(), reference[i]->StructuralHash())
+        << "equation " << i;
+  }
+}
+
+TEST(RiverGrammarTest, LoweringMatchesReferenceExpansionUnderEveryMove) {
+  const RiverPriorKnowledge grammars[] = {
+      BuildRiverPriorKnowledge(),
+      BuildTransportPriorKnowledge(r::ConstituentSet::Transport(5))};
+  const gp::SizeBounds bounds{1, 50};
+  Rng rng(21);
+  for (const RiverPriorKnowledge& knowledge : grammars) {
+    const t::Grammar& grammar = knowledge.grammar;
+    for (std::size_t size = 1; size <= 50; ++size) {
+      gp::Individual a;
+      a.genotype =
+          t::GrowRandom(grammar, knowledge.seed_alpha_index, size, rng);
+      a.parameters = gp::PriorMeans(knowledge.priors);
+      gp::Individual b;
+      b.genotype =
+          t::GrowRandom(grammar, knowledge.seed_alpha_index, size, rng);
+      b.parameters = a.parameters;
+      ExpectLoweringMatchesReference(grammar, *a.genotype);
+      for (int move = 0; move < 20; ++move) {
+        switch (rng.UniformInt(std::uint64_t{5})) {
+          case 0:
+            gp::PointInsertion(grammar, bounds, &a, rng);
+            break;
+          case 1:
+            gp::PointDeletion(bounds, &a, rng);
+            break;
+          case 2:
+            gp::Crossover(grammar, bounds, /*max_retries=*/5, &a, &b, rng);
+            break;
+          case 3:
+            gp::SubtreeMutation(grammar, bounds, &a, rng);
+            break;
+          default:
+            gp::GaussianMutation(knowledge.priors, 1.0, &a, rng);
+            break;
+        }
+      }
+      std::string error;
+      ASSERT_TRUE(t::Validate(grammar, *a.genotype, &error)) << error;
+      ExpectLoweringMatchesReference(grammar, *a.genotype);
+      ExpectLoweringMatchesReference(grammar, *b.genotype);
+    }
   }
 }
 

@@ -13,10 +13,15 @@
 #include "common/rng.h"
 #include "common/striped_map.h"
 #include "common/thread_pool.h"
+#include "core/river_grammar.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
+#include "expr/print.h"
+#include "expr/simplify.h"
 #include "gp/evaluator.h"
 #include "gp/tag3p.h"
+#include "river/parameters.h"
+#include "river/stepper.h"
 #include "tag/generate.h"
 
 namespace gmr::gp {
@@ -171,6 +176,63 @@ TEST(ThreadPoolTest, NestedDataParallelSum) {
   double sum = 0.0;
   for (double v : values) sum += v;
   EXPECT_DOUBLE_EQ(sum, static_cast<double>(kN * (kN - 1)) / 2.0);
+}
+
+// ------------------------------------------------ shared phenotype nodes ----
+
+// Phenotypes share the grammar's pre-lowered subtrees, so every lane reads
+// the same Expr nodes (their hashes and reference counts) while it lowers,
+// simplifies, hashes and compiles. Four lanes over the same 64 plankton
+// derivations must each reproduce the serial result.
+TEST(SharedPhenotypeTest, LanesLowerSimplifyHashAndCompileSharedNodes) {
+  const core::RiverPriorKnowledge knowledge = core::BuildRiverPriorKnowledge();
+  const t::Grammar& grammar = knowledge.grammar;
+  constexpr std::size_t kDerivations = 64;
+  constexpr std::size_t kLanes = 4;
+  Rng rng(17);
+  std::vector<t::DerivationPtr> derivations;
+  for (std::size_t i = 0; i < kDerivations; ++i) {
+    derivations.push_back(
+        t::GrowRandom(grammar, knowledge.seed_alpha_index, 1 + i % 40, rng));
+  }
+  struct Phenotype {
+    std::string text;
+    std::uint64_t hash = 0;
+    std::size_t tape_size = 0;
+  };
+  const auto build = [&](const t::DerivationNode& derivation) {
+    std::vector<e::ExprPtr> equations =
+        t::ExpandToExpressions(grammar, derivation);
+    Phenotype out;
+    for (auto& equation : equations) {
+      equation = e::Simplify(equation);
+      out.text += e::ToSExpression(*equation) + "\n";
+      out.hash = out.hash * 31 + equation->StructuralHash();
+    }
+    out.tape_size =
+        e::Compile(equations,
+                   river::RolloutLayout(equations.size(),
+                                        river::kNumParameters))
+            .size();
+    return out;
+  };
+  // The lanes run first, so they are the first to touch anything a
+  // phenotype computes lazily.
+  std::vector<Phenotype> lanes(kLanes * kDerivations);
+  ThreadPool pool(static_cast<int>(kLanes));
+  pool.ParallelFor(lanes.size(), [&](std::size_t i, int) {
+    lanes[i] = build(*derivations[i % kDerivations]);
+  });
+  std::vector<Phenotype> serial;
+  for (const auto& derivation : derivations) {
+    serial.push_back(build(*derivation));
+  }
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const Phenotype& expected = serial[i % kDerivations];
+    EXPECT_EQ(lanes[i].text, expected.text) << "item " << i;
+    EXPECT_EQ(lanes[i].hash, expected.hash) << "item " << i;
+    EXPECT_EQ(lanes[i].tape_size, expected.tape_size) << "item " << i;
+  }
 }
 
 // ----------------------------------------------------------- striped map ----

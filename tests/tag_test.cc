@@ -252,6 +252,190 @@ TEST(DerivationTest, CloneIsIndependent) {
   }
 }
 
+// ---------------------------------------------------- Direct lowering ----
+
+// A two-equation system for the lowering cases (variables x, y, z, w):
+//   eq0 = {x * y} ExtA      eq1 = {z + 2} ExtB
+// Alpha addresses in preorder: 0 = ExtA wrapper, 1 = x * y (Exp),
+// 2 = ExtB wrapper, 3 = z + 2 (Exp). Betas:
+//   0: ExtA -> ExtA* - R
+//   1: ExtA -> ExtA* * (R * y + R)  address 1 = (R * y + R), labeled Exp
+//   2: Exp  -> Exp* + R
+//   3: ExtB -> ExtB* / (x * w)    address 1 = (x * w): no slot, no foot
+TagNodePtr Binary(Symbol label, e::NodeKind op, TagNodePtr a, TagNodePtr b) {
+  std::vector<TagNodePtr> children;
+  children.push_back(std::move(a));
+  children.push_back(std::move(b));
+  return OperatorNode(std::move(label), op, std::move(children));
+}
+
+TagNodePtr Var(int slot, const char* name) {
+  return LeafNode(e::Variable(slot, name));
+}
+
+Grammar MakeSystemGrammar() {
+  using K = e::NodeKind;
+  Grammar grammar;
+  std::vector<TagNodePtr> equations;
+  equations.push_back(WrapperNode(
+      "ExtA", Binary(kExpSymbol, K::kMul, Var(0, "x"), Var(1, "y"))));
+  equations.push_back(
+      WrapperNode("ExtB", Binary(kExpSymbol, K::kAdd, Var(2, "z"),
+                                 LeafNode(e::Constant(2.0)))));
+  grammar.AddAlphaTree(
+      ElementaryTree("system", SystemNode(std::move(equations))));
+  grammar.AddBetaTree(ElementaryTree(
+      "sub", Binary("ExtA", K::kSub, FootNode("ExtA"), SlotNode("R"))));
+  grammar.AddBetaTree(ElementaryTree(
+      "scale",
+      Binary("ExtA", K::kMul, FootNode("ExtA"),
+             Binary(kExpSymbol, K::kAdd,
+                    Binary(kExpSymbol, K::kMul, SlotNode("R"), Var(1, "y")),
+                    SlotNode("R")))));
+  grammar.AddBetaTree(ElementaryTree(
+      "shift", Binary(kExpSymbol, K::kAdd, FootNode(kExpSymbol),
+                      SlotNode("R"))));
+  grammar.AddBetaTree(ElementaryTree(
+      "ratio", Binary("ExtB", K::kDiv, FootNode("ExtB"),
+                      Binary(kExpSymbol, K::kMul, Var(0, "x"),
+                             Var(3, "w")))));
+  return grammar;
+}
+
+DerivationPtr MakeNode(int tree_index, std::vector<double> lexemes = {}) {
+  auto node = std::make_unique<DerivationNode>();
+  node->tree_index = tree_index;
+  node->lexemes = std::move(lexemes);
+  return node;
+}
+
+DerivationNode* AdjoinAt(DerivationNode* parent, int address,
+                         DerivationPtr child) {
+  parent->children.push_back({address, std::move(child)});
+  return parent->children.back().node.get();
+}
+
+// Lowers `root` directly, expects the reference expansion's S-expressions,
+// and returns the infix text of each equation.
+std::vector<std::string> LowerChecked(const Grammar& grammar,
+                                      const DerivationNode& root,
+                                      std::vector<e::ExprPtr>* out = nullptr) {
+  const auto direct = ExpandToExpressions(grammar, root);
+  const auto reference = LowerToExpressions(*Expand(grammar, root));
+  EXPECT_EQ(direct.size(), reference.size());
+  std::vector<std::string> text;
+  for (std::size_t i = 0; i < direct.size() && i < reference.size(); ++i) {
+    EXPECT_EQ(e::ToSExpression(*direct[i]), e::ToSExpression(*reference[i]))
+        << "equation " << i;
+    EXPECT_EQ(direct[i]->StructuralHash(), reference[i]->StructuralHash());
+    text.push_back(e::ToString(*direct[i]));
+  }
+  if (out != nullptr) *out = direct;
+  return text;
+}
+
+TEST(DirectLoweringTest, AdjunctionAtAlphaRoot) {
+  Grammar grammar = MakeToyGrammar();
+  auto root = MakeNode(0);
+  AdjoinAt(root.get(), 0, MakeNode(0, {0.25}));
+  EXPECT_EQ(LowerChecked(grammar, *root),
+            std::vector<std::string>{"B_Phy * mu_Phy - 0.25"});
+}
+
+TEST(DirectLoweringTest, AdjunctionAtWrapper) {
+  Grammar grammar = MakeSystemGrammar();
+  auto root = MakeNode(0);
+  AdjoinAt(root.get(), 2, MakeNode(3));
+  EXPECT_EQ(LowerChecked(grammar, *root),
+            (std::vector<std::string>{"x * y", "(z + 2) / (x * w)"}));
+}
+
+TEST(DirectLoweringTest, BetaIntoBetaIntoBetaChain) {
+  Grammar grammar = MakeSystemGrammar();
+  auto root = MakeNode(0);
+  DerivationNode* scale = AdjoinAt(root.get(), 0, MakeNode(1, {0.5, 2.0}));
+  DerivationNode* shift = AdjoinAt(scale, 1, MakeNode(2, {0.25}));
+  AdjoinAt(shift, 0, MakeNode(2, {0.125}));
+  std::string error;
+  ASSERT_TRUE(Validate(grammar, *root, &error)) << error;
+  EXPECT_EQ(LowerChecked(grammar, *root),
+            (std::vector<std::string>{
+                "x * y * (0.5 * y + 2 + 0.25 + 0.125)", "z + 2"}));
+}
+
+TEST(DirectLoweringTest, AncestorAndDescendantAddressesInEitherOrder) {
+  Grammar grammar = MakeSystemGrammar();
+  for (const bool ancestor_first : {true, false}) {
+    auto root = MakeNode(0);
+    if (ancestor_first) AdjoinAt(root.get(), 0, MakeNode(0, {0.5}));
+    AdjoinAt(root.get(), 1, MakeNode(2, {0.25}));
+    if (!ancestor_first) AdjoinAt(root.get(), 0, MakeNode(0, {0.5}));
+    EXPECT_EQ(LowerChecked(grammar, *root),
+              (std::vector<std::string>{"x * y + 0.25 - 0.5", "z + 2"}))
+        << "ancestor_first " << ancestor_first;
+  }
+}
+
+TEST(DirectLoweringTest, DuplicateAddressNestsFirstAdjoinedOutermost) {
+  // Validate rejects the duplicate, but the lowering accepts it like
+  // repeated Adjoin calls at one node: the later beta wraps the target
+  // inside the earlier one.
+  Grammar grammar = MakeSystemGrammar();
+  auto root = MakeNode(0);
+  AdjoinAt(root.get(), 0, MakeNode(0, {0.25}));
+  AdjoinAt(root.get(), 0, MakeNode(0, {0.5}));
+  AdjoinAt(root.get(), 3, MakeNode(2, {1.0}));
+  std::string error;
+  EXPECT_FALSE(Validate(grammar, *root, &error));
+  EXPECT_EQ(LowerChecked(grammar, *root),
+            (std::vector<std::string>{"x * y - 0.5 - 0.25", "z + 2 + 1"}));
+}
+
+TEST(DirectLoweringTest, DisabledBetaStillLowers) {
+  Grammar grammar = MakeSystemGrammar();
+  auto root = MakeNode(0);
+  AdjoinAt(root.get(), 0, MakeNode(0, {0.5}));
+  const auto before = LowerChecked(grammar, *root);
+  grammar.DisableAdjunction({0});
+  EXPECT_TRUE(grammar.BetasWithRootLabel("ExtA") == std::vector<int>{1});
+  EXPECT_EQ(LowerChecked(grammar, *root), before);
+  EXPECT_EQ(before[0], "x * y - 0.5");
+}
+
+TEST(DirectLoweringTest, UntouchedSubtreesAreTheGrammarsOwnNodes) {
+  Grammar grammar = MakeSystemGrammar();
+  const DerivationNode bare;
+  std::vector<e::ExprPtr> first;
+  std::vector<e::ExprPtr> second;
+  LowerChecked(grammar, bare, &first);
+  LowerChecked(grammar, bare, &second);
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(first[0], second[0]);
+  EXPECT_EQ(first[1], second[1]);
+
+  // An adjunction inside equation 0 rebuilds only its path: equation 1 and
+  // equation 0's untouched x * y stay shared.
+  auto root = MakeNode(0);
+  AdjoinAt(root.get(), 0, MakeNode(0, {0.5}));
+  std::vector<e::ExprPtr> revised;
+  LowerChecked(grammar, *root, &revised);
+  ASSERT_EQ(revised.size(), 2u);
+  EXPECT_NE(revised[0], first[0]);
+  EXPECT_EQ(revised[0]->children()[0], first[0]);
+  EXPECT_EQ(revised[1], first[1]);
+
+  // A beta's slot-free, foot-free interior is shared between its uses.
+  auto twice = MakeNode(0);
+  DerivationNode* outer = AdjoinAt(twice.get(), 2, MakeNode(3));
+  AdjoinAt(outer, 0, MakeNode(3));
+  std::vector<e::ExprPtr> doubled;
+  EXPECT_EQ(LowerChecked(grammar, *twice, &doubled)[1],
+            "(z + 2) / (x * w) / (x * w)");
+  EXPECT_EQ(doubled[1]->children()[1],
+            doubled[1]->children()[0]->children()[1]);
+}
+
 // ----------------------------------------------------------- Generate -----
 
 class GeneratePropertyTest : public ::testing::TestWithParam<int> {};
