@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the hot paths behind the Figure 10
 // speedups: expression evaluation through both backends, algebraic
-// simplification, TAG expansion, hydrological routing, and the genetic
-// operators — plus the divergence-watchdog containment cost/benefit, which
-// is also summarized into BENCH_fault.json by the custom main.
+// simplification, TAG expansion and phenotypes, hydrological routing, and
+// the genetic operators — plus the divergence-watchdog containment
+// cost/benefit, which is also summarized into BENCH_fault.json by the
+// custom main.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "expr/simplify.h"
+#include "gp/evaluator.h"
 #include "gp/operators.h"
 #include "river/biology.h"
 #include "river/chemistry.h"
@@ -126,6 +128,39 @@ void BM_TagExpand(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TagExpand)->Arg(4)->Arg(16)->Arg(50);
+
+/// The fitness FitnessEvaluator is built over for BM_Phenotype, which
+/// never scores a candidate.
+class UnscoredFitness : public gp::SequentialFitness {
+ public:
+  std::size_t num_cases() const override { return 1; }
+  std::size_t num_parameters() const override { return 0; }
+  std::unique_ptr<gp::SequentialEvaluation> Begin(
+      const std::vector<expr::ExprPtr>&, const std::vector<double>&,
+      bool) const override {
+    return nullptr;
+  }
+};
+
+/// A phenotype as the evaluator builds it: the expansion of BM_TagExpand's
+/// derivation plus Simplify, which reads the evaluator's simplified form
+/// of every grammar subtree the derivation leaves untouched.
+void BM_Phenotype(benchmark::State& state) {
+  const core::RiverPriorKnowledge knowledge =
+      core::BuildRiverPriorKnowledge();
+  Rng rng(3);
+  gp::Individual individual;
+  individual.genotype = tag::GrowRandom(
+      knowledge.grammar, knowledge.seed_alpha_index,
+      static_cast<std::size_t>(state.range(0)), rng);
+  const UnscoredFitness fitness;
+  const gp::FitnessEvaluator evaluator(&knowledge.grammar, &fitness,
+                                       gp::SpeedupConfig{});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(evaluator.Phenotype(individual));
+  }
+}
+BENCHMARK(BM_Phenotype)->Arg(16)->Arg(50);
 
 void BM_GeneticOperators(benchmark::State& state) {
   const core::RiverPriorKnowledge knowledge =

@@ -219,7 +219,11 @@ std::vector<AccuracyRow> RunCalibrationMethods(
     config.seed = 1000 + rows.size();
     const calibrate::CalibrationResult result = calibrate::Run(
         *calibrator, config,
-        calibrate::CalibrationProblem{objective, bounds, initial});
+        calibrate::CalibrationProblem{.objective = objective,
+                                      .bounds = bounds,
+                                      .initial = initial,
+                                      .active = {},
+                                      .gradient = {}});
     AccuracyRow row;
     row.method_class = "Model calibration";
     row.method = calibrator->name();

@@ -39,16 +39,28 @@ namespace gmr::analysis {
 /// immutable and shares structure across phenotypes) are visited once per
 /// pass instance. Transfer functions must therefore be deterministic:
 /// structurally equal subtrees always map to equal abstract values.
+///
+/// A pass may also read a table of values computed ahead of time, for
+/// subtrees that many passes share (gp::FitnessEvaluator keeps the
+/// intervals of the grammar's shared subtrees): a node found there is
+/// neither walked nor memoized. The table must hold this domain's own
+/// values for its keys, and keys and table must outlive the pass.
 template <typename Domain>
 class DataflowPass {
  public:
   using Value = typename Domain::Value;
+  using Table = std::unordered_map<const expr::Expr*, Value>;
 
-  explicit DataflowPass(Domain domain) : domain_(std::move(domain)) {}
+  explicit DataflowPass(Domain domain, const Table* table = nullptr)
+      : domain_(std::move(domain)), table_(table) {}
 
-  /// Bottom-up abstract value of `node`, memoized by node pointer for the
-  /// lifetime of this pass instance.
+  /// Bottom-up abstract value of `node`: the table's entry, or the value
+  /// memoized by node pointer for the lifetime of this pass instance.
   const Value& Evaluate(const expr::Expr& node) {
+    if (table_ != nullptr) {
+      const auto hit = table_->find(&node);
+      if (hit != table_->end()) return hit->second;
+    }
     const auto it = memo_.find(&node);
     if (it != memo_.end()) return it->second;
     Value value = Transfer(node);
@@ -58,7 +70,8 @@ class DataflowPass {
   Domain& domain() { return domain_; }
   const Domain& domain() const { return domain_; }
 
-  /// Nodes evaluated so far (distinct shared subtrees, not tree size).
+  /// Nodes evaluated so far (distinct shared subtrees, not tree size;
+  /// table entries are not counted).
   std::size_t nodes_visited() const { return memo_.size(); }
 
  private:
@@ -83,6 +96,7 @@ class DataflowPass {
   }
 
   Domain domain_;
+  const Table* table_;
   std::unordered_map<const expr::Expr*, Value> memo_;
 };
 

@@ -269,8 +269,9 @@ Interval IntervalDomain::Binary(const expr::Expr& node, const Interval& a,
   return ApplyBinaryInterval(node.kind(), a, b);
 }
 
-Interval EvaluateInterval(const expr::Expr& node, const DomainEnv& env) {
-  DataflowPass<IntervalDomain> pass(IntervalDomain{&env});
+Interval EvaluateInterval(const expr::Expr& node, const DomainEnv& env,
+                          const IntervalTable* table) {
+  DataflowPass<IntervalDomain> pass(IntervalDomain{&env}, table);
   return pass.Evaluate(node);
 }
 

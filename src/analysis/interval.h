@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dataflow.h"
 #include "expr/ast.h"
 
 namespace gmr::analysis {
@@ -116,9 +117,14 @@ struct IntervalDomain {
                   const Interval& b) const;
 };
 
+/// Intervals over one DomainEnv computed ahead of time, by node.
+using IntervalTable = DataflowPass<IntervalDomain>::Table;
+
 /// Bottom-up interval evaluation of a whole tree over `env`: one
-/// DataflowPass<IntervalDomain> per call.
-Interval EvaluateInterval(const expr::Expr& node, const DomainEnv& env);
+/// DataflowPass<IntervalDomain> per call, reading `table` (intervals over
+/// the same env) for the subtrees it holds.
+Interval EvaluateInterval(const expr::Expr& node, const DomainEnv& env,
+                          const IntervalTable* table = nullptr);
 
 }  // namespace gmr::analysis
 

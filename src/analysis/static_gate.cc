@@ -22,11 +22,13 @@ const char* GateRuleName(GateRule rule) {
 }
 
 StaticVerdict AnalyzeCandidate(const std::vector<expr::ExprPtr>& equations,
-                               const StaticGateConfig& config) {
+                               const StaticGateConfig& config,
+                               const IntervalTable* intervals) {
   StaticVerdict verdict;
   for (std::size_t i = 0; i < equations.size(); ++i) {
     GMR_CHECK(equations[i] != nullptr);
-    const Interval iv = EvaluateInterval(*equations[i], config.domains);
+    const Interval iv =
+        EvaluateInterval(*equations[i], config.domains, intervals);
     // hi == -inf: the derivative is -inf everywhere -> the very first
     // evaluation is non-finite. lo >= saturation_rate: every reachable
     // derivative saturates the per-substep clamp (lo == +inf is subsumed,

@@ -82,9 +82,12 @@ struct StaticVerdict {
 /// runtime watchdogs (PR 2) own that case; the interval rules only take
 /// candidates whose doom is a theorem (the opt-in rules reject physically
 /// meaningless candidates that may still integrate fine). Pure and
-/// deterministic.
+/// deterministic. `intervals`, when given, holds intervals over
+/// config.domains computed ahead of time for shared subtrees; the verdict
+/// is the same with or without it.
 StaticVerdict AnalyzeCandidate(const std::vector<expr::ExprPtr>& equations,
-                               const StaticGateConfig& config);
+                               const StaticGateConfig& config,
+                               const IntervalTable* intervals = nullptr);
 
 }  // namespace gmr::analysis
 

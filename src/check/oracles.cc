@@ -1,13 +1,16 @@
 #include "check/oracles.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string_view>
 
 #include "analysis/activity.h"
 #include "analysis/static_gate.h"
 #include "ckpt/serialize.h"
+#include "common/check.h"
 #include "common/metrics.h"
 #include "common/parse.h"
 #include "expr/batch_jit.h"
@@ -16,6 +19,7 @@
 #include "expr/parser.h"
 #include "expr/print.h"
 #include "expr/simplify.h"
+#include "gp/evaluator.h"
 #include "grad/adjoint.h"
 #include "tag/derivation.h"
 
@@ -98,6 +102,32 @@ analysis::DomainEnv CaseDomains(const ExprCase& c, const OracleContext& ctx) {
   return env;
 }
 
+/// A pointer-distinct copy of `node`: structurally equal, sharing no node.
+expr::ExprPtr DeepCopy(const expr::ExprPtr& node) {
+  switch (node->kind()) {
+    case expr::NodeKind::kConstant:
+      return expr::Constant(node->value());
+    case expr::NodeKind::kParameter:
+      return expr::Parameter(node->slot(), node->name());
+    case expr::NodeKind::kVariable:
+      return expr::Variable(node->slot(), node->name());
+    default:
+      break;
+  }
+  if (node->children().size() == 1) {
+    return expr::MakeUnary(node->kind(), DeepCopy(node->children()[0]));
+  }
+  return expr::MakeBinary(node->kind(), DeepCopy(node->children()[0]),
+                          DeepCopy(node->children()[1]));
+}
+
+/// Bit-for-bit agreement, -0.0 against 0.0 included; any NaN matches any
+/// NaN (which payload an operator propagates is the compiler's choice).
+bool SameBits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 }  // namespace
 
 OracleResult CheckVmAgrees(const ExprCase& c, const OracleContext& ctx) {
@@ -133,18 +163,28 @@ OracleResult CheckSimplifiedVmAgrees(const ExprCase& c,
 }
 
 OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx) {
-  // 2-5 roots compiled together: the case tree, one of its operand
+  // 8-11 roots compiled together: the case tree, one of its operand
   // subtrees (pointer-shared with root 0, so the same nodes flatten twice),
-  // and fresh trees drawn from the case seed. The variable slots past a
-  // drawn state count are held: the program runs in rollout form, one Bind,
-  // two Hold calls, and two or more Runs per Hold that change only the
-  // states.
+  // and fresh trees drawn from the case seed; then planted repeats that
+  // value numbering must share: a pointer-distinct copy of the case tree,
+  // x - copy(x) over root 1, and zero literals of both signs (equal
+  // literals share a register, -0.0 and 0.0 must not). The variable slots
+  // past a drawn state count are held: the program runs in rollout form,
+  // one Bind, two Hold calls, and two or more Runs per Hold that change
+  // only the states.
   Rng rng(CaseSeed(c.seed, 0x5157e3ULL));
   std::vector<expr::ExprPtr> roots = {c.tree};
   const int extra = rng.UniformInt(1, 4);
   for (int i = 0; i < extra; ++i) {
     roots.push_back(i == 0 && !c.tree->IsLeaf() ? c.tree->children()[0]
                                                 : RandomExpr(*ctx.config, rng));
+  }
+  for (expr::ExprPtr planted :
+       {DeepCopy(c.tree), expr::Sub(roots[1], DeepCopy(roots[1])),
+        expr::Constant(-0.0), expr::Constant(0.0),
+        expr::Add(expr::Constant(-0.0), expr::Constant(-0.0)),
+        expr::Add(expr::Constant(0.0), expr::Constant(-0.0))}) {
+    roots.push_back(std::move(planted));
   }
   std::vector<const expr::Expr*> pointers;
   for (const expr::ExprPtr& root : roots) pointers.push_back(root.get());
@@ -177,7 +217,7 @@ OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx) {
       const auto ec = MakeEvalContext(vars, parameters);
       for (std::size_t r = 0; r < roots.size(); ++r) {
         const double want = expr::EvalExpr(*roots[r], ec);
-        if (!WithinUlps(out[r], want, 0)) {
+        if (!SameBits(out[r], want)) {
           std::ostringstream detail;
           detail.precision(17);
           detail << "system-vm root " << r << " of " << roots.size()
@@ -586,6 +626,113 @@ std::string ReferenceMismatch(const tag::Grammar& grammar,
   return "";
 }
 
+/// The fitness the derivation oracle hands gp::FitnessEvaluator, which
+/// needs one to exist: the oracle only reads phenotypes and gate verdicts,
+/// so nothing is ever scored against it.
+class UnscoredFitness : public gp::SequentialFitness {
+ public:
+  std::size_t num_cases() const override { return 1; }
+  std::size_t num_parameters() const override { return 0; }
+  std::unique_ptr<gp::SequentialEvaluation> Begin(
+      const std::vector<expr::ExprPtr>&, const std::vector<double>&,
+      bool) const override {
+    GMR_CHECK_MSG(false, "the derivation oracle scores no candidate");
+    return nullptr;
+  }
+};
+
+/// A gate over domains drawn from `rng`: each of the first 32 variable and
+/// 48 parameter slots is unbounded, a half-line from a small bound, or a
+/// finite box, and the saturation rate is low, moderate or +inf, so both
+/// verdicts occur.
+analysis::StaticGateConfig DrawGate(Rng& rng) {
+  const auto draw = [&rng] {
+    switch (rng.UniformInt(std::uint64_t{4})) {
+      case 0:
+        return analysis::Interval::All();
+      case 1:
+        return analysis::Interval{rng.Uniform(-1.0, 1.0),
+                                  std::numeric_limits<double>::infinity(),
+                                  false};
+      default: {
+        const double lo = rng.Uniform(-2.0, 5.0);
+        return analysis::Interval::Of(lo, lo + rng.Uniform(0.0, 20.0));
+      }
+    }
+  };
+  analysis::StaticGateConfig gate;
+  gate.enabled = true;
+  gate.domains.variables.resize(32);
+  for (analysis::Interval& slot : gate.domains.variables) slot = draw();
+  gate.domains.parameters.resize(48);
+  for (analysis::Interval& slot : gate.domains.parameters) slot = draw();
+  constexpr double kRates[] = {1.0, 1e3,
+                               std::numeric_limits<double>::infinity()};
+  gate.saturation_rate = kRates[rng.UniformInt(std::uint64_t{3})];
+  return gate;
+}
+
+/// Compares the table-backed phenotype and gate verdicts of `derivation`
+/// under an evaluator built with `config` with the plain walks: the
+/// phenotype must print and hash like the reference expansion (simplified
+/// when the evaluator simplifies), and each verdict must equal
+/// AnalyzeCandidate over it without tables — under the configured rate,
+/// and under each equation's own interval lower bound as the rate, where
+/// the verdict depends on (and its reason prints) that interval. Empty
+/// when they agree.
+std::string EvaluatorMismatch(const tag::Grammar& grammar,
+                              gp::SpeedupConfig config,
+                              const tag::DerivationNode& derivation) {
+  const UnscoredFitness unscored;
+  gp::Individual individual;
+  individual.genotype = derivation.Clone();
+  std::vector<expr::ExprPtr> reference =
+      tag::LowerToExpressions(*tag::Expand(grammar, derivation));
+  if (config.simplify_before_eval) {
+    for (expr::ExprPtr& equation : reference) {
+      equation = expr::Simplify(equation);
+    }
+  }
+  const std::string form =
+      config.simplify_before_eval ? "simplified" : "raw";
+  std::vector<double> rates = {config.static_gate.saturation_rate};
+  for (const expr::ExprPtr& equation : reference) {
+    const double lo =
+        analysis::EvaluateInterval(*equation, config.static_gate.domains).lo;
+    if (std::isfinite(lo)) rates.push_back(lo);
+  }
+  for (const double rate : rates) {
+    config.static_gate.saturation_rate = rate;
+    const gp::FitnessEvaluator evaluator(&grammar, &unscored, config);
+    const std::vector<expr::ExprPtr> phenotype =
+        evaluator.Phenotype(individual);
+    if (phenotype.size() != reference.size()) {
+      return form + " phenotype has " + std::to_string(phenotype.size()) +
+             " equations, reference " + std::to_string(reference.size());
+    }
+    for (std::size_t i = 0; i < phenotype.size(); ++i) {
+      const std::string a = expr::ToSExpression(*phenotype[i]);
+      const std::string b = expr::ToSExpression(*reference[i]);
+      if (a != b ||
+          phenotype[i]->StructuralHash() != reference[i]->StructuralHash()) {
+        return form + " phenotype equation " + std::to_string(i) + " is " +
+               a + ", reference " + b;
+      }
+    }
+    const analysis::StaticVerdict tabled = evaluator.AnalyzeGate(phenotype);
+    const analysis::StaticVerdict plain =
+        analysis::AnalyzeCandidate(reference, config.static_gate);
+    if (tabled.rule != plain.rule || tabled.equation != plain.equation ||
+        tabled.reason != plain.reason) {
+      return form + " gate verdict '" + tabled.reason + "' (rule " +
+             analysis::GateRuleName(tabled.rule) + "), without tables '" +
+             plain.reason + "' (rule " + analysis::GateRuleName(plain.rule) +
+             ")";
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 OracleResult CheckDerivationDeterministic(const tag::Grammar& grammar,
@@ -608,6 +755,12 @@ OracleResult CheckDerivationDeterministic(const tag::Grammar& grammar,
       GenerateDerivations(grammar, alpha_index, count, target_size, seed, pool);
   const auto inline_run = GenerateDerivations(grammar, alpha_index, count,
                                               target_size, seed, nullptr);
+  // The evaluator's tables, simplifying and not, under a drawn gate.
+  Rng gate_rng(CaseSeed(seed, 0x9a7eULL));
+  gp::SpeedupConfig simplifying;
+  simplifying.static_gate = DrawGate(gate_rng);
+  gp::SpeedupConfig raw = simplifying;
+  raw.simplify_before_eval = false;
   for (const auto& derivation : pooled) {
     std::string error;
     if (!tag::Validate(grammar, *derivation, &error)) {
@@ -615,11 +768,19 @@ OracleResult CheckDerivationDeterministic(const tag::Grammar& grammar,
                                 error + " (seed " + std::to_string(seed) +
                                 ")");
     }
-    const std::string mismatch = ReferenceMismatch(grammar, *derivation);
+    std::string mismatch = ReferenceMismatch(grammar, *derivation);
     if (!mismatch.empty()) {
       return OracleResult::Fail("phenotype differs from the reference "
                                 "expansion: " + mismatch + " (seed " +
                                 std::to_string(seed) + ")");
+    }
+    for (const gp::SpeedupConfig* config : {&simplifying, &raw}) {
+      mismatch = EvaluatorMismatch(grammar, *config, *derivation);
+      if (!mismatch.empty()) {
+        return OracleResult::Fail("the evaluator's shared tables disagree "
+                                  "with the plain walk: " + mismatch +
+                                  " (seed " + std::to_string(seed) + ")");
+      }
     }
   }
   const std::string a = render(pooled);

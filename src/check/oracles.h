@@ -56,11 +56,14 @@ struct OracleResult {
 /// counts as agreement) on every sampled context.
 OracleResult CheckVmAgrees(const ExprCase& c, const OracleContext& ctx);
 
-/// Equation-system VM vs tree interpreter: 2-5 roots (the case tree, one
-/// of its pointer-shared operand subtrees, and fresh trees from the case
-/// seed) compiled into one register program, with a drawn number of the
-/// variable slots as states and the rest held, must agree bitwise (0 ULP;
-/// both-NaN counts as agreement) with EvalExpr root by root. The program
+/// Equation-system VM vs tree interpreter: 8-11 roots (the case tree, one
+/// of its pointer-shared operand subtrees, fresh trees from the case seed,
+/// and planted repeats value numbering must share or keep apart: a
+/// pointer-distinct copy of the case tree, x - copy(x), and zero literals
+/// of both signs) compiled into one register program, with a drawn number
+/// of the variable slots as states and the rest held, must agree bit for
+/// bit (the sign of zero included; both-NaN counts as agreement) with
+/// EvalExpr root by root. The program
 /// runs in rollout form, as the DerivativeRunner does: one Bind, two Hold
 /// calls with different held values, and after each at least two Runs that
 /// change only the states.
@@ -156,6 +159,12 @@ ExprOracle FindExprOracle(const std::string& name);
 /// derivation must Validate and lower to the reference expansion's
 /// equations (tag::Expand, then LowerToExpressions: same S-expressions and
 /// hashes), and re-expanding the same derivation must be a pure function.
+/// gp::FitnessEvaluator's shared tables must not change a result: under a
+/// gate over domains drawn from the seed, with and without simplification,
+/// the evaluator's phenotype prints and hashes like the reference
+/// expansion (simplified likewise), and its table-backed gate verdict
+/// equals AnalyzeCandidate without tables, under the drawn saturation rate
+/// and under each equation's own interval lower bound as the rate.
 OracleResult CheckDerivationDeterministic(const tag::Grammar& grammar,
                                           int alpha_index, std::size_t count,
                                           std::size_t target_size,

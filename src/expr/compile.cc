@@ -1,6 +1,7 @@
 #include "expr/compile.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/check.h"
@@ -34,6 +35,86 @@ void GrowLayout(const Expr& n, TapeLayout* layout) {
 /// The tape segment of a value, ordered from least to most varying.
 enum class Segment : std::uint8_t { kBind, kHold, kRun };
 
+/// Value numbers of one Flatten call: an open-addressing table from a
+/// value's key to the tagged register that already holds it. An operator's
+/// key is (op, a, b) over its tagged operand registers, which name their
+/// values exactly; a literal's key is its bit pattern under kConstant, which
+/// no operator carries, so -0.0 and 0.0 (and NaN payloads) stay apart.
+/// Reused across calls; a generation stamp empties it without touching a
+/// slot.
+class ValueNumbers {
+ public:
+  static constexpr std::uint32_t kNone = ~0u;
+
+  /// Starts an empty numbering.
+  void Reset() {
+    size_ = 0;
+    generation_ += kGenerationStep;
+    if (generation_ == 0) {  // The stamp wrapped: clear for real.
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      generation_ = kGenerationStep;
+    }
+  }
+
+  /// The register numbered `(kind, key)`, kNone on the first lookup, which
+  /// inserts the key; the caller then stores the register it emits. The
+  /// reference holds until the next lookup.
+  std::uint32_t& Find(NodeKind kind, std::uint64_t key) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    const std::uint32_t stamp = generation_ | static_cast<std::uint32_t>(kind);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = Index(stamp, key);; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.stamp == stamp && slot.key == key) return slot.reg;
+      if ((slot.stamp & ~kKindMask) != generation_) {
+        slot = Slot{key, stamp, kNone};
+        ++size_;
+        return slot.reg;
+      }
+    }
+  }
+
+ private:
+  /// The low bits of a stamp hold the key's kind, the rest the generation.
+  static constexpr std::uint32_t kKindMask = 15;
+  static constexpr std::uint32_t kGenerationStep = kKindMask + 1;
+
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t stamp = 0;
+    std::uint32_t reg = kNone;
+  };
+
+  /// Fibonacci hashing: the top bits of the mixed key.
+  std::size_t Index(std::uint32_t stamp, std::uint64_t key) const {
+    const std::uint64_t h =
+        (key ^ (static_cast<std::uint64_t>(stamp & kKindMask) << 59)) *
+        0x9e3779b97f4a7c15ULL;
+    return static_cast<std::size_t>(h >> shift_);
+  }
+
+  /// Doubles the table, keeping this call's entries.
+  void Grow() {
+    std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(slots_.size());
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if ((slot.stamp & ~kKindMask) != generation_) continue;
+      std::size_t i = Index(slot.stamp, slot.key);
+      while ((slots_[i].stamp & ~kKindMask) == generation_) {
+        i = (i + 1) & mask;
+      }
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  int shift_ = 64;
+  std::uint32_t generation_ = 0;
+};
+
 /// A register operand and the segment of the value it holds.
 struct Operand {
   std::uint32_t reg;
@@ -44,24 +125,33 @@ struct Operand {
 /// An operator belongs to the segment of its most-varying operand and is
 /// numbered in postorder within that segment; the dst tag records the
 /// segment until Flatten sorts the instructions and gives each its own
-/// register.
+/// register. A value numbered before — an equal literal, or an operator
+/// whose (op, a, b) an earlier instruction already computes — returns that
+/// register and emits nothing: the same kernel on the same registers gives
+/// the same bits.
 class Emitter {
  public:
   Emitter(const TapeLayout& layout, Tape* tape,
           std::vector<TapeInstruction>* postorder,
-          std::vector<const Expr*>* sources)
+          std::vector<const Expr*>* sources, ValueNumbers* numbers)
       : layout_(layout),
         tape_(tape),
         postorder_(postorder),
-        sources_(sources) {}
+        sources_(sources),
+        numbers_(numbers) {}
 
   Operand Emit(const Expr& n) {
     switch (n.kind()) {
-      case NodeKind::kConstant:
-        tape_->constants.push_back(n.value());
-        return {kConstantTag |
-                    static_cast<std::uint32_t>(tape_->constants.size() - 1),
-                Segment::kBind};
+      case NodeKind::kConstant: {
+        std::uint32_t& reg = numbers_->Find(
+            NodeKind::kConstant, std::bit_cast<std::uint64_t>(n.value()));
+        if (reg == ValueNumbers::kNone) {
+          reg = kConstantTag |
+                static_cast<std::uint32_t>(tape_->constants.size());
+          tape_->constants.push_back(n.value());
+        }
+        return {reg, Segment::kBind};
+      }
       case NodeKind::kVariable: {
         const auto slot = static_cast<std::size_t>(n.slot());
         GMR_CHECK_LT(slot, layout_.num_variables);
@@ -79,11 +169,14 @@ class Emitter {
     const Operand a = Emit(*n.children()[0]);
     const Operand b = Arity(n.kind()) == 2 ? Emit(*n.children()[1]) : a;
     const Segment segment = std::max(a.segment, b.segment);
+    std::uint32_t& reg = numbers_->Find(
+        n.kind(), (static_cast<std::uint64_t>(a.reg) << 32) | b.reg);
+    if (reg != ValueNumbers::kNone) return {reg, segment};
     const int s = static_cast<int>(segment);
-    const std::uint32_t dst = kSegmentTag[s] | counts_[s]++;
-    postorder_->push_back({n.kind(), dst, a.reg, b.reg});
+    reg = kSegmentTag[s] | counts_[s]++;
+    postorder_->push_back({n.kind(), reg, a.reg, b.reg});
     if (sources_ != nullptr) sources_->push_back(&n);
-    return {dst, segment};
+    return {reg, segment};
   }
 
   std::uint32_t num_bind() const { return counts_[0]; }
@@ -97,6 +190,7 @@ class Emitter {
   Tape* tape_;
   std::vector<TapeInstruction>* postorder_;
   std::vector<const Expr*>* sources_;
+  ValueNumbers* numbers_;
   /// Operators emitted per segment.
   std::uint32_t counts_[3] = {0, 0, 0};
 };
@@ -166,10 +260,12 @@ Tape Flatten(std::span<const Expr* const> roots, const TapeLayout& layout,
   // sorted into segments. Reused across calls, so a compile allocates the
   // tape's instruction vector once, at its final size.
   thread_local std::vector<TapeInstruction> postorder;
+  thread_local ValueNumbers numbers;
   postorder.clear();
+  numbers.Reset();
   std::vector<const Expr*> postorder_sources;
   Emitter emitter(layout, &tape, &postorder,
-                  sources != nullptr ? &postorder_sources : nullptr);
+                  sources != nullptr ? &postorder_sources : nullptr, &numbers);
   for (const Expr* root : roots) {
     tape.outputs.push_back(emitter.Emit(*root).reg);
   }

@@ -25,14 +25,21 @@ struct TapeLayout {
   std::size_t num_states = num_variables;
 };
 
-/// One register-form instruction: dst = op(a, b), one per operator node of
-/// the source (unary operators ignore b). Operands index the register file
+/// One register-form instruction: dst = op(a, b), one per distinct
+/// operator subtree of the source (unary operators ignore b). Operands
+/// index the register file
 ///
 ///   [variables | parameters | constants | temporaries]
 ///
 /// so leaves cost no instruction: a variable, parameter or literal operand
 /// is read where it lives. dst is the instruction's own temporary, distinct
 /// from both operands.
+///
+/// Flatten value-numbers the source: an operator whose (op, a, b) an
+/// earlier instruction already computes reads that instruction's register
+/// instead of emitting a copy, and equal literals (by bit pattern, so -0.0
+/// and 0.0 stay apart) share one constant register. A subterm repeated
+/// within or across roots, shared by pointer or not, therefore runs once.
 struct TapeInstruction {
   NodeKind op = NodeKind::kAdd;
   std::uint32_t dst = 0;
@@ -56,10 +63,14 @@ struct TapeInstruction {
 /// Every instruction has its own register (SSA form): instruction i writes
 /// temporary_base() + i and reads only registers written before it, so
 /// after a run the register file holds every intermediate value — the
-/// values the adjoint's reverse sweep reads (grad/adjoint.h).
+/// values the adjoint's reverse sweep reads (grad/adjoint.h). A register
+/// that several instructions read is written once and never overwritten,
+/// so the reverse sweep sums every reader's cotangent into it before it
+/// propagates.
 struct Tape {
   TapeLayout layout;
-  /// Value of constant register constant_base() + i.
+  /// Value of constant register constant_base() + i (distinct bit
+  /// patterns).
   std::vector<double> constants;
   std::vector<TapeInstruction> ops;
   std::size_t hold_begin = 0;
@@ -77,7 +88,7 @@ struct Tape {
   std::size_t num_registers() const { return temporary_base() + ops.size(); }
   /// Number of roots (outputs per run).
   std::size_t num_outputs() const { return outputs.size(); }
-  /// Number of instructions (operator nodes of the source).
+  /// Number of instructions (distinct operator subtrees of the source).
   std::size_t size() const { return ops.size(); }
   bool empty() const { return outputs.empty(); }
 };
@@ -86,10 +97,11 @@ struct Tape {
 /// reference, with every variable a state.
 TapeLayout LayoutOf(std::span<const Expr* const> roots);
 
-/// Flattens `roots` into one register tape over `layout` (segmented as
-/// described at Tape). Aborts when a leaf slot falls outside the layout.
-/// When `sources` is given, it receives the operator node each instruction
-/// was emitted from, in tape order.
+/// Flattens `roots` into one value-numbered register tape over `layout`
+/// (segmented as described at Tape). Aborts when a leaf slot falls outside
+/// the layout. When `sources` is given, it receives the operator node each
+/// instruction was emitted from (the first occurrence of its value), in
+/// tape order.
 Tape Flatten(std::span<const Expr* const> roots, const TapeLayout& layout,
              std::vector<const Expr*>* sources = nullptr);
 Tape Flatten(const std::vector<ExprPtr>& roots, const TapeLayout& layout);
@@ -101,11 +113,11 @@ Tape Flatten(const std::vector<ExprPtr>& roots, const TapeLayout& layout);
 /// during fitness evaluation run compiled code instead of re-parsing the
 /// tree. This library substitutes an in-process equivalent: the whole
 /// equation system is flattened once into a register tape (one instruction
-/// per operator, leaves read in place) executed by a tight dispatch loop
-/// over a preallocated register file (no recursion, no virtual dispatch, no
-/// pointer chasing). The measured effect — compiled-form evaluation
-/// replacing repeated tree walking inside the GP loop — is the same
-/// mechanism (see DESIGN.md section 4).
+/// per distinct operator subtree, leaves read in place) executed by a tight
+/// dispatch loop over a preallocated register file (no recursion, no
+/// virtual dispatch, no pointer chasing). The measured effect —
+/// compiled-form evaluation replacing repeated tree walking inside the GP
+/// loop — is the same mechanism (see DESIGN.md section 4).
 ///
 /// Runs are bit-identical to EvalExpr on each source root (both call the
 /// same ApplyUnary/ApplyBinary kernels on the same operand values).
@@ -145,7 +157,8 @@ class CompiledProgram {
   /// Single-root convenience: binds `ctx` and returns root 0's value.
   double Run(const EvalContext& ctx) const;
 
-  /// Number of instructions in the tape (operator nodes of the source).
+  /// Number of instructions in the tape (distinct operator subtrees of the
+  /// source).
   std::size_t size() const { return tape_.size(); }
   std::size_t num_outputs() const { return tape_.num_outputs(); }
 

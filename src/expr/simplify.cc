@@ -159,12 +159,18 @@ ExprPtr SimplifyNode(const ExprPtr& original, NodeKind kind,
 
 }  // namespace
 
-ExprPtr Simplify(const ExprPtr& root) {
+ExprPtr Simplify(const ExprPtr& root, const SimplifyTable* table) {
   GMR_CHECK(root != nullptr);
   if (root->IsLeaf()) return root;
+  if (table != nullptr) {
+    const auto it = table->find(root.get());
+    if (it != table->end()) return it->second;
+  }
   std::vector<ExprPtr> kids;
   kids.reserve(root->children().size());
-  for (const auto& child : root->children()) kids.push_back(Simplify(child));
+  for (const auto& child : root->children()) {
+    kids.push_back(Simplify(child, table));
+  }
   return SimplifyNode(root, root->kind(), std::move(kids));
 }
 

@@ -1,6 +1,8 @@
 #ifndef GMR_EXPR_SIMPLIFY_H_
 #define GMR_EXPR_SIMPLIFY_H_
 
+#include <unordered_map>
+
 #include "expr/ast.h"
 
 namespace gmr::expr {
@@ -18,7 +20,16 @@ namespace gmr::expr {
 /// particular x/x rewrites to 1 (protected division already returns 1 when
 /// the denominator vanishes), and constants are folded with the same
 /// protected kernels used at evaluation time.
-ExprPtr Simplify(const ExprPtr& root);
+///
+/// Simplify is compositional — a node's result depends only on its kind
+/// and its children's results — so a subtree simplifies alike wherever it
+/// sits. `table`, when given, maps nodes to results computed ahead of time
+/// (gp::FitnessEvaluator keeps one over the grammar's shared subtrees): a
+/// node found there is not walked, and the result shares the entry's
+/// nodes. Entries must be Simplify's own results for their keys, and the
+/// keys must stay alive while the table is used.
+using SimplifyTable = std::unordered_map<const Expr*, ExprPtr>;
+ExprPtr Simplify(const ExprPtr& root, const SimplifyTable* table = nullptr);
 
 }  // namespace gmr::expr
 

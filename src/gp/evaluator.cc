@@ -171,6 +171,27 @@ FitnessEvaluator::FitnessEvaluator(const tag::Grammar* grammar,
       cache_(kCacheStripes),
       verdict_cache_(kCacheStripes) {
   GMR_CHECK(fitness_ != nullptr);
+  if (grammar_ == nullptr) return;
+  // Children come before their parents, so each entry's walk stops at its
+  // children's entries and a simplified parent shares their nodes.
+  shared_subtrees_ = grammar_->LoweredSubtrees();
+  for (const expr::ExprPtr& subtree : shared_subtrees_) {
+    const expr::Expr* node = subtree.get();
+    if (config_.simplify_before_eval) {
+      auto it = simplified_.find(node);
+      if (it == simplified_.end()) {
+        expr::ExprPtr simple = expr::Simplify(subtree, &simplified_);
+        simple->StructuralHash();  // Lanes only ever read shared hashes.
+        it = simplified_.emplace(node, std::move(simple)).first;
+      }
+      node = it->second.get();
+    }
+    if (config_.static_gate.enabled && !intervals_.contains(node)) {
+      const analysis::Interval interval = analysis::EvaluateInterval(
+          *node, config_.static_gate.domains, &intervals_);
+      intervals_.emplace(node, interval);
+    }
+  }
 }
 
 std::vector<expr::ExprPtr> FitnessEvaluator::Phenotype(
@@ -179,9 +200,17 @@ std::vector<expr::ExprPtr> FitnessEvaluator::Phenotype(
   std::vector<expr::ExprPtr> equations =
       tag::ExpandToExpressions(*grammar_, *individual.genotype);
   if (config_.simplify_before_eval) {
-    for (auto& eq : equations) eq = expr::Simplify(eq);
+    for (auto& eq : equations) eq = expr::Simplify(eq, &simplified_);
   }
   return equations;
+}
+
+analysis::StaticVerdict FitnessEvaluator::AnalyzeGate(
+    const std::vector<expr::ExprPtr>& equations) const {
+  GMR_CHECK(config_.static_gate.enabled);
+  return analysis::AnalyzeCandidate(
+      equations, config_.static_gate,
+      intervals_.empty() ? nullptr : &intervals_);
 }
 
 std::uint64_t FitnessEvaluator::CacheKey(
@@ -313,8 +342,7 @@ analysis::GateRule FitnessEvaluator::StaticallyRejected(
     ++stats->verdict_cache_hits;
     return static_cast<analysis::GateRule>(rule_byte);
   }
-  const analysis::GateRule rule =
-      analysis::AnalyzeCandidate(equations, config_.static_gate).rule;
+  const analysis::GateRule rule = AnalyzeGate(equations).rule;
   verdict_cache_.Insert(key, static_cast<std::uint8_t>(rule));
   return rule;
 }
@@ -433,14 +461,15 @@ std::vector<Verdict> FitnessEvaluator::ScoreBatch(
   // the coordinator before fan-out so worker lanes only probe the compile
   // cache. Pure warm-up — skipping it cannot change any fitness value. A
   // one-candidate batch skips it: its Begin compiles the same TU on a miss.
+  // The lanes score the prepared phenotypes, so each is built once.
+  std::vector<std::vector<expr::ExprPtr>> prepared;
   std::function<void()> prepare;
   if (n > 1 && config_.runtime_compilation &&
       fitness_->WantsBatchPreparation()) {
-    prepare = [this, n, &equations_of] {
-      std::vector<std::vector<expr::ExprPtr>> phenotypes;
-      phenotypes.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) phenotypes.push_back(equations_of(i));
-      fitness_->PrepareBatch(phenotypes);
+    prepare = [this, n, &equations_of, &prepared] {
+      prepared.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) prepared.push_back(equations_of(i));
+      fitness_->PrepareBatch(prepared);
     };
   }
   // A candidate whose task throws keeps this penalty verdict, so each
@@ -450,9 +479,12 @@ std::vector<Verdict> FitnessEvaluator::ScoreBatch(
       n, Verdict{kPenaltyFitness, true, EvalOutcome::kTaskFailed});
   RunBatch(
       pool, n,
-      [&verdicts, &equations_of, &parameters_of](std::size_t i,
-                                                 BatchContext* context) {
-        verdicts[i] = context->Evaluate(equations_of(i), parameters_of(i));
+      [&verdicts, &prepared, &equations_of, &parameters_of](
+          std::size_t i, BatchContext* context) {
+        verdicts[i] = prepared.empty()
+                          ? context->Evaluate(equations_of(i),
+                                              parameters_of(i))
+                          : context->Evaluate(prepared[i], parameters_of(i));
       },
       prepare);
   return verdicts;

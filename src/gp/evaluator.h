@@ -7,8 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/interval.h"
 #include "common/striped_map.h"
 #include "common/thread_pool.h"
+#include "expr/simplify.h"
 #include "gp/fitness.h"
 #include "gp/individual.h"
 #include "obs/telemetry.h"
@@ -112,6 +114,14 @@ bool DecodeVerdict(const std::vector<std::string>& tokens, std::size_t at,
 /// write the verdict back; GGGP, whose genotype is already its equations,
 /// scores phenotypes directly.
 ///
+/// With a grammar, the per-candidate analyses start from work done once:
+/// the constructor simplifies each of the grammar's pre-lowered subtrees
+/// (tag::Grammar::LoweredSubtrees) and, with the static gate on, computes
+/// the interval of each subtree the gate will see. Phenotype and the gate
+/// look a node up in these tables before walking it, so a phenotype costs
+/// only the nodes its derivation changed. The results equal the plain
+/// walks': in both analyses a node's result depends only on its subtree.
+///
 /// Thread model: both `EvaluateBatch` overloads, `RunBatch`, `SaveState`
 /// and `RestoreState` are coordinator-only; worker threads evaluate
 /// exclusively through a per-lane `BatchContext`. The tree cache is a
@@ -125,7 +135,7 @@ bool DecodeVerdict(const std::vector<std::string>& tokens, std::size_t at,
 class FitnessEvaluator {
  public:
   /// `grammar` expands Individual genotypes; it may be null when the caller
-  /// only scores phenotypes.
+  /// only scores phenotypes. The grammar must outlive the evaluator.
   FitnessEvaluator(const tag::Grammar* grammar,
                    const SequentialFitness* fitness, SpeedupConfig config);
 
@@ -200,8 +210,16 @@ class FitnessEvaluator {
   double EvaluateFull(const Individual& individual) const;
 
   /// Expands and (optionally) simplifies the individual's equations — its
-  /// phenotype. Requires the grammar.
+  /// phenotype. Requires the grammar. Each subtree the derivation leaves
+  /// untouched comes back as the evaluator's one simplified node for it.
   std::vector<expr::ExprPtr> Phenotype(const Individual& individual) const;
+
+  /// The static gate's verdict on a phenotype (config().static_gate, which
+  /// must be enabled), reading the precomputed intervals of the grammar's
+  /// subtrees; equal to analysis::AnalyzeCandidate without them. Bypasses
+  /// the verdict cache and its statistics.
+  analysis::StaticVerdict AnalyzeGate(
+      const std::vector<expr::ExprPtr>& equations) const;
 
   const EvalStats& stats() const { return stats_; }
 
@@ -307,6 +325,17 @@ class FitnessEvaluator {
   /// (valid for every in-domain parameter vector), so they survive
   /// parameter mutation.
   StripedMap<std::uint64_t, std::uint8_t> verdict_cache_;
+  /// The grammar's pre-lowered subtrees, held so that no candidate node
+  /// can ever take a table key's address.
+  std::vector<expr::ExprPtr> shared_subtrees_;
+  /// Each shared subtree's Simplify result, hashed (empty unless
+  /// simplify_before_eval). Built by the constructor and never written
+  /// again, so lanes read both tables without locks.
+  expr::SimplifyTable simplified_;
+  /// The gate's interval of each shared node a phenotype hands the gate:
+  /// the simplified subtrees, or the raw ones without simplification
+  /// (empty unless the gate is enabled).
+  analysis::IntervalTable intervals_;
 };
 
 }  // namespace gmr::gp

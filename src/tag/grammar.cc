@@ -59,6 +59,17 @@ void Grammar::DisableAdjunction(const std::vector<int>& beta_indices) {
   }
 }
 
+std::vector<expr::ExprPtr> Grammar::LoweredSubtrees() const {
+  std::vector<expr::ExprPtr> subtrees;
+  for (const auto* trees : {&alpha_trees_, &beta_trees_}) {
+    for (const ElementaryTree& tree : *trees) {
+      const std::vector<expr::ExprPtr> own = tree.LoweredSubtrees();
+      subtrees.insert(subtrees.end(), own.begin(), own.end());
+    }
+  }
+  return subtrees;
+}
+
 SlotSpec Grammar::slot_spec(const Symbol& label) const {
   auto it = slot_specs_.find(label);
   if (it == slot_specs_.end()) return SlotSpec{};

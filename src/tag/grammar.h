@@ -56,6 +56,11 @@ class Grammar {
     return !BetasWithRootLabel(label).empty();
   }
 
+  /// Every elementary tree's LoweredSubtrees, alphas then betas, each
+  /// tree's children before their parents: the grammar-owned nodes a
+  /// phenotype can share.
+  std::vector<expr::ExprPtr> LoweredSubtrees() const;
+
   /// Lexeme spec for slots labeled `label` (default [0, 1]).
   SlotSpec slot_spec(const Symbol& label) const;
 

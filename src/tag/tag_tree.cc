@@ -206,6 +206,19 @@ ElementaryTree::Instance ElementaryTree::Instantiate() const {
   return instance;
 }
 
+std::vector<expr::ExprPtr> ElementaryTree::LoweredSubtrees() const {
+  std::vector<expr::ExprPtr> subtrees;
+  // Reverse preorder visits every child before its parent. A wrapper's
+  // node is its child's.
+  for (auto it = plan_.rbegin(); it != plan_.rend(); ++it) {
+    if (it->lowered != nullptr && !it->lowered->IsLeaf() &&
+        it->kind != TagNode::Kind::kWrapper) {
+      subtrees.push_back(it->lowered);
+    }
+  }
+  return subtrees;
+}
+
 void Adjoin(TagNodePtr* root, TagNode* target,
             ElementaryTree::Instance beta) {
   GMR_CHECK(beta.foot != nullptr);

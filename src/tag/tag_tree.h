@@ -109,6 +109,12 @@ class ElementaryTree {
   };
   Instance Instantiate() const;
 
+  /// The operator subtrees lowered once at construction (every one with no
+  /// slot and no foot), each once, children before their parents. A
+  /// phenotype shares each of these nodes that its derivation leaves
+  /// untouched.
+  std::vector<expr::ExprPtr> LoweredSubtrees() const;
+
  private:
   friend class DerivationLowering;  // derivation.cc reads plan_.
 

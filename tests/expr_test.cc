@@ -194,7 +194,8 @@ std::size_t OperatorCount(const Expr& node) {
 }
 
 TEST(CompileTest, ProgramSizeEqualsOperatorCount) {
-  // Leaves are registers, not instructions: one instruction per operator.
+  // Leaves are registers, not instructions: one instruction per operator
+  // (these trees repeat no operator subtree).
   const ExprPtr e = Add(Mul(Variable(0, ""), Constant(2.0)), Constant(1.0));
   EXPECT_EQ(Compile(*e).size(), 2u);
   EXPECT_EQ(Compile(*e).size(), OperatorCount(*e));
@@ -206,7 +207,7 @@ TEST(CompileTest, ProgramSizeEqualsOperatorCount) {
 TEST(CompileTest, SystemMatchesInterpreterPerEquationInOrder) {
   // A subtree shared by two equations and twice within a third, an
   // equation that is a bare leaf of each kind, and the outputs must come
-  // back in equation order.
+  // back in equation order. The shared subtree runs once.
   const ExprPtr shared = Mul(Parameter(0, ""), Exp(Variable(1, "")));
   const std::vector<ExprPtr> roots = {
       Sub(shared, Variable(0, "")),
@@ -220,7 +221,10 @@ TEST(CompileTest, SystemMatchesInterpreterPerEquationInOrder) {
   ASSERT_EQ(program.num_outputs(), roots.size());
   std::size_t operators = 0;
   for (const ExprPtr& root : roots) operators += OperatorCount(*root);
-  EXPECT_EQ(program.size(), operators);
+  EXPECT_EQ(operators, 15u);
+  // 9 distinct operator subtrees: the shared mul and exp once, then sub,
+  // add, div, min, max, neg and log.
+  EXPECT_EQ(program.size(), 9u);
 
   Rng rng(17);
   std::vector<double> params = {rng.Uniform(-2, 2), rng.Uniform(-2, 2)};
@@ -262,20 +266,72 @@ Tape FlattenWithStates(const std::vector<ExprPtr>& roots,
 }
 
 TEST(CompileTest, ExpertProcessSegmentSizes) {
-  // Plankton MANUAL: nothing reads only parameters, 22 instructions read
-  // only drivers (and parameters), 39 read a state.
-  const Tape plankton = FlattenWithStates(river::ManualProcess(), 2);
-  EXPECT_EQ(plankton.size(), 61u);
+  // Plankton MANUAL has 61 operator nodes (22 reading only drivers and
+  // parameters, 39 reading a state), but its two equations repeat
+  // material (LambdaPhy three times): 44 distinct subtrees, of which
+  // nothing reads only parameters, 20 read only drivers (and parameters)
+  // and 24 read a state.
+  const std::vector<ExprPtr> manual = river::ManualProcess();
+  EXPECT_EQ(OperatorCount(*manual[0]) + OperatorCount(*manual[1]), 61u);
+  const Tape plankton = FlattenWithStates(manual, 2);
+  EXPECT_EQ(plankton.size(), 44u);
   EXPECT_EQ(plankton.hold_begin, 0u);
-  EXPECT_EQ(plankton.run_begin - plankton.hold_begin, 22u);
-  EXPECT_EQ(plankton.size() - plankton.run_begin, 39u);
-  // The five-species transport registry: 24 = 3 bind + 5 hold + 16 run.
+  EXPECT_EQ(plankton.run_begin - plankton.hold_begin, 20u);
+  EXPECT_EQ(plankton.size() - plankton.run_begin, 24u);
+  // The five-species transport registry repeats nothing: 24 = 3 bind +
+  // 5 hold + 16 run.
   const Tape transport = FlattenWithStates(
       river::TransportProcess(river::ConstituentSet::Transport(5)), 5);
   EXPECT_EQ(transport.size(), 24u);
   EXPECT_EQ(transport.hold_begin, 3u);
   EXPECT_EQ(transport.run_begin - transport.hold_begin, 5u);
   EXPECT_EQ(transport.size() - transport.run_begin, 16u);
+}
+
+TEST(CompileTest, EqualValuesShareOneRegister) {
+  // Structurally equal but pointer-distinct subtrees are one instruction,
+  // and equal literals one constant register; literals of other bits
+  // (-0.0 against 0.0, NaN payloads) and operands in another order stay
+  // apart. Every root still matches the interpreter bitwise (NaN against
+  // NaN: which payload an add propagates is the compiler's choice, in the
+  // interpreter as in the VM).
+  const auto term = [] {
+    return Mul(Parameter(0, ""), Exp(Add(Variable(0, ""), Constant(2.0))));
+  };
+  const double nan_a = std::bit_cast<double>(0x7ff8000000000001ULL);
+  const double nan_b = std::bit_cast<double>(0x7ff8000000000002ULL);
+  const std::vector<ExprPtr> roots = {
+      Sub(term(), Constant(2.0)),
+      Add(term(), Mul(Constant(0.0), Variable(1, ""))),
+      Add(Mul(Constant(-0.0), Variable(1, "")), term()),
+      Min(Variable(0, ""), Variable(1, "")),
+      Min(Variable(1, ""), Variable(0, "")),
+      Add(Constant(nan_a), Constant(nan_b)),
+      Add(Constant(nan_a), Constant(nan_a)),
+  };
+  const CompiledProgram program = Compile(roots, TapeLayout{2, 1});
+  const Tape& tape = program.tape();
+  // Literals 2, 0, -0, nan_a, nan_b.
+  EXPECT_EQ(tape.constants.size(), 5u);
+  // add, exp, mul of the term once; sub; 0*v1 and add; -0*v1 and add; two
+  // mins; two nan adds.
+  EXPECT_EQ(tape.size(), 12u);
+  const std::vector<double> params = {0.75};
+  for (const std::vector<double>& vars :
+       {std::vector<double>{0.5, -1.5}, std::vector<double>{-3.0, 2.0}}) {
+    std::vector<double> out(roots.size(), 0.0);
+    program.Run(MakeContext(vars, params), out.data());
+    for (std::size_t r = 0; r < roots.size(); ++r) {
+      const double want = EvalExpr(*roots[r], MakeContext(vars, params));
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(out[r])) << "root " << r;
+      } else {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(want),
+                  std::bit_cast<std::uint64_t>(out[r]))
+            << "root " << r;
+      }
+    }
+  }
 }
 
 TEST(CompileTest, EveryInstructionWritesItsOwnRegisterAfterItsOperands) {
@@ -329,9 +385,11 @@ TEST(CompileTest, StagedRunsFollowEveryInputChange) {
   };
   const TapeLayout layout{2, 2, 1};
   const Tape tape = Flatten(roots, layout);
+  // The two exp(v1) are one instruction: bind p0*p1; hold exp(v1) and
+  // p1*exp(v1); run the add.
   EXPECT_EQ(tape.hold_begin, 1u);
-  EXPECT_EQ(tape.run_begin, 4u);
-  EXPECT_EQ(tape.size(), 5u);
+  EXPECT_EQ(tape.run_begin, 3u);
+  EXPECT_EQ(tape.size(), 4u);
 
   const CompiledProgram program{Tape(tape)};
   const std::vector<double> params = {1.5, -0.75};

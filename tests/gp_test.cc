@@ -1,13 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
+#include "analysis/interval.h"
+#include "analysis/static_gate.h"
 #include "common/rng.h"
+#include "core/river_grammar.h"
+#include "core/transport_grammar.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
+#include "expr/print.h"
+#include "expr/simplify.h"
 #include "gp/evaluator.h"
 #include "gp/operators.h"
 #include "gp/tag3p.h"
+#include "river/constituents.h"
 #include "tag/generate.h"
 
 namespace gmr::gp {
@@ -358,6 +367,214 @@ TEST(EvaluatorTest, SimplificationImprovesCacheHits) {
   EXPECT_GT(hit_rate(true), hit_rate(false));
 }
 
+
+/// A ToyFitness under the batched-JIT contract: it asks for a batch
+/// preparation pass, records the equation nodes PrepareBatch saw, and
+/// counts the equations Begin receives that it did not see.
+class PreparedToyFitness : public ToyFitness {
+ public:
+  using ToyFitness::ToyFitness;
+
+  bool WantsBatchPreparation() const override { return true; }
+
+  void PrepareBatch(
+      const std::vector<std::vector<e::ExprPtr>>& phenotypes) const override {
+    for (const auto& phenotype : phenotypes) {
+      for (const e::ExprPtr& equation : phenotype) {
+        prepared_.insert(equation.get());
+      }
+    }
+  }
+
+  std::unique_ptr<SequentialEvaluation> Begin(
+      const std::vector<e::ExprPtr>& equations,
+      const std::vector<double>& parameters,
+      bool use_compiled_backend) const override {
+    ++begun_;
+    for (const e::ExprPtr& equation : equations) {
+      if (prepared_.count(equation.get()) == 0) ++unprepared_;
+    }
+    return ToyFitness::Begin(equations, parameters, use_compiled_backend);
+  }
+
+  std::size_t begun() const { return begun_; }
+  std::size_t unprepared() const { return unprepared_; }
+
+ private:
+  mutable std::set<const e::Expr*> prepared_;
+  mutable std::size_t begun_ = 0;
+  mutable std::size_t unprepared_ = 0;
+};
+
+TEST(EvaluatorTest, LanesScoreThePhenotypesPrepareBatchSaw) {
+  // The coordinator expands (and simplifies) every candidate for
+  // PrepareBatch; the lanes must score those phenotypes rather than expand
+  // each candidate a second time into fresh nodes.
+  const t::Grammar grammar = ToyGrammar();
+  const PreparedToyFitness fitness(10);
+  SpeedupConfig config;
+  config.runtime_compilation = true;
+  FitnessEvaluator evaluator(&grammar, &fitness, config);
+  Rng rng(11);
+  std::vector<Individual> population;
+  for (int i = 0; i < 8; ++i) {
+    population.push_back(MakeIndividual(grammar, 4, rng));
+  }
+  std::vector<Individual*> batch;
+  for (Individual& individual : population) {
+    ASSERT_FALSE(individual.genotype->children.empty());  // Adjoined.
+    batch.push_back(&individual);
+  }
+  evaluator.EvaluateBatch(batch, nullptr);
+  EXPECT_EQ(fitness.begun(), population.size());
+  EXPECT_EQ(fitness.unprepared(), 0u);
+}
+
+/// Adjoinable (operator and wrapper) nodes of a TAG subtree: the address
+/// indices it spans, in preorder.
+std::size_t AdjoinableNodes(const t::TagNode& node) {
+  std::size_t count = node.kind == t::TagNode::Kind::kOperator ||
+                              node.kind == t::TagNode::Kind::kWrapper
+                          ? 1
+                          : 0;
+  for (const t::TagNodePtr& child : node.children) {
+    count += AdjoinableNodes(*child);
+  }
+  return count;
+}
+
+TEST(EvaluatorTablesTest, UntouchedSeedEquationIsOneSimplifiedNode) {
+  // Two plankton derivations that differ only inside the first equation:
+  // the second equation is the grammar's own pre-lowered subtree in both
+  // phenotypes, and the evaluator simplifies it once, so both get the same
+  // node. A plain Simplify rebuilds it on every call.
+  const core::RiverPriorKnowledge knowledge = core::BuildRiverPriorKnowledge();
+  const t::Grammar& grammar = knowledge.grammar;
+  const t::ElementaryTree& seed = grammar.alpha(knowledge.seed_alpha_index);
+  ASSERT_EQ(seed.root().kind, t::TagNode::Kind::kSystem);
+  ASSERT_EQ(seed.root().children.size(), 2u);
+
+  Individual bare;
+  bare.genotype = std::make_unique<t::DerivationNode>();
+  bare.genotype->tree_index = knowledge.seed_alpha_index;
+  bare.genotype->lexemes.assign(seed.slot_labels().size(), 0.5);
+  Individual revised = bare.Clone();
+  // The first address in the first equation that a beta adjoins at.
+  const std::size_t first_equation = AdjoinableNodes(*seed.root().children[0]);
+  int beta = -1;
+  int address = 0;
+  for (; static_cast<std::size_t>(address) < first_equation; ++address) {
+    const auto& betas = grammar.BetasWithRootLabel(
+        seed.adjoinable_labels()[static_cast<std::size_t>(address)]);
+    if (!betas.empty()) {
+      beta = betas.front();
+      break;
+    }
+  }
+  ASSERT_GE(beta, 0);
+  auto child = std::make_unique<t::DerivationNode>();
+  child->tree_index = beta;
+  child->lexemes.assign(grammar.beta(beta).slot_labels().size(), 0.25);
+  revised.genotype->children.push_back({address, std::move(child)});
+
+  const std::vector<e::ExprPtr> lowered =
+      t::ExpandToExpressions(grammar, *bare.genotype);
+  ASSERT_NE(e::Simplify(lowered[1]).get(), e::Simplify(lowered[1]).get());
+
+  const ToyFitness fitness(1);
+  FitnessEvaluator evaluator(&grammar, &fitness, SpeedupConfig{});
+  const std::vector<e::ExprPtr> a = evaluator.Phenotype(bare);
+  const std::vector<e::ExprPtr> b = evaluator.Phenotype(revised);
+  ASSERT_EQ(a.size(), 2u);
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_NE(e::ToSExpression(*a[0]), e::ToSExpression(*b[0]));
+  EXPECT_EQ(a[1].get(), b[1].get());
+  EXPECT_EQ(e::ToSExpression(*a[1]),
+            e::ToSExpression(*e::Simplify(lowered[1])));
+}
+
+/// A gate over the box [0.5, 2] in every slot, with its saturation rate at
+/// the median lower bound of the first equations' intervals, so that about
+/// half of `phenotypes` reject. The domains need not be sound: the tests
+/// compare the evaluator's tables with the plain walk under one gate.
+analysis::StaticGateConfig MedianGate(
+    const std::vector<std::vector<e::ExprPtr>>& phenotypes) {
+  analysis::StaticGateConfig gate;
+  gate.enabled = true;
+  gate.domains.variables.assign(32, analysis::Interval::Of(0.5, 2.0));
+  gate.domains.parameters.assign(64, analysis::Interval::Of(0.5, 2.0));
+  std::vector<double> lows;
+  for (const std::vector<e::ExprPtr>& phenotype : phenotypes) {
+    lows.push_back(analysis::EvaluateInterval(*phenotype[0], gate.domains).lo);
+  }
+  std::nth_element(lows.begin(), lows.begin() + lows.size() / 2, lows.end());
+  gate.saturation_rate = lows[lows.size() / 2];
+  return gate;
+}
+
+TEST(EvaluatorTablesTest, TableBackedPhenotypeAndGateMatchPlainWalks) {
+  // Over grown derivations of both river grammars, with and without
+  // simplification: the evaluator's phenotype prints and hashes like the
+  // plain expansion (simplified), and its gate verdict equals
+  // AnalyzeCandidate without tables.
+  std::vector<core::RiverPriorKnowledge> grammars;
+  grammars.push_back(core::BuildRiverPriorKnowledge());
+  grammars.push_back(core::BuildTransportPriorKnowledge(
+      river::ConstituentSet::Transport(5)));
+  std::size_t analysed = 0;
+  std::size_t rejected = 0;
+  for (const core::RiverPriorKnowledge& knowledge : grammars) {
+    const t::Grammar& grammar = knowledge.grammar;
+    Rng rng(23);
+    std::vector<Individual> individuals(120);
+    std::vector<std::vector<e::ExprPtr>> simplified;
+    for (std::size_t i = 0; i < individuals.size(); ++i) {
+      individuals[i].genotype = t::GrowRandom(
+          grammar, knowledge.seed_alpha_index, 1 + i % 30, rng);
+      simplified.push_back(
+          t::ExpandToExpressions(grammar, *individuals[i].genotype));
+      for (e::ExprPtr& equation : simplified.back()) {
+        equation = e::Simplify(equation);
+      }
+    }
+    const analysis::StaticGateConfig gate = MedianGate(simplified);
+    for (const bool simplify : {true, false}) {
+      SCOPED_TRACE(simplify ? "simplified" : "raw");
+      SpeedupConfig config;
+      config.simplify_before_eval = simplify;
+      config.static_gate = gate;
+      const ToyFitness fitness(1);
+      const FitnessEvaluator evaluator(&grammar, &fitness, config);
+      for (std::size_t i = 0; i < individuals.size(); ++i) {
+        const std::vector<e::ExprPtr> expected =
+            simplify ? simplified[i]
+                     : t::ExpandToExpressions(grammar,
+                                              *individuals[i].genotype);
+        const std::vector<e::ExprPtr> phenotype =
+            evaluator.Phenotype(individuals[i]);
+        ASSERT_EQ(phenotype.size(), expected.size());
+        for (std::size_t q = 0; q < phenotype.size(); ++q) {
+          EXPECT_EQ(e::ToSExpression(*phenotype[q]),
+                    e::ToSExpression(*expected[q]))
+              << "derivation " << i << ", equation " << q;
+          EXPECT_EQ(phenotype[q]->StructuralHash(),
+                    expected[q]->StructuralHash());
+        }
+        const analysis::StaticVerdict tabled = evaluator.AnalyzeGate(phenotype);
+        const analysis::StaticVerdict plain =
+            analysis::AnalyzeCandidate(expected, gate);
+        EXPECT_EQ(tabled.rule, plain.rule) << "derivation " << i;
+        EXPECT_EQ(tabled.equation, plain.equation) << "derivation " << i;
+        EXPECT_EQ(tabled.reason, plain.reason) << "derivation " << i;
+        ++analysed;
+        rejected += tabled.reject ? 1 : 0;
+      }
+    }
+  }
+  // The derivations must exercise both verdicts.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, analysed);
+}
 
 TEST(OperatorTest, ParameterTweakChangesExactlyOneParameter) {
   const t::Grammar grammar = ToyGrammar();

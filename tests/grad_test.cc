@@ -34,12 +34,15 @@
 #include "core/river_grammar.h"
 #include "expr/ast.h"
 #include "expr/eval.h"
+#include "gp/parameter_prior.h"
 #include "gp/tag3p.h"
 #include "grad/adjoint.h"
 #include "obs/run_context.h"
 #include "obs/telemetry.h"
+#include "river/biology.h"
 #include "river/constituents.h"
 #include "river/dataset.h"
+#include "river/parameters.h"
 #include "river/simulate.h"
 #include "river/synthetic.h"
 #include "river/variables.h"
@@ -465,6 +468,48 @@ TEST(AdjointRolloutTest, OutputsInEveryRegisterClassMatchCentralDifference) {
                                      4, constituents,
                                      constituents.InitialStates(), config);
     }
+  }
+}
+
+TEST(AdjointRolloutTest, ManualSharedRegistersMatchCentralDifference) {
+  // The expert plankton process repeats material across its equations
+  // (LambdaPhy three times). The value-numbered tape computes each repeat
+  // once, so a register feeds several readers and the reverse sweep must
+  // sum their cotangents before it propagates.
+  const std::vector<e::ExprPtr> equations = r::ManualProcess();
+  const auto operator_nodes = [](const e::ExprPtr& root) {
+    std::size_t count = 0;
+    std::vector<const e::Expr*> stack = {root.get()};
+    while (!stack.empty()) {
+      const e::Expr* node = stack.back();
+      stack.pop_back();
+      if (!node->IsLeaf()) ++count;
+      for (const e::ExprPtr& child : node->children()) {
+        stack.push_back(child.get());
+      }
+    }
+    return count;
+  };
+  const std::size_t operators =
+      operator_nodes(equations[0]) + operator_nodes(equations[1]);
+  const std::vector<double> parameters =
+      gp::PriorMeans(r::RiverParameterPriors());
+  const r::RiverDataset dataset = GradDataset(8);
+  for (const r::IntegrationMethod method :
+       {r::IntegrationMethod::kEuler, r::IntegrationMethod::kRk4}) {
+    SCOPED_TRACE(method == r::IntegrationMethod::kRk4 ? "RK4" : "Euler");
+    r::SimulationConfig config;
+    config.method = method;
+    const GradientResult result =
+        RmseGradient(equations, parameters, dataset, 0, 3,
+                     r::ConstituentSet::LegacyPlankton(), {5.0, 1.0}, config);
+    EXPECT_LT(result.tape_nodes, operators);
+    std::size_t moving = 0;
+    for (const double g : result.gradient) moving += g != 0.0 ? 1 : 0;
+    EXPECT_GE(moving, parameters.size() / 2);
+    ExpectMatchesCentralDifference(equations, parameters, dataset, 0, 3,
+                                   r::ConstituentSet::LegacyPlankton(),
+                                   {5.0, 1.0}, config);
   }
 }
 

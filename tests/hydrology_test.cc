@@ -11,8 +11,7 @@
 namespace gmr::river {
 namespace {
 
-HydrologicalProcess::Input MakeInput(std::size_t num_stations,
-                                     std::size_t days) {
+HydrologicalProcess::Input MakeInput(std::size_t num_stations) {
   HydrologicalProcess::Input input;
   input.attributes.resize(num_stations);
   input.rainfall.resize(num_stations);
@@ -29,7 +28,7 @@ TEST(HydrologyPulseTest, RainPulseArrivesAfterTravelTime) {
   network.AddReach(a, b, /*travel_days=*/3, /*retention=*/0.0);
 
   const std::size_t days = 20;
-  auto input = MakeInput(2, days);
+  auto input = MakeInput(2);
   input.base_flow = {5.0, 5.0};
   for (std::size_t s = 0; s < 2; ++s) {
     input.attributes[s] = {std::vector<double>(days, 1.0)};
@@ -56,7 +55,7 @@ TEST(HydrologyPulseTest, AttributePulseDilutesDownstream) {
   network.AddReach(a, b, 1, /*retention=*/0.5);
 
   const std::size_t days = 30;
-  auto input = MakeInput(2, days);
+  auto input = MakeInput(2);
   input.base_flow = {10.0, 10.0};
   std::vector<double> attr_a(days, 100.0);
   for (std::size_t t = 10; t < 13; ++t) attr_a[t] = 500.0;  // spike
@@ -85,7 +84,7 @@ TEST(HydrologyPulseTest, FlowReachesSteadyStateUnderConstantInput) {
   const int b = network.AddStation("B");
   network.AddReach(a, b, 1, 0.4);
   const std::size_t days = 200;
-  auto input = MakeInput(2, days);
+  auto input = MakeInput(2);
   input.base_flow = {10.0, 4.0};
   for (std::size_t s = 0; s < 2; ++s) {
     input.attributes[s] = {std::vector<double>(days, 1.0)};
@@ -118,7 +117,7 @@ TEST(HydrologyPulseTest, ThreeWayConfluenceWeighting) {
   network.AddReach(b, join, 1, 0.0);
   network.AddReach(c, join, 1, 0.0);
   const std::size_t days = 100;
-  auto input = MakeInput(4, days);
+  auto input = MakeInput(4);
   input.base_flow = {60.0, 30.0, 10.0, 0.0};
   const double values[] = {1.0, 2.0, 3.0};
   for (int s = 0; s < 3; ++s) {
@@ -140,7 +139,7 @@ TEST(HydrologyPulseTest, NakdongSinkBlendsAllStations) {
   // must move toward it but stay strictly between the two source values.
   const RiverNetwork network = RiverNetwork::Nakdong();
   const std::size_t days = 120;
-  auto input = MakeInput(network.num_stations(), days);
+  auto input = MakeInput(network.num_stations());
   for (std::size_t s = 0; s < network.num_stations(); ++s) {
     if (network.station(static_cast<int>(s)).is_virtual) continue;
     const bool special = network.station(static_cast<int>(s)).name == "T2";

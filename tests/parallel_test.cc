@@ -5,21 +5,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
 #include <vector>
 
+#include "analysis/interval.h"
+#include "analysis/static_gate.h"
 #include "common/rng.h"
 #include "common/striped_map.h"
 #include "common/thread_pool.h"
 #include "core/river_grammar.h"
+#include "core/transport_grammar.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "expr/print.h"
 #include "expr/simplify.h"
 #include "gp/evaluator.h"
 #include "gp/tag3p.h"
+#include "river/constituents.h"
 #include "river/parameters.h"
 #include "river/stepper.h"
 #include "tag/generate.h"
@@ -233,6 +238,84 @@ TEST(SharedPhenotypeTest, LanesLowerSimplifyHashAndCompileSharedNodes) {
     EXPECT_EQ(lanes[i].hash, expected.hash) << "item " << i;
     EXPECT_EQ(lanes[i].tape_size, expected.tape_size) << "item " << i;
   }
+}
+
+// The evaluator simplifies and interval-checks the grammar's shared
+// subtrees once, in its constructor; afterwards every lane reads those
+// tables and the nodes in them. Four lanes taking phenotypes and gate
+// verdicts from one evaluator must each reproduce the plain serial walk
+// (expand, Simplify, AnalyzeCandidate), on the plankton and the
+// five-species transport grammar. The gate's box domains need not be
+// sound; its rate sits at the median lower bound of the first equations,
+// so about half the verdicts reject.
+TEST(SharedPhenotypeTest, LanesReadTheEvaluatorsSharedTables) {
+  constexpr std::size_t kDerivations = 48;
+  constexpr std::size_t kLanes = 4;
+  std::vector<core::RiverPriorKnowledge> grammars;
+  grammars.push_back(core::BuildRiverPriorKnowledge());
+  grammars.push_back(core::BuildTransportPriorKnowledge(
+      river::ConstituentSet::Transport(5)));
+  struct Phenotype {
+    std::string text;
+    std::uint64_t hash = 0;
+    analysis::GateRule rule = analysis::GateRule::kNone;
+  };
+  const auto describe = [](const std::vector<e::ExprPtr>& equations,
+                           analysis::GateRule rule) {
+    Phenotype out;
+    for (const e::ExprPtr& equation : equations) {
+      out.text += e::ToSExpression(*equation) + "\n";
+      out.hash = out.hash * 31 + equation->StructuralHash();
+    }
+    out.rule = rule;
+    return out;
+  };
+  ThreadPool pool(static_cast<int>(kLanes));
+  std::size_t rejected = 0;
+  for (const core::RiverPriorKnowledge& knowledge : grammars) {
+    const t::Grammar& grammar = knowledge.grammar;
+    Rng rng(23);
+    std::vector<Individual> individuals(kDerivations);
+    std::vector<std::vector<e::ExprPtr>> plain(kDerivations);
+    std::vector<double> lows;
+    SpeedupConfig config;
+    config.static_gate.enabled = true;
+    config.static_gate.domains.variables.assign(
+        32, analysis::Interval::Of(0.5, 2.0));
+    config.static_gate.domains.parameters.assign(
+        64, analysis::Interval::Of(0.5, 2.0));
+    for (std::size_t i = 0; i < kDerivations; ++i) {
+      individuals[i].genotype = t::GrowRandom(
+          grammar, knowledge.seed_alpha_index, 1 + i % 30, rng);
+      plain[i] = t::ExpandToExpressions(grammar, *individuals[i].genotype);
+      for (e::ExprPtr& equation : plain[i]) equation = e::Simplify(equation);
+      lows.push_back(analysis::EvaluateInterval(
+                         *plain[i][0], config.static_gate.domains)
+                         .lo);
+    }
+    std::nth_element(lows.begin(), lows.begin() + kDerivations / 2,
+                     lows.end());
+    config.static_gate.saturation_rate = lows[kDerivations / 2];
+    const ToyFitness fitness(1);
+    const FitnessEvaluator evaluator(&grammar, &fitness, config);
+    std::vector<Phenotype> lanes(kLanes * kDerivations);
+    pool.ParallelFor(lanes.size(), [&](std::size_t i, int) {
+      const std::vector<e::ExprPtr> phenotype =
+          evaluator.Phenotype(individuals[i % kDerivations]);
+      lanes[i] = describe(phenotype, evaluator.AnalyzeGate(phenotype).rule);
+    });
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      const std::vector<e::ExprPtr>& equations = plain[i % kDerivations];
+      const Phenotype expected = describe(
+          equations,
+          analysis::AnalyzeCandidate(equations, config.static_gate).rule);
+      EXPECT_EQ(lanes[i].text, expected.text) << "item " << i;
+      EXPECT_EQ(lanes[i].hash, expected.hash) << "item " << i;
+      EXPECT_EQ(lanes[i].rule, expected.rule) << "item " << i;
+      rejected += expected.rule != analysis::GateRule::kNone ? 1 : 0;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 // ----------------------------------------------------------- striped map ----
