@@ -147,7 +147,7 @@ void WriteAnalysisBench() {
   // Each divergent candidate is structurally distinct (different constant)
   // so the tree cache cannot collapse them, and saturates steadily rather
   // than instantly so the gate-off run pays the full watchdog containment
-  // cost (JIT compile + ~max_saturated_substeps of integration each).
+  // cost (compile + ~max_saturated_substeps of integration each).
   constexpr int kClean = 48;
   constexpr int kDivergent = 16;
   std::vector<int> divergent_alphas;

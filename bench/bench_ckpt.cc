@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
               config.tag3p.population_size, config.tag3p.max_generations,
               kRepeats);
 
-  RunOnce(config, problem, nullptr);  // warm allocator/JIT caches
+  RunOnce(config, problem, nullptr);  // warm allocator and caches
 
   const Pass baseline = BestOf(kRepeats, config, problem, "", 0);
   // every-1 runs last so its full chain is what the resume pass rewinds.

@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kSeed = 1;
   constexpr std::size_t kGenCount = 20000;
   constexpr std::size_t kOracleCount = 2000;
-  constexpr int kJitCount = 4;  // ~100 ms of compiler fork per case
   constexpr int kShrinkCount = 200;
 
   const std::uint64_t config_hash = bench::ConfigHasher()
@@ -69,19 +68,15 @@ int main(int argc, char** argv) {
                 row.stats.back().second);
   }
 
-  // Per-oracle throughput over the shared population (batch_jit is
-  // subsampled: each case forks the system C compiler).
+  // Per-oracle throughput over the shared population.
   check::OracleContext oracle_ctx;
   oracle_ctx.config = &config;
   Rng param_rng(check::CaseSeed(kSeed, 0xbe7cu));
   for (const std::string& name : check::ExprOracleNames()) {
     const check::ExprOracle oracle = check::FindExprOracle(name);
-    const std::size_t count = name == "batch_jit"
-                                  ? static_cast<std::size_t>(kJitCount)
-                                  : kOracleCount;
     std::size_t failures = 0;
     Timer timer;
-    for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < kOracleCount; ++i) {
       check::ExprCase c;
       c.seed = check::CaseSeed(kSeed, i);
       c.tree = population[i % population.size()];
@@ -90,14 +85,14 @@ int main(int argc, char** argv) {
     }
     const double seconds = timer.ElapsedSeconds();
     bench::BenchRow row("oracle_" + name, kSeed, config_hash);
-    row.Add("cases", static_cast<double>(count));
+    row.Add("cases", static_cast<double>(kOracleCount));
     row.Add("failures", static_cast<double>(failures));
     row.Add("seconds", seconds);
-    row.Add("cases_per_second",
-            static_cast<double>(count) / (seconds > 0 ? seconds : 1e-9));
+    row.Add("cases_per_second", static_cast<double>(kOracleCount) /
+                                    (seconds > 0 ? seconds : 1e-9));
     rows.push_back(row);
     std::printf("%-10s %8zu cases   %8.3f s   %10.0f/s   %zu failures\n",
-                name.c_str(), count, seconds, row.stats.back().second,
+                name.c_str(), kOracleCount, seconds, row.stats.back().second,
                 failures);
   }
 

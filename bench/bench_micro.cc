@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/river_grammar.h"
-#include "expr/batch_jit.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "expr/simplify.h"
@@ -74,30 +73,6 @@ void BM_EvalCompiled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvalCompiled);
-
-void BM_EvalJit(benchmark::State& state) {
-  // True runtime compilation (cc + dlopen), the paper's actual RC
-  // mechanism: a batch-JIT symbol called once per derivative, as the
-  // rollouts call it. Skipped when no compiler is on the system.
-  if (!expr::JitAvailable()) {
-    state.SkipWithError("no C compiler");
-    return;
-  }
-  const auto equation = river::PhytoplanktonDerivative();
-  expr::JitCircuitBreaker breaker;
-  expr::BatchJitSession session(&breaker);
-  const auto fn = session.CompileBatch({equation.get()})[0];
-  if (fn == nullptr) {
-    state.SkipWithError("batch JIT compile failed");
-    return;
-  }
-  const auto params = gp::PriorMeans(river::RiverParameterPriors());
-  const auto vars = BenchVariables();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fn(vars.data(), params.data()));
-  }
-}
-BENCHMARK(BM_EvalJit);
 
 void BM_Compile(benchmark::State& state) {
   const auto equation = river::PhytoplanktonDerivative();

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
               config.tag3p.population_size, config.tag3p.max_generations,
               kRepeats);
 
-  // Warm allocator/JIT caches before timing anything.
+  // Warm the allocator and caches before timing anything.
   RunOnce(config, problem, nullptr);
 
   const Pass baseline = BestOf(kRepeats, config, problem, "");

@@ -1,4 +1,4 @@
-// Multi-constituent transport throughput: how the compiled backends scale
+// Multi-constituent transport throughput: how the compiled rollout scales
 // with the state-vector width (1/2/5 species) and how the two advection
 // schemes (upwind/QUICK) price the 1D channel. Station rollouts run
 // Simulate once per parameter vector; channel rollouts run SimulateChannel,
@@ -25,7 +25,6 @@ namespace {
 using gmr::Timer;
 using gmr::river::AdvectionScheme;
 using gmr::river::ChannelConfig;
-using gmr::river::CompiledBackend;
 using gmr::river::ConstituentSet;
 using gmr::river::SimulationConfig;
 using gmr::river::TransportScenario;
@@ -74,8 +73,7 @@ int main(int argc, char** argv) {
 
   std::printf("[bench_transport] station rollouts, %zu parameter vectors\n\n",
               num_vectors);
-  std::printf("%-10s %-10s %16s %18s\n", "species", "backend", "days/sec",
-              "eq-days/sec");
+  std::printf("%-10s %16s %18s\n", "species", "days/sec", "eq-days/sec");
 
   for (const int num_species : kSpeciesCounts) {
     const TransportScenario scenario =
@@ -93,41 +91,32 @@ int main(int argc, char** argv) {
       }
     }
 
-    for (const CompiledBackend backend :
-         {CompiledBackend::kBytecodeVm, CompiledBackend::kBatchJit}) {
-      SimulationConfig config;
-      config.num_species = num_species;
-      config.compiled_backend = backend;
-      const char* backend_name =
-          backend == CompiledBackend::kBytecodeVm ? "vm" : "jit";
-
-      const double seconds = BestSeconds(trials, [&] {
-        for (const std::vector<double>& parameters : vectors) {
-          const auto trajectory = river::Simulate(
-              equations, parameters, scenario.dataset, 0, days,
-              scenario.constituents, initial, config, /*compiled=*/true);
-          if (trajectory.series.size() !=
-              static_cast<std::size_t>(num_species)) {
-            std::abort();
-          }
+    SimulationConfig config;
+    config.num_species = num_species;
+    const double seconds = BestSeconds(trials, [&] {
+      for (const std::vector<double>& parameters : vectors) {
+        const auto trajectory = river::Simulate(
+            equations, parameters, scenario.dataset, 0, days,
+            scenario.constituents, initial, config, /*compiled=*/true);
+        if (trajectory.series.size() !=
+            static_cast<std::size_t>(num_species)) {
+          std::abort();
         }
-      });
-      const double rollout_days =
-          static_cast<double>(num_vectors) * static_cast<double>(days);
-      const double rate = rollout_days / seconds;
-      std::printf("%-10d %-10s %16.0f %18.0f\n", num_species, backend_name,
-                  rate, rate * num_species);
+      }
+    });
+    const double rollout_days =
+        static_cast<double>(num_vectors) * static_cast<double>(days);
+    const double rate = rollout_days / seconds;
+    std::printf("%-10d %16.0f %18.0f\n", num_species, rate,
+                rate * num_species);
 
-      bench::BenchRow row(
-          std::string("station_") + backend_name + "_s" +
-              std::to_string(num_species),
-          3, config_hash);
-      row.Add("num_species", static_cast<double>(num_species));
-      row.Add("days", static_cast<double>(days));
-      row.Add("days_per_sec", rate);
-      row.Add("equation_days_per_sec", rate * num_species);
-      rows.push_back(std::move(row));
-    }
+    bench::BenchRow row("station_vm_s" + std::to_string(num_species), 3,
+                        config_hash);
+    row.Add("num_species", static_cast<double>(num_species));
+    row.Add("days", static_cast<double>(days));
+    row.Add("days_per_sec", rate);
+    row.Add("equation_days_per_sec", rate * num_species);
+    rows.push_back(std::move(row));
   }
 
   // --------------------------------------- channel rollouts scheme sweep

@@ -22,12 +22,12 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
   BenchOptions options;
   const char* tool = argc > 0 ? argv[0] : "bench";
   if (const char* env = std::getenv("GMR_BENCH_THREADS")) {
-    options.threads = ParseUnsignedOrExit(tool, "GMR_BENCH_THREADS", env, 1);
+    options.threads = ParseThreadsOrExit(tool, "GMR_BENCH_THREADS", env, 1);
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0) {
       const char* value = i + 1 < argc ? argv[++i] : nullptr;
-      options.threads = ParseUnsignedOrExit(tool, "--threads", value, 1);
+      options.threads = ParseThreadsOrExit(tool, "--threads", value, 1);
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       options.trace_path = argv[++i];
     }

@@ -52,7 +52,6 @@ FuzzReport RunFuzz(const FuzzOptions& options, const GenConfig& config) {
   const bool run_ckpt_generation =
       MatchesFilter("ckpt_generation", options.filter);
 
-  const int jit_every = std::max(options.jit_every, 1);
   std::mutex mu;
   const auto task_failures =
       ParallelFor(options.pool, options.iterations, [&](std::size_t i) {
@@ -63,12 +62,6 @@ FuzzReport RunFuzz(const FuzzOptions& options, const GenConfig& config) {
         c.tree = RandomExpr(config, rng);
         c.parameters = RandomParameters(config, rng);
         for (PropertyState& property : properties) {
-          // The compiler-invoking oracle is throttled: batch_jit compiles
-          // one TU per case through its own session.
-          const bool is_jit = property.name == "batch_jit";
-          if (is_jit && i % static_cast<std::size_t>(jit_every) != 0) {
-            continue;
-          }
           const OracleResult first = property.oracle(c, ctx);
           std::string detail;
           std::string written;

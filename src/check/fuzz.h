@@ -27,11 +27,6 @@ struct FuzzOptions {
 
   int contexts_per_case = 8;
 
-  /// The compiler-invoking oracle (batch_jit) forks the system C compiler
-  /// (~100 ms per case), so it runs on every jit_every-th case only; the
-  /// cheap oracles run on all.
-  int jit_every = 256;
-
   /// The population oracles (derivation, derivation_bytes,
   /// ckpt_generation) generate whole populations, so they run on every
   /// derivation_every-th case, once per river grammar (plankton and

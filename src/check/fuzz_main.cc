@@ -1,5 +1,5 @@
 // gmr_fuzz: property-based differential fuzzing of the expression
-// pipeline (interpreter / VM / JIT / simplifier), the printer/parser, the
+// pipeline (interpreter / VM / simplifier), the printer/parser, the
 // static analysis layer, and TAG derivation generation.
 //
 //   gmr_fuzz [options]
@@ -9,7 +9,6 @@
 //   --filter NAME         run only properties whose name contains NAME
 //   --corpus-dir DIR      write shrunk counterexamples into DIR as .gmr files
 //   --replay DIR          replay reproducers in DIR instead of fuzzing
-//   --jit-every N         run the JIT oracle every Nth case (default 256)
 //   --derivation-every N  run the population oracles every Nth case (default 64)
 //   --contexts N          evaluation contexts sampled per case (default 8)
 //   --threads N           worker threads (default 1; GMR_BENCH_THREADS honored)
@@ -53,7 +52,8 @@ bool ParseArgs(int argc, char** argv, Options* options) {
         gmr::ParseUnsignedOrExit<std::uint64_t>(kTool, "GMR_FUZZ_ITERS", env);
   }
   if (const char* env = std::getenv("GMR_BENCH_THREADS")) {
-    options->threads = ParseIntKnob("GMR_BENCH_THREADS", env);
+    options->threads =
+        gmr::ParseThreadsOrExit(kTool, "GMR_BENCH_THREADS", env, 0);
   }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -78,9 +78,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       if (value == nullptr) return false;
       options->replay_dir = value;
       ++i;
-    } else if (std::strcmp(arg, "--jit-every") == 0) {
-      options->fuzz.jit_every = ParseIntKnob(arg, value);
-      ++i;
     } else if (std::strcmp(arg, "--derivation-every") == 0) {
       options->fuzz.derivation_every = ParseIntKnob(arg, value);
       ++i;
@@ -88,7 +85,7 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       options->fuzz.contexts_per_case = ParseIntKnob(arg, value);
       ++i;
     } else if (std::strcmp(arg, "--threads") == 0) {
-      options->threads = ParseIntKnob(arg, value);
+      options->threads = gmr::ParseThreadsOrExit(kTool, arg, value, 0);
       ++i;
     } else {
       std::fprintf(stderr, "gmr_fuzz: unknown option %s\n", arg);
@@ -152,7 +149,7 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &options)) {
     std::fprintf(stderr,
                  "usage: gmr_fuzz [--seed N] [--iters N] [--filter NAME] "
-                 "[--corpus-dir DIR] [--replay DIR] [--jit-every N] "
+                 "[--corpus-dir DIR] [--replay DIR] "
                  "[--derivation-every N] [--contexts N] [--threads N]\n");
     return 2;
   }

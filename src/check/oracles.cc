@@ -13,7 +13,6 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/parse.h"
-#include "expr/batch_jit.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "expr/parser.h"
@@ -228,29 +227,6 @@ OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx) {
           return OracleResult::Fail(detail.str());
         }
       }
-    }
-  }
-  return OracleResult::Pass();
-}
-
-OracleResult CheckBatchJitAgrees(const ExprCase& c, const OracleContext& ctx) {
-  if (!expr::JitAvailable()) return OracleResult::Pass();
-  // Private session + breaker: fuzz-volume compiles must never trip the
-  // run-wide breaker, and the session dlcloses when the case ends.
-  expr::JitCircuitBreaker breaker;
-  expr::BatchJitSession session(&breaker);
-  const auto fns = session.CompileBatch({c.tree.get()});
-  if (fns[0] == nullptr) {
-    return OracleResult::Fail("batch jit compile failed on " +
-                              expr::ToString(*c.tree));
-  }
-  for (const auto& vars : SampleContexts(c, ctx)) {
-    const double want =
-        expr::EvalExpr(*c.tree, MakeEvalContext(vars, c.parameters));
-    const double got = fns[0](vars.data(), c.parameters.data());
-    if (!WithinUlps(got, want, ctx.jit_ulps)) {
-      return OracleResult::Fail(
-          DescribeDisagreement("batch-jit", c, vars, got, want));
     }
   }
   return OracleResult::Pass();
@@ -580,7 +556,6 @@ constexpr NamedOracle kExprOracles[] = {
     {"ckpt_roundtrip", CheckCkptRoundTrip},
     {"interval", CheckIntervalSound}, {"gate", CheckGateSound},
     {"activity", CheckActivitySound},
-    {"batch_jit", CheckBatchJitAgrees},
     {"gradcheck", CheckGradcheck},
 };
 

@@ -22,18 +22,13 @@ struct ExprCase {
 };
 
 /// Shared oracle configuration. The ground truth of every differential
-/// oracle is the tree interpreter (expr::EvalExpr); each backend gets an
-/// explicit ULP budget against it — see DESIGN.md §5.
+/// oracle is the tree interpreter (expr::EvalExpr); the VM must match it
+/// bit for bit — see DESIGN.md §4g.
 struct OracleContext {
   const GenConfig* config = nullptr;
 
   /// Evaluation contexts sampled per case (variables from config domains).
   int contexts_per_case = 8;
-
-  /// ULP budget of the batch-JIT oracle (the C compiler may contract
-  /// floating point slightly differently; 0 would be flaky across
-  /// toolchains).
-  std::uint64_t jit_ulps = 4;
 
   /// Saturation rate handed to the static gate under test. Finite so the
   /// gate's "provably saturating" reject rule is actually exercised.
@@ -75,13 +70,6 @@ OracleResult CheckSystemVmAgrees(const ExprCase& c, const OracleContext& ctx);
 /// canonicalization may legitimately flip which NaN propagates.
 OracleResult CheckSimplifiedVmAgrees(const ExprCase& c,
                                      const OracleContext& ctx);
-
-/// Generation-batched JIT vs tree interpreter: the compiled symbol must
-/// agree with EvalExpr within ctx.jit_ulps on every sampled context.
-/// Passes vacuously without a C compiler; a compile failure is an oracle
-/// failure. Uses a private session and circuit breaker so fuzz volume never
-/// poisons run-wide JIT state.
-OracleResult CheckBatchJitAgrees(const ExprCase& c, const OracleContext& ctx);
 
 /// printer -> parser -> printer: the printed form must reparse and print to
 /// identical text, and the reparsed tree must evaluate bitwise-identically
@@ -147,7 +135,7 @@ using ExprOracle = OracleResult (*)(const ExprCase&, const OracleContext&);
 
 /// All registered oracle names, in fixed execution order:
 /// vm, simplify, system_vm, roundtrip, ckpt_roundtrip, interval, gate,
-/// activity, batch_jit, gradcheck.
+/// activity, gradcheck.
 std::vector<std::string> ExprOracleNames();
 
 /// Looks an oracle up by name; nullptr when unknown.

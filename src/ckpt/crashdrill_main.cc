@@ -321,7 +321,7 @@ int DrillMain(int argc, char** argv) {
           kTool, "--drill-seed", value.c_str());
     } else if (ParseFlag(argc, argv, &i, "--threads", &value)) {
       options.threads =
-          ParseUnsignedOrExit(kTool, "--threads", value.c_str(), 1);
+          ParseThreadsOrExit(kTool, "--threads", value.c_str(), 1);
     } else if (ParseFlag(argc, argv, &i, "--gens", &value)) {
       options.gens = ParseUnsignedOrExit(kTool, "--gens", value.c_str(), 0);
     } else if (ParseFlag(argc, argv, &i, "--pop", &value)) {

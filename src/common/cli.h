@@ -32,6 +32,17 @@ Int ParseUnsignedOrExit(const char* tool, const char* name, const char* text,
   return static_cast<Int>(parsed);
 }
 
+/// The most worker threads any tool starts. Each tool builds a pool of the
+/// parsed size, so a larger count is refused before any thread exists.
+inline constexpr int kMaxThreads = 1024;
+
+/// A thread count (a `--threads` flag or GMR_BENCH_THREADS) in
+/// [min, kMaxThreads], or exits 2 naming `name`.
+inline int ParseThreadsOrExit(const char* tool, const char* name,
+                              const char* text, int min) {
+  return ParseUnsignedOrExit(tool, name, text, min, kMaxThreads);
+}
+
 }  // namespace gmr
 
 #endif  // GMR_COMMON_CLI_H_

@@ -53,8 +53,6 @@ bool ParsePoint(const std::string& name, FaultPoint* point) {
     *point = FaultPoint::kDerivativeNan;
   } else if (name == "pool_task") {
     *point = FaultPoint::kPoolTask;
-  } else if (name == "batch_compile") {
-    *point = FaultPoint::kBatchCompile;
   } else if (name == "ckpt_write") {
     *point = FaultPoint::kCkptWrite;
   } else if (name == "ckpt_fsync") {
@@ -171,8 +169,6 @@ const char* FaultPointName(FaultPoint point) {
       return "derivative_nan";
     case FaultPoint::kPoolTask:
       return "pool_task";
-    case FaultPoint::kBatchCompile:
-      return "batch_compile";
     case FaultPoint::kCkptWrite:
       return "ckpt_write";
     case FaultPoint::kCkptFsync:

@@ -11,13 +11,11 @@
 /// environment variable or programmatically from tests via `SetFaultSpec`.
 /// The spec grammar is a comma-separated list of `point:mode` entries:
 ///
-///   GMR_FAULT=batch_compile:always
+///   GMR_FAULT=ckpt_write:always
 ///   GMR_FAULT=derivative_nan:first:4,pool_task:prob:0.25:42
 ///
 /// Points: `derivative_nan` (DerivativeRunner::Derivatives returns NaN),
 /// `pool_task` (a ThreadPool task throws std::runtime_error),
-/// `batch_compile` (BatchJitSession::CompileBatch reports a failed
-/// generation TU; every affected equation degrades to the VM program),
 /// `ckpt_write` (snapshot temp-file open/write fails),
 /// `ckpt_fsync` (snapshot fsync fails; the write is treated as not
 /// durable and retried/skipped),
@@ -49,7 +47,6 @@ namespace gmr {
 enum class FaultPoint : int {
   kDerivativeNan = 0,
   kPoolTask,
-  kBatchCompile,
   kCkptWrite,
   kCkptFsync,
   kCkptCorrupt,
@@ -58,7 +55,7 @@ enum class FaultPoint : int {
   kAdjointNan,
 };
 
-inline constexpr std::size_t kNumFaultPoints = 9;
+inline constexpr std::size_t kNumFaultPoints = 8;
 
 const char* FaultPointName(FaultPoint point);
 

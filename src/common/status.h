@@ -10,29 +10,27 @@
 /// The GP search spends most of its time evaluating deliberately wrong
 /// candidate models, so "this candidate got a penalty fitness" is the normal
 /// case, not the exceptional one. EvalOutcome records *why* a candidate's
-/// fitness is what it is, so containment events (divergence watchdogs, JIT
-/// fallback, task failures) are observable instead of silently folding into
-/// a clamped RMSE. See DESIGN.md §4d (fault containment).
+/// fitness is what it is, so containment events (divergence watchdogs, task
+/// failures, static rejects) are observable instead of silently folding
+/// into a clamped RMSE. See DESIGN.md §4d (fault containment).
 
 namespace gmr {
 
-/// Why an evaluation produced the fitness it did. kOk and
-/// kJitCompileFailed carry an exact fitness (the JIT failure degrades to
-/// the bytecode VM, which is bit-compatible); every other value means the
-/// fitness is a deterministic penalty, not the true model error.
+/// Why an evaluation produced the fitness it did. kOk carries an exact
+/// fitness; every other value means the fitness is a deterministic penalty,
+/// not the true model error.
 enum class EvalOutcome : std::uint8_t {
   kOk = 0,                ///< Normal evaluation.
   kNonFiniteDerivative,   ///< Watchdog: NaN/Inf derivatives or states.
   kClampSaturated,        ///< Watchdog: state pinned at the clamp ceiling.
   kDomainViolation,       ///< Non-finite parameters / invalid inputs.
-  kJitCompileFailed,      ///< cc+dlopen failed; fitness computed on the VM.
   kBudgetExceeded,        ///< Watchdog: per-candidate substep budget hit.
   kTaskFailed,            ///< The evaluation task threw; penalty assigned.
   kStaticReject,          ///< Static analysis proved the candidate doomed
                           ///< before any integration (see analysis/).
 };
 
-inline constexpr std::size_t kNumEvalOutcomes = 8;
+inline constexpr std::size_t kNumEvalOutcomes = 7;
 
 inline const char* EvalOutcomeName(EvalOutcome outcome) {
   switch (outcome) {
@@ -44,8 +42,6 @@ inline const char* EvalOutcomeName(EvalOutcome outcome) {
       return "clamp_saturated";
     case EvalOutcome::kDomainViolation:
       return "domain_violation";
-    case EvalOutcome::kJitCompileFailed:
-      return "jit_compile_failed";
     case EvalOutcome::kBudgetExceeded:
       return "budget_exceeded";
     case EvalOutcome::kTaskFailed:
@@ -59,8 +55,7 @@ inline const char* EvalOutcomeName(EvalOutcome outcome) {
 /// True when the outcome's fitness is a deterministic penalty rather than
 /// the candidate's true (possibly clamped) model error.
 inline bool IsPenalizedOutcome(EvalOutcome outcome) {
-  return outcome != EvalOutcome::kOk &&
-         outcome != EvalOutcome::kJitCompileFailed;
+  return outcome != EvalOutcome::kOk;
 }
 
 /// The fitness assigned to candidates whose evaluation could not produce a

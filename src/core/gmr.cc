@@ -91,43 +91,9 @@ GmrRunResult RunGmr(const GmrConfig& config, const GmrProblem& problem,
                                   knowledge.priors};
   gp::Tag3pEngine engine(search_problem, tag3p, context);
 
-  // Snapshot the batch-JIT compile cache before the search so the emitted
-  // metric is this run's delta (the default session is process-wide).
-  expr::BatchJitSession* batch_jit =
-      config.simulation.compiled_backend == river::CompiledBackend::kBatchJit
-          ? (config.simulation.batch_jit_session != nullptr
-                 ? config.simulation.batch_jit_session
-                 : expr::BatchJitSession::Default())
-          : nullptr;
-  const expr::BatchJitSession::Stats jit_before =
-      batch_jit != nullptr ? batch_jit->stats()
-                           : expr::BatchJitSession::Stats{};
-
   GmrRunResult result;
   result.search = engine.Run();
   result.best = result.search.best.Clone();
-
-  if (sink->enabled() && batch_jit != nullptr) {
-    const expr::BatchJitSession::Stats s = batch_jit->stats();
-    expr::BatchJitSession::Stats d;
-    d.requests = s.requests - jit_before.requests;
-    d.hits = s.hits - jit_before.hits;
-    d.unique_misses = s.unique_misses - jit_before.unique_misses;
-    d.tu_compiles = s.tu_compiles - jit_before.tu_compiles;
-    d.symbols_compiled = s.symbols_compiled - jit_before.symbols_compiled;
-    d.compile_failures = s.compile_failures - jit_before.compile_failures;
-    obs::TraceEvent event("batch_jit_cache");
-    event.Label("driver", "gmr")
-        .Field("requests", static_cast<double>(d.requests))
-        .Field("hits", static_cast<double>(d.hits))
-        .Field("hit_rate", d.HitRate())
-        .Field("unique_misses", static_cast<double>(d.unique_misses))
-        .Field("tu_compiles", static_cast<double>(d.tu_compiles))
-        .Field("symbols_compiled", static_cast<double>(d.symbols_compiled))
-        .Field("compile_failures", static_cast<double>(d.compile_failures))
-        .Field("cache_size", static_cast<double>(batch_jit->cache_size()));
-    sink->Emit(std::move(event));
-  }
 
   result.best_equations =
       tag::ExpandToExpressions(knowledge.grammar, *result.best.genotype);

@@ -227,8 +227,8 @@ Verdict FitnessEvaluator::RunEvaluation(
     const std::vector<double>& parameters, double best_prev_full,
     EvalStats* stats) const {
   const std::size_t num_cases = fitness_->num_cases();
-  // Begin() hosts the per-candidate compile work under the RC backends
-  // (bytecode flattening, JIT invocation or compile-cache probe); charge it
+  // Begin() hosts the per-candidate compile work under RC (flattening the
+  // system into its register tape and binding the parameters); charge it
   // to the compile bucket so evaluation time stays pure stepping.
   Timer begin_timer;
   std::unique_ptr<SequentialEvaluation> eval =
@@ -350,23 +350,12 @@ analysis::GateRule FitnessEvaluator::StaticallyRejected(
 std::vector<TaskFailure> FitnessEvaluator::RunBatch(
     ThreadPool* pool, std::size_t n,
     const std::function<void(std::size_t, BatchContext*)>& body) {
-  return RunBatch(pool, n, body, nullptr);
-}
-
-std::vector<TaskFailure> FitnessEvaluator::RunBatch(
-    ThreadPool* pool, std::size_t n,
-    const std::function<void(std::size_t, BatchContext*)>& body,
-    const std::function<void()>& prepare) {
   if (n == 0) return {};
   // One wall-clock sample per batch: cache hits inside the batch no longer
   // pay a clock read each (they dominated wall_seconds noise at high hit
   // rates).
   Timer timer;
   EvalStats batch_stats;
-  if (prepare) {
-    prepare();
-    batch_stats.compile_seconds = timer.ElapsedSeconds();
-  }
   // A one-item batch runs inline: waking the pool buys it nothing.
   const int lanes = pool != nullptr && n > 1 ? pool->num_threads() : 1;
   std::vector<BatchContext> contexts(static_cast<std::size_t>(lanes));
@@ -456,37 +445,17 @@ std::vector<Verdict> FitnessEvaluator::ScoreBatch(
     const std::function<const std::vector<double>&(std::size_t)>&
         parameters_of,
     ThreadPool* pool) {
-  // Generation-level compile pass (e.g. the batched JIT backend): one
-  // translation unit for every unique equation of the batch, compiled on
-  // the coordinator before fan-out so worker lanes only probe the compile
-  // cache. Pure warm-up — skipping it cannot change any fitness value. A
-  // one-candidate batch skips it: its Begin compiles the same TU on a miss.
-  // The lanes score the prepared phenotypes, so each is built once.
-  std::vector<std::vector<expr::ExprPtr>> prepared;
-  std::function<void()> prepare;
-  if (n > 1 && config_.runtime_compilation &&
-      fitness_->WantsBatchPreparation()) {
-    prepare = [this, n, &equations_of, &prepared] {
-      prepared.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) prepared.push_back(equations_of(i));
-      fitness_->PrepareBatch(prepared);
-    };
-  }
   // A candidate whose task throws keeps this penalty verdict, so each
   // failure poisons only its own candidate; the penalty never enters the
   // frontier or the cache.
   std::vector<Verdict> verdicts(
       n, Verdict{kPenaltyFitness, true, EvalOutcome::kTaskFailed});
-  RunBatch(
-      pool, n,
-      [&verdicts, &prepared, &equations_of, &parameters_of](
-          std::size_t i, BatchContext* context) {
-        verdicts[i] = prepared.empty()
-                          ? context->Evaluate(equations_of(i),
-                                              parameters_of(i))
-                          : context->Evaluate(prepared[i], parameters_of(i));
-      },
-      prepare);
+  RunBatch(pool, n,
+           [&verdicts, &equations_of, &parameters_of](std::size_t i,
+                                                      BatchContext* context) {
+             verdicts[i] = context->Evaluate(equations_of(i),
+                                             parameters_of(i));
+           });
   return verdicts;
 }
 

@@ -45,12 +45,9 @@ struct EvalStats {
   /// conflated the two).
   double cpu_seconds = 0.0;
   /// Time spent preparing candidates for evaluation rather than evaluating
-  /// them: SequentialFitness::Begin (which hosts the per-candidate compile
-  /// under the RC backends) and the generation-level PrepareBatch compile
-  /// pass. Previously folded silently into cpu_seconds; kept as a separate
-  /// bucket so compile cost is attributable. Lane-side Begin time is also
-  /// part of cpu_seconds; the coordinator-side PrepareBatch pass is also
-  /// part of wall_seconds.
+  /// them: SequentialFitness::Begin, which hosts the per-candidate compile
+  /// under RC. Kept as a separate bucket so compile cost is attributable;
+  /// it is also part of cpu_seconds.
   double compile_seconds = 0.0;
   /// Containment telemetry: computed evaluations by EvalOutcome (cache hits
   /// are not re-counted; index with static_cast<std::size_t>(outcome)).
@@ -282,10 +279,9 @@ class FitnessEvaluator {
   analysis::GateRule StaticallyRejected(
       const std::vector<expr::ExprPtr>& equations, EvalStats* stats);
 
-  /// The batch core of both EvaluateBatch overloads: one RunBatch whose
-  /// coordinator pass is the generation-level compile of every phenotype,
-  /// scoring candidate i from `equations_of(i)` and `parameters_of(i)`
-  /// inside its lane; failed tasks become kTaskFailed verdicts.
+  /// The batch core of both EvaluateBatch overloads: one RunBatch scoring
+  /// candidate i from `equations_of(i)` and `parameters_of(i)` inside its
+  /// lane; failed tasks become kTaskFailed verdicts.
   std::vector<Verdict> ScoreBatch(
       std::size_t n,
       const std::function<std::vector<expr::ExprPtr>(std::size_t)>&
@@ -293,14 +289,6 @@ class FitnessEvaluator {
       const std::function<const std::vector<double>&(std::size_t)>&
           parameters_of,
       ThreadPool* pool);
-
-  /// RunBatch with a coordinator pass: `prepare` (when set) runs before
-  /// the fan-out, inside the batch's wall sample and charged to its
-  /// compile_seconds.
-  std::vector<TaskFailure> RunBatch(
-      ThreadPool* pool, std::size_t n,
-      const std::function<void(std::size_t, BatchContext*)>& body,
-      const std::function<void()>& prepare);
 
   /// Emits the per-batch "eval_batch" event (coordinator-only).
   void EmitBatchEvent(std::size_t n, const EvalStats& batch_stats) const;

@@ -34,8 +34,8 @@ class SequentialEvaluation {
   virtual std::size_t steps_taken() const = 0;
 
   /// Why the running fitness is what it is (containment telemetry).
-  /// Implementations that host divergence watchdogs or backend fallbacks
-  /// override this; the default reports a normal evaluation.
+  /// Implementations that host divergence watchdogs override this; the
+  /// default reports a normal evaluation.
   virtual EvalOutcome outcome() const { return EvalOutcome::kOk; }
 };
 
@@ -66,18 +66,11 @@ class SequentialFitness {
       const std::vector<double>& parameters,
       bool use_compiled_backend) const = 0;
 
-  /// True when the problem wants one generation-level compile pass before a
-  /// batch of evaluations fans out (e.g. the batched JIT backend, which
-  /// compiles every unique equation of the batch into a single translation
-  /// unit). Consulted by FitnessEvaluator::EvaluateBatch; a one-candidate
-  /// batch never calls PrepareBatch, so implementations must stay correct
-  /// (if slower) without it.
+  /// Retired batch-preparation hooks: nothing calls them, and no fitness in
+  /// src/ overrides them. They stay declared only because the benchmark's
+  /// timing decorator (perfbench/trace.h) still overrides both; drop them
+  /// once it no longer does (ROADMAP item 1).
   virtual bool WantsBatchPreparation() const { return false; }
-
-  /// Called once per evaluation batch, on the coordinator, before worker
-  /// fan-out, with every phenotype of the batch. Must be safe to skip and
-  /// must not change any evaluation result — it is a warm-up hook, not a
-  /// correctness hook.
   virtual void PrepareBatch(
       const std::vector<std::vector<expr::ExprPtr>>& phenotypes) const {
     (void)phenotypes;

@@ -176,24 +176,6 @@ ExprGradient Differentiate(const GradientProgram& gradient,
 
 namespace {
 
-/// The forward rollout of both calibration objectives: the compiled
-/// bytecode program — the same tape the reverse sweep replays — and
-/// bit-identical to the fitness evaluator's VM path. The batch JIT is
-/// never used here: its ULP budget would break the replay's bitwise
-/// agreement with the forward states.
-river::SimulationTrajectory ForwardRollout(
-    const std::vector<expr::ExprPtr>& equations,
-    const std::vector<double>& parameters, const river::RiverDataset& dataset,
-    std::size_t t_begin, std::size_t t_end,
-    const river::ConstituentSet& constituents,
-    const std::vector<double>& initial_state, river::SimulationConfig config,
-    river::SimulationReport* report) {
-  config.compiled_backend = river::CompiledBackend::kBytecodeVm;
-  return river::Simulate(equations, parameters, dataset, t_begin, t_end,
-                         constituents, initial_state, config,
-                         /*compiled=*/true, report);
-}
-
 /// RMSE of a trajectory over its days and the bindings, summed in
 /// RiverEvaluation's order (days outer, bindings inner) so it matches the
 /// fitness evaluator bitwise.
@@ -276,11 +258,12 @@ GradientResult RmseGradient(const std::vector<expr::ExprPtr>& equations,
   const std::size_t steps = t_end - t_begin;
   result.gradient.assign(parameters.size(), 0.0);
 
-  // Forward sweep: the compiled rollout, whose trajectory doubles as the
-  // begin-of-day state checkpoints of the reverse sweep.
-  const river::SimulationTrajectory trajectory =
-      ForwardRollout(equations, parameters, dataset, t_begin, t_end,
-                     constituents, initial_state, config, &result.report);
+  // Forward sweep: the compiled rollout, the same staged VM the fitness
+  // evaluator runs, whose trajectory doubles as the begin-of-day state
+  // checkpoints of the reverse sweep.
+  const river::SimulationTrajectory trajectory = river::Simulate(
+      equations, parameters, dataset, t_begin, t_end, constituents,
+      initial_state, config, /*compiled=*/true, &result.report);
   const std::vector<river::ObservationBinding> bindings =
       river::BindObservations(constituents);
   result.rmse = TrajectoryRmse(trajectory, dataset, t_begin, steps, bindings);
@@ -523,10 +506,10 @@ calibrate::Objective MakeRmseObjective(
                                     t_end, std::move(constituents),
                                     std::move(initial_state), config);
   return [problem](const std::vector<double>& x) {
-    const river::SimulationTrajectory trajectory = ForwardRollout(
+    const river::SimulationTrajectory trajectory = river::Simulate(
         problem->equations, x, *problem->dataset, problem->t_begin,
         problem->t_end, problem->constituents, problem->initial_state,
-        problem->config, /*report=*/nullptr);
+        problem->config, /*compiled=*/true);
     return TrajectoryRmse(trajectory, *problem->dataset, problem->t_begin,
                           problem->t_end - problem->t_begin,
                           problem->bindings);

@@ -1,22 +1,13 @@
 #include "river/domains.h"
 
 #include <algorithm>
+#include <limits>
 
-#include "river/parameters.h"
+#include "common/check.h"
 #include "river/variables.h"
 
 namespace gmr::river {
 namespace {
-
-analysis::DomainEnv PriorParameterDomains() {
-  analysis::DomainEnv env;
-  const gp::ParameterPriors priors = RiverParameterPriors();
-  env.parameters.reserve(priors.size());
-  for (const gp::ParameterPrior& prior : priors) {
-    env.parameters.push_back(analysis::Interval::Of(prior.lo, prior.hi));
-  }
-  return env;
-}
 
 /// Generous physical ranges for the ten observed drivers (units of
 /// Table IV, legacy slot order kVlgt..kVsd); every value in the Nakdong
@@ -36,6 +27,27 @@ analysis::Interval DriverRange(int k) {
   }
 }
 
+/// The slot layout of `constituents`: every state slot spans `state`,
+/// driver k spans driver_range(k) at the set's driver slot, and each
+/// parameter spans its prior box.
+template <class DriverRangeFn>
+analysis::DomainEnv LayOutDomains(const ConstituentSet& constituents,
+                                  const analysis::Interval& state,
+                                  const DriverRangeFn& driver_range) {
+  analysis::DomainEnv env;
+  const gp::ParameterPriors& priors = constituents.priors();
+  env.parameters.reserve(priors.size());
+  for (const gp::ParameterPrior& prior : priors) {
+    env.parameters.push_back(analysis::Interval::Of(prior.lo, prior.hi));
+  }
+  env.variables.assign(constituents.num_variables(), state);
+  for (int k = 0; k < kNumDriverVariables; ++k) {
+    env.variables[static_cast<std::size_t>(constituents.driver_slot(k))] =
+        driver_range(k);
+  }
+  return env;
+}
+
 }  // namespace
 
 analysis::DomainEnv LintDomains(const SimulationConfig& config) {
@@ -44,56 +56,37 @@ analysis::DomainEnv LintDomains(const SimulationConfig& config) {
 
 analysis::DomainEnv LintDomainsFor(const ConstituentSet& constituents,
                                    const SimulationConfig& config) {
-  analysis::DomainEnv env;
-  const gp::ParameterPriors& priors = constituents.priors();
-  env.parameters.reserve(priors.size());
-  for (const gp::ParameterPrior& prior : priors) {
-    env.parameters.push_back(analysis::Interval::Of(prior.lo, prior.hi));
-  }
-  env.variables.assign(constituents.num_variables(),
-                       analysis::Interval::All());
-  for (std::size_t s = 0; s < constituents.size(); ++s) {
-    env.variables[s] =
-        analysis::Interval::Of(config.state_min, config.state_max);
-  }
-  for (int k = 0; k < kNumDriverVariables; ++k) {
-    env.variables[static_cast<std::size_t>(constituents.driver_slot(k))] =
-        DriverRange(k);
-  }
-  return env;
+  return LayOutDomains(
+      constituents, analysis::Interval::Of(config.state_min, config.state_max),
+      DriverRange);
 }
 
-analysis::DomainEnv GateDomains(const SimulationConfig& config,
-                                const RiverDataset* dataset) {
-  analysis::DomainEnv env = PriorParameterDomains();
-  env.variables.assign(kNumVariables, analysis::Interval::All());
+analysis::StaticGateConfig MakeStaticGate(const SimulationConfig& config,
+                                          const RiverDataset* dataset,
+                                          const ConstituentSet& constituents) {
+  const ConfigError err =
+      ValidateSimulation(config, constituents, constituents.size());
+  GMR_CHECK_MSG(err.ok(), err.message.c_str());
   // RK4 stage states are unclamped, so only the lower clamp is sound as a
   // bound; the upper end must stay +inf.
   const analysis::Interval state{
       config.state_min, std::numeric_limits<double>::infinity(), false};
-  env.variables[kBPhy] = state;
-  env.variables[kBZoo] = state;
-  if (dataset != nullptr) {
-    for (const int slot : ObservedVariableSlots()) {
-      const auto s = static_cast<std::size_t>(slot);
-      if (s >= dataset->drivers.size() || dataset->drivers[s].empty()) {
-        continue;
-      }
-      const auto [lo, hi] = std::minmax_element(dataset->drivers[s].begin(),
-                                                dataset->drivers[s].end());
-      env.variables[s] = analysis::Interval::Of(*lo, *hi);
+  // Driver k is dataset series kVlgt + k under every registry (LoadDrivers).
+  const auto driver_hull = [dataset](int k) {
+    const auto series = static_cast<std::size_t>(kVlgt + k);
+    if (dataset == nullptr || series >= dataset->drivers.size() ||
+        dataset->drivers[series].empty()) {
+      return analysis::Interval::All();
     }
-  }
-  return env;
-}
-
-analysis::StaticGateConfig MakeStaticGate(const SimulationConfig& config,
-                                          const RiverDataset* dataset) {
+    const auto [lo, hi] = std::minmax_element(dataset->drivers[series].begin(),
+                                              dataset->drivers[series].end());
+    return analysis::Interval::Of(*lo, *hi);
+  };
   analysis::StaticGateConfig gate;
   gate.enabled = true;
-  gate.domains = GateDomains(config, dataset);
-  gate.saturation_rate = (config.state_max - config.state_min) *
-                         std::max(config.substeps, 1);
+  gate.domains = LayOutDomains(constituents, state, driver_hull);
+  gate.saturation_rate =
+      (config.state_max - config.state_min) * config.substeps;
   return gate;
 }
 

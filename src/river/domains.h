@@ -23,22 +23,22 @@ analysis::DomainEnv LintDomains(const SimulationConfig& config = {});
 analysis::DomainEnv LintDomainsFor(const ConstituentSet& constituents,
                                    const SimulationConfig& config = {});
 
-/// Sound over-approximation of everything the *integrator* can feed an
-/// equation, for the pre-evaluation reject gate: state slots are
+/// Ready-to-use gate config for FitnessEvaluator over the variable and
+/// parameter layout of `constituents`. The domains soundly over-approximate
+/// everything the *integrator* can feed an equation: state slots are
 /// [state_min, +inf) because RK4 stage evaluations are unclamped and
 /// intermediate states can genuinely overflow; driver slots take the hull
 /// of the dataset series when `dataset` is non-null (Interval::All
-/// otherwise); parameters span the prior boxes.
-analysis::DomainEnv GateDomains(const SimulationConfig& config,
-                                const RiverDataset* dataset);
-
-/// Ready-to-use gate config for FitnessEvaluator: GateDomains plus a
-/// saturation rate of (state_max - state_min) * substeps state-units/day —
-/// a derivative provably at or above it pins a state at state_max on every
-/// substep for both Euler and RK4, guaranteeing the kClampSaturated
-/// watchdog, so rejecting without integrating changes no final fitness.
-analysis::StaticGateConfig MakeStaticGate(const SimulationConfig& config,
-                                          const RiverDataset* dataset);
+/// otherwise); parameters span the set's prior boxes. The saturation rate
+/// is (state_max - state_min) * substeps state-units/day — a derivative
+/// provably at or above it pins a state at state_max on every substep for
+/// both Euler and RK4, guaranteeing the kClampSaturated watchdog, so
+/// rejecting without integrating changes no final fitness. Aborts, like
+/// RiverFitness, when `config` does not validate against the set (e.g. a
+/// num_species that disagrees with it).
+analysis::StaticGateConfig MakeStaticGate(
+    const SimulationConfig& config, const RiverDataset* dataset,
+    const ConstituentSet& constituents = ConstituentSet::LegacyPlankton());
 
 }  // namespace gmr::river
 

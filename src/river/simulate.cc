@@ -91,21 +91,6 @@ std::vector<ObservationBinding> BindObservations(
   return observations;
 }
 
-JitSymbols::JitSymbols(const std::vector<expr::ExprPtr>& equations,
-                       const SimulationConfig& config) {
-  if (config.compiled_backend != CompiledBackend::kBatchJit) return;
-  expr::BatchJitSession* session = config.batch_jit_session != nullptr
-                                       ? config.batch_jit_session
-                                       : expr::BatchJitSession::Default();
-  std::vector<const expr::Expr*> roots;
-  roots.reserve(equations.size());
-  for (const auto& eq : equations) roots.push_back(eq.get());
-  fns_ = session->CompileBatch(roots);
-  for (const auto fn : fns_) {
-    if (fn == nullptr) fallback_ = true;
-  }
-}
-
 namespace {
 
 /// One rollout: the derivative runner over the caller's parameter vector
@@ -117,8 +102,7 @@ class Rollout {
           const RiverDataset* dataset,
           const std::vector<double>& initial_state,
           const SimulationConfig& config)
-      : runner_(equations, parameters.data(), parameters.size(), compiled,
-                config),
+      : runner_(equations, parameters.data(), parameters.size(), compiled),
         stepper_(initial_state, config),
         dataset_(dataset) {
     GMR_CHECK_EQ(equations.size(), initial_state.size());
@@ -134,12 +118,10 @@ class Rollout {
     return stepper_.StateOrPenalty(species);
   }
 
-  EvalOutcome outcome() const {
-    return stepper_.watchdog().outcome(runner_.jit_fallback());
-  }
+  EvalOutcome outcome() const { return stepper_.watchdog().outcome(); }
 
   void FillReport(SimulationReport* report) const {
-    stepper_.watchdog().FillReport(runner_.jit_fallback(), report);
+    stepper_.watchdog().FillReport(report);
   }
 
  private:
@@ -294,23 +276,6 @@ RiverFitness RiverFitness::ForTestWith(const RiverDataset* dataset,
 
 std::size_t RiverFitness::num_parameters() const {
   return constituents_.num_parameters();
-}
-
-bool RiverFitness::WantsBatchPreparation() const {
-  return config_.compiled_backend == CompiledBackend::kBatchJit;
-}
-
-void RiverFitness::PrepareBatch(
-    const std::vector<std::vector<expr::ExprPtr>>& phenotypes) const {
-  expr::BatchJitSession* session =
-      config_.batch_jit_session != nullptr ? config_.batch_jit_session
-                                           : expr::BatchJitSession::Default();
-  std::vector<const expr::Expr*> roots;
-  roots.reserve(constituents_.size() * phenotypes.size());
-  for (const auto& equations : phenotypes) {
-    for (const auto& eq : equations) roots.push_back(eq.get());
-  }
-  if (!roots.empty()) session->CompileBatch(roots);
 }
 
 std::unique_ptr<gp::SequentialEvaluation> RiverFitness::Begin(

@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "expr/ast.h"
-#include "expr/batch_jit.h"
 #include "gp/fitness.h"
 #include "river/constituents.h"
 #include "river/dataset.h"
@@ -20,20 +19,6 @@ enum class IntegrationMethod {
   kEuler,  ///< Forward Euler (the default; cheap and robust under clamping).
   kRk4,    ///< Classic 4th-order Runge-Kutta (drivers held constant within
            ///< the day, as the data is daily).
-};
-
-/// Which "runtime compilation" backend evaluates candidate equations when
-/// the RC speedup is on. Every rollout (Simulate, RiverFitness, the
-/// channel, the adjoint's forward sweep) runs one register program for the
-/// equation system (expr/compile.h), one parameter vector at a time.
-enum class CompiledBackend {
-  kBytecodeVm = 0,  ///< The VM programs alone; the default.
-  kBatchJit,        ///< Generation-batched cc + dlopen (expr/batch_jit.h):
-                    ///< one translation unit per compile batch, one symbol
-                    ///< per unique equation, structure-hash compile cache.
-                    ///< Each symbol overrides its equation's VM output; an
-                    ///< equation whose compile fails (or once the breaker
-                    ///< opens) keeps the VM output.
 };
 
 /// Numerical integration settings for the constituent processes.
@@ -53,12 +38,6 @@ struct SimulationConfig {
   /// ConfigError at construction of every runner/fitness (never silently
   /// truncated). The default matches the legacy two-species preset.
   int num_species = 2;
-
-  /// Backend used when the evaluator requests compiled evaluation.
-  CompiledBackend compiled_backend = CompiledBackend::kBytecodeVm;
-  /// Compile cache + TU batcher consulted by the kBatchJit backend; null
-  /// uses the process-wide expr::BatchJitSession::Default(). Not owned.
-  expr::BatchJitSession* batch_jit_session = nullptr;
 
   /// Divergence watchdogs. A tripped watchdog aborts the rollout: every
   /// remaining day deterministically predicts state_max (a pure function of
@@ -144,9 +123,6 @@ struct SimulationReport {
   EvalOutcome outcome = EvalOutcome::kOk;
   /// True when a watchdog aborted the rollout early.
   bool aborted = false;
-  /// True when at least one equation requested kBatchJit but ran on the
-  /// VM program (compile failure or open circuit breaker).
-  bool jit_fallback = false;
   std::size_t substeps_used = 0;
   std::size_t days_simulated = 0;
   /// Substeps aborted after this many days (== days_simulated when the
@@ -165,8 +141,10 @@ struct SimulationTrajectory {
 };
 
 /// Simulates the constituent processes over dataset days [t_begin, t_end)
-/// from the given per-species initial state. When `report` is non-null it
-/// is filled with the rollout's containment telemetry.
+/// from the given per-species initial state. `compiled` runs the equation
+/// system as one register program (expr/compile.h), the runtime
+/// compilation of every rollout; false walks the trees. When `report` is
+/// non-null it is filled with the rollout's containment telemetry.
 SimulationTrajectory Simulate(const std::vector<expr::ExprPtr>& equations,
                               const std::vector<double>& parameters,
                               const RiverDataset& dataset,
@@ -216,13 +194,6 @@ class RiverFitness : public gp::SequentialFitness {
       const std::vector<expr::ExprPtr>& equations,
       const std::vector<double>& parameters,
       bool use_compiled_backend) const override;
-
-  /// Under kBatchJit: compile every unique equation of the batch into one
-  /// translation unit at the batch barrier, so the per-individual Begin()
-  /// calls are pure cache hits (no compiler invocations on worker lanes).
-  bool WantsBatchPreparation() const override;
-  void PrepareBatch(const std::vector<std::vector<expr::ExprPtr>>& phenotypes)
-      const override;
 
   const RiverDataset& dataset() const { return *dataset_; }
   const ConstituentSet& constituents() const { return constituents_; }

@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "expr/ast.h"
-#include "expr/batch_jit.h"
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "river/dataset.h"
@@ -80,15 +79,12 @@ class LaneWatchdog {
     }
   }
 
-  EvalOutcome outcome(bool jit_fallback) const {
-    if (aborted_) return abort_outcome_;
-    return jit_fallback ? EvalOutcome::kJitCompileFailed : EvalOutcome::kOk;
-  }
+  /// kOk, or the outcome the watchdog aborted with.
+  EvalOutcome outcome() const { return abort_outcome_; }
 
-  void FillReport(bool jit_fallback, SimulationReport* report) const {
-    report->outcome = outcome(jit_fallback);
+  void FillReport(SimulationReport* report) const {
+    report->outcome = abort_outcome_;
     report->aborted = aborted_;
-    report->jit_fallback = jit_fallback;
     report->substeps_used = substeps_used_;
     report->days_simulated = days_simulated_;
     report->days_before_abort = aborted_ ? days_before_abort_ : days_simulated_;
@@ -133,43 +129,11 @@ inline expr::TapeLayout RolloutLayout(std::size_t num_species,
           num_parameters, num_species};
 }
 
-/// Under kBatchJit, the generation-JIT symbols of an equation system, one
-/// per equation (empty under kBytecodeVm). Pure cache hits when the
-/// evaluator's PrepareBatch already compiled this generation; a miss
-/// compiles a (small) TU for these equations. A null symbol (compile
-/// failure, open breaker) leaves its equation to the VM program.
-class JitSymbols {
- public:
-  JitSymbols() = default;
-  JitSymbols(const std::vector<expr::ExprPtr>& equations,
-             const SimulationConfig& config);
-
-  /// True when the VM program must run: no symbols, or some equation fell
-  /// back to it.
-  bool NeedsProgram() const { return fns_.empty() || fallback_; }
-
-  /// Overwrites each compiled equation's output, out[e].
-  void Override(const double* variables, const double* parameters,
-                double* out) const {
-    for (std::size_t e = 0; e < fns_.size(); ++e) {
-      if (fns_[e] != nullptr) out[e] = fns_[e](variables, parameters);
-    }
-  }
-
-  /// True when any equation degraded from its symbol to the VM program.
-  bool fallback() const { return fallback_; }
-
- private:
-  std::vector<expr::BatchJitSession::BatchFn> fns_;
-  bool fallback_ = false;
-};
-
 /// Evaluates every process derivative of one parameter vector per call:
 /// equation `e` lands at out[e]. Runs the tree interpreter, or one register
 /// program for the system that runs its parameter-only instructions once
 /// per rollout (at construction) and its driver-only ones once per day
-/// (Hold). Under kBatchJit the generation-JIT symbols override it per
-/// equation. Hosts the `derivative_nan` fault point.
+/// (Hold). Hosts the `derivative_nan` fault point.
 class DerivativeRunner {
  public:
   /// `parameters` is not copied and must outlive the runner. `compiled`
@@ -177,7 +141,7 @@ class DerivativeRunner {
   /// one state per equation, then the ten drivers.
   DerivativeRunner(const std::vector<expr::ExprPtr>& equations,
                    const double* parameters, std::size_t num_parameters,
-                   bool compiled, const SimulationConfig& config)
+                   bool compiled)
       : parameters_(parameters),
         num_parameters_(num_parameters),
         num_variables_(
@@ -193,17 +157,14 @@ class DerivativeRunner {
     program_ = expr::Compile(
         equations, RolloutLayout(num_equations_, num_parameters_));
     program_.Bind(parameters_, num_parameters_);
-    jit_ = JitSymbols(equations, config);
   }
 
   /// Loads the held slots (the drivers) of `variables` into the program
   /// and runs its driver-only instructions; rerun whenever a driver
   /// changes, before the next Derivatives call. A no-op for the
-  /// interpreter and when the JIT symbols cover every equation.
+  /// interpreter.
   void Hold(const double* variables) const {
-    if (compiled_ && jit_.NeedsProgram()) {
-      program_.Hold(variables, num_variables_);
-    }
+    if (compiled_) program_.Hold(variables, num_variables_);
   }
 
   void Derivatives(const double* variables, double* out) const {
@@ -223,12 +184,8 @@ class DerivativeRunner {
       }
       return;
     }
-    if (jit_.NeedsProgram()) program_.Run(variables, num_variables_, out);
-    jit_.Override(variables, parameters_, out);
+    program_.Run(variables, num_variables_, out);
   }
-
-  /// True when any equation degraded from a JIT symbol to the VM program.
-  bool jit_fallback() const { return jit_.fallback(); }
 
  private:
   const double* parameters_;
@@ -239,7 +196,6 @@ class DerivativeRunner {
   /// The interpreter's equations (empty when compiled).
   std::vector<expr::ExprPtr> equations_;
   expr::CompiledProgram program_;
-  JitSymbols jit_;
 };
 
 /// Euler or RK4 integration of one equation system under one parameter

@@ -120,7 +120,7 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
   // (every cell sees the same drivers), and each cell's states run once
   // per substep into reaction[species * num_cells + cell].
   const DerivativeRunner runner(equations, parameters.data(),
-                                parameters.size(), /*compiled=*/true, config);
+                                parameters.size(), /*compiled=*/true);
   std::vector<double> vars(num_variables, 0.0);
   std::vector<double> slopes(num_species, 0.0);
   std::vector<double> reaction(num_species * num_cells, 0.0);
@@ -197,7 +197,7 @@ ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
                                      : cells.at(s, num_cells - 1));
     }
   }
-  watchdog.FillReport(runner.jit_fallback(), &result.report);
+  watchdog.FillReport(&result.report);
   for (std::size_t s = 0; s < num_species; ++s) {
     double total = 0.0;
     const double* c = cells.row(s);

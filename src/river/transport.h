@@ -95,12 +95,11 @@ struct ChannelResult {
 /// Integrates the reach over dataset days [t_begin, t_end): per forward
 /// Euler substep an explicit flux-form advection-diffusion update plus the
 /// candidate source/sink processes evaluated in every cell, one cell at a
-/// time, on the station rollouts' derivative runner (including the
-/// kBatchJit symbol override): one Hold per day, one Derivatives call per
-/// cell per substep. Divergence containment matches the station rollouts:
-/// the reach has one watchdog (non-finite derivatives, clamp saturation,
-/// substep budget), and once it aborts every remaining outlet sample
-/// predicts config.state_max.
+/// time, on the station rollouts' derivative runner: one Hold per day, one
+/// Derivatives call per cell per substep. Divergence containment matches
+/// the station rollouts: the reach has one watchdog (non-finite
+/// derivatives, clamp saturation, substep budget), and once it aborts
+/// every remaining outlet sample predicts config.state_max.
 ChannelResult SimulateChannel(const std::vector<expr::ExprPtr>& equations,
                               const std::vector<double>& parameters,
                               const RiverDataset& dataset,

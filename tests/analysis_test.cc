@@ -29,10 +29,12 @@
 #include "gp/individual.h"
 #include "gp/parameter_prior.h"
 #include "river/biology.h"
+#include "river/chemistry.h"
 #include "river/dataset.h"
 #include "river/domains.h"
 #include "river/parameters.h"
 #include "river/simulate.h"
+#include "river/synthetic.h"
 #include "river/variables.h"
 #include "tag/generate.h"
 
@@ -657,6 +659,53 @@ TEST(StaticGateTest, RejectsProvablyNonFiniteAndSaturatingCandidates) {
       river::MakeStaticGate(river::SimulationConfig{}, nullptr);
   EXPECT_FALSE(
       a::AnalyzeCandidate(river::ManualProcess(), river_gate).reject);
+}
+
+river::TransportScenario FiveSpeciesScenario() {
+  river::SyntheticConfig synth;
+  synth.years = 3;
+  synth.train_years = 2;
+  synth.seed = 21;
+  return river::GenerateTransportScenario(synth, 5);
+}
+
+TEST(StaticGateTest, TransportGateFollowsTheRegistry) {
+  // Five transport species: 15 variable slots (states 0-4, then the ten
+  // drivers) and 13 parameters. Every state slot is a state box, not a
+  // plankton driver hull, and the scenario's own process and true
+  // parameters pass.
+  const river::TransportScenario scenario = FiveSpeciesScenario();
+  const river::ConstituentSet& set = scenario.constituents;
+  river::SimulationConfig sim;
+  sim.num_species = static_cast<int>(set.size());
+  const a::StaticGateConfig gate =
+      river::MakeStaticGate(sim, &scenario.dataset, set);
+  ASSERT_EQ(gate.domains.variables.size(), set.num_variables());
+  ASSERT_EQ(gate.domains.parameters.size(), set.num_parameters());
+  for (std::size_t s = 0; s < set.size(); ++s) {
+    EXPECT_EQ(gate.domains.variables[s].lo, sim.state_min) << "state " << s;
+    EXPECT_EQ(gate.domains.variables[s].hi, kInf) << "state " << s;
+  }
+  EXPECT_TRUE(a::ParametersInDomain(scenario.true_parameters, gate.domains));
+  EXPECT_FALSE(
+      a::AnalyzeCandidate(river::TransportProcess(set), gate).reject);
+
+  // The two-argument form keeps the plankton layout.
+  const a::StaticGateConfig plankton =
+      river::MakeStaticGate(river::SimulationConfig{}, nullptr);
+  EXPECT_EQ(plankton.domains.variables.size(),
+            static_cast<std::size_t>(river::kNumVariables));
+  EXPECT_EQ(plankton.domains.parameters.size(),
+            static_cast<std::size_t>(river::kNumParameters));
+}
+
+TEST(StaticGateDeathTest, SpeciesCountMustMatchTheRegistry) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const river::TransportScenario scenario = FiveSpeciesScenario();
+  EXPECT_DEATH(river::MakeStaticGate(river::SimulationConfig{},
+                                     &scenario.dataset,
+                                     scenario.constituents),
+               "num_species=2");
 }
 
 // --------------------------------------------- evaluator gate integration ----

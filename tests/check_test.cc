@@ -161,7 +161,7 @@ TEST(ShrinkTest, DerivationShrinksToRootWhenAnythingFails) {
 
 TEST(OracleTest, RegistryKnowsEveryOracle) {
   const auto names = ExprOracleNames();
-  EXPECT_EQ(names.size(), 10u);
+  EXPECT_EQ(names.size(), 9u);
   for (const std::string& name : names) {
     EXPECT_NE(FindExprOracle(name), nullptr) << name;
   }
@@ -177,9 +177,6 @@ TEST(OracleTest, ExpertEquationPassesEveryExprOracle) {
   c.tree = river::PhytoplanktonDerivative();
   c.parameters = gp::PriorMeans(river::RiverParameterPriors());
   for (const std::string& name : ExprOracleNames()) {
-    // The compiler-invoking oracle costs ~100 ms; covered by jit_test and
-    // batch_test.
-    if (name == "batch_jit") continue;
     const OracleResult verdict = FindExprOracle(name)(c, ctx);
     EXPECT_TRUE(verdict.ok) << name << ": " << verdict.detail;
   }
@@ -212,7 +209,6 @@ TEST(FuzzTest, SmallRunIsGreenAndThreadCountInvariant) {
   FuzzOptions options;
   options.seed = 11;
   options.iterations = 100;
-  options.jit_every = 1 << 20;  // keep the unit test compile-free
   const FuzzReport inline_report = RunFuzz(options);
   EXPECT_TRUE(inline_report.ok());
   EXPECT_GE(inline_report.properties.size(), 6u);

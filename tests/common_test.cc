@@ -550,5 +550,23 @@ TEST(ParseUnsignedDeathTest, CommandLineFormNamesTheValueAndExitsTwo) {
               ::testing::ExitedWithCode(2), "tool: --pop needs a value");
 }
 
+TEST(ParseThreadsDeathTest, OverBoundCountNamesTheFlagAndExitsTwo) {
+  // Parser only: the counts are never handed to a pool.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EQ(kMaxThreads, 1024);
+  EXPECT_EQ(ParseThreadsOrExit("tool", "--threads", "1024", 1), 1024);
+  EXPECT_EQ(ParseThreadsOrExit("tool", "--threads", "0", 0), 0);
+  EXPECT_EXIT(ParseThreadsOrExit("tool", "--threads", "1025", 1),
+              ::testing::ExitedWithCode(2),
+              "tool: bad value '1025' for --threads \\(expected an integer "
+              "in \\[1, 1024\\]\\)");
+  EXPECT_EXIT(ParseThreadsOrExit("tool", "GMR_BENCH_THREADS", "1048576", 0),
+              ::testing::ExitedWithCode(2), "GMR_BENCH_THREADS");
+  EXPECT_EXIT(ParseThreadsOrExit("tool", "--threads", "2147483647", 1),
+              ::testing::ExitedWithCode(2), "--threads");
+  EXPECT_EXIT(ParseThreadsOrExit("tool", "--threads", "0", 1),
+              ::testing::ExitedWithCode(2), "--threads");
+}
+
 }  // namespace
 }  // namespace gmr

@@ -1,7 +1,7 @@
 // Fault-containment tests: the GMR_FAULT injection harness, divergence
-// watchdogs in the river simulator, batch-JIT degradation, exception-safe
-// thread-pool batches, and the structured EvalOutcome taxonomy threaded
-// through the evaluator. Labeled `fault` and `tsan` in ctest.
+// watchdogs in the river simulator, exception-safe thread-pool batches,
+// and the structured EvalOutcome taxonomy threaded through the evaluator.
+// Labeled `fault` and `tsan` in ctest.
 
 #include <gtest/gtest.h>
 
@@ -18,11 +18,8 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/river_grammar.h"
-#include "expr/batch_jit.h"
 #include "expr/eval.h"
 #include "gp/evaluator.h"
-#include "gp/tag3p.h"
 #include "river/parameters.h"
 #include "river/simulate.h"
 #include "river/variables.h"
@@ -48,7 +45,7 @@ struct ScopedFault {
 // ------------------------------------------------------------ spec layer ----
 
 TEST(FaultInjectionTest, PointNamesRoundTrip) {
-  EXPECT_STREQ(FaultPointName(FaultPoint::kBatchCompile), "batch_compile");
+  EXPECT_STREQ(FaultPointName(FaultPoint::kTapeAlloc), "tape_alloc");
   EXPECT_STREQ(FaultPointName(FaultPoint::kDerivativeNan), "derivative_nan");
   EXPECT_STREQ(FaultPointName(FaultPoint::kPoolTask), "pool_task");
 }
@@ -57,14 +54,16 @@ TEST(FaultInjectionTest, MalformedSpecsAreRejected) {
   std::string error;
   EXPECT_FALSE(SetFaultSpec("bogus_point:always", &error));
   EXPECT_NE(error.find("bogus_point"), std::string::npos);
-  // jit_compile is not a fault point; the batch JIT's site is batch_compile.
+  // Retired points are unknown names.
   EXPECT_FALSE(SetFaultSpec("jit_compile:always", &error));
   EXPECT_NE(error.find("jit_compile"), std::string::npos);
-  EXPECT_FALSE(SetFaultSpec("batch_compile:maybe", &error));
-  EXPECT_FALSE(SetFaultSpec("batch_compile", &error));
-  EXPECT_FALSE(SetFaultSpec("batch_compile:prob:1.5", &error));
-  EXPECT_FALSE(SetFaultSpec("batch_compile:prob:0.5:notanumber", &error));
-  EXPECT_FALSE(SetFaultSpec("batch_compile:first:xyz", &error));
+  EXPECT_FALSE(SetFaultSpec("batch_compile:always", &error));
+  EXPECT_NE(error.find("batch_compile"), std::string::npos);
+  EXPECT_FALSE(SetFaultSpec("tape_alloc:maybe", &error));
+  EXPECT_FALSE(SetFaultSpec("tape_alloc", &error));
+  EXPECT_FALSE(SetFaultSpec("tape_alloc:prob:1.5", &error));
+  EXPECT_FALSE(SetFaultSpec("tape_alloc:prob:0.5:notanumber", &error));
+  EXPECT_FALSE(SetFaultSpec("tape_alloc:first:xyz", &error));
   // A rejected spec leaves everything disarmed.
   EXPECT_FALSE(AnyFaultArmed());
   ClearFaults();
@@ -77,13 +76,13 @@ TEST(FaultInjectionTest, AlwaysNeverOnceModes) {
     EXPECT_TRUE(FaultInjected(FaultPoint::kDerivativeNan));
     EXPECT_TRUE(FaultInjected(FaultPoint::kDerivativeNan));
     EXPECT_FALSE(FaultInjected(FaultPoint::kPoolTask));
-    EXPECT_FALSE(FaultInjected(FaultPoint::kBatchCompile));
+    EXPECT_FALSE(FaultInjected(FaultPoint::kTapeAlloc));
   }
   EXPECT_FALSE(AnyFaultArmed());
   {
-    ScopedFault fault("batch_compile:once");
-    EXPECT_TRUE(FaultInjected(FaultPoint::kBatchCompile));
-    EXPECT_FALSE(FaultInjected(FaultPoint::kBatchCompile));
+    ScopedFault fault("tape_alloc:once");
+    EXPECT_TRUE(FaultInjected(FaultPoint::kTapeAlloc));
+    EXPECT_FALSE(FaultInjected(FaultPoint::kTapeAlloc));
   }
 }
 
@@ -256,7 +255,6 @@ TEST(SimulatorFaultTest, BenignRunReportsOk) {
   ASSERT_EQ(predicted.size(), 20u);
   EXPECT_EQ(report.outcome, EvalOutcome::kOk);
   EXPECT_FALSE(report.aborted);
-  EXPECT_FALSE(report.jit_fallback);
   EXPECT_EQ(report.days_simulated, 20u);
   EXPECT_EQ(report.days_before_abort, 20u);
   EXPECT_EQ(report.substeps_used, 40u);  // 2 substeps/day
@@ -544,82 +542,6 @@ TEST(EvalStatsFaultTest, MergeAddsOutcomeCounters) {
             1u);
   EXPECT_EQ(
       a.outcomes[static_cast<std::size_t>(EvalOutcome::kClampSaturated)], 2u);
-}
-
-// -------------------------------------------------------- JIT degradation ----
-
-TEST(JitDegradationTest, Tag3pRunBitIdenticalUnderCompileFaults) {
-  // The acceptance scenario: a full (small) TAG3P river run on the batch
-  // JIT with every generation compile failing must silently degrade to the
-  // VM program, trip the circuit breaker exactly once, and produce a search
-  // history that is bit-identical to a VM-backend run.
-  core::RiverPriorKnowledge knowledge = core::BuildRiverPriorKnowledge();
-  const river::RiverDataset dataset = TinyDataset(40);
-
-  const auto run = [&](river::CompiledBackend backend,
-                       expr::BatchJitSession* session) {
-    river::SimulationConfig sim;
-    sim.compiled_backend = backend;
-    sim.batch_jit_session = session;
-    const river::RiverFitness fitness =
-        river::RiverFitness::ForTraining(&dataset, sim);
-    gp::Tag3pConfig config;
-    config.population_size = 10;
-    config.max_generations = 3;
-    config.bounds = gp::SizeBounds{2, 12};
-    config.local_search_steps = 1;
-    config.elite_polish_steps = 2;
-    config.seed = 7;
-    config.seed_alpha_index = knowledge.seed_alpha_index;
-    config.speedups.tree_caching = true;
-    config.speedups.short_circuiting = true;
-    config.speedups.runtime_compilation = true;
-    gp::Tag3pEngine engine(&knowledge.grammar, &fitness, knowledge.priors,
-                           config);
-    return engine.Run();
-  };
-
-  const gp::Tag3pResult vm = run(river::CompiledBackend::kBytecodeVm, nullptr);
-
-  expr::JitCircuitBreaker breaker;
-  expr::BatchJitSession session(&breaker);
-  ScopedFault fault("batch_compile:always");
-  const gp::Tag3pResult jit = run(river::CompiledBackend::kBatchJit, &session);
-
-  EXPECT_TRUE(breaker.open());
-  EXPECT_EQ(breaker.disable_log_count(), 1);
-  EXPECT_EQ(session.stats().tu_compiles, 0u);
-  EXPECT_EQ(vm.best.fitness, jit.best.fitness);
-  ASSERT_EQ(vm.history.size(), jit.history.size());
-  for (std::size_t g = 0; g < vm.history.size(); ++g) {
-    EXPECT_EQ(vm.history[g].best_fitness, jit.history[g].best_fitness)
-        << "generation " << g;
-    EXPECT_EQ(vm.history[g].mean_fitness, jit.history[g].mean_fitness)
-        << "generation " << g;
-  }
-}
-
-TEST(JitDegradationTest, SimulationReportsFallback) {
-  ScopedFault fault("batch_compile:always");
-  expr::JitCircuitBreaker breaker;
-  expr::BatchJitSession session(&breaker);
-  const river::RiverDataset dataset = TinyDataset(10);
-  river::SimulationConfig sim;
-  sim.compiled_backend = river::CompiledBackend::kBatchJit;
-  sim.batch_jit_session = &session;
-  const std::vector<e::ExprPtr> benign{e::Constant(0.1), e::Constant(0.0)};
-  river::SimulationReport report;
-  const auto with_fallback =
-      SimulatePlankton(benign, dataset, 10, sim, &report);
-  EXPECT_TRUE(report.jit_fallback);
-  EXPECT_EQ(report.outcome, EvalOutcome::kJitCompileFailed);
-  // The VM fallback is bit-compatible with the plain VM backend.
-  const auto vm =
-      SimulatePlankton(benign, dataset, 10, river::SimulationConfig{});
-  ASSERT_EQ(with_fallback.size(), vm.size());
-  for (std::size_t i = 0; i < vm.size(); ++i) {
-    EXPECT_EQ(with_fallback[i], vm[i]);
-  }
 }
 
 }  // namespace

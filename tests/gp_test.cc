@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "analysis/interval.h"
 #include "analysis/static_gate.h"
@@ -365,69 +364,6 @@ TEST(EvaluatorTest, SimplificationImprovesCacheHits) {
   };
 
   EXPECT_GT(hit_rate(true), hit_rate(false));
-}
-
-
-/// A ToyFitness under the batched-JIT contract: it asks for a batch
-/// preparation pass, records the equation nodes PrepareBatch saw, and
-/// counts the equations Begin receives that it did not see.
-class PreparedToyFitness : public ToyFitness {
- public:
-  using ToyFitness::ToyFitness;
-
-  bool WantsBatchPreparation() const override { return true; }
-
-  void PrepareBatch(
-      const std::vector<std::vector<e::ExprPtr>>& phenotypes) const override {
-    for (const auto& phenotype : phenotypes) {
-      for (const e::ExprPtr& equation : phenotype) {
-        prepared_.insert(equation.get());
-      }
-    }
-  }
-
-  std::unique_ptr<SequentialEvaluation> Begin(
-      const std::vector<e::ExprPtr>& equations,
-      const std::vector<double>& parameters,
-      bool use_compiled_backend) const override {
-    ++begun_;
-    for (const e::ExprPtr& equation : equations) {
-      if (prepared_.count(equation.get()) == 0) ++unprepared_;
-    }
-    return ToyFitness::Begin(equations, parameters, use_compiled_backend);
-  }
-
-  std::size_t begun() const { return begun_; }
-  std::size_t unprepared() const { return unprepared_; }
-
- private:
-  mutable std::set<const e::Expr*> prepared_;
-  mutable std::size_t begun_ = 0;
-  mutable std::size_t unprepared_ = 0;
-};
-
-TEST(EvaluatorTest, LanesScoreThePhenotypesPrepareBatchSaw) {
-  // The coordinator expands (and simplifies) every candidate for
-  // PrepareBatch; the lanes must score those phenotypes rather than expand
-  // each candidate a second time into fresh nodes.
-  const t::Grammar grammar = ToyGrammar();
-  const PreparedToyFitness fitness(10);
-  SpeedupConfig config;
-  config.runtime_compilation = true;
-  FitnessEvaluator evaluator(&grammar, &fitness, config);
-  Rng rng(11);
-  std::vector<Individual> population;
-  for (int i = 0; i < 8; ++i) {
-    population.push_back(MakeIndividual(grammar, 4, rng));
-  }
-  std::vector<Individual*> batch;
-  for (Individual& individual : population) {
-    ASSERT_FALSE(individual.genotype->children.empty());  // Adjoined.
-    batch.push_back(&individual);
-  }
-  evaluator.EvaluateBatch(batch, nullptr);
-  EXPECT_EQ(fitness.begun(), population.size());
-  EXPECT_EQ(fitness.unprepared(), 0u);
 }
 
 /// Adjoinable (operator and wrapper) nodes of a TAG subtree: the address

@@ -21,8 +21,6 @@
 #include "core/gmr.h"
 #include "core/transport_grammar.h"
 #include "expr/ast.h"
-#include "expr/batch_jit.h"
-#include "expr/jit.h"
 #include "expr/print.h"
 #include "gp/parameter_prior.h"
 #include "obs/run_context.h"
@@ -287,7 +285,6 @@ void ExpectSameReport(const SimulationReport& a, const SimulationReport& b,
                       const char* what) {
   EXPECT_EQ(a.outcome, b.outcome) << what;
   EXPECT_EQ(a.aborted, b.aborted) << what;
-  EXPECT_EQ(a.jit_fallback, b.jit_fallback) << what;
   EXPECT_EQ(a.substeps_used, b.substeps_used) << what;
   EXPECT_EQ(a.days_simulated, b.days_simulated) << what;
   EXPECT_EQ(a.days_before_abort, b.days_before_abort) << what;
@@ -471,7 +468,6 @@ std::uint64_t ChannelBits(const ChannelResult& result) {
   for (const std::uint64_t v :
        {static_cast<std::uint64_t>(r.outcome),
         static_cast<std::uint64_t>(r.aborted),
-        static_cast<std::uint64_t>(r.jit_fallback),
         static_cast<std::uint64_t>(r.substeps_used),
         static_cast<std::uint64_t>(r.days_simulated),
         static_cast<std::uint64_t>(r.days_before_abort),
@@ -493,12 +489,12 @@ TEST(ChannelConservationTest, OutletAndBudgetBitsArePinned) {
     std::uint64_t bits;
   };
   const Pin pins[] = {
-      {1, AdvectionScheme::kUpwind, 0x7fdb6253e522861bULL},
-      {1, AdvectionScheme::kQuick, 0x4e32fd4174d49298ULL},
-      {2, AdvectionScheme::kUpwind, 0x6bedbe42eaf20bb2ULL},
-      {2, AdvectionScheme::kQuick, 0x54c2cef1e89379caULL},
-      {5, AdvectionScheme::kUpwind, 0x5b84a906b1f4b4bfULL},
-      {5, AdvectionScheme::kQuick, 0x1d11ccdde0af92f0ULL},
+      {1, AdvectionScheme::kUpwind, 0xa7e94c369792f6fbULL},
+      {1, AdvectionScheme::kQuick, 0x6bbc3615d9358698ULL},
+      {2, AdvectionScheme::kUpwind, 0x23e180fd76f4a5f2ULL},
+      {2, AdvectionScheme::kQuick, 0xde35d379d020680aULL},
+      {5, AdvectionScheme::kUpwind, 0x4c023741c7a0c31fULL},
+      {5, AdvectionScheme::kQuick, 0xd25da9b87d55a1f0ULL},
   };
   for (const Pin& pin : pins) {
     const TransportScenario scenario = SmallScenario(pin.species);
@@ -573,41 +569,6 @@ TEST(ChannelConservationTest, Rk4IsRejectedWithATypedCode) {
                             config)
                 .code,
             ConfigErrorCode::kBadChannelConfig);
-}
-
-TEST(ChannelConservationTest, BatchJitChannelMatchesVm) {
-  if (!e::JitAvailable()) GTEST_SKIP() << "no C compiler";
-  const TransportScenario scenario = SmallScenario(2);
-  const auto equations = TransportProcess(scenario.constituents);
-  e::JitCircuitBreaker breaker;
-  e::BatchJitSession session(&breaker);
-  SimulationConfig vm_config;
-  vm_config.num_species = 2;
-  SimulationConfig jit_config = vm_config;
-  jit_config.compiled_backend = CompiledBackend::kBatchJit;
-  jit_config.batch_jit_session = &session;
-  ChannelConfig channel;
-  channel.num_cells = 5;
-
-  const ChannelResult vm =
-      SimulateChannel(equations, scenario.true_parameters, scenario.dataset,
-                      0, 60, scenario.constituents, vm_config, channel);
-  const ChannelResult jit =
-      SimulateChannel(equations, scenario.true_parameters, scenario.dataset,
-                      0, 60, scenario.constituents, jit_config, channel);
-  EXPECT_GE(session.stats().tu_compiles, 1u);
-  EXPECT_FALSE(jit.report.jit_fallback);
-  EXPECT_EQ(jit.report.outcome, vm.report.outcome);
-  ASSERT_EQ(jit.outlet.size(), vm.outlet.size());
-  for (std::size_t s = 0; s < vm.outlet.size(); ++s) {
-    ASSERT_EQ(jit.outlet[s].size(), vm.outlet[s].size());
-    for (std::size_t t = 0; t < vm.outlet[s].size(); ++t) {
-      // The batch JIT has a ULP budget against the VM.
-      EXPECT_NEAR(jit.outlet[s][t], vm.outlet[s][t],
-                  1e-9 * std::abs(vm.outlet[s][t]) + 1e-12)
-          << "species " << s << " day " << t;
-    }
-  }
 }
 
 // ------------------------------------------------------- fitness widths ----
