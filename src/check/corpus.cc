@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "analysis/grammar_io.h"
 #include "common/check.h"
+#include "common/parse.h"
 #include "core/model_io.h"
 #include "expr/print.h"
 
@@ -31,10 +31,17 @@ std::string HeaderValue(const std::string& path, const std::string& key) {
   return "";
 }
 
-bool ParseSeed(const std::string& text, std::uint64_t* seed) {
-  if (text.empty()) return false;
-  std::istringstream in(text);
-  return static_cast<bool>(in >> *seed);
+/// Reads the `# seed:` header strictly: a typo must not replay a different
+/// case. Counts a missing or bad header as a replay error and returns false.
+bool ReadSeed(const std::string& path, std::uint64_t* seed,
+              ReplayResult* result) {
+  const std::string text = HeaderValue(path, "seed");
+  if (ParseUnsigned(text, seed)) return true;
+  ++result->errors;
+  result->messages.push_back(
+      path + (text.empty() ? ": missing '# seed:' header"
+                           : ": bad '# seed:' header '" + text + "'"));
+  return false;
 }
 
 void ReplayModelFile(const std::string& path, const OracleContext& ctx,
@@ -48,11 +55,7 @@ void ReplayModelFile(const std::string& path, const OracleContext& ctx,
     return;
   }
   ExprCase c;
-  if (!ParseSeed(HeaderValue(path, "seed"), &c.seed)) {
-    ++result->errors;
-    result->messages.push_back(path + ": missing '# seed:' header");
-    return;
-  }
+  if (!ReadSeed(path, &c.seed, result)) return;
   core::SavedModel model;
   std::string error;
   if (!core::LoadModel(path, SymbolsOf(*ctx.config), &model, &error) ||
@@ -78,11 +81,7 @@ void ReplayModelFile(const std::string& path, const OracleContext& ctx,
 void ReplayGrammarFile(const std::string& path, const OracleContext& ctx,
                        ThreadPool* pool, ReplayResult* result) {
   std::uint64_t seed = 0;
-  if (!ParseSeed(HeaderValue(path, "seed"), &seed)) {
-    ++result->errors;
-    result->messages.push_back(path + ": missing '# seed:' header");
-    return;
-  }
+  if (!ReadSeed(path, &seed, result)) return;
   tag::Grammar grammar;
   std::string error;
   if (!analysis::LoadGrammarSpec(path, SymbolsOf(*ctx.config), &grammar,

@@ -10,7 +10,8 @@
 //   --corpus-dir DIR      write shrunk counterexamples into DIR as .gmr files
 //   --replay DIR          replay reproducers in DIR instead of fuzzing
 //   --derivation-every N  run the population oracles every Nth case (default 64)
-//   --contexts N          evaluation contexts sampled per case (default 8)
+//   --contexts N          evaluation contexts sampled per case (default 8,
+//                         at least 1)
 //   --threads N           worker threads (default 1; GMR_BENCH_THREADS honored)
 //
 // Exit codes: 0 all properties green, 1 failures, 2 usage errors (a bad
@@ -39,10 +40,10 @@ constexpr char kTool[] = "gmr_fuzz";
 /// Upper bound of the int-valued knobs.
 constexpr int kMaxIntKnob = 1 << 20;
 
-/// Parses an int-valued flag or environment value; exits 2 naming it when
+/// Parses an int-valued flag of at least `min`; exits 2 naming it when
 /// the value is missing or bad.
-int ParseIntKnob(const char* name, const char* text) {
-  return gmr::ParseUnsignedOrExit(kTool, name, text, 0, kMaxIntKnob);
+int ParseIntKnob(const char* name, const char* text, int min) {
+  return gmr::ParseUnsignedOrExit(kTool, name, text, min, kMaxIntKnob);
 }
 
 bool ParseArgs(int argc, char** argv, Options* options) {
@@ -79,10 +80,11 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       options->replay_dir = value;
       ++i;
     } else if (std::strcmp(arg, "--derivation-every") == 0) {
-      options->fuzz.derivation_every = ParseIntKnob(arg, value);
+      options->fuzz.derivation_every = ParseIntKnob(arg, value, 0);
       ++i;
     } else if (std::strcmp(arg, "--contexts") == 0) {
-      options->fuzz.contexts_per_case = ParseIntKnob(arg, value);
+      // At least one: the value-comparing oracles check nothing without.
+      options->fuzz.contexts_per_case = ParseIntKnob(arg, value, 1);
       ++i;
     } else if (std::strcmp(arg, "--threads") == 0) {
       options->threads = gmr::ParseThreadsOrExit(kTool, arg, value, 0);

@@ -16,12 +16,12 @@
 //
 // Usage:
 //   gmr_crashdrill [--dir DIR] [--kills K] [--drill-seed S] [--threads N]
-//                  [--gens G] [--pop P] [--cache 0|1] [--keep]
+//                  [--gens G] [--pop P] [--keep]
 //
-// Defaults drill a serial run with the tree cache on (the cache is part of
-// the snapshot, so resuming must reproduce its hit counters exactly);
-// `--threads 2 --cache 0` drills the parallel trace-determinism envelope
-// (DESIGN.md §4f: byte-identical traces need TC off under threads).
+// The drilled run keeps the tree cache on: the cache is part of the
+// snapshot, so resuming must reproduce its hit counters exactly, and the
+// counters are the same for any thread count (DESIGN.md §4c), so
+// `--threads 2` drills the parallel trace-determinism contract with it.
 // Exit status 0 = drill passed.
 
 #include <signal.h>
@@ -67,7 +67,6 @@ struct DrillOptions {
   int threads = 1;
   int gens = 8;
   int pop = 24;
-  bool cache = true;
   bool keep = false;  // leave the working directory behind for inspection
 };
 
@@ -154,7 +153,7 @@ gp::Tag3pConfig DrillConfig(const DrillOptions& options) {
   config.elite_polish_steps = 5;
   config.sigma_rampdown_generations = 3;
   config.seed = 5;
-  config.speedups.tree_caching = options.cache;
+  config.speedups.tree_caching = true;
   config.speedups.short_circuiting = true;
   config.speedups.num_threads = options.threads;
   return config;
@@ -326,8 +325,6 @@ int DrillMain(int argc, char** argv) {
       options.gens = ParseUnsignedOrExit(kTool, "--gens", value.c_str(), 0);
     } else if (ParseFlag(argc, argv, &i, "--pop", &value)) {
       options.pop = ParseUnsignedOrExit(kTool, "--pop", value.c_str(), 1);
-    } else if (ParseFlag(argc, argv, &i, "--cache", &value)) {
-      options.cache = value != "0";
     } else if (std::strcmp(argv[i], "--keep") == 0) {
       options.keep = true;
     } else {
@@ -394,8 +391,7 @@ int DrillMain(int argc, char** argv) {
 
   std::printf("crashdrill: %d gens, killing at:", options.gens);
   for (int g : kill_points) std::printf(" %d", g);
-  std::printf(" (threads=%d cache=%d)\n", options.threads,
-              options.cache ? 1 : 0);
+  std::printf(" (threads=%d)\n", options.threads);
 
   for (int g : kill_points) {
     if (!RunChildSegment(options, drill_trace, ckpt_dir, drill_digest, g,

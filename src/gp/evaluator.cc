@@ -26,8 +26,31 @@ std::uint64_t DoubleBits(double v) {
   return bits;
 }
 
-/// Lock stripes of each of the evaluator's shared caches.
-constexpr std::size_t kCacheStripes = 16;
+/// The value a lane sees for `key`: the cache as it stood at the batch
+/// start, else what the lane's running item computed earlier; null on a
+/// miss.
+template <class Value>
+const Value* Find(const std::unordered_map<std::uint64_t, Value>& cache,
+                  const std::vector<std::pair<std::uint64_t, Value>>& own,
+                  std::uint64_t key) {
+  const auto it = cache.find(key);
+  if (it != cache.end()) return &it->second;
+  for (const auto& entry : own) {
+    if (entry.first == key) return &entry.second;
+  }
+  return nullptr;
+}
+
+/// A cache's entries sorted by key, so its checkpoint bytes are stable.
+template <class Value>
+std::vector<std::pair<std::uint64_t, Value>> SortedByKey(
+    const std::unordered_map<std::uint64_t, Value>& cache) {
+  std::vector<std::pair<std::uint64_t, Value>> entries(cache.begin(),
+                                                        cache.end());
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return entries;
+}
 
 void Assign(const Verdict& verdict, Individual* individual) {
   individual->fitness = verdict.fitness;
@@ -102,11 +125,6 @@ bool DecodeEvalStats(const std::string& line, EvalStats* stats) {
 
 }  // namespace
 
-double ExtrapolateIdentity(double fitness, std::size_t /*steps*/,
-                           std::size_t /*total_steps*/) {
-  return fitness;
-}
-
 double ExtrapolateGrowth(double fitness, std::size_t steps,
                          std::size_t total_steps) {
   if (steps == 0) return fitness;
@@ -165,11 +183,7 @@ bool DecodeVerdict(const std::vector<std::string>& tokens, std::size_t at,
 FitnessEvaluator::FitnessEvaluator(const tag::Grammar* grammar,
                                    const SequentialFitness* fitness,
                                    SpeedupConfig config)
-    : grammar_(grammar),
-      fitness_(fitness),
-      config_(config),
-      cache_(kCacheStripes),
-      verdict_cache_(kCacheStripes) {
+    : grammar_(grammar), fitness_(fitness), config_(config) {
   GMR_CHECK(fitness_ != nullptr);
   if (grammar_ == nullptr) return;
   // Children come before their parents, so each entry's walk stops at its
@@ -246,8 +260,7 @@ Verdict FitnessEvaluator::RunEvaluation(
     if (config_.short_circuiting && std::isfinite(best_prev_full) &&
         i < num_cases) {
       if (fitness > best_prev_full * config_.es_threshold) {
-        const double est_fitness =
-            config_.extrapolate(fitness, i, num_cases);
+        const double est_fitness = ExtrapolateGrowth(fitness, i, num_cases);
         if (est_fitness > best_prev_full) {
           stats->time_steps_evaluated += i;
           ++stats->short_circuited;
@@ -290,8 +303,7 @@ Verdict FitnessEvaluator::BatchContext::Evaluate(
   // gate-on is bit-identical to gate-off on populations the gate passes.
   if (config.static_gate.enabled &&
       analysis::ParametersInDomain(parameters, config.static_gate.domains)) {
-    const analysis::GateRule rule =
-        owner_->StaticallyRejected(equations, &stats_);
+    const analysis::GateRule rule = StaticallyRejected(equations);
     if (rule != analysis::GateRule::kNone) {
       ++stats_.static_rejects;
       ++stats_.gate_rule_rejects[static_cast<std::size_t>(rule)];
@@ -305,10 +317,9 @@ Verdict FitnessEvaluator::BatchContext::Evaluate(
   if (config.tree_caching) {
     ++stats_.cache_lookups;
     key = owner_->CacheKey(equations, parameters);
-    Verdict cached;
-    if (owner_->cache_.Lookup(key, &cached)) {
+    if (const Verdict* cached = Find(owner_->cache_, item_->verdicts, key)) {
       ++stats_.cache_hits;
-      return cached;
+      return *cached;
     }
   }
   const Verdict verdict =
@@ -317,7 +328,7 @@ Verdict FitnessEvaluator::BatchContext::Evaluate(
   if (verdict.fully_evaluated && verdict.fitness < local_min_full_) {
     local_min_full_ = verdict.fitness;
   }
-  if (config.tree_caching) owner_->cache_.Insert(key, verdict);
+  if (config.tree_caching) item_->verdicts.emplace_back(key, verdict);
   ++stats_.individuals_evaluated;
   ++stats_.outcomes[static_cast<std::size_t>(verdict.outcome)];
   return verdict;
@@ -329,21 +340,21 @@ void FitnessEvaluator::BatchContext::Evaluate(Individual* individual) {
          individual);
 }
 
-analysis::GateRule FitnessEvaluator::StaticallyRejected(
-    const std::vector<expr::ExprPtr>& equations, EvalStats* stats) {
+analysis::GateRule FitnessEvaluator::BatchContext::StaticallyRejected(
+    const std::vector<expr::ExprPtr>& equations) {
   // Structure-only key (no parameter bits): the verdict holds for every
   // in-domain parameter vector. Distinct seed from CacheKey so the two
   // cache key spaces cannot collide systematically.
   std::uint64_t key = 0x452821e638d01377ULL;
   for (const auto& eq : equations) key = MixHash(key, eq->StructuralHash());
-  ++stats->verdict_cache_lookups;
-  std::uint8_t rule_byte = 0;
-  if (verdict_cache_.Lookup(key, &rule_byte)) {
-    ++stats->verdict_cache_hits;
-    return static_cast<analysis::GateRule>(rule_byte);
+  ++stats_.verdict_cache_lookups;
+  if (const std::uint8_t* rule_byte =
+          Find(owner_->verdict_cache_, item_->gate_rules, key)) {
+    ++stats_.verdict_cache_hits;
+    return static_cast<analysis::GateRule>(*rule_byte);
   }
-  const analysis::GateRule rule = AnalyzeGate(equations).rule;
-  verdict_cache_.Insert(key, static_cast<std::uint8_t>(rule));
+  const analysis::GateRule rule = owner_->AnalyzeGate(equations).rule;
+  item_->gate_rules.emplace_back(key, static_cast<std::uint8_t>(rule));
   return rule;
 }
 
@@ -363,10 +374,15 @@ std::vector<TaskFailure> FitnessEvaluator::RunBatch(
     context.owner_ = this;
     context.frozen_frontier_ = best_prev_full_;
   }
+  // Each item records the cache entries it computes in its own slot, so
+  // what a lane sees never depends on what another lane got to first.
+  std::vector<BatchContext::NewEntries> entries(n);
   // Each lane charges its own busy time to its local stats (cpu_seconds);
   // the wall clock stays a single coordinator sample per batch.
-  const auto timed_body = [&body, &contexts](std::size_t i, int lane) {
+  const auto timed_body = [&body, &contexts, &entries](std::size_t i,
+                                                       int lane) {
     BatchContext* context = &contexts[static_cast<std::size_t>(lane)];
+    context->item_ = &entries[i];
     Timer lane_timer;
     body(i, context);
     context->stats_.cpu_seconds += lane_timer.ElapsedSeconds();
@@ -381,10 +397,15 @@ std::vector<TaskFailure> FitnessEvaluator::RunBatch(
     failures = pool->ParallelFor(n, timed_body);
   }
   // The barrier: fold the lanes into this batch's delta, which is both the
-  // eval_batch event and the only update of the run totals.
+  // eval_batch event and the only update of the run totals, and insert the
+  // items' new cache entries in item order, the caches' only write.
   for (const BatchContext& context : contexts) {
     batch_stats.Merge(context.stats_);
     best_prev_full_ = std::min(best_prev_full_, context.local_min_full_);
+  }
+  for (const BatchContext::NewEntries& item : entries) {
+    cache_.insert(item.verdicts.begin(), item.verdicts.end());
+    verdict_cache_.insert(item.gate_rules.begin(), item.gate_rules.end());
   }
   batch_stats.outcomes[static_cast<std::size_t>(EvalOutcome::kTaskFailed)] +=
       failures.size();
@@ -498,22 +519,21 @@ void FitnessEvaluator::SaveState(ckpt::Snapshot* snapshot) const {
   ev->lines.push_back("frontier " + ckpt::HexDouble(best_prev_full()));
   ev->lines.push_back("stats " + EncodeEvalStats(stats_));
 
-  std::vector<std::pair<std::uint64_t, Verdict>> entries;
-  entries.reserve(cache_.size());
-  cache_.ForEach([&entries](const std::uint64_t& key, const Verdict& verdict) {
-    entries.emplace_back(key, verdict);
-  });
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   ckpt::Section* cache = snapshot->AddSection("cache");
-  cache->lines.reserve(entries.size());
-  for (const auto& [key, verdict] : entries) {
+  cache->lines.reserve(cache_.size());
+  for (const auto& [key, verdict] : SortedByKey(cache_)) {
     cache->lines.push_back(ckpt::HexUint64(key) + " " + EncodeVerdict(verdict));
+  }
+  ckpt::Section* gate_cache = snapshot->AddSection("gate_cache");
+  gate_cache->lines.reserve(verdict_cache_.size());
+  for (const auto& [key, rule_byte] : SortedByKey(verdict_cache_)) {
+    gate_cache->lines.push_back(ckpt::HexUint64(key) + " " +
+                                std::to_string(rule_byte));
   }
 }
 
 bool FitnessEvaluator::RestoreState(const ckpt::Snapshot& snapshot) {
-  // Parse both sections before touching anything, so a torn section leaves
+  // Parse every section before touching anything, so a torn section leaves
   // the evaluator as it was.
   const ckpt::Section* ev = snapshot.FindSection("evaluator");
   double frontier;
@@ -526,9 +546,9 @@ bool FitnessEvaluator::RestoreState(const ckpt::Snapshot& snapshot) {
     return false;
   }
   const ckpt::Section* cache = snapshot.FindSection("cache");
-  if (cache == nullptr) return false;
-  std::vector<std::pair<std::uint64_t, Verdict>> entries;
-  entries.reserve(cache->lines.size());
+  const ckpt::Section* gate_cache = snapshot.FindSection("gate_cache");
+  if (cache == nullptr || gate_cache == nullptr) return false;
+  std::unordered_map<std::uint64_t, Verdict> verdicts;
   for (const std::string& line : cache->lines) {
     const std::vector<std::string> fields = ckpt::TokenizeSExpr(line);
     std::uint64_t key;
@@ -537,13 +557,24 @@ bool FitnessEvaluator::RestoreState(const ckpt::Snapshot& snapshot) {
         !DecodeVerdict(fields, 1, &verdict)) {
       return false;
     }
-    entries.emplace_back(key, verdict);
+    verdicts.emplace(key, verdict);
+  }
+  std::unordered_map<std::uint64_t, std::uint8_t> gate_rules;
+  for (const std::string& line : gate_cache->lines) {
+    const std::vector<std::string> fields = ckpt::TokenizeSExpr(line);
+    std::uint64_t key = 0;
+    std::uint64_t rule_byte = 0;
+    if (fields.size() != 2 || !ckpt::ParseHexUint64(fields[0], &key) ||
+        !ParseUnsigned(fields[1], analysis::kNumGateRules - 1, &rule_byte)) {
+      return false;
+    }
+    gate_rules.emplace(key, static_cast<std::uint8_t>(rule_byte));
   }
 
   best_prev_full_ = frontier;
   stats_ = stats;
-  cache_.Clear();
-  for (const auto& [key, verdict] : entries) cache_.Insert(key, verdict);
+  cache_ = std::move(verdicts);
+  verdict_cache_ = std::move(gate_rules);
   return true;
 }
 

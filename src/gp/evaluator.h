@@ -5,10 +5,11 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/interval.h"
-#include "common/striped_map.h"
 #include "common/thread_pool.h"
 #include "expr/simplify.h"
 #include "gp/fitness.h"
@@ -121,14 +122,17 @@ bool DecodeVerdict(const std::vector<std::string>& tokens, std::size_t at,
 ///
 /// Thread model: both `EvaluateBatch` overloads, `RunBatch`, `SaveState`
 /// and `RestoreState` are coordinator-only; worker threads evaluate
-/// exclusively through a per-lane `BatchContext`. The tree cache is a
-/// striped hash map shared by all lanes. Every evaluation of a batch cuts
-/// against the frontier frozen at the batch start, and the batch's
-/// full-evaluation minimum folds in at the barrier, so each fitness is a
-/// pure function of (phenotype, parameters, frozen frontier) and results
-/// are bit-identical for any thread count. The barrier is also the only
-/// place the run's EvalStats grow, and it emits each batch's delta as one
-/// `eval_batch` event, so a trace sums to the statistics exactly.
+/// exclusively through a per-lane `BatchContext`, which sees the evaluator
+/// as const. Every evaluation of a batch cuts against the frontier frozen
+/// at the batch start and reads the tree and gate-verdict caches as they
+/// stood at the batch start, plus the entries its own batch item computed
+/// earlier. The barrier folds in the batch's full-evaluation minimum and
+/// inserts each item's new cache entries in item order, so each fitness is
+/// a pure function of (phenotype, parameters, frozen frontier) and both
+/// results and work counters are the same for any thread count. The
+/// barrier is also the only place the run's EvalStats grow, and it emits
+/// each batch's delta as one `eval_batch` event, so a trace sums to the
+/// statistics exactly.
 class FitnessEvaluator {
  public:
   /// `grammar` expands Individual genotypes; it may be null when the caller
@@ -137,9 +141,10 @@ class FitnessEvaluator {
                    const SequentialFitness* fitness, SpeedupConfig config);
 
   /// Per-lane evaluation handle within one batch. Holds the frozen
-  /// frontier snapshot, the lane's partial statistics, and the lane's best
-  /// full-evaluation fitness; created at the batch start on the coordinator
-  /// and used by exactly one thread until the barrier absorbs it.
+  /// frontier snapshot, the lane's partial statistics, the lane's best
+  /// full-evaluation fitness and the running item's new cache entries;
+  /// created at the batch start on the coordinator and used by exactly one
+  /// thread until the barrier absorbs it.
   class BatchContext {
    public:
     BatchContext() = default;
@@ -147,7 +152,8 @@ class FitnessEvaluator {
     /// Scores one phenotype: domain check, static gate, tree cache, then
     /// Algorithm 1 against the batch's frozen frontier, charging this
     /// lane's statistics. Safe to call concurrently with other lanes'
-    /// contexts.
+    /// contexts: the caches are only read here, and a miss is recorded in
+    /// the running item's entries.
     Verdict Evaluate(const std::vector<expr::ExprPtr>& equations,
                      const std::vector<double>& parameters);
 
@@ -167,7 +173,25 @@ class FitnessEvaluator {
 
    private:
     friend class FitnessEvaluator;
-    FitnessEvaluator* owner_ = nullptr;
+
+    /// The cache entries one batch item computed, in the order it computed
+    /// them; the barrier inserts them into the caches.
+    struct NewEntries {
+      std::vector<std::pair<std::uint64_t, Verdict>> verdicts;
+      std::vector<std::pair<std::uint64_t, std::uint8_t>> gate_rules;
+    };
+
+    /// O(tree) static gate check, memoized by structure-only hash (the
+    /// cached byte is the rejecting analysis rule, kNone for accepted
+    /// structures). Sound only when the candidate's parameters lie inside
+    /// the gate's domain boxes (the caller pre-checks ParametersInDomain).
+    /// Charges verdict-cache traffic to this lane.
+    analysis::GateRule StaticallyRejected(
+        const std::vector<expr::ExprPtr>& equations);
+
+    const FitnessEvaluator* owner_ = nullptr;
+    /// The running item's slot; RunBatch points it at each item in turn.
+    NewEntries* item_ = nullptr;
     double frozen_frontier_ = std::numeric_limits<double>::infinity();
     double local_min_full_ = std::numeric_limits<double>::infinity();
     EvalStats stats_;
@@ -193,8 +217,9 @@ class FitnessEvaluator {
 
   /// Generalized batch runner for callers that evaluate several candidates
   /// per item (e.g. local search): body(item, ctx) runs for every item in
-  /// [0, n) with a per-lane context; frontier and statistics fold at the
-  /// barrier, which counts each body that threw as one kTaskFailed outcome.
+  /// [0, n) with a per-lane context; frontier, statistics and the items'
+  /// new cache entries (in item order) fold at the barrier, which counts
+  /// each body that threw as one kTaskFailed outcome.
   /// A one-item batch runs inline on the caller. Returns the items whose
   /// body threw (contained, sorted by index; the caller decides how to
   /// penalize them). Coordinator-only.
@@ -237,21 +262,22 @@ class FitnessEvaluator {
   double best_prev_full() const { return best_prev_full_; }
 
   /// Adds the evaluator's checkpoint state to `snapshot`: an `evaluator`
-  /// section (the frontier and the run's EvalStats) and a `cache` section
-  /// (the tree cache sorted by key, so the bytes are stable). The cache is
-  /// part of the determinism contract — eval_batch events report
-  /// cache_hits as a deterministic field — so a resumed run must see the
-  /// exact cache the interrupted run had. Coordinator-only, between
-  /// batches.
+  /// section (the frontier and the run's EvalStats), a `cache` section (the
+  /// tree cache) and a `gate_cache` section (the static gate's verdict
+  /// cache), each cache sorted by key so the bytes are stable. Both caches
+  /// are part of the determinism contract — eval_batch events report
+  /// cache_hits and verdict_cache_hits as deterministic fields — so a
+  /// resumed run must see the exact caches the interrupted run had.
+  /// Coordinator-only, between batches.
   void SaveState(ckpt::Snapshot* snapshot) const;
 
   /// Restores what SaveState wrote: the frontier, the statistics (totals
-  /// then keep accumulating across segments) and the tree cache. False,
-  /// with the evaluator untouched, when a section is missing or malformed.
+  /// then keep accumulating across segments) and both caches. False, with
+  /// the evaluator untouched, when a section is missing or malformed.
   /// Coordinator-only, between batches.
   bool RestoreState(const ckpt::Snapshot& snapshot);
 
-  /// Entries in the shared tree cache.
+  /// Entries in the tree cache.
   std::size_t cache_size() const { return cache_.size(); }
 
   /// Entries in the static-verdict cache (0 unless the gate is enabled).
@@ -270,14 +296,6 @@ class FitnessEvaluator {
   Verdict RunEvaluation(const std::vector<expr::ExprPtr>& equations,
                         const std::vector<double>& parameters,
                         double best_prev_full, EvalStats* stats) const;
-
-  /// O(tree) static gate check, memoized by structure-only hash in
-  /// verdict_cache_ (the cached byte is the rejecting analysis rule, kNone
-  /// for accepted structures). Sound only when the candidate's parameters
-  /// lie inside the gate's domain boxes (the caller pre-checks
-  /// ParametersInDomain). Charges verdict-cache traffic to `stats`.
-  analysis::GateRule StaticallyRejected(
-      const std::vector<expr::ExprPtr>& equations, EvalStats* stats);
 
   /// The batch core of both EvaluateBatch overloads: one RunBatch scoring
   /// candidate i from `equations_of(i)` and `parameters_of(i)` inside its
@@ -306,13 +324,14 @@ class FitnessEvaluator {
   /// so a full evaluation cached at or below it later sits above it, where
   /// a frontier-based inference would take it for a short-circuited
   /// estimate. The outcome is stored so a hit reproduces the containment
-  /// telemetry of the original evaluation.
-  StripedMap<std::uint64_t, Verdict> cache_;
+  /// telemetry of the original evaluation. Like verdict_cache_, written
+  /// only at the barrier (and by RestoreState); lanes only read it.
+  std::unordered_map<std::uint64_t, Verdict> cache_;
   /// Structure-hash -> rejecting rule byte (analysis::GateRule) for the
   /// static gate. Separate from cache_: verdicts are parameter-independent
   /// (valid for every in-domain parameter vector), so they survive
   /// parameter mutation.
-  StripedMap<std::uint64_t, std::uint8_t> verdict_cache_;
+  std::unordered_map<std::uint64_t, std::uint8_t> verdict_cache_;
   /// The grammar's pre-lowered subtrees, held so that no candidate node
   /// can ever take a table key's address.
   std::vector<expr::ExprPtr> shared_subtrees_;

@@ -105,28 +105,18 @@ class GradientFitness {
                                 GradientStats* stats) const = 0;
 };
 
-/// Extrapolates an intermediate fitness observed after `steps` of
-/// `total_steps` cases to an estimate of the final fitness (the EXTRAPOLATE
-/// hook of Algorithm 1).
-using ExtrapolateFn = double (*)(double fitness, std::size_t steps,
-                                 std::size_t total_steps);
-
-/// Identity extrapolation: a running RMSE is already on the same scale as
-/// the final RMSE. Note that under identity extrapolation, thresholds below
-/// 1.0 behave exactly like 1.0 (Algorithm 1's inner `est > bestPrevFull`
-/// guard dominates), so the Figure 11 sweep needs a forward-projecting
-/// extrapolation.
-double ExtrapolateIdentity(double fitness, std::size_t steps,
-                           std::size_t total_steps);
-
-/// Divergence-aware extrapolation (the default): candidates whose running
-/// RMSE already exceeds the incumbent typically keep deteriorating in
-/// dynamic-systems simulation (clamped divergence, drift), so the running
-/// RMSE is projected forward by a sublinear growth factor
-/// (total/steps)^0.25. This makes eager thresholds (< 1) genuinely eager —
-/// they cut earlier at the risk of misjudging a candidate — and
-/// conservative thresholds (> 1) genuinely conservative, reproducing the
-/// Figure 11 trade-off.
+/// The EXTRAPOLATE hook of Algorithm 1: projects an intermediate fitness
+/// observed after `steps` of `total_steps` cases to an estimate of the final
+/// fitness. Divergence-aware: candidates whose running RMSE already exceeds
+/// the incumbent typically keep deteriorating in dynamic-systems simulation
+/// (clamped divergence, drift), so the running RMSE is projected forward by
+/// a sublinear growth factor (total/steps)^0.25. This makes eager
+/// thresholds (< 1) genuinely eager — they cut earlier at the risk of
+/// misjudging a candidate — and conservative thresholds (> 1) genuinely
+/// conservative, reproducing the Figure 11 trade-off. An identity
+/// extrapolation would not: a running RMSE is on the same scale as the
+/// final one, but Algorithm 1's inner `est > bestPrevFull` guard then makes
+/// thresholds below 1.0 behave exactly like 1.0.
 double ExtrapolateGrowth(double fitness, std::size_t steps,
                          std::size_t total_steps);
 
@@ -154,7 +144,6 @@ struct SpeedupConfig {
   bool short_circuiting = false;
   /// ES threshold: <1 is more eager, >1 more conservative (Figure 11).
   double es_threshold = 1.0;
-  ExtrapolateFn extrapolate = &ExtrapolateGrowth;
   /// RC: evaluate compiled programs instead of walking trees.
   bool runtime_compilation = false;
   /// Simplify equations before hashing/evaluating (improves cache hit rate;

@@ -275,6 +275,25 @@ TEST(CorpusTest, UnknownPropertyHeaderIsAnError) {
   std::remove(path.c_str());
 }
 
+TEST(CorpusTest, MalformedSeedHeaderIsAnError) {
+  // A seed with trailing characters must not replay as its digit prefix.
+  const GenConfig config = RiverGenConfig();
+  OracleContext ctx;
+  ctx.config = &config;
+  const std::string dir = ::testing::TempDir() + "gmr_prop_corpus_bad_seed";
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/vm-12.gmr";
+  {
+    std::ofstream out(path);
+    out << "# gmr-model v1\n# property: vm\n# seed: 12abc\n"
+           "equation B_Phy + 1\n";
+  }
+  const ReplayResult result = ReplayCorpus(dir, ctx, nullptr);
+  EXPECT_EQ(result.errors, 1);
+  EXPECT_EQ(result.files, 0);
+  std::remove(path.c_str());
+}
+
 TEST(CorpusTest, MissingDirectoryReplaysNothing) {
   const GenConfig config = RiverGenConfig();
   OracleContext ctx;

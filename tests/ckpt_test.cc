@@ -21,10 +21,12 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/interval.h"
 #include "calibrate/methods.h"
 #include "ckpt/checkpoint.h"
 #include "ckpt/serialize.h"
@@ -752,8 +754,6 @@ gp::Tag3pConfig ToyTagConfig() {
   config.elite_polish_steps = 5;
   config.sigma_rampdown_generations = 3;
   config.seed = 5;
-  // Byte-identical traces need TC off when threaded (DESIGN.md §4f); these
-  // tests run serially, so caching stays on to exercise its serialization.
   config.speedups.tree_caching = true;
   config.speedups.short_circuiting = true;
   config.speedups.num_threads = 1;
@@ -810,8 +810,9 @@ struct DriverRun {
 
 /// One TAG3P segment against the toy problem: opens (or resumes) the trace
 /// and checkpoint state in `dir`, runs to completion, and returns the final
-/// trace bytes + result digest.
-DriverRun RunToyTag3p(const std::string& dir) {
+/// trace bytes + result digest. `gate` turns the static gate on over the
+/// toy's input range x in [0, 1].
+DriverRun RunToyTag3p(const std::string& dir, bool gate = false) {
   const t::Grammar grammar = ToyGrammar();
   const ToyFitness fitness(60);
   const gp::Tag3pProblem problem{&grammar, &fitness, {}};
@@ -835,7 +836,13 @@ DriverRun RunToyTag3p(const std::string& dir) {
     obs::RunContext context;
     context.sink = &sink;
     context.checkpointer = &checkpointer;
-    run.digest = DigestTag3p(gp::RunTag3p(ToyTagConfig(), problem, context));
+    gp::Tag3pConfig config = ToyTagConfig();
+    if (gate) {
+      config.speedups.static_gate.enabled = true;
+      config.speedups.static_gate.domains.variables = {
+          analysis::Interval{0.0, 1.0}};
+    }
+    run.digest = DigestTag3p(gp::RunTag3p(config, problem, context));
   }  // sink destructor drains before the file is read back
   run.trace = ReadFile(trace_path);
   return run;
@@ -849,6 +856,23 @@ TEST(ResumeBitIdentityTest, Tag3pContinuesByteIdentically) {
 
   const std::uint64_t mid = RewindStoreToMiddle(dir + "/ck");
   const DriverRun resumed = RunToyTag3p(dir);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.resumed_step, mid);
+  EXPECT_EQ(resumed.trace, full.trace);
+  EXPECT_EQ(resumed.digest, full.digest);
+}
+
+TEST(ResumeBitIdentityTest, Tag3pWithGateContinuesByteIdentically) {
+  // eval_batch reports verdict_cache_hits as a deterministic field, so the
+  // gate's verdict cache must survive the resume as the tree cache does.
+  const std::string dir = FreshDir("resume_tag3p_gate");
+  const DriverRun full = RunToyTag3p(dir, /*gate=*/true);
+  EXPECT_FALSE(full.resumed);
+  ASSERT_TRUE(std::regex_search(full.trace,
+                                std::regex("\"verdict_cache_hits\":[1-9]")));
+
+  const std::uint64_t mid = RewindStoreToMiddle(dir + "/ck");
+  const DriverRun resumed = RunToyTag3p(dir, /*gate=*/true);
   EXPECT_TRUE(resumed.resumed);
   EXPECT_EQ(resumed.resumed_step, mid);
   EXPECT_EQ(resumed.trace, full.trace);

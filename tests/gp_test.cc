@@ -549,7 +549,6 @@ TEST(ExtrapolateTest, GrowthProjectsForward) {
   const double early = ExtrapolateGrowth(10.0, 10, 100);
   EXPECT_GT(mid, 10.0);
   EXPECT_GT(early, mid);
-  EXPECT_DOUBLE_EQ(ExtrapolateIdentity(10.0, 10, 100), 10.0);
 }
 
 TEST(ExtrapolateTest, EagerThresholdIsActuallyEagerUnderGrowth) {

@@ -523,11 +523,7 @@ gp::Tag3pConfig ToyConfig(int num_threads) {
   config.elite_polish_steps = 5;
   config.sigma_rampdown_generations = 3;
   config.seed = 5;
-  // The determinism contract (DESIGN.md §4f): ES under the frozen frontier
-  // is bit-identical across thread counts, but TC's cache counters are
-  // satisfied-first racy, so byte-identical traces require tree_caching
-  // off.
-  config.speedups.tree_caching = false;
+  config.speedups.tree_caching = true;
   config.speedups.short_circuiting = true;
   config.speedups.num_threads = num_threads;
   return config;

@@ -1,20 +1,23 @@
-// Concurrency layer tests: ThreadPool, StripedMap, EvalStats merging, the
-// cached fully_evaluated bit, and thread-count determinism of the TAG3P
-// engine under kFrozenFrontier. Labeled `tsan` in ctest — run them under
-// GMR_SANITIZE=thread to check for data races.
+// Concurrency layer tests: ThreadPool, lanes sharing the grammar's and the
+// evaluator's read-only tables, EvalStats merging, the cached
+// fully_evaluated bit, work counters that do not depend on the lane count,
+// and thread-count determinism of the TAG3P engine under kFrozenFrontier.
+// Labeled `tsan` in ctest — run them under GMR_SANITIZE=thread to check for
+// data races.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "analysis/interval.h"
 #include "analysis/static_gate.h"
 #include "common/rng.h"
-#include "common/striped_map.h"
 #include "common/thread_pool.h"
 #include "core/river_grammar.h"
 #include "core/transport_grammar.h"
@@ -318,49 +321,6 @@ TEST(SharedPhenotypeTest, LanesReadTheEvaluatorsSharedTables) {
   EXPECT_GT(rejected, 0u);
 }
 
-// ----------------------------------------------------------- striped map ----
-
-TEST(StripedMapTest, InsertAndLookup) {
-  StripedMap<std::uint64_t, double> map(8);
-  EXPECT_EQ(map.num_stripes(), 8u);
-  EXPECT_EQ(map.size(), 0u);
-  map.Insert(42, 1.5);
-  map.Insert(42, 9.9);  // insert-if-absent: first value wins
-  double value = 0.0;
-  EXPECT_TRUE(map.Lookup(42, &value));
-  EXPECT_DOUBLE_EQ(value, 1.5);
-  EXPECT_FALSE(map.Lookup(43, &value));
-  EXPECT_EQ(map.size(), 1u);
-  map.Clear();
-  EXPECT_EQ(map.size(), 0u);
-  EXPECT_FALSE(map.Lookup(42, &value));
-}
-
-TEST(StripedMapTest, ConcurrentInsertLookupStress) {
-  // 8 threads hammer a shared map with overlapping keys; values are a pure
-  // function of the key, so whoever wins an insert race stores the same
-  // value every reader must see.
-  StripedMap<std::uint64_t, std::uint64_t> map(16);
-  ThreadPool pool(8);
-  constexpr std::size_t kOps = 20'000;
-  constexpr std::uint64_t kKeySpace = 500;
-  std::atomic<std::size_t> mismatches{0};
-  pool.ParallelFor(kOps, [&map, &mismatches](std::size_t i, int) {
-    const std::uint64_t key = static_cast<std::uint64_t>(i) % kKeySpace;
-    const std::uint64_t expected = key * 2654435761ULL + 1;
-    std::uint64_t value = 0;
-    if (map.Lookup(key, &value)) {
-      if (value != expected) mismatches.fetch_add(1);
-    }
-    map.Insert(key, expected);
-    if (!map.Lookup(key, &value) || value != expected) {
-      mismatches.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_EQ(map.size(), kKeySpace);
-}
-
 // ------------------------------------------------------------ eval stats ----
 
 TEST(EvalStatsTest, MergeAddsEveryCounter) {
@@ -514,6 +474,63 @@ TEST(EvaluatorTest, BatchStatsFoldAcrossLanes) {
   EXPECT_EQ(stats.cache_lookups, 30u);
   EXPECT_EQ(stats.individuals_evaluated + stats.cache_hits, 30u);
   EXPECT_EQ(evaluator.cache_size(), stats.individuals_evaluated);
+}
+
+/// ToyFitness whose Begin holds each evaluation until `lanes` of them are
+/// inside it (for at most 5 s), so on two lanes both copies of a repeated
+/// candidate are in flight at once.
+class LatchFitness : public SequentialFitness {
+ public:
+  LatchFitness(std::size_t n, int lanes) : inner_(n), lanes_(lanes) {}
+
+  std::size_t num_cases() const override { return inner_.num_cases(); }
+  std::size_t num_parameters() const override { return 0; }
+
+  std::unique_ptr<SequentialEvaluation> Begin(
+      const std::vector<e::ExprPtr>& equations,
+      const std::vector<double>& parameters,
+      bool use_compiled_backend) const override {
+    entered_.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (entered_.load() < lanes_ &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return inner_.Begin(equations, parameters, use_compiled_backend);
+  }
+
+ private:
+  ToyFitness inner_;
+  int lanes_;
+  mutable std::atomic<int> entered_{0};
+};
+
+TEST(EvaluatorTest, DuplicatesInOneBatchCountAlikeAtAnyLaneCount) {
+  // Two copies of one candidate in one batch: each item reads the cache as
+  // it stood at the batch start, so the second copy runs again on one lane
+  // exactly as it must when both copies are in flight on two.
+  const t::Grammar grammar = ToyGrammar();
+  Rng rng(13);
+  const Individual original = MakeIndividual(grammar, 3, rng);
+  const auto run = [&](int lanes) {
+    const LatchFitness fitness(60, lanes);
+    SpeedupConfig config;
+    config.tree_caching = true;
+    config.num_threads = lanes;
+    FitnessEvaluator evaluator(&grammar, &fitness, config);
+    ThreadPool pool(lanes);
+    Individual a = original.Clone();
+    Individual b = original.Clone();
+    evaluator.EvaluateBatch({&a, &b}, &pool);
+    EXPECT_EQ(a.fitness, b.fitness);
+    return evaluator.stats();
+  };
+  const EvalStats one = run(1);
+  const EvalStats two = run(2);
+  EXPECT_EQ(one.individuals_evaluated, two.individuals_evaluated);
+  EXPECT_EQ(one.cache_hits, two.cache_hits);
+  EXPECT_EQ(one.time_steps_evaluated, two.time_steps_evaluated);
 }
 
 // ----------------------------------------------------------- determinism ----
